@@ -17,18 +17,19 @@ from dataclasses import replace
 from .cocycle import load_theta
 from .experiments import (
     FACTOR_TOLERANCE,
+    DecayRecord,
     ExperimentConfig,
-    decay_to_csv,
-    factor_to_csv,
+    FactorizationRecord,
+    ScanRecord,
     max_factor_error,
     run_factorization_check,
     run_potential_decay,
     run_property_suite,
     run_schwartz_bound,
     run_theorem_scan,
-    scan_to_csv,
-    scan_to_json,
 )
+from .kernels import SchwartzReport
+from .records import to_csv, to_json
 
 __all__ = ["main"]
 
@@ -132,35 +133,19 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return replace(config, **updates)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+# Each command returns (CSV or text table, JSON document, failure note or None).
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_suite(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     report = run_property_suite(seed=config.seed, theta=config.resolved_theta)
-    if config.fmt == "json":
-        _emit(json.dumps(report.to_json(), indent=2) + "\n", config.out)
-    else:
-        lines = [check.line() for check in report.checks]
-        lines.append(
-            "all checks passed"
-            if report.passed
-            else "FAILED checks: " + ", ".join(report.failures)
-        )
-        _emit("\n".join(lines) + "\n", config.out)
-    if not report.passed:
-        print("failing checks: " + ", ".join(report.failures), file=sys.stderr)
-        return 1
-    return 0
+    failed = ", ".join(report.failures)
+    lines = [check.line() for check in report.checks]
+    lines.append("all checks passed" if report.passed else "FAILED checks: " + failed)
+    failure = None if report.passed else "failing checks: " + failed
+    return "\n".join(lines) + "\n", report, failure
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_scan(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     records = run_theorem_scan(config)
     for rec in records:
         if rec.at_threshold:
@@ -169,89 +154,50 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 "recorded, not asserted",
                 file=sys.stderr,
             )
-    if config.fmt == "json":
-        _emit(json.dumps(scan_to_json(records, config), indent=2) + "\n", config.out)
-    else:
-        _emit(scan_to_csv(records), config.out)
-    return 0
+    doc = {
+        "d": config.d,
+        "alpha1": config.alpha1,
+        "alpha2": config.alpha2,
+        "s_margin": config.s_margin,
+        "seed": config.seed,
+        "records": records,
+    }
+    return to_csv(ScanRecord, records), doc, None
 
 
-def _cmd_decay(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_decay(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     alpha = args.alpha if args.alpha is not None else 2.0
-    grid = config.N_grid if getattr(args, "n_grid", None) is None else args.n_grid
-    if getattr(args, "config", None) is None and getattr(args, "n_grid", None) is None:
+    grid = config.N_grid if args.n_grid is None else args.n_grid
+    if args.config is None and args.n_grid is None:
         grid = (10, 20)
     records = run_potential_decay(config.d, alpha, grid)
-    if config.fmt == "json":
-        doc = {
-            "d": config.d,
-            "alpha": alpha,
-            "records": [
-                {
-                    "N": rec.N,
-                    "p": rec.p,
-                    "weak_norm": rec.weak_norm,
-                    "slope": rec.slope,
-                    "residual": rec.residual,
-                    "s_p_norm": rec.s_p_norm,
-                }
-                for rec in records
-            ],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", config.out)
-    else:
-        _emit(decay_to_csv(records), config.out)
-    return 0
+    doc = {"d": config.d, "alpha": alpha, "records": records}
+    return to_csv(DecayRecord, records), doc, None
 
 
-def _cmd_factor(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_factor(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     records = run_factorization_check(config)
     worst = max_factor_error(records)
-    if config.fmt == "json":
-        doc = {
-            "records": [
-                {
-                    "N": rec.N,
-                    "alpha1": rec.alpha1,
-                    "alpha2": rec.alpha2,
-                    "factor_error": rec.factor_error,
-                    "adjoint_error": rec.adjoint_error,
-                }
-                for rec in records
-            ],
-            "max_error": worst,
-            "tolerance": FACTOR_TOLERANCE,
-            "passed": worst <= FACTOR_TOLERANCE,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", config.out)
-    else:
-        _emit(factor_to_csv(records), config.out)
-    if worst > FACTOR_TOLERANCE:
-        print(
-            f"factorization gap {worst:.3e} exceeds tolerance {FACTOR_TOLERANCE:.1e}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    passed = worst <= FACTOR_TOLERANCE
+    doc = {
+        "records": records,
+        "max_error": worst,
+        "tolerance": FACTOR_TOLERANCE,
+        "passed": passed,
+    }
+    failure = None if passed else (
+        f"factorization gap {worst:.3e} exceeds tolerance {FACTOR_TOLERANCE:.1e}"
+    )
+    return to_csv(FactorizationRecord, records), doc, failure
 
 
-def _cmd_schwartz(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    result = run_schwartz_bound(config)
-    if config.fmt == "json":
-        _emit(json.dumps(result.to_json(), indent=2) + "\n", config.out)
-    else:
-        _emit(result.to_csv(), config.out)
-    if not result.passed:
-        print(
-            f"worst ratio {result.worst_ratio:.12f} exceeds 1 + {result.tolerance:.1e} "
-            f"at index {result.worst_index}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+def _cmd_schwartz(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
+    report = run_schwartz_bound(config)
+    failure = None if report.passed else (
+        f"worst ratio {report.worst_ratio:.12f} exceeds 1 + {report.tolerance:.1e} "
+        f"at index {report.worst_index}"
+    )
+    return to_csv(SchwartzReport, [report]), report, failure
 
 
 _COMMANDS = {
@@ -266,10 +212,21 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        config = _load_config(args)
+        table, doc, failure = _COMMANDS[args.command](args, config)
+        text = to_json(doc) if config.fmt == "json" else table
+        if config.out in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

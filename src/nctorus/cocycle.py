@@ -40,21 +40,53 @@ SKEW_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class ThetaMatrix:
-    """Real skew-symmetric deformation matrix, d >= 2."""
+class _SquareMatrix:
+    """Read-only finite real d x d matrix, d >= 2, equal only to its own type.
+
+    Subclasses name themselves in messages through _label and add their
+    own structure check in _check.
+    """
 
     entries: np.ndarray
+
+    _label = "matrix"
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"theta must be a square matrix, got shape {arr.shape}")
-        d = arr.shape[0]
-        if d < 2:
-            raise ValueError(f"theta must have dimension >= 2, got d={d}")
+            raise ValueError(f"{self._label} must be a square matrix, got shape {arr.shape}")
+        if arr.shape[0] < 2:
+            raise ValueError(f"{self._label} must have dimension >= 2, got d={arr.shape[0]}")
         if not np.all(np.isfinite(arr)):
             j, k = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"theta[{j}][{k}] = {arr[j, k]} is not finite")
+            raise ValueError(f"{self._label}[{j}][{k}] = {arr[j, k]} is not finite")
+        self._check(arr)
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
+
+    def _check(self, arr: np.ndarray) -> None:
+        pass
+
+    @property
+    def d(self) -> int:
+        return self.entries.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.entries, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.entries.shape, self.entries.tobytes()))
+
+
+class ThetaMatrix(_SquareMatrix):
+    """Real skew-symmetric deformation matrix, d >= 2."""
+
+    _label = "theta"
+
+    def _check(self, arr: np.ndarray) -> None:
+        d = arr.shape[0]
         for j in range(d):
             if abs(arr[j, j]) > SKEW_TOLERANCE:
                 raise ValueError(
@@ -69,36 +101,14 @@ class ThetaMatrix:
                         f"theta[{j}][{k}] + theta[{k}][{j}] = {defect!r} exceeds the "
                         f"skew-symmetry tolerance {SKEW_TOLERANCE}"
                     )
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ThetaMatrix):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.entries.shape, self.entries.tobytes()))
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedTheta:
+class ReducedTheta(_SquareMatrix):
     """Strictly lower-triangular reduction of a skew-symmetric theta."""
 
-    entries: np.ndarray
+    _label = "reduced theta"
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"reduced theta must be square, got shape {arr.shape}")
-        if arr.shape[0] < 2:
-            raise ValueError(f"reduced theta must have dimension >= 2, got d={arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("reduced theta has non-finite entries")
+    def _check(self, arr: np.ndarray) -> None:
         upper = np.triu(arr)
         if np.any(upper != 0.0):
             j, k = np.argwhere(upper != 0.0)[0]
@@ -106,20 +116,6 @@ class ReducedTheta:
                 f"reduced theta must be strictly lower triangular, "
                 f"entry [{j}][{k}] = {arr[j, k]!r} is nonzero"
             )
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReducedTheta):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.entries.shape, self.entries.tobytes()))
 
 
 def reduce_theta(theta: ThetaMatrix) -> ReducedTheta:

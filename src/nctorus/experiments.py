@@ -5,19 +5,17 @@ every module's invariants on seeded random data, a Schatten-norm scan of
 random smooth kernels across box sizes, a potential-decay fit for the
 diagonal Bessel spectra, a factorization and adjoint identity check, and
 the Schwartz coefficient-bound sweep.  All runners are deterministic
-given (config, seed); grid points run on a bounded thread pool (capped
-by the NCTORUS_THREADS environment variable) and records are sorted
-before emission so scheduling never leaks into the output.
+given (config, seed); grid points run one after another, and records are
+sorted so user-given grids come out in a fixed order.  Each record type
+is a dataclass written by the shared emitter in `records`.
 """
 
 from __future__ import annotations
 
-import io
 import math
-import os
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +42,7 @@ from .cocycle import (
     theta_from_json,
 )
 from .kernels import (
+    SchwartzReport,
     apply_kernel,
     bessel_kernel,
     flip_adjoint,
@@ -57,6 +56,7 @@ from .kernels import (
 from .lattice import LatticeBox
 from .multipliers import apply_multiplier, bessel_symbol, multiplier_matrix, riesz_symbol
 from .operators import OperatorMatrix
+from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
 from .schatten import (
     SingularSpectrum,
@@ -81,10 +81,6 @@ __all__ = [
     "run_potential_decay",
     "run_factorization_check",
     "run_schwartz_bound",
-    "scan_to_csv",
-    "decay_to_csv",
-    "factor_to_csv",
-    "thread_cap",
     "MEMORY_GUARD_CARDINALITY",
 ]
 
@@ -103,16 +99,24 @@ def default_theta(d: int = 2) -> ThetaMatrix:
     return ThetaMatrix(entries)
 
 
-def thread_cap(n_tasks: int) -> int:
-    """Worker count: min(tasks, cpu count, NCTORUS_THREADS if set)."""
-    cap = os.cpu_count() or 1
-    env = os.environ.get("NCTORUS_THREADS")
-    if env is not None:
-        try:
-            cap = min(cap, max(1, int(env)))
-        except ValueError:
-            raise ValueError(f"NCTORUS_THREADS={env!r} is not an integer") from None
-    return max(1, min(n_tasks, cap))
+def _integer(name: str, value) -> int:
+    """value as an int; integral floats such as 2.0 pass, 2.7 or True do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, value) -> float:
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Real)
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _guard_box(d: int, radius: int) -> None:
@@ -141,29 +145,44 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
+        def store(name: str, value) -> None:
+            object.__setattr__(self, name, value)
+
+        store("d", _integer("d", self.d))
         if self.d < 2:
             raise ValueError(f"dimension must be at least 2, got {self.d}")
         if self.theta is not None and self.theta.d != self.d:
             raise ValueError(
                 f"theta has dimension {self.theta.d}, config says d={self.d}"
             )
-        grid = tuple(int(n) for n in self.N_grid)
+        if not isinstance(self.N_grid, (list, tuple)):
+            raise ValueError(f"N_grid must be a list of integers, got {self.N_grid!r}")
+        grid = tuple(_integer("N_grid entry", n) for n in self.N_grid)
         if not grid or any(n < 0 for n in grid):
             raise ValueError(f"N grid must be nonempty and nonnegative, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"N grid must be strictly increasing, got {grid}")
-        object.__setattr__(self, "N_grid", grid)
+        store("N_grid", grid)
+        for name in ("alpha1", "alpha2", "s_margin"):
+            store(name, _finite(name, getattr(self, name)))
+        if self.s0 is not None:
+            store("s0", _finite("s0", self.s0))
+        store("seed", _integer("seed", self.seed))
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError(
                 f"smoothness orders must be nonnegative, got ({self.alpha1}, {self.alpha2})"
             )
         if self.r_grid is not None:
+            if not isinstance(self.r_grid, (list, tuple)):
+                raise ValueError(f"r_grid must be a list of numbers, got {self.r_grid!r}")
             rg = tuple(float(r) for r in self.r_grid)
             if any(r <= 0 for r in rg):
                 raise ValueError(f"all Schatten exponents must be positive, got {rg}")
-            object.__setattr__(self, "r_grid", rg)
+            store("r_grid", rg)
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
 
     @property
     def resolved_theta(self) -> ThetaMatrix:
@@ -213,26 +232,13 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"config has unknown keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "d" in doc:
-            kwargs["d"] = int(doc["d"])
+        kwargs = {("fmt" if key == "format" else key): value for key, value in doc.items()}
         if "theta" in doc:
-            d = kwargs.get("d", len(doc["theta"]))
-            kwargs["theta"] = theta_from_json({"d": d, "theta": doc["theta"]})
-            kwargs.setdefault("d", d)
-        for key in ("alpha1", "alpha2", "s_margin", "s0"):
-            if key in doc:
-                kwargs[key] = float(doc[key])
-        if "N_grid" in doc:
-            kwargs["N_grid"] = tuple(doc["N_grid"])
-        if "r_grid" in doc:
-            kwargs["r_grid"] = tuple(doc["r_grid"])
-        if "seed" in doc:
-            kwargs["seed"] = int(doc["seed"])
-        if "out" in doc:
-            kwargs["out"] = doc["out"]
-        if "format" in doc:
-            kwargs["fmt"] = doc["format"]
+            # theta takes its dimension from its rows; __post_init__ checks it against d
+            rows = doc["theta"]
+            size = len(rows) if isinstance(rows, list) else 2
+            kwargs["theta"] = theta_from_json({"d": size, "theta": rows})
+            kwargs.setdefault("d", size)
         return ExperimentConfig(**kwargs)
 
 
@@ -245,10 +251,10 @@ class CheckResult:
     name: str
     max_error: float
     tolerance: float
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.max_error <= self.tolerance
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", self.max_error <= self.tolerance)
 
     def line(self) -> str:
         mark = "pass" if self.passed else "FAIL"
@@ -258,28 +264,14 @@ class CheckResult:
 @dataclass(frozen=True)
 class SuiteReport:
     checks: tuple
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", all(c.passed for c in self.checks))
 
     @property
     def failures(self) -> tuple:
         return tuple(c.name for c in self.checks if not c.passed)
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_error": c.max_error,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def _coeff_gap(x, y) -> float:
@@ -545,6 +537,14 @@ def run_property_suite(
 
 @dataclass(frozen=True)
 class ScanRecord:
+    """One (N, r) row of the scan.
+
+    wall_ms is the time in ms from the start of that N's task (kernel
+    draw, matrix assembly, SVD, Sobolev norm) to this row, so a later r
+    row of the same N includes the norms of the rows before it.
+    at_threshold marks r == r_star and appears in JSON only.
+    """
+
     N: int
     r: float
     r_star: float
@@ -552,7 +552,7 @@ class ScanRecord:
     weak_r_norm: float
     sobolev_norm: float
     wall_ms: float
-    at_threshold: bool = False
+    at_threshold: bool = field(default=False, metadata=JSON_ONLY)
 
 
 def _scan_one(config: ExperimentConfig, radius: int) -> list:
@@ -590,58 +590,9 @@ def run_theorem_scan(config: ExperimentConfig) -> list:
     """
     for radius in config.N_grid:
         _guard_box(config.d, radius)
-    records: list = []
-    with ThreadPoolExecutor(max_workers=thread_cap(len(config.N_grid))) as pool:
-        for batch in pool.map(lambda n: _scan_one(config, n), config.N_grid):
-            records.extend(batch)
+    records = [rec for radius in config.N_grid for rec in _scan_one(config, radius)]
     records.sort(key=lambda rec: (rec.N, rec.r))
     return records
-
-
-SCAN_FIELDS = ("N", "r", "r_star", "s_r_norm", "weak_r_norm", "sobolev_norm", "wall_ms")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _records_to_csv(records, fields) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(fields) + "\n")
-    for rec in records:
-        buf.write(",".join(_fmt(getattr(rec, f)) for f in fields) + "\n")
-    return buf.getvalue()
-
-
-def scan_to_csv(records) -> str:
-    return _records_to_csv(records, SCAN_FIELDS)
-
-
-def scan_to_json(records, config: ExperimentConfig) -> dict:
-    return {
-        "d": config.d,
-        "alpha1": config.alpha1,
-        "alpha2": config.alpha2,
-        "s_margin": config.s_margin,
-        "seed": config.seed,
-        "records": [
-            {
-                "N": rec.N,
-                "r": rec.r,
-                "r_star": rec.r_star,
-                "s_r_norm": rec.s_r_norm,
-                "weak_r_norm": rec.weak_r_norm,
-                "sobolev_norm": rec.sobolev_norm,
-                "wall_ms": rec.wall_ms,
-                "at_threshold": rec.at_threshold,
-            }
-            for rec in records
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +607,6 @@ class DecayRecord:
     slope: float
     residual: float
     s_p_norm: float
-
-
-DECAY_FIELDS = ("N", "p", "weak_norm", "slope", "residual", "s_p_norm")
 
 
 def _decay_one(d: int, alpha: float, radius: int) -> DecayRecord:
@@ -688,16 +636,9 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     """
     if alpha <= 0:
         raise ValueError(f"potential order must be positive, got {alpha}")
-    grid = tuple(int(n) for n in N_grid)
-    records = []
-    with ThreadPoolExecutor(max_workers=thread_cap(len(grid))) as pool:
-        records = list(pool.map(lambda n: _decay_one(d, alpha, n), grid))
+    records = [_decay_one(d, alpha, int(n)) for n in N_grid]
     records.sort(key=lambda rec: rec.N)
     return records
-
-
-def decay_to_csv(records) -> str:
-    return _records_to_csv(records, DECAY_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +653,6 @@ class FactorizationRecord:
     factor_error: float
     adjoint_error: float
 
-
-FACTOR_FIELDS = ("N", "alpha1", "alpha2", "factor_error", "adjoint_error")
 
 FACTOR_TOLERANCE = 1e-12
 
@@ -757,16 +696,9 @@ def run_factorization_check(config: ExperimentConfig) -> list:
     """
     for radius in config.N_grid:
         _guard_box(config.d, radius)
-    records: list = []
-    with ThreadPoolExecutor(max_workers=thread_cap(len(config.N_grid))) as pool:
-        for batch in pool.map(lambda n: _factor_one(config, n), config.N_grid):
-            records.extend(batch)
+    records = [rec for radius in config.N_grid for rec in _factor_one(config, radius)]
     records.sort(key=lambda rec: (rec.N, rec.alpha1, rec.alpha2))
     return records
-
-
-def factor_to_csv(records) -> str:
-    return _records_to_csv(records, FACTOR_FIELDS)
 
 
 def max_factor_error(records) -> float:
@@ -780,55 +712,11 @@ def max_factor_error(records) -> float:
 # Schwartz bound run
 
 
-@dataclass(frozen=True)
-class SchwartzRunResult:
-    radius: int
-    s0: float
-    alpha1: float
-    alpha2: float
-    worst_ratio: float
-    worst_index: tuple
-    lifted_norm: float
-    tolerance: float = 1e-10
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_ratio <= 1.0 + self.tolerance
-
-    def to_json(self) -> dict:
-        return {
-            "radius": self.radius,
-            "s0": self.s0,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "worst_ratio": self.worst_ratio,
-            "worst_index": [list(ix) for ix in self.worst_index],
-            "lifted_norm": self.lifted_norm,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-    def to_csv(self) -> str:
-        header = "radius,s0,alpha1,alpha2,worst_ratio,lifted_norm,passed\n"
-        row = ",".join(
-            [
-                _fmt(self.radius),
-                _fmt(self.s0),
-                _fmt(self.alpha1),
-                _fmt(self.alpha2),
-                _fmt(self.worst_ratio),
-                _fmt(self.lifted_norm),
-                _fmt(self.passed),
-            ]
-        )
-        return header + row + "\n"
-
-
-def run_schwartz_bound(config: ExperimentConfig) -> SchwartzRunResult:
+def run_schwartz_bound(config: ExperimentConfig) -> SchwartzReport:
     """Worst coefficient-to-envelope ratio for a random kernel.
 
     The decay margin s0 must exceed the dimension; the value used is
-    recorded in the result so output metadata pins the choice.
+    recorded in the report so output metadata pins the choice.
     """
     s0 = config.resolved_s0
     radius = max(config.N_grid)
@@ -836,13 +724,4 @@ def run_schwartz_bound(config: ExperimentConfig) -> SchwartzRunResult:
     red = config.reduced
     s1, s2 = config.envelope_exponents()
     k = random_kernel(red, radius, s1, s2, config.seed)
-    report = schwartz_coefficients(k, config.alpha1, config.alpha2, s0)
-    return SchwartzRunResult(
-        radius=radius,
-        s0=s0,
-        alpha1=config.alpha1,
-        alpha2=config.alpha2,
-        worst_ratio=report.worst_ratio,
-        worst_index=report.worst_index,
-        lifted_norm=report.lifted_norm,
-    )
+    return schwartz_coefficients(k, config.alpha1, config.alpha2, s0)

@@ -16,9 +16,8 @@ norms exactly.
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .cocycle import ReducedTheta, phase_pairs
 from .lattice import LatticeBox
 from .multipliers import bessel_symbol
 from .operators import OperatorMatrix
+from .records import HIDDEN, JSON_ONLY
 
 __all__ = [
     "NCKernel",
@@ -193,22 +193,30 @@ def flip_adjoint(k: NCKernel) -> NCKernel:
     return NCKernel(k.theta, box, box, swapped * np.outer(star_phases, star_phases))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SchwartzReport:
-    """Coefficient magnitudes against the smooth-kernel decay envelope."""
+    """Coefficient magnitudes against the smooth-kernel decay envelope.
 
-    magnitudes: np.ndarray
-    bounds: np.ndarray
-    ratios: np.ndarray
-    worst_ratio: float
-    worst_index: tuple
-    lifted_norm: float
+    radius is the larger leg radius.  The fields print in this order as
+    the `schwartz` record; worst_index and tolerance appear in JSON only,
+    and the full arrays in neither.
+    """
+
+    radius: int
     s0: float
-    tolerance: float = 1e-10
+    alpha1: float
+    alpha2: float
+    worst_ratio: float
+    worst_index: tuple = field(metadata=JSON_ONLY)
+    lifted_norm: float
+    tolerance: float = field(default=1e-10, metadata=JSON_ONLY)
+    passed: bool = field(init=False)
+    magnitudes: np.ndarray = field(repr=False, metadata=HIDDEN)
+    bounds: np.ndarray = field(repr=False, metadata=HIDDEN)
+    ratios: np.ndarray = field(repr=False, metadata=HIDDEN)
 
-    @property
-    def passed(self) -> bool:
-        return self.worst_ratio <= 1.0 + self.tolerance
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", self.worst_ratio <= 1.0 + self.tolerance)
 
 
 def schwartz_coefficients(
@@ -237,13 +245,16 @@ def schwartz_coefficients(
         tuple(int(v) for v in h.box2.enumerate()[j]),
     )
     return SchwartzReport(
-        magnitudes=magnitudes,
-        bounds=bounds,
-        ratios=ratios,
+        radius=max(h.box1.radius, h.box2.radius),
+        s0=float(s0),
+        alpha1=alpha1,
+        alpha2=alpha2,
         worst_ratio=float(ratios[i, j]),
         worst_index=worst_index,
         lifted_norm=lifted_norm,
-        s0=float(s0),
+        magnitudes=magnitudes,
+        bounds=bounds,
+        ratios=ratios,
     )
 
 
@@ -319,7 +330,3 @@ def read_kernel(path, theta: ReducedTheta) -> NCKernel:
     coeffs = np.frombuffer(raw, dtype="<c16").reshape(n, n)
     return NCKernel(theta, box, box, coeffs)
 
-
-def load_kernel_json(path, theta: ReducedTheta) -> NCKernel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return kernel_from_json(json.load(fh), theta)

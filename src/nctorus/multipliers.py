@@ -85,30 +85,26 @@ def riesz_symbol(alpha: float) -> SymbolFunction:
     return SymbolFunction(f"riesz({alpha:g})", evaluate)
 
 
-def apply_multiplier(symbol: SymbolFunction, x: TorusElement) -> TorusElement:
-    """Scale each Fourier coefficient of x by the symbol value at its index."""
-    vals = symbol.values_on(x.box)
+def _finite_values(symbol: SymbolFunction, box: LatticeBox) -> np.ndarray:
+    """Symbol values on the box; a non-finite value is an error naming its point."""
+    vals = symbol.values_on(box)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        k = int(np.argmax(bad))
-        m = x.box.enumerate()[k]
+        m = box.enumerate()[int(np.argmax(bad))]
         raise ValueError(
             f"symbol {symbol.name!r} is not finite at lattice point {tuple(int(v) for v in m)}"
         )
-    return TorusElement(x.theta, x.box, x.coeffs * vals)
+    return vals
+
+
+def apply_multiplier(symbol: SymbolFunction, x: TorusElement) -> TorusElement:
+    """Scale each Fourier coefficient of x by the symbol value at its index."""
+    return TorusElement(x.theta, x.box, x.coeffs * _finite_values(symbol, x.box))
 
 
 def multiplier_matrix(symbol: SymbolFunction, box: LatticeBox) -> OperatorMatrix:
     """The diagonal matrix of the multiplier on the box, in canonical order."""
-    vals = symbol.values_on(box)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        m = box.enumerate()[k]
-        raise ValueError(
-            f"symbol {symbol.name!r} is not finite at lattice point {tuple(int(v) for v in m)}"
-        )
-    return OperatorMatrix(box, np.diag(vals))
+    return OperatorMatrix(box, np.diag(_finite_values(symbol, box)))
 
 
 def sobolev_norm(x: TorusElement, alpha: float) -> float:

@@ -1,0 +1,52 @@
+"""One writer for every result record: CSV rows and JSON documents.
+
+A record is a dataclass and its columns are its `dataclasses.fields` in
+declaration order.  Field metadata narrows where a field appears:
+JSON_ONLY keeps it out of CSV rows, HIDDEN keeps it out of both formats.
+CSV cells print floats with %.17g so they round-trip exactly, integers
+as integers and booleans as true/false; JSON keeps the values as they
+are, with records nested wherever a document holds them.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import numbers
+
+__all__ = ["JSON_ONLY", "HIDDEN", "to_csv", "to_json"]
+
+JSON_ONLY = {"emit": "json"}
+HIDDEN = {"emit": None}
+
+
+def _columns(cls, fmt: str) -> tuple:
+    """Names of the fields of record type cls emitted in fmt ('csv' or 'json')."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.metadata.get("emit", fmt) == fmt)
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def to_csv(cls, records) -> str:
+    """Header line of cls's CSV columns, then one line per record."""
+    names = _columns(cls, "csv")
+    lines = [",".join(names)]
+    lines += [",".join(_cell(getattr(rec, name)) for name in names) for rec in records]
+    return "\n".join(lines) + "\n"
+
+
+def _record_dict(obj) -> dict:
+    # json.dumps calls this for objects it cannot write; dataclasses.fields
+    # raises the TypeError json expects for anything but a record
+    return {name: getattr(obj, name) for name in _columns(type(obj), "json")}
+
+
+def to_json(doc) -> str:
+    """Indented JSON of doc; records anywhere inside become objects."""
+    return json.dumps(doc, indent=2, default=_record_dict) + "\n"

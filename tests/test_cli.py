@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -195,3 +196,162 @@ def test_suite_json_roundtrips_numerics(capsys):
     errs = np.array([check["max_error"] for check in doc["checks"]])
     assert np.all(np.isfinite(errs))
     assert np.all(errs >= 0)
+
+
+# ---------------------------------------------------------------------------
+# output layout of every subcommand, in both formats
+
+SUITE_CHECKS = [
+    "cocycle-bicharacter", "cocycle-identity", "commutation-relation",
+    "algebra-associativity", "algebra-unit", "trace-property",
+    "involution-antihomomorphism", "involution-involutive", "plancherel-pairing",
+    "derivation-leibniz", "multiplier-algebra", "mult-matrix-consistency",
+    "op-multiply-reversal", "kernel-oracle", "kernel-hs-identity",
+    "kernel-column-consistency", "bessel-kernel-diagonal", "factorization",
+    "adjoint-identity", "kernel-linearity", "schatten-unitary-invariance",
+    "schatten-adjoint-norm", "holder-composition", "schatten-ideal", "schwartz-bound",
+]
+
+SCAN_COLUMNS = ["N", "r", "r_star", "s_r_norm", "weak_r_norm", "sobolev_norm", "wall_ms"]
+DECAY_COLUMNS = ["N", "p", "weak_norm", "slope", "residual", "s_p_norm"]
+FACTOR_COLUMNS = ["N", "alpha1", "alpha2", "factor_error", "adjoint_error"]
+SCHWARTZ_COLUMNS = ["radius", "s0", "alpha1", "alpha2", "worst_ratio", "lifted_norm", "passed"]
+
+
+def _run(capsys, argv) -> tuple:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _csv_and_json(capsys, argv) -> tuple:
+    """(header, rows as dicts, JSON document) of one command in both formats."""
+    code, text, err = _run(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    lines = text.split("\n")[:-1]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert all(len(row) == len(header) for row in rows)
+    code, text, err = _run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    return header, rows, json.loads(text)
+
+
+def _assert_cells_match(row: dict, record: dict, skip=("wall_ms",)) -> None:
+    # integers print as integers, floats with %.17g, booleans as true/false
+    for name, cell in row.items():
+        if name in skip:
+            continue
+        value = record[name]
+        if isinstance(value, bool):
+            assert cell == ("true" if value else "false")
+        elif isinstance(value, int):
+            assert cell == str(value)
+        else:
+            assert cell == format(value, ".17g")
+
+
+def test_suite_layout_both_formats(capsys):
+    code, text, err = _run(capsys, ["suite", "--seed", "7"])
+    assert (code, err) == (0, "")
+    lines = text.split("\n")
+    assert lines[-2:] == ["all checks passed", ""]
+    pattern = re.compile(
+        r"pass  ([a-z-]+): max error \d\.\d{3}e[+-]\d\d \(tol \d\.\de[+-]\d\d\)"
+    )
+    matches = [pattern.fullmatch(line) for line in lines[:-2]]
+    assert all(matches)
+    assert [m.group(1) for m in matches] == SUITE_CHECKS
+    code, text, err = _run(capsys, ["suite", "--seed", "7", "--format", "json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(text)
+    assert set(doc) == {"passed", "checks"} and doc["passed"] is True
+    assert [check["name"] for check in doc["checks"]] == SUITE_CHECKS
+    for check, line in zip(doc["checks"], lines):
+        assert set(check) == {"name", "max_error", "tolerance", "passed"}
+        assert check["passed"] is True
+        assert f"max error {check['max_error']:.3e} (tol {check['tolerance']:.1e})" in line
+
+
+def test_scan_layout_both_formats_unsorted_r_grid(capsys):
+    header, rows, doc = _csv_and_json(
+        capsys, ["scan", "--n-grid", "3,4", "--r-grid", "2,1,0.8"]
+    )
+    assert header == SCAN_COLUMNS
+    # records come out sorted by (N, r) whatever the order of the r grid
+    assert [(row["N"], row["r"]) for row in rows] == [
+        ("3", "0.80000000000000004"), ("3", "1"), ("3", "2"),
+        ("4", "0.80000000000000004"), ("4", "1"), ("4", "2"),
+    ]
+    assert set(doc) == {"d", "alpha1", "alpha2", "s_margin", "seed", "records"}
+    assert (doc["d"], doc["alpha1"], doc["alpha2"], doc["s_margin"], doc["seed"]) == (
+        2, 1.0, 1.0, 0.5, 42,
+    )
+    assert len(doc["records"]) == len(rows)
+    for row, rec in zip(rows, doc["records"]):
+        assert set(rec) == set(SCAN_COLUMNS) | {"at_threshold"}
+        assert rec["at_threshold"] is False
+        assert rec["wall_ms"] >= 0 and float(row["wall_ms"]) >= 0
+        _assert_cells_match(row, rec)
+
+
+def test_decay_layout_both_formats(capsys):
+    header, rows, doc = _csv_and_json(capsys, ["decay", "--n-grid", "10,20"])
+    assert header == DECAY_COLUMNS
+    assert [row["N"] for row in rows] == ["10", "20"]
+    assert set(doc) == {"d", "alpha", "records"}
+    assert (doc["d"], doc["alpha"]) == (2, 2.0)
+    for row, rec in zip(rows, doc["records"]):
+        assert set(rec) == set(DECAY_COLUMNS)
+        _assert_cells_match(row, rec)
+
+
+def test_decay_descending_grid(capsys):
+    # the CLI grid goes through the config, which wants it increasing ...
+    for fmt in ("csv", "json"):
+        code, out, err = _run(capsys, ["decay", "--n-grid", "20,10", "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == "error: N grid must be strictly increasing, got (20, 10)\n"
+    # ... while the runner sorts whatever grid a library caller passes
+    from nctorus.experiments import run_potential_decay
+
+    assert [rec.N for rec in run_potential_decay(2, 2.0, (20, 10))] == [10, 20]
+
+
+def test_factor_layout_both_formats(capsys):
+    header, rows, doc = _csv_and_json(capsys, ["factor", "--n-grid", "3,4"])
+    assert header == FACTOR_COLUMNS
+    keys = [(int(row["N"]), float(row["alpha1"]), float(row["alpha2"])) for row in rows]
+    assert len(keys) == 10 and keys == sorted(keys)
+    assert set(doc) == {"records", "max_error", "tolerance", "passed"}
+    assert doc["tolerance"] == 1e-12 and doc["passed"] is True
+    worst = max(max(r["factor_error"], r["adjoint_error"]) for r in doc["records"])
+    assert doc["max_error"] == worst
+    for row, rec in zip(rows, doc["records"]):
+        assert set(rec) == set(FACTOR_COLUMNS)
+        _assert_cells_match(row, rec)
+
+
+def test_schwartz_layout_both_formats(capsys):
+    header, rows, doc = _csv_and_json(capsys, ["schwartz", "--n", "4"])
+    assert header == SCHWARTZ_COLUMNS
+    (row,) = rows
+    assert set(doc) == set(SCHWARTZ_COLUMNS) | {"worst_index", "tolerance"}
+    assert (doc["radius"], doc["s0"], doc["tolerance"], doc["passed"]) == (4, 3.0, 1e-10, True)
+    assert [len(leg) for leg in doc["worst_index"]] == [2, 2]
+    assert all(type(v) is int for leg in doc["worst_index"] for v in leg)
+    _assert_cells_match(row, doc)
+
+
+def test_failed_assertion_output(capsys, monkeypatch):
+    # a failed identity still writes its output, then notes the failure on
+    # stderr and exits 1
+    monkeypatch.setattr("nctorus.cli.max_factor_error", lambda records: 1.0)
+    code, out, err = _run(capsys, ["factor", "--n-grid", "3"])
+    assert code == 1 and out.startswith(",".join(FACTOR_COLUMNS) + "\n")
+    assert err == "factorization gap 1.000e+00 exceeds tolerance 1.0e-12\n"
+    code, out, err = _run(capsys, ["factor", "--n-grid", "3", "--format", "json"])
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["max_error"], doc["passed"]) == (1.0, False)

@@ -28,11 +28,15 @@ def test_theta_matrix_accepts_skew():
 def test_theta_matrix_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         ThetaMatrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="reduced theta must be a square matrix"):
+        ReducedTheta(np.zeros((2, 3)))
 
 
 def test_theta_matrix_rejects_d1():
     with pytest.raises(ValueError, match=">= 2"):
         ThetaMatrix(np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="reduced theta must have dimension >= 2"):
+        ReducedTheta(np.zeros((1, 1)))
 
 
 def test_theta_matrix_rejects_nonzero_diagonal():
@@ -57,6 +61,8 @@ def test_skew_tolerance_boundary():
 def test_theta_matrix_rejects_non_finite():
     with pytest.raises(ValueError, match="not finite"):
         ThetaMatrix(np.array([[0.0, np.inf], [-np.inf, 0.0]]))
+    with pytest.raises(ValueError, match=r"reduced theta\[1\]\[0\] = nan is not finite"):
+        ReducedTheta(np.array([[0.0, 0.0], [np.nan, 0.0]]))
 
 
 def test_reduce_theta_strictly_lower(theta2):
@@ -207,3 +213,7 @@ def test_theta_equality_and_hash(theta2):
     assert same == theta2
     assert hash(same) == hash(theta2)
     assert ThetaMatrix(np.zeros((2, 2))) != theta2
+    # equal entries compare equal only within one type
+    assert ReducedTheta(np.zeros((2, 2))) == ReducedTheta(np.zeros((2, 2)))
+    assert ThetaMatrix(np.zeros((2, 2))) != ReducedTheta(np.zeros((2, 2)))
+    assert ReducedTheta(np.zeros((2, 2))) != ThetaMatrix(np.zeros((2, 2)))

@@ -5,21 +5,21 @@ import pytest
 
 from nctorus.cocycle import ThetaMatrix, phase_pairs
 from nctorus.experiments import (
+    DecayRecord,
     ExperimentConfig,
+    FactorizationRecord,
     MEMORY_GUARD_CARDINALITY,
+    ScanRecord,
     default_theta,
-    decay_to_csv,
-    factor_to_csv,
     max_factor_error,
     run_factorization_check,
     run_potential_decay,
     run_property_suite,
     run_schwartz_bound,
     run_theorem_scan,
-    scan_to_csv,
-    scan_to_json,
-    thread_cap,
 )
+from nctorus.kernels import SchwartzReport
+from nctorus.records import to_csv, to_json
 from nctorus.schatten import critical_exponent
 
 
@@ -38,7 +38,7 @@ def test_config_defaults():
     assert cfg.resolved_theta == default_theta(2)
 
 
-def test_config_validation():
+def test_config_validation(capsys):
     with pytest.raises(ValueError, match="at least 2"):
         ExperimentConfig(d=1)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -55,6 +55,33 @@ def test_config_validation():
         ExperimentConfig(fmt="xml")
     with pytest.raises(ValueError, match="dimension"):
         ExperimentConfig(d=3, theta=default_theta(2))
+    with pytest.raises(ValueError, match="d must be an integer, got 2.7"):
+        ExperimentConfig(d=2.7)
+    with pytest.raises(ValueError, match="d must be an integer, got True"):
+        ExperimentConfig(d=True)
+    with pytest.raises(ValueError, match="N_grid entry must be an integer, got 4.5"):
+        ExperimentConfig(N_grid=(4.5, 6))
+    with pytest.raises(ValueError, match="N_grid must be a list"):
+        ExperimentConfig(N_grid=4)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ExperimentConfig(seed=1.5)
+    with pytest.raises(ValueError, match="out must be a path string"):
+        ExperimentConfig(out=7)
+    for name in ("alpha1", "alpha2", "s_margin", "s0"):
+        for bad in (float("nan"), float("inf"), float("-inf"), "1.0", None, 10**400):
+            if name == "s0" and bad is None:
+                continue  # s0 = None means the default d + 1
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                ExperimentConfig(**{name: bad})
+    # an integral float passes and is stored as an int
+    cfg = ExperimentConfig(d=2.0, N_grid=(3.0, 5), seed=7.0)
+    assert (cfg.d, cfg.N_grid, cfg.seed) == (2, (3, 5), 7)
+    assert all(type(v) is int for v in (cfg.d, *cfg.N_grid, cfg.seed))
+    # the command line reports the field, not a later numerical failure
+    from nctorus.cli import main
+
+    assert main(["scan", "--alpha1", "nan", "--n-grid", "2"]) == 2
+    assert capsys.readouterr().err == "error: alpha1 must be a finite number, got nan\n"
 
 
 def test_config_from_json_roundtrip():
@@ -79,6 +106,19 @@ def test_config_from_json_roundtrip():
 def test_config_from_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown keys"):
         ExperimentConfig.from_json({"alpha3": 1.0})
+    # the values of known keys are never truncated or coerced
+    with pytest.raises(ValueError, match="d must be an integer, got 2.7"):
+        ExperimentConfig.from_json({"d": 2.7, "N_grid": [4, 6]})
+    with pytest.raises(ValueError, match="N_grid entry must be an integer, got 4.5"):
+        ExperimentConfig.from_json({"d": 2, "N_grid": [4.5, 6]})
+    with pytest.raises(ValueError, match="alpha1 must be a finite number"):
+        ExperimentConfig.from_json({"alpha1": float("nan")})
+    with pytest.raises(ValueError, match="s0 must be a finite number"):
+        ExperimentConfig.from_json({"s0": float("inf")})
+    with pytest.raises(ValueError, match="alpha2 must be a finite number, got '1'"):
+        ExperimentConfig.from_json({"alpha2": "1"})
+    with pytest.raises(ValueError, match="theta has dimension 2, config says d=3"):
+        ExperimentConfig.from_json({"d": 3, "theta": [[0.0, -0.25], [0.25, 0.0]]})
 
 
 def test_config_from_json_reads_theta():
@@ -138,7 +178,8 @@ def test_property_suite_negative_control():
 
 def test_suite_report_json_shape():
     report = run_property_suite(seed=1)
-    doc = report.to_json()
+    doc = json.loads(to_json(report))
+    assert set(doc) == {"passed", "checks"}
     assert doc["passed"] is True
     assert len(doc["checks"]) == len(report.checks)
     first = doc["checks"][0]
@@ -232,7 +273,7 @@ def test_scan_determinism():
 def test_scan_csv_layout():
     cfg = ExperimentConfig(N_grid=(3,), r_grid=(1.0,))
     records = run_theorem_scan(cfg)
-    text = scan_to_csv(records)
+    text = to_csv(ScanRecord, records)
     lines = text.strip().split("\n")
     assert lines[0] == "N,r,r_star,s_r_norm,weak_r_norm,sobolev_norm,wall_ms"
     assert len(lines) == 2
@@ -246,12 +287,13 @@ def test_scan_csv_layout():
 def test_scan_json_layout():
     cfg = ExperimentConfig(N_grid=(3,), r_grid=(1.0, cfg_r_star := critical_exponent(2, 1.0, 1.0)))
     records = run_theorem_scan(cfg)
-    doc = scan_to_json(records, cfg)
+    doc = json.loads(to_json({"d": cfg.d, "seed": cfg.seed, "records": records}))
     assert doc["d"] == 2 and doc["seed"] == 42
     assert len(doc["records"]) == 2
     assert doc["records"][0]["r"] == pytest.approx(cfg_r_star)
     assert doc["records"][0]["at_threshold"] is True
-    json.dumps(doc)  # must be serializable as-is
+    # at_threshold is a JSON-only field
+    assert "at_threshold" not in to_csv(ScanRecord, records)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +329,7 @@ def test_decay_rejects_nonpositive_alpha():
 
 def test_decay_csv_layout():
     records = run_potential_decay(2, 1.0, (8,))
-    text = decay_to_csv(records)
+    text = to_csv(DecayRecord, records)
     lines = text.strip().split("\n")
     assert lines[0] == "N,p,weak_norm,slope,residual,s_p_norm"
     assert lines[1].split(",")[0] == "8"
@@ -312,7 +354,7 @@ def test_factorization_sorted_and_csv():
     records = run_factorization_check(cfg)
     keys = [(rec.N, rec.alpha1, rec.alpha2) for rec in records]
     assert keys == sorted(keys)
-    text = factor_to_csv(records)
+    text = to_csv(FactorizationRecord, records)
     assert text.startswith("N,alpha1,alpha2,factor_error,adjoint_error\n")
 
 
@@ -345,12 +387,13 @@ def test_schwartz_custom_s0():
 def test_schwartz_json_and_csv():
     cfg = ExperimentConfig(N_grid=(4,))
     result = run_schwartz_bound(cfg)
-    doc = result.to_json()
+    doc = json.loads(to_json(result))
     assert doc["passed"] is True
     assert doc["s0"] == 3.0
     assert len(doc["worst_index"]) == 2
-    json.dumps(doc)
-    text = result.to_csv()
+    # the coefficient arrays stay out of both formats
+    assert not {"magnitudes", "bounds", "ratios"} & set(doc)
+    text = to_csv(SchwartzReport, [result])
     assert text.startswith("radius,s0,alpha1,alpha2,worst_ratio,lifted_norm,passed\n")
     assert text.strip().split("\n")[1].endswith("true")
 
@@ -358,31 +401,6 @@ def test_schwartz_json_and_csv():
 def test_schwartz_guard():
     with pytest.raises(ValueError, match="dense-matrix guard"):
         run_schwartz_bound(ExperimentConfig(N_grid=(40,)))
-
-
-# ---------------------------------------------------------------------------
-# threading knob
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("NCTORUS_THREADS", raising=False)
-    assert thread_cap(1) == 1
-    assert thread_cap(1000) >= 1
-    monkeypatch.setenv("NCTORUS_THREADS", "2")
-    assert thread_cap(8) <= 2
-    assert thread_cap(1) == 1
-    monkeypatch.setenv("NCTORUS_THREADS", "0")
-    assert thread_cap(8) == 1
-    monkeypatch.setenv("NCTORUS_THREADS", "bogus")
-    with pytest.raises(ValueError, match="NCTORUS_THREADS"):
-        thread_cap(4)
-
-
-def test_scan_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("NCTORUS_THREADS", "1")
-    cfg = ExperimentConfig(N_grid=(3, 4), r_grid=(1.0,))
-    records = run_theorem_scan(cfg)
-    assert [rec.N for rec in records] == [3, 4]
 
 
 def test_unitary_diagonal_is_exact_phase(red2):
