@@ -71,7 +71,7 @@ from .multipliers import (
     SymbolFunction,
     apply_multiplier,
     bessel_symbol,
-    multiplier_matrix,
+    multiplier_values,
     riesz_symbol,
     sobolev_norm,
 )
@@ -129,8 +129,8 @@ __all__ = [
     "SymbolFunction",
     "bessel_symbol",
     "riesz_symbol",
+    "multiplier_values",
     "apply_multiplier",
-    "multiplier_matrix",
     "sobolev_norm",
     # operators
     "OperatorMatrix",

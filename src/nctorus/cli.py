@@ -167,9 +167,9 @@ def _cmd_scan(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
 
 def _cmd_decay(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     alpha = args.alpha if args.alpha is not None else 2.0
-    grid = config.N_grid if args.n_grid is None else args.n_grid
-    if args.config is None and args.n_grid is None:
-        grid = (10, 20)
+    # _load_config has already copied --n-grid into config.N_grid
+    explicit = args.config is not None or args.n_grid is not None
+    grid = config.N_grid if explicit else (10, 20)
     records = run_potential_decay(config.d, alpha, grid)
     doc = {"d": config.d, "alpha": alpha, "records": records}
     return to_csv(DecayRecord, records), doc, None

@@ -16,6 +16,7 @@ norms exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -322,11 +323,22 @@ def read_kernel(path, theta: ReducedTheta) -> NCKernel:
         if len(header) != 16 or header[:4] != _MAGIC:
             raise ValueError(f"{path}: not a kernel dump (bad magic)")
         d, radius, _ = struct.unpack("<iii", header[4:])
-        box = LatticeBox(d, radius)
-        n = box.cardinality
-        raw = fh.read(16 * n * n)
-    if len(raw) != 16 * n * n:
-        raise ValueError(f"{path}: truncated payload")
+        # the theta bounds d; then the claimed payload must fit in the file
+        # before anything of that size is read or allocated
+        if d != theta.d or radius < 0:
+            raise ValueError(
+                f"{path}: header has d={d}, N={radius} for a theta of dimension {theta.d}"
+            )
+        n = (2 * radius + 1) ** d
+        size = 16 * n * n
+        available = os.fstat(fh.fileno()).st_size - len(header)
+        if size > available:
+            raise ValueError(
+                f"{path}: truncated payload (header d={d}, N={radius} needs "
+                f"{size} bytes, file has {available})"
+            )
+        raw = fh.read(size)
+    box = LatticeBox(d, radius)
     coeffs = np.frombuffer(raw, dtype="<c16").reshape(n, n)
     return NCKernel(theta, box, box, coeffs)
 

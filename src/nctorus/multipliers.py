@@ -1,10 +1,12 @@
 """Fourier multipliers: coefficient-wise scaling by a symbol on Z^d.
 
-A multiplier acts diagonally in the Fourier basis, so trace-norm and
-spectral questions reduce to elementary inequalities about the symbol
-values on lattice points.  The heavy lifting is the Bessel family
-(1 + |n|^2)^(a/2) and its homogeneous Riesz cousin |n|^a, both computed
-in log space so large boxes with very negative orders stay finite.
+A multiplier acts diagonally in the Fourier basis, so it is kept as the
+vector of its symbol values on the box and never built as a matrix:
+composing it with an operator matrix scales rows (multiplier on the
+left) or columns (on the right), and its spectrum is the sorted absolute
+values.  The heavy lifting is the Bessel family (1 + |n|^2)^(a/2) and its
+homogeneous Riesz cousin |n|^a, both computed in log space so large
+boxes with very negative orders stay finite.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ import numpy as np
 
 from .algebra import TorusElement
 from .lattice import LatticeBox
-from .operators import OperatorMatrix
 
 __all__ = [
     "SymbolFunction",
     "bessel_symbol",
     "riesz_symbol",
+    "multiplier_values",
     "apply_multiplier",
-    "multiplier_matrix",
     "sobolev_norm",
 ]
 
@@ -85,8 +86,13 @@ def riesz_symbol(alpha: float) -> SymbolFunction:
     return SymbolFunction(f"riesz({alpha:g})", evaluate)
 
 
-def _finite_values(symbol: SymbolFunction, box: LatticeBox) -> np.ndarray:
-    """Symbol values on the box; a non-finite value is an error naming its point."""
+def multiplier_values(symbol: SymbolFunction, box: LatticeBox) -> np.ndarray:
+    """The multiplier on the box as its symbol values, in canonical order.
+
+    This vector is the diagonal of the multiplier's matrix: ``v[:, None] * A``
+    is the multiplier composed after A, ``A * v[None, :]`` before it.  A
+    non-finite value is an error naming its lattice point.
+    """
     vals = symbol.values_on(box)
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -99,12 +105,7 @@ def _finite_values(symbol: SymbolFunction, box: LatticeBox) -> np.ndarray:
 
 def apply_multiplier(symbol: SymbolFunction, x: TorusElement) -> TorusElement:
     """Scale each Fourier coefficient of x by the symbol value at its index."""
-    return TorusElement(x.theta, x.box, x.coeffs * _finite_values(symbol, x.box))
-
-
-def multiplier_matrix(symbol: SymbolFunction, box: LatticeBox) -> OperatorMatrix:
-    """The diagonal matrix of the multiplier on the box, in canonical order."""
-    return OperatorMatrix(box, np.diag(_finite_values(symbol, box)))
+    return TorusElement(x.theta, x.box, x.coeffs * multiplier_values(symbol, x.box))
 
 
 def sobolev_norm(x: TorusElement, alpha: float) -> float:

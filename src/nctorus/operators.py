@@ -33,19 +33,11 @@ class OperatorMatrix:
     def side(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def identity(cls, box: LatticeBox) -> "OperatorMatrix":
-        return cls(box, np.eye(box.cardinality, dtype=complex))
-
     def adjoint(self) -> "OperatorMatrix":
         return OperatorMatrix(self.box, self.entries.conj().T)
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-    def is_diagonal(self) -> bool:
-        off = self.entries[~np.eye(self.side, dtype=bool)]
-        return bool(np.all(off == 0))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
@@ -53,16 +45,3 @@ class OperatorMatrix:
             raise ValueError(f"vector length {vec.shape} does not match side {self.side}")
         return self.entries @ vec
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        if other.box != self.box:
-            raise ValueError("cannot compose matrices over different boxes")
-        return OperatorMatrix(self.box, self.entries @ other.entries)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        if other.box != self.box:
-            raise ValueError("cannot subtract matrices over different boxes")
-        return OperatorMatrix(self.box, self.entries - other.entries)

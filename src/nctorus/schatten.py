@@ -1,11 +1,11 @@
 """Singular values, Schatten (quasi)norms, weak quasinorms, decay fits.
 
 Everything here works on the sorted singular value sequence of a dense
-complex matrix.  Diagonal matrices skip the SVD entirely (a sort of
-absolute values suffices), which is what makes the N=40 potential-decay
-runs instant.  Quasinorms with p < 1 accumulate in log space so tiny
-singular values raised to small powers neither underflow nor drown the
-sum.
+complex matrix.  Diagonal matrices skip the SVD (a sort of absolute
+values suffices); the potential-decay runner needs neither, it builds
+its spectrum from the sorted Bessel symbol values.  Quasinorms with
+p < 1 accumulate in log space so tiny singular values raised to small
+powers neither underflow nor drown the sum.
 """
 
 from __future__ import annotations
@@ -58,18 +58,15 @@ def singular_values(matrix) -> SingularSpectrum:
     Accepts an OperatorMatrix or a bare 2-d array.  Diagonal input is
     resolved by sorting absolute diagonal entries instead of an SVD.
     """
-    if isinstance(matrix, OperatorMatrix):
-        entries = matrix.entries
-        diagonal = matrix.is_diagonal()
-    else:
-        entries = np.asarray(matrix, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-        diagonal = not np.any(entries[~np.eye(entries.shape[0], dtype=bool)])
+    entries = matrix.entries if isinstance(matrix, OperatorMatrix) else matrix
+    entries = np.asarray(entries, dtype=complex)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
+    diagonal = not np.any(entries[~np.eye(entries.shape[0], dtype=bool)])
     if not np.all(np.isfinite(entries)):
         raise ValueError("matrix has non-finite entries")
     if diagonal:
-        vals = np.sort(np.abs(np.diag(entries)))[::-1]
+        vals = np.sort(np.abs(entries.diagonal()))[::-1]
     else:
         vals = np.linalg.svd(entries, compute_uv=False)
     return SingularSpectrum(vals, entries.shape[0])

@@ -130,6 +130,16 @@ def test_decay_flags(capsys):
 def test_decay_bad_alpha(capsys):
     assert main(["decay", "--alpha", "-1.0", "--n-grid", "8"]) == 2
     assert "positive" in capsys.readouterr().err
+    for bad in ("inf", "nan"):
+        assert main(["decay", "--alpha", bad, "--n-grid", "4"]) == 2
+        assert capsys.readouterr().err == f"error: alpha must be a finite number, got {bad}\n"
+
+
+def test_factor_non_finite_multiplier(capsys):
+    # a Bessel order too large for the box is refused by name, not as NaN gaps
+    assert main(["factor", "--alpha1", "1000", "--n-grid", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error: symbol 'bessel(1000)' is not finite at lattice point" in err
 
 
 def test_factor_passes(capsys):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +326,12 @@ def test_decay_large_box_no_guard():
 def test_decay_rejects_nonpositive_alpha():
     with pytest.raises(ValueError, match="positive"):
         run_potential_decay(2, 0.0, (10,))
+    # non-finite orders are refused before any symbol is evaluated
+    for bad in (float("inf"), float("nan")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha must be a finite number"):
+                run_potential_decay(2, bad, (4,))
 
 
 def test_decay_csv_layout():

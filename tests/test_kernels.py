@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from nctorus.kernels import (
     write_kernel,
 )
 from nctorus.lattice import LatticeBox
-from nctorus.multipliers import apply_multiplier, bessel_symbol, multiplier_matrix, sobolev_norm
+from nctorus.multipliers import apply_multiplier, bessel_symbol, multiplier_values, sobolev_norm
 from nctorus.reference import apply_kernel_definitional, convolve_coefficients
 
 
@@ -185,9 +187,10 @@ def test_kernel_matrix_requires_matching_boxes(red2):
 def test_bessel_kernel_matrix_is_bessel_multiplier(red2):
     box = LatticeBox(2, 3)
     for alpha in (0.0, 0.5, 1.0, 2.0):
-        lhs = kernel_matrix(bessel_kernel(alpha, box, red2), box)
-        rhs = multiplier_matrix(bessel_symbol(-alpha), box)
-        assert np.max(np.abs(lhs.entries - rhs.entries)) <= 1e-13
+        # kernel matrix minus the diagonal of symbol values
+        gap = kernel_matrix(bessel_kernel(alpha, box, red2), box).entries.copy()
+        gap[np.diag_indices_from(gap)] -= multiplier_values(bessel_symbol(-alpha), box)
+        assert np.max(np.abs(gap)) <= 1e-13
 
 
 def test_bessel_kernel_untwisted_coefficients():
@@ -395,6 +398,19 @@ def test_kernel_binary_truncated(tmp_path, red2):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_kernel(path, red2)
+
+
+def test_kernel_binary_oversized_header(tmp_path, red2):
+    # the header is checked against the file size before anything is read
+    # or allocated; d=9, N=1000 would otherwise overflow the read length
+    path = tmp_path / "huge.nck"
+    path.write_bytes(b"NCK1" + struct.pack("<iii", 9, 1000, 0))
+    with pytest.raises(ValueError, match=r"huge\.nck: truncated payload \(header d=9, N=1000"):
+        read_kernel(path, zero_theta(9))
+    for d, radius in ((9, 1000), (0, 1), (2, -1)):
+        path.write_bytes(b"NCK1" + struct.pack("<iii", d, radius, 0))
+        with pytest.raises(ValueError, match=rf"huge\.nck: header has d={d}, N={radius}"):
+            read_kernel(path, red2)
 
 
 def test_kernel_shape_validation(red2):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from nctorus.algebra import l2_norm, laplacian, monomial, random_element
+from nctorus.algebra import TorusElement, l2_norm, laplacian, monomial, mult_matrix, random_element
 from nctorus.lattice import LatticeBox
 from nctorus.multipliers import (
     SymbolFunction,
     apply_multiplier,
     bessel_symbol,
-    multiplier_matrix,
+    multiplier_values,
     riesz_symbol,
     sobolev_norm,
 )
@@ -66,19 +66,27 @@ def test_laplacian_is_riesz_squared(red2, rng):
     assert np.allclose(lhs.coeffs, rhs.coeffs, rtol=1e-12, atol=1e-12)
 
 
-def test_multiplier_matrix_is_diagonal_of_values():
+def test_multiplier_values_are_symbol_values():
     box = LatticeBox(2, 1)
-    mat = multiplier_matrix(bessel_symbol(-2.0), box)
-    assert mat.is_diagonal()
-    assert np.allclose(np.diag(mat.entries), bessel_symbol(-2.0).values_on(box))
+    vals = multiplier_values(bessel_symbol(-2.0), box)
+    assert vals.shape == (box.cardinality,)
+    assert np.allclose(vals, bessel_symbol(-2.0).values_on(box))
 
 
-def test_multiplier_matrix_applies_like_multiplier(red2, rng):
+def test_multiplier_values_apply_like_multiplier(red2, rng):
+    # the values are the multiplier's diagonal: scaling the rows of an
+    # operator matrix applies the multiplier after it, the columns before
     box = LatticeBox(2, 2)
     x = random_element(red2, box, rng)
-    mat = multiplier_matrix(bessel_symbol(1.3), box)
-    direct = apply_multiplier(bessel_symbol(1.3), x)
-    assert np.allclose(mat.apply(x.coeffs), direct.coeffs, rtol=1e-14)
+    a = mult_matrix(random_element(red2, box, rng), box)
+    symbol = bessel_symbol(1.3)
+    vals = multiplier_values(symbol, box)
+    direct = apply_multiplier(symbol, x)
+    assert np.allclose(vals * x.coeffs, direct.coeffs, rtol=1e-14)
+    after = apply_multiplier(symbol, TorusElement(x.theta, box, a.apply(x.coeffs)))
+    assert np.allclose((vals[:, None] * a.entries) @ x.coeffs, after.coeffs, rtol=1e-14)
+    before = a.apply(direct.coeffs)
+    assert np.allclose((a.entries * vals[None, :]) @ x.coeffs, before, rtol=1e-14)
 
 
 def test_sobolev_norm_direct_sum(red2, rng):
@@ -117,7 +125,7 @@ def test_non_finite_symbol_names_the_point(red2, rng):
     with pytest.raises(ValueError, match=r"not finite at lattice point \(1, 0\)"):
         apply_multiplier(symbol, x)
     with pytest.raises(ValueError, match=r"\(1, 0\)"):
-        multiplier_matrix(symbol, LatticeBox(2, 1))
+        multiplier_values(symbol, LatticeBox(2, 1))
 
 
 def test_symbol_shape_mismatch_rejected():

@@ -227,7 +227,7 @@ def test_ideal_property(rng):
 
 def test_operator_matrix_roundtrip():
     box = LatticeBox(2, 1)
-    mat = OperatorMatrix.identity(box)
+    mat = OperatorMatrix(box, np.eye(box.cardinality))
     spec = singular_values(mat)
     assert np.array_equal(spec.values, np.ones(box.cardinality))
 
