@@ -75,7 +75,6 @@ from .multipliers import (
     riesz_symbol,
     sobolev_norm,
 )
-from .operators import OperatorMatrix
 from .schatten import (
     SingularSpectrum,
     critical_exponent,
@@ -132,8 +131,6 @@ __all__ = [
     "multiplier_values",
     "apply_multiplier",
     "sobolev_norm",
-    # operators
-    "OperatorMatrix",
     # kernels
     "NCKernel",
     "op_multiply",

@@ -20,7 +20,6 @@ import numpy as np
 
 from .cocycle import ReducedTheta, phase_pairs, phase_table
 from .lattice import LatticeBox, as_multi_index
-from .operators import OperatorMatrix
 
 __all__ = [
     "TorusElement",
@@ -200,7 +199,7 @@ def l2_norm(x: TorusElement) -> float:
     return float(np.linalg.norm(x.coeffs))
 
 
-def mult_matrix(x: TorusElement, box: LatticeBox) -> OperatorMatrix:
+def mult_matrix(x: TorusElement, box: LatticeBox) -> np.ndarray:
     """Matrix of left multiplication by x on the given box.
 
     Entry (m, n) is sigma(m-n, n) x(m-n), with x read as 0 outside its
@@ -210,20 +209,14 @@ def mult_matrix(x: TorusElement, box: LatticeBox) -> OperatorMatrix:
     if box.d != x.box.d:
         raise ValueError(f"box dimension {box.d} does not match element d={x.box.d}")
     pts = box.enumerate()
-    n_pts = box.cardinality
-    out = np.zeros((n_pts, n_pts), dtype=complex)
-    support = x.box
-    theta_entries = x.theta.entries
-    for j in range(n_pts):
-        diff = pts - pts[j]
-        inside = np.all(np.abs(diff) <= support.radius, axis=1)
-        if not np.any(inside):
-            continue
-        rows = diff[inside]
-        vals = x.coeffs[support.linear_indices(rows)]
-        phases = phase_pairs(theta_entries, rows, np.broadcast_to(pts[j], rows.shape))
-        out[inside, j] = phases * vals
-    return OperatorMatrix(box, out)
+    diff = pts[:, None, :] - pts[None, :, :]
+    rows, cols = np.nonzero(np.all(np.abs(diff) <= x.box.radius, axis=2))
+    shifts = diff[rows, cols]
+    out = np.zeros((box.cardinality, box.cardinality), dtype=complex)
+    out[rows, cols] = phase_pairs(x.theta.entries, shifts, pts[cols]) * x.coeffs[
+        x.box.linear_indices(shifts)
+    ]
+    return out
 
 
 def partial_derivative(x: TorusElement, j: int) -> TorusElement:

@@ -55,7 +55,6 @@ from .kernels import (
 )
 from .lattice import LatticeBox
 from .multipliers import apply_multiplier, bessel_symbol, multiplier_values, riesz_symbol
-from .operators import OperatorMatrix
 from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
 from .schatten import (
@@ -119,6 +118,16 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
+def _positive(name: str, value) -> float:
+    """value as a float > 0; inf passes, NaN, bools and non-numbers do not."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and value > 0:
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"{name} must be a positive number, got {value!r}")
+
+
 def _guard_box(d: int, radius: int) -> None:
     card = (2 * radius + 1) ** d
     if card > MEMORY_GUARD_CARDINALITY:
@@ -175,10 +184,7 @@ class ExperimentConfig:
         if self.r_grid is not None:
             if not isinstance(self.r_grid, (list, tuple)):
                 raise ValueError(f"r_grid must be a list of numbers, got {self.r_grid!r}")
-            rg = tuple(float(r) for r in self.r_grid)
-            if any(r <= 0 for r in rg):
-                raise ValueError(f"all Schatten exponents must be positive, got {rg}")
-            store("r_grid", rg)
+            store("r_grid", tuple(_positive("r_grid entry", r) for r in self.r_grid))
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -288,14 +294,14 @@ def _rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
-def _factorization_gap(k, k_mat: OperatorMatrix, a1: float, a2: float) -> float:
+def _factorization_gap(k, k_mat: np.ndarray, a1: float, a2: float) -> float:
     """Relative gap of B(a1) T_k = T_lift B(-a2), B(a) the Bessel multiplier.
 
     Multipliers stay vectors: B on the left scales rows, on the right columns.
     """
-    box = k_mat.box
-    lhs = multiplier_values(bessel_symbol(a1), box)[:, None] * k_mat.entries
-    lifted = kernel_matrix(sobolev_lift(k, a1, a2), box).entries
+    box = k.box1
+    lhs = multiplier_values(bessel_symbol(a1), box)[:, None] * k_mat
+    lifted = kernel_matrix(sobolev_lift(k, a1, a2), box)
     return _rel_frobenius(lhs, lifted * multiplier_values(bessel_symbol(-a2), box)[None, :])
 
 
@@ -409,9 +415,7 @@ def run_property_suite(
     # left-multiplication matrix agrees with the convolution, truncated
     y = random_element(red, box, rng)
     mat = mult_matrix(x, box)
-    err = float(
-        np.max(np.abs(mat.apply(y.coeffs) - restricted(twisted_convolve(x, y), box).coeffs))
-    )
+    err = float(np.max(np.abs(mat @ y.coeffs - restricted(twisted_convolve(x, y), box).coeffs)))
     record("mult-matrix-consistency", err, 1e-10)
 
     # reversed product: compare against convolution with the transposed
@@ -441,19 +445,19 @@ def run_property_suite(
     mbox = LatticeBox(d, 2)
     k = random_kernel(red, 2, 1.0, 1.0, seed + 1)
     mat = kernel_matrix(k, mbox)
-    err = abs(mat.frobenius_norm() - k.l2_norm()) / max(k.l2_norm(), 1e-300)
+    err = abs(np.linalg.norm(mat) - k.l2_norm()) / max(k.l2_norm(), 1e-300)
     record("kernel-hs-identity", err, 1e-12)
 
     err = 0.0
     for p_idx in (0, mbox.cardinality // 3, mbox.cardinality - 1):
         mono = monomial(red, mbox.enumerate()[p_idx], mbox)
         col = apply_kernel(k, mono).coeffs
-        err = max(err, float(np.max(np.abs(mat.entries[:, p_idx] - col))))
+        err = max(err, float(np.max(np.abs(mat[:, p_idx] - col))))
     record("kernel-column-consistency", err, 1e-12)
 
     err = 0.0
     for alpha in (0.0, 0.5, 1.7):
-        gap = kernel_matrix(bessel_kernel(alpha, mbox, red), mbox).entries.copy()
+        gap = kernel_matrix(bessel_kernel(alpha, mbox, red), mbox)
         gap[np.diag_indices_from(gap)] -= multiplier_values(bessel_symbol(-alpha), mbox)
         err = max(err, float(np.max(np.abs(gap))))
     record("bessel-kernel-diagonal", err, 1e-13)
@@ -463,9 +467,7 @@ def run_property_suite(
         err = max(err, _factorization_gap(k, mat, a1, a2))
     record("factorization", err, 1e-12)
 
-    err = _rel_frobenius(
-        kernel_matrix(flip_adjoint(k), mbox).entries, np.conj(mat.entries.T)
-    )
+    err = _rel_frobenius(kernel_matrix(flip_adjoint(k), mbox), np.conj(mat.T))
     record("adjoint-identity", err, 1e-12)
 
     # linearity of the kernel action in both arguments
@@ -491,7 +493,7 @@ def run_property_suite(
     pts = mbox.enumerate()
     phases = phase_pairs(red.entries, pts, -pts)
     spec_a = singular_values(mat)
-    spec_b = singular_values(phases[:, None] * mat.entries)
+    spec_b = singular_values(phases[:, None] * mat)
     denom = max(float(spec_a.values[0]), 1e-300)
     record(
         "schatten-unitary-invariance",
@@ -503,7 +505,7 @@ def run_property_suite(
         err = max(
             err,
             abs(
-                schatten_norm(singular_values(mat.adjoint()), t)
+                schatten_norm(singular_values(mat.conj().T), t)
                 - schatten_norm(spec_a, t)
             )
             / max(schatten_norm(spec_a, t), 1e-300),
@@ -670,9 +672,7 @@ def _factor_one(config: ExperimentConfig, radius: int) -> list:
     k = random_kernel(red, radius, s1, s2, config.seed)
     box = LatticeBox(config.d, radius)
     k_mat = kernel_matrix(k, box)
-    adj_err = _rel_frobenius(
-        kernel_matrix(flip_adjoint(k), box).entries, np.conj(k_mat.entries.T)
-    )
+    adj_err = _rel_frobenius(kernel_matrix(flip_adjoint(k), box), np.conj(k_mat.T))
     rng = np.random.Generator(np.random.Philox(key=config.seed + radius))
     pairs = [(config.alpha1, config.alpha2), (0.0, 0.0)]
     pairs += [(float(rng.uniform(0, 3)), float(rng.uniform(0, 3))) for _ in range(3)]

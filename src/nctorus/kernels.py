@@ -26,7 +26,6 @@ from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, phase_pairs
 from .lattice import LatticeBox
 from .multipliers import bessel_symbol
-from .operators import OperatorMatrix
 from .records import HIDDEN, JSON_ONLY
 
 __all__ = [
@@ -120,12 +119,13 @@ def apply_kernel(k: NCKernel, x: TorusElement) -> TorusElement:
     return TorusElement(k.theta, k.box1, out)
 
 
-def kernel_matrix(k: NCKernel, box: LatticeBox) -> OperatorMatrix:
+def kernel_matrix(k: NCKernel, box: LatticeBox) -> np.ndarray:
     """Matrix of the kernel's operator: entry (m, p) = c_{m,-p} sigma(p, -p).
 
     Column p holds the coefficients of the operator applied to the basis
     monomial at p.  Both kernel legs must equal the requested box so the
-    matrix is square in the canonical order.
+    matrix is square in the canonical order.  The result is a fresh array
+    the caller may modify.
     """
     if k.box1 != box or k.box2 != box:
         raise ValueError(
@@ -134,8 +134,9 @@ def kernel_matrix(k: NCKernel, box: LatticeBox) -> OperatorMatrix:
         )
     pts = box.enumerate()
     col_phases = phase_pairs(k.theta.entries, pts, -pts)
-    entries = k.coeffs[:, box.negation_permutation()] * col_phases[None, :]
-    return OperatorMatrix(box, entries)
+    entries = k.coeffs[:, box.negation_permutation()]
+    entries *= col_phases[None, :]
+    return entries
 
 
 def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKernel:

@@ -56,9 +56,12 @@ def _stable_power(base: np.ndarray, exponent: float) -> np.ndarray:
 
     base must be strictly positive.  Direct np.power overflows to inf for
     strongly negative exponents on large boxes before the reciprocal is
-    taken; the log-space route never leaves the representable range.
+    taken; the log-space route never leaves the representable range.  A
+    large positive exponent can still overflow to inf, silently here;
+    multiplier_values reports it by lattice point.
     """
-    out = np.exp(exponent * np.log(base))
+    with np.errstate(over="ignore"):
+        out = np.exp(exponent * np.log(base))
     out[np.abs(out) < _UNDERFLOW_FLOOR] = 0.0
     return out
 

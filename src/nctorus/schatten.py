@@ -1,11 +1,10 @@
 """Singular values, Schatten (quasi)norms, weak quasinorms, decay fits.
 
 Everything here works on the sorted singular value sequence of a dense
-complex matrix.  Diagonal matrices skip the SVD (a sort of absolute
-values suffices); the potential-decay runner needs neither, it builds
-its spectrum from the sorted Bessel symbol values.  Quasinorms with
-p < 1 accumulate in log space so tiny singular values raised to small
-powers neither underflow nor drown the sum.
+complex matrix; the potential-decay runner needs no SVD, it builds its
+spectrum from the sorted Bessel symbol values.  Quasinorms with p < 1
+accumulate in log space so tiny singular values raised to small powers
+neither underflow nor drown the sum.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
-
-from .operators import OperatorMatrix
 
 __all__ = [
     "SingularSpectrum",
@@ -52,24 +49,14 @@ class SingularSpectrum:
         return self.dimension
 
 
-def singular_values(matrix) -> SingularSpectrum:
-    """Singular values of a square matrix, sorted nonincreasing.
-
-    Accepts an OperatorMatrix or a bare 2-d array.  Diagonal input is
-    resolved by sorting absolute diagonal entries instead of an SVD.
-    """
-    entries = matrix.entries if isinstance(matrix, OperatorMatrix) else matrix
-    entries = np.asarray(entries, dtype=complex)
+def singular_values(matrix: np.ndarray) -> SingularSpectrum:
+    """Singular values of a square matrix, sorted nonincreasing."""
+    entries = np.asarray(matrix, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    diagonal = not np.any(entries[~np.eye(entries.shape[0], dtype=bool)])
     if not np.all(np.isfinite(entries)):
         raise ValueError("matrix has non-finite entries")
-    if diagonal:
-        vals = np.sort(np.abs(entries.diagonal()))[::-1]
-    else:
-        vals = np.linalg.svd(entries, compute_uv=False)
-    return SingularSpectrum(vals, entries.shape[0])
+    return SingularSpectrum(np.linalg.svd(entries, compute_uv=False), entries.shape[0])
 
 
 def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:

@@ -136,10 +136,12 @@ def test_decay_bad_alpha(capsys):
 
 
 def test_factor_non_finite_multiplier(capsys):
-    # a Bessel order too large for the box is refused by name, not as NaN gaps
+    # a Bessel order too large for the box is refused by name, not as NaN
+    # gaps, and the overflow prints no numpy warning ahead of the error
     assert main(["factor", "--alpha1", "1000", "--n-grid", "3"]) == 2
-    err = capsys.readouterr().err
-    assert "error: symbol 'bessel(1000)' is not finite at lattice point" in err
+    assert capsys.readouterr().err == (
+        "error: symbol 'bessel(1000)' is not finite at lattice point (-3, -3)\n"
+    )
 
 
 def test_factor_passes(capsys):

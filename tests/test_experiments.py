@@ -39,7 +39,7 @@ def test_config_defaults():
     assert cfg.resolved_theta == default_theta(2)
 
 
-def test_config_validation(capsys):
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError, match="at least 2"):
         ExperimentConfig(d=1)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -52,6 +52,13 @@ def test_config_validation(capsys):
         ExperimentConfig(alpha1=-1.0)
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(r_grid=(1.0, 0.0))
+    for bad in ({"a": 1}, "2", True, None, float("nan"), -1.0, float("-inf"), 10**400):
+        with pytest.raises(ValueError, match=r"r_grid entry must be a positive number, got "):
+            ExperimentConfig(r_grid=(2.0, bad))
+    # inf is the operator norm; integers pass as floats
+    cfg = ExperimentConfig(r_grid=[float("inf"), 2])
+    assert cfg.r_grid == (float("inf"), 2.0)
+    assert all(type(r) is float for r in cfg.r_grid)
     with pytest.raises(ValueError, match="format"):
         ExperimentConfig(fmt="xml")
     with pytest.raises(ValueError, match="dimension"):
@@ -83,6 +90,13 @@ def test_config_validation(capsys):
 
     assert main(["scan", "--alpha1", "nan", "--n-grid", "2"]) == 2
     assert capsys.readouterr().err == "error: alpha1 must be a finite number, got nan\n"
+    # a malformed r_grid in a config file is named, with no traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"r_grid": [{"a": 1}]}))
+    assert main(["scan", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: r_grid entry must be a positive number, got {'a': 1}\n"
+    assert main(["scan", "--r-grid", "nan", "--n-grid", "2"]) == 2
+    assert capsys.readouterr().err == "error: r_grid entry must be a positive number, got nan\n"
 
 
 def test_config_from_json_roundtrip():

@@ -83,10 +83,10 @@ def test_multiplier_values_apply_like_multiplier(red2, rng):
     vals = multiplier_values(symbol, box)
     direct = apply_multiplier(symbol, x)
     assert np.allclose(vals * x.coeffs, direct.coeffs, rtol=1e-14)
-    after = apply_multiplier(symbol, TorusElement(x.theta, box, a.apply(x.coeffs)))
-    assert np.allclose((vals[:, None] * a.entries) @ x.coeffs, after.coeffs, rtol=1e-14)
-    before = a.apply(direct.coeffs)
-    assert np.allclose((a.entries * vals[None, :]) @ x.coeffs, before, rtol=1e-14)
+    after = apply_multiplier(symbol, TorusElement(x.theta, box, a @ x.coeffs))
+    assert np.allclose((vals[:, None] * a) @ x.coeffs, after.coeffs, rtol=1e-14)
+    before = a @ direct.coeffs
+    assert np.allclose((a * vals[None, :]) @ x.coeffs, before, rtol=1e-14)
 
 
 def test_sobolev_norm_direct_sum(red2, rng):

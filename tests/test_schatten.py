@@ -7,7 +7,6 @@ from nctorus.algebra import l2_norm, random_element
 from nctorus.kernels import NCKernel, kernel_matrix, random_kernel
 from nctorus.lattice import LatticeBox
 from nctorus.multipliers import bessel_symbol
-from nctorus.operators import OperatorMatrix
 from nctorus.schatten import (
     SingularSpectrum,
     critical_exponent,
@@ -31,13 +30,11 @@ def test_diagonal_spectrum_is_sorted_absolute_diagonal():
     assert np.allclose(spec.values, [2.0, np.sqrt(2.0), 0.5, 0.0])
 
 
-def test_diagonal_bypass_matches_svd():
+def test_diagonal_spectrum_matches_sorted_moduli():
     rng = np.random.default_rng(11)
     diag = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    mat = np.diag(diag)
-    fast = singular_values(mat).values
-    slow = np.linalg.svd(mat, compute_uv=False)
-    assert np.allclose(fast, slow, atol=1e-12)
+    spec = singular_values(np.diag(diag)).values
+    assert np.allclose(spec, np.sort(np.abs(diag))[::-1], atol=1e-12)
 
 
 def test_rank_one_kernel_spectrum(red2, rng):
@@ -189,7 +186,7 @@ def test_unitary_invariance_under_cocycle_diagonal(red2):
     mat = kernel_matrix(k, box)
     pts = box.enumerate()
     diag = np.diag(phase_pairs(red2.entries, pts, -pts))
-    twisted = singular_values(diag @ mat.entries).values
+    twisted = singular_values(diag @ mat).values
     plain = singular_values(mat).values
     assert np.max(np.abs(twisted - plain)) <= 1e-11 * max(plain[0], 1.0)
 
@@ -223,13 +220,6 @@ def test_ideal_property(rng):
     mu_b = singular_values(b).values
     top = singular_values(a).values[0]
     assert np.all(mu_ab <= top * mu_b + 1e-10)
-
-
-def test_operator_matrix_roundtrip():
-    box = LatticeBox(2, 1)
-    mat = OperatorMatrix(box, np.eye(box.cardinality))
-    spec = singular_values(mat)
-    assert np.array_equal(spec.values, np.ones(box.cardinality))
 
 
 @settings(max_examples=30, deadline=None)
