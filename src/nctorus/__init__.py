@@ -10,8 +10,6 @@ decay-exponent diagnostics.
 
 from .algebra import (
     TorusElement,
-    element_from_json,
-    element_to_json,
     embedded,
     inner_product,
     involution,
@@ -55,16 +53,12 @@ from .kernels import (
     apply_kernel,
     bessel_kernel,
     flip_adjoint,
-    kernel_from_json,
     kernel_matrix,
-    kernel_to_json,
     mixed_sobolev_norm,
     op_multiply,
     random_kernel,
-    read_kernel,
     schwartz_coefficients,
     sobolev_lift,
-    write_kernel,
 )
 from .lattice import LatticeBox, as_multi_index, norm_sq
 from .multipliers import (
@@ -122,8 +116,6 @@ __all__ = [
     "partial_derivative",
     "self_adjoint_derivative",
     "laplacian",
-    "element_to_json",
-    "element_from_json",
     # multipliers
     "SymbolFunction",
     "bessel_symbol",
@@ -142,10 +134,6 @@ __all__ = [
     "flip_adjoint",
     "schwartz_coefficients",
     "random_kernel",
-    "kernel_to_json",
-    "kernel_from_json",
-    "write_kernel",
-    "read_kernel",
     # schatten
     "SingularSpectrum",
     "singular_values",

@@ -38,8 +38,6 @@ __all__ = [
     "partial_derivative",
     "self_adjoint_derivative",
     "laplacian",
-    "element_to_json",
-    "element_from_json",
 ]
 
 
@@ -236,27 +234,3 @@ def laplacian(x: TorusElement) -> TorusElement:
     """Sum of squared derivations: scaling by -4 pi^2 |n|^2."""
     sq = np.einsum("ij,ij->i", x.box.enumerate(), x.box.enumerate())
     return TorusElement(x.theta, x.box, x.coeffs * (-4.0 * np.pi**2) * sq)
-
-
-def element_to_json(x: TorusElement) -> dict:
-    """Serialize as {"d", "N", "coeffs": [[re, im], ...]} in canonical order."""
-    return {
-        "d": x.box.d,
-        "N": x.box.radius,
-        "coeffs": [[float(c.real), float(c.imag)] for c in x.coeffs],
-    }
-
-
-def element_from_json(doc: dict, theta: ReducedTheta) -> TorusElement:
-    """Rebuild an element from its JSON document; theta is supplied separately."""
-    for key in ("d", "N", "coeffs"):
-        if key not in doc:
-            raise ValueError(f"element document missing key {key!r}")
-    box = LatticeBox(doc["d"], doc["N"])
-    pairs = doc["coeffs"]
-    if len(pairs) != box.cardinality:
-        raise ValueError(
-            f"element document has {len(pairs)} coefficients, expected {box.cardinality}"
-        )
-    coeffs = np.array([complex(re, im) for re, im in pairs])
-    return TorusElement(theta, box, coeffs)

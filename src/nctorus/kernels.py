@@ -16,8 +16,6 @@ norms exactly.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +23,7 @@ import numpy as np
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, phase_pairs
 from .lattice import LatticeBox
-from .multipliers import bessel_symbol
+from .multipliers import bessel_symbol, multiplier_values
 from .records import HIDDEN, JSON_ONLY
 
 __all__ = [
@@ -40,14 +38,7 @@ __all__ = [
     "SchwartzReport",
     "schwartz_coefficients",
     "random_kernel",
-    "kernel_to_json",
-    "kernel_from_json",
-    "write_kernel",
-    "read_kernel",
 ]
-
-_MAGIC = b"NCK1"
-
 
 @dataclass(frozen=True, eq=False)
 class NCKernel:
@@ -156,7 +147,8 @@ def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKern
 
 
 def _leg_weights(box: LatticeBox, alpha: float) -> np.ndarray:
-    return np.real(bessel_symbol(alpha).values_on(box))
+    """Bessel weights (1+|n|^2)^(alpha/2) on the box; a non-finite one is an error."""
+    return np.real(multiplier_values(bessel_symbol(alpha), box))
 
 
 def sobolev_lift(k: NCKernel, alpha1: float, alpha2: float) -> NCKernel:
@@ -279,67 +271,3 @@ def random_kernel(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(box.cardinality, box.cardinality))
     envelope = np.outer(_leg_weights(box, -s1), _leg_weights(box, -s2))
     return NCKernel(theta, box, box, envelope * np.exp(1j * phases))
-
-
-def kernel_to_json(k: NCKernel) -> dict:
-    """Serialize as nested [re, im] rows; requires equal legs."""
-    if k.box1 != k.box2:
-        raise ValueError("serialization requires equal legs")
-    return {
-        "d": k.box1.d,
-        "N": k.box1.radius,
-        "coeffs": [[[float(c.real), float(c.imag)] for c in row] for row in k.coeffs],
-    }
-
-
-def kernel_from_json(doc: dict, theta: ReducedTheta) -> NCKernel:
-    for key in ("d", "N", "coeffs"):
-        if key not in doc:
-            raise ValueError(f"kernel document missing key {key!r}")
-    box = LatticeBox(doc["d"], doc["N"])
-    rows = doc["coeffs"]
-    if len(rows) != box.cardinality:
-        raise ValueError(f"kernel document has {len(rows)} rows, expected {box.cardinality}")
-    coeffs = np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-    )
-    return NCKernel(theta, box, box, coeffs)
-
-
-def write_kernel(k: NCKernel, path) -> None:
-    """Binary dump: 16-byte header (magic, d, N as little-endian int32,
-    4 zero pad bytes), then the coefficient matrix as little-endian
-    complex128 pairs in row-major order.  Requires equal legs."""
-    if k.box1 != k.box2:
-        raise ValueError("binary dump requires equal legs")
-    header = _MAGIC + struct.pack("<iii", k.box1.d, k.box1.radius, 0)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(k.coeffs, dtype="<c16").tobytes())
-
-
-def read_kernel(path, theta: ReducedTheta) -> NCKernel:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != _MAGIC:
-            raise ValueError(f"{path}: not a kernel dump (bad magic)")
-        d, radius, _ = struct.unpack("<iii", header[4:])
-        # the theta bounds d; then the claimed payload must fit in the file
-        # before anything of that size is read or allocated
-        if d != theta.d or radius < 0:
-            raise ValueError(
-                f"{path}: header has d={d}, N={radius} for a theta of dimension {theta.d}"
-            )
-        n = (2 * radius + 1) ** d
-        size = 16 * n * n
-        available = os.fstat(fh.fileno()).st_size - len(header)
-        if size > available:
-            raise ValueError(
-                f"{path}: truncated payload (header d={d}, N={radius} needs "
-                f"{size} bytes, file has {available})"
-            )
-        raw = fh.read(size)
-    box = LatticeBox(d, radius)
-    coeffs = np.frombuffer(raw, dtype="<c16").reshape(n, n)
-    return NCKernel(theta, box, box, coeffs)
-

@@ -4,14 +4,14 @@ Nothing here is optimized.  The tensor-product arithmetic spells out the
 product law ``(U^a (x) U^b)(U^c (x) U^e) = sigma(a,c) sigma(e,b)
 U^{a+c} (x) U^{e+b}`` term by term (second leg reversed), the
 convolution helper accepts an arbitrary reduction matrix so alternative
-presentations of the twist can be compared, and the FFT path checks the
-untwisted degenerate case against an independent library routine.
+presentations of the twist can be compared, and the untwisted degenerate
+case is checked against a zero-padded FFT product computed with
+numpy.fft, a route that shares no code with the direct convolution.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .algebra import TorusElement
 from .kernels import NCKernel
@@ -53,12 +53,18 @@ def convolve_coefficients(
 
 
 def plain_convolution(f: TorusElement, g: TorusElement) -> TorusElement:
-    """Untwisted convolution via an FFT library routine (theta = 0 oracle)."""
+    """Untwisted convolution as an FFT product (theta = 0 oracle).
+
+    Both grids are zero-padded to the full convolution shape, so the
+    cyclic product equals the linear convolution.
+    """
     d = f.box.d
-    grid_f = f.coeffs.reshape((f.box.side,) * d)
-    grid_g = g.coeffs.reshape((g.box.side,) * d)
-    full = fftconvolve(grid_f, grid_g, mode="full")
     box = LatticeBox(d, f.box.radius + g.box.radius)
+    shape = (box.side,) * d
+    axes = tuple(range(d))
+    grid_f = np.fft.fftn(f.coeffs.reshape((f.box.side,) * d), shape, axes)
+    grid_g = np.fft.fftn(g.coeffs.reshape((g.box.side,) * d), shape, axes)
+    full = np.fft.ifftn(grid_f * grid_g, shape, axes)
     return TorusElement(f.theta, box, full.reshape(-1))
 
 

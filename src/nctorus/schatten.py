@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "SingularSpectrum",
@@ -63,8 +62,11 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
     """The ell_p (quasi)norm of the spectrum; p = inf gives the top value.
 
     For p < 1 this is a quasinorm, still defined by the same power sum.
-    Computed as exp((1/p) logsumexp(p log mu)) so small p and tiny mu
-    stay inside the representable range.
+    Computed as exp((1/p) log sum mu^p) with the log-sum-exp reduction
+    written out in numpy, so small p and tiny mu stay inside the
+    representable range.  The terms tying the largest p log mu are counted
+    and zeroed in place, not dropped, so the sum keeps numpy's pairwise
+    order and matches the scipy.special.logsumexp algorithm bit for bit.
     """
     if not (p > 0):
         raise ValueError(f"Schatten exponent must be positive, got {p}")
@@ -73,8 +75,14 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
         return 0.0
     if math.isinf(p):
         return float(vals[0])
-    positive = vals[vals > 0]
-    return float(np.exp(logsumexp(p * np.log(positive)) / p))
+    logs = p * np.log(vals[vals > 0])
+    top = logs.max()
+    ties = logs == top
+    count = np.count_nonzero(ties)
+    terms = np.exp(logs - top)
+    terms[ties] = 0.0
+    rest = terms.sum() / count
+    return float(np.exp((np.log1p(rest) + np.log(count) + top) / p))
 
 
 def weak_norm(spectrum: SingularSpectrum, p: float) -> float:

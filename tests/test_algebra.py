@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from nctorus.algebra import (
     TorusElement,
-    element_from_json,
-    element_to_json,
     embedded,
     inner_product,
     involution,
@@ -271,21 +269,6 @@ def test_element_validation(red2):
     with pytest.raises(ValueError, match="does not match"):
         TorusElement(reduce_theta(random_theta(3, np.random.default_rng(0))),
                      LatticeBox(2, 1), np.ones(9))
-
-
-def test_element_json_roundtrip(red2, rng):
-    x = random_element(red2, LatticeBox(2, 2), rng)
-    doc = element_to_json(x)
-    assert doc["d"] == 2 and doc["N"] == 2 and len(doc["coeffs"]) == 25
-    back = element_from_json(doc, red2)
-    assert np.array_equal(back.coeffs, x.coeffs)
-
-
-def test_element_json_errors(red2):
-    with pytest.raises(ValueError, match="missing key 'coeffs'"):
-        element_from_json({"d": 2, "N": 1}, red2)
-    with pytest.raises(ValueError, match="expected 9"):
-        element_from_json({"d": 2, "N": 1, "coeffs": [[0.0, 0.0]]}, red2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nctorus
 from nctorus.cli import build_parser, main
 
 
@@ -137,11 +141,38 @@ def test_decay_bad_alpha(capsys):
 
 def test_factor_non_finite_multiplier(capsys):
     # a Bessel order too large for the box is refused by name, not as NaN
-    # gaps, and the overflow prints no numpy warning ahead of the error
-    assert main(["factor", "--alpha1", "1000", "--n-grid", "3"]) == 2
-    assert capsys.readouterr().err == (
-        "error: symbol 'bessel(1000)' is not finite at lattice point (-3, -3)\n"
+    # gaps or a NaN Sobolev norm, and the overflow prints no numpy warning
+    # ahead of the error
+    for argv in (
+        ["factor", "--alpha1", "1000", "--n-grid", "3"],
+        ["scan", "--alpha1", "1000", "--n-grid", "3", "--r-grid", "2"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: symbol 'bessel(1000)' is not finite at lattice point (-3, -3)\n"
+        )
+
+
+def test_no_scipy_on_the_import_path():
+    # every subcommand runs on numpy alone; a fresh interpreter is needed
+    # because other tests may already have imported scipy into this one
+    code = (
+        "import contextlib, io, sys\n"
+        "import nctorus, nctorus.cli\n"
+        "for argv in (['suite'], ['scan', '--n-grid', '2'], ['decay', '--n-grid', '10,20'],\n"
+        "             ['factor', '--n-grid', '2'], ['schwartz', '--n', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert nctorus.cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nctorus.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_factor_passes(capsys):

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -18,16 +16,12 @@ from nctorus.kernels import (
     apply_kernel,
     bessel_kernel,
     flip_adjoint,
-    kernel_from_json,
     kernel_matrix,
-    kernel_to_json,
     mixed_sobolev_norm,
     op_multiply,
     random_kernel,
-    read_kernel,
     schwartz_coefficients,
     sobolev_lift,
-    write_kernel,
 )
 from nctorus.lattice import LatticeBox
 from nctorus.multipliers import apply_multiplier, bessel_symbol, multiplier_values, sobolev_norm
@@ -363,54 +357,6 @@ def test_kernel_sobolev_stability_with_margin(red2):
     n8 = mixed_sobolev_norm(random_kernel(red2, 8, s, s, 42), 1.0, 1.0)
     n10 = mixed_sobolev_norm(random_kernel(red2, 10, s, s, 42), 1.0, 1.0)
     assert abs(n10 - n8) / n8 < 0.10
-
-
-def test_kernel_json_roundtrip(red2):
-    k = random_kernel(red2, 1, 1.0, 0.5, 59)
-    back = kernel_from_json(kernel_to_json(k), red2)
-    assert np.array_equal(back.coeffs, k.coeffs)
-    with pytest.raises(ValueError, match="missing key"):
-        kernel_from_json({"d": 2, "N": 1}, red2)
-
-
-def test_kernel_binary_roundtrip(tmp_path, red2):
-    k = random_kernel(red2, 2, 1.0, 0.5, 61)
-    path = tmp_path / "k.nck"
-    write_kernel(k, path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"NCK1"
-    assert len(raw) == 16 + 16 * 25 * 25
-    back = read_kernel(path, red2)
-    assert np.array_equal(back.coeffs, k.coeffs)
-
-
-def test_kernel_binary_bad_magic(tmp_path, red2):
-    path = tmp_path / "bad.nck"
-    path.write_bytes(b"XXXX" + bytes(12))
-    with pytest.raises(ValueError, match="bad magic"):
-        read_kernel(path, red2)
-
-
-def test_kernel_binary_truncated(tmp_path, red2):
-    k = random_kernel(red2, 1, 1.0, 0.5, 61)
-    path = tmp_path / "k.nck"
-    write_kernel(k, path)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        read_kernel(path, red2)
-
-
-def test_kernel_binary_oversized_header(tmp_path, red2):
-    # the header is checked against the file size before anything is read
-    # or allocated; d=9, N=1000 would otherwise overflow the read length
-    path = tmp_path / "huge.nck"
-    path.write_bytes(b"NCK1" + struct.pack("<iii", 9, 1000, 0))
-    with pytest.raises(ValueError, match=r"huge\.nck: truncated payload \(header d=9, N=1000"):
-        read_kernel(path, zero_theta(9))
-    for d, radius in ((9, 1000), (0, 1), (2, -1)):
-        path.write_bytes(b"NCK1" + struct.pack("<iii", d, radius, 0))
-        with pytest.raises(ValueError, match=rf"huge\.nck: header has d={d}, N={radius}"):
-            read_kernel(path, red2)
 
 
 def test_kernel_shape_validation(red2):

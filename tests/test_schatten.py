@@ -69,6 +69,11 @@ def test_schatten_norm_basics():
     assert schatten_norm(spec, 2.0) == pytest.approx(np.sqrt(2.0))
     assert schatten_norm(spec, np.inf) == 1.0
     assert schatten_norm(spec, 1.0) == pytest.approx(2.0)
+    # a constant spectrum is all ties at the top of the log-sum-exp
+    for c, n in ((0.3, 7), (2.5, 64), (1e-200, 1000)):
+        spec = SingularSpectrum(np.full(n, c), n)
+        for p in (0.5, 1.0, 2.0):
+            assert schatten_norm(spec, p) == pytest.approx(n ** (1.0 / p) * c, rel=1e-14)
 
 
 def test_schatten_norm_rejects_nonpositive_p():
