@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import ReducedTheta, phase_pairs, phase_table
-from .lattice import LatticeBox, as_multi_index
+from .lattice import LatticeBox, _guard_box, as_multi_index
 
 __all__ = [
     "TorusElement",
@@ -152,9 +152,13 @@ def twisted_convolve(f: TorusElement, g: TorusElement) -> TorusElement:
     """The twisted product f * g on the Minkowski-sum box.
 
     The coefficient at m is sum_n f(m-n) g(n) sigma(m-n, n); on basis
-    monomials this reproduces U^m U^n = sigma(m, n) U^{m+n}.
+    monomials this reproduces U^m U^n = sigma(m, n) U^{m+n}.  The
+    |f| x |g| table of products is dense, so both boxes fall under the
+    dense-matrix guard.
     """
     _require_same_theta(f, g)
+    _guard_box(f.box.d, f.box.radius)
+    _guard_box(g.box.d, g.box.radius)
     box = LatticeBox(f.box.d, f.box.radius + g.box.radius)
     pf = f.box.enumerate()
     pg = g.box.enumerate()
@@ -173,8 +177,7 @@ def involution(f: TorusElement) -> TorusElement:
     """The star operation f#(m) = conj(sigma(m, -m)) conj(f(-m))."""
     pts = f.box.enumerate()
     phases = phase_pairs(f.theta.entries, pts, -pts)
-    flipped = f.coeffs[f.box.negation_permutation()]
-    return TorusElement(f.theta, f.box, np.conj(phases) * np.conj(flipped))
+    return TorusElement(f.theta, f.box, np.conj(phases) * np.conj(f.coeffs[::-1]))
 
 
 def trace(x: TorusElement) -> complex:
@@ -202,10 +205,13 @@ def mult_matrix(x: TorusElement, box: LatticeBox) -> np.ndarray:
 
     Entry (m, n) is sigma(m-n, n) x(m-n), with x read as 0 outside its
     support box.  Applying the matrix to a coefficient vector reproduces
-    the twisted convolution restricted to the box.
+    the twisted convolution restricted to the box.  The box falls under
+    the dense-matrix guard, checked before the n x n x d difference table
+    is built.
     """
     if box.d != x.box.d:
         raise ValueError(f"box dimension {box.d} does not match element d={x.box.d}")
+    _guard_box(box.d, box.radius)
     pts = box.enumerate()
     diff = pts[:, None, :] - pts[None, :, :]
     rows, cols = np.nonzero(np.all(np.abs(diff) <= x.box.radius, axis=2))

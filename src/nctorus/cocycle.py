@@ -190,6 +190,10 @@ def theta_from_json(doc: dict) -> ThetaMatrix:
         for k, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError(f"theta[{j}][{k}] = {v!r} is not a real number")
+            try:
+                float(v)
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"theta[{j}][{k}] is an integer beyond the float range") from None
     return ThetaMatrix(np.array(rows, dtype=float))
 
 

@@ -53,7 +53,7 @@ from .kernels import (
     schwartz_coefficients,
     sobolev_lift,
 )
-from .lattice import LatticeBox
+from .lattice import MEMORY_GUARD_CARDINALITY, LatticeBox, _guard_box
 from .multipliers import apply_multiplier, bessel_symbol, multiplier_values, riesz_symbol
 from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
@@ -82,10 +82,6 @@ __all__ = [
     "run_schwartz_bound",
     "MEMORY_GUARD_CARDINALITY",
 ]
-
-# Largest box cardinality (2N+1)^d the dense-matrix runners will accept;
-# beyond this a single kernel matrix tops 0.4 GB and the SVD minutes.
-MEMORY_GUARD_CARDINALITY = 5000
 
 _IRRATIONAL = 0.7071067811865476  # double closest to 1/sqrt(2)
 
@@ -126,15 +122,6 @@ def _positive(name: str, value) -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise ValueError(f"{name} must be a positive number, got {value!r}")
-
-
-def _guard_box(d: int, radius: int) -> None:
-    card = (2 * radius + 1) ** d
-    if card > MEMORY_GUARD_CARDINALITY:
-        raise ValueError(
-            f"box cardinality (2N+1)^d = {card} exceeds the dense-matrix guard "
-            f"of {MEMORY_GUARD_CARDINALITY}; reduce N or d"
-        )
 
 
 @dataclass(frozen=True)
@@ -288,10 +275,10 @@ def _coeff_gap(x, y) -> float:
 
 
 def _rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b|| / ||a|| (or ||a - b|| when a is 0); b is overwritten by a - b."""
     denom = np.linalg.norm(a)
-    if denom == 0.0:
-        return float(np.linalg.norm(a - b))
-    return float(np.linalg.norm(a - b) / denom)
+    gap = np.linalg.norm(np.subtract(a, b, out=b))
+    return float(gap / denom) if denom != 0.0 else float(gap)
 
 
 def _factorization_gap(k, k_mat: np.ndarray, a1: float, a2: float) -> float:
@@ -301,8 +288,9 @@ def _factorization_gap(k, k_mat: np.ndarray, a1: float, a2: float) -> float:
     """
     box = k.box1
     lhs = multiplier_values(bessel_symbol(a1), box)[:, None] * k_mat
-    lifted = kernel_matrix(sobolev_lift(k, a1, a2), box)
-    return _rel_frobenius(lhs, lifted * multiplier_values(bessel_symbol(-a2), box)[None, :])
+    rhs = kernel_matrix(sobolev_lift(k, a1, a2), box)
+    rhs *= multiplier_values(bessel_symbol(-a2), box)[None, :]
+    return _rel_frobenius(lhs, rhs)
 
 
 def run_property_suite(

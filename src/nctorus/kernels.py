@@ -24,7 +24,7 @@ from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, phase_pairs
 from .lattice import LatticeBox
 from .multipliers import bessel_symbol, multiplier_values
-from .records import HIDDEN, JSON_ONLY
+from .records import JSON_ONLY
 
 __all__ = [
     "NCKernel",
@@ -105,8 +105,7 @@ def apply_kernel(k: NCKernel, x: TorusElement) -> TorusElement:
     xe = embedded(x, k.box2)
     pts = k.box2.enumerate()
     phases = phase_pairs(k.theta.entries, -pts, pts)
-    reflected = xe.coeffs[k.box2.negation_permutation()]
-    out = k.coeffs @ (phases * reflected)
+    out = k.coeffs @ (phases * xe.coeffs[::-1])
     return TorusElement(k.theta, k.box1, out)
 
 
@@ -116,7 +115,8 @@ def kernel_matrix(k: NCKernel, box: LatticeBox) -> np.ndarray:
     Column p holds the coefficients of the operator applied to the basis
     monomial at p.  Both kernel legs must equal the requested box so the
     matrix is square in the canonical order.  The result is a fresh array
-    the caller may modify.
+    the caller may modify.  Negation reverses the canonical order, so the
+    column permutation is a reversed view.
     """
     if k.box1 != box or k.box2 != box:
         raise ValueError(
@@ -125,9 +125,7 @@ def kernel_matrix(k: NCKernel, box: LatticeBox) -> np.ndarray:
         )
     pts = box.enumerate()
     col_phases = phase_pairs(k.theta.entries, pts, -pts)
-    entries = k.coeffs[:, box.negation_permutation()]
-    entries *= col_phases[None, :]
-    return entries
+    return k.coeffs[:, ::-1] * col_phases[None, :]
 
 
 def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKernel:
@@ -141,8 +139,7 @@ def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKern
     weights = (1.0 + nsq) ** (-alpha2 / 2.0)
     star_phases = np.conj(phase_pairs(theta.entries, pts, -pts))
     coeffs = np.zeros((box.cardinality, box.cardinality), dtype=complex)
-    rows = np.arange(box.cardinality)
-    coeffs[rows, box.negation_permutation()] = weights * star_phases
+    np.fill_diagonal(coeffs[:, ::-1], weights * star_phases)
     return NCKernel(theta, box, box, coeffs)
 
 
@@ -166,7 +163,9 @@ def mixed_sobolev_norm(k: NCKernel, alpha1: float, alpha2: float) -> float:
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
-    return sobolev_lift(k, alpha1, alpha2).l2_norm()
+    w1 = _leg_weights(k.box1, alpha1)
+    w2 = _leg_weights(k.box2, alpha2)
+    return float(np.linalg.norm(k.coeffs * np.outer(w1, w2)))
 
 
 def flip_adjoint(k: NCKernel) -> NCKernel:
@@ -180,11 +179,13 @@ def flip_adjoint(k: NCKernel) -> NCKernel:
             f"flip requires equal legs, got radii {k.box1.radius} and {k.box2.radius}"
         )
     box = k.box1
-    neg = box.negation_permutation()
     pts = box.enumerate()
     star_phases = np.conj(phase_pairs(k.theta.entries, pts, -pts))
-    swapped = np.conj(k.coeffs[np.ix_(neg, neg)].T)
-    return NCKernel(k.theta, box, box, swapped * np.outer(star_phases, star_phases))
+    swapped = np.conj(k.coeffs[::-1, ::-1].T)
+    # the outer product of the phases, built in swapped's column-major
+    # layout so the in-place product streams through both
+    swapped *= np.multiply(star_phases[:, None], star_phases[None, :], order="F")
+    return NCKernel(k.theta, box, box, swapped)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -192,8 +193,7 @@ class SchwartzReport:
     """Coefficient magnitudes against the smooth-kernel decay envelope.
 
     radius is the larger leg radius.  The fields print in this order as
-    the `schwartz` record; worst_index and tolerance appear in JSON only,
-    and the full arrays in neither.
+    the `schwartz` record; worst_index and tolerance appear in JSON only.
     """
 
     radius: int
@@ -205,9 +205,6 @@ class SchwartzReport:
     lifted_norm: float
     tolerance: float = field(default=1e-10, metadata=JSON_ONLY)
     passed: bool = field(init=False)
-    magnitudes: np.ndarray = field(repr=False, metadata=HIDDEN)
-    bounds: np.ndarray = field(repr=False, metadata=HIDDEN)
-    ratios: np.ndarray = field(repr=False, metadata=HIDDEN)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passed", self.worst_ratio <= 1.0 + self.tolerance)
@@ -230,8 +227,7 @@ def schwartz_coefficients(
     w2 = _leg_weights(h.box2, -(alpha2 + s0))
     bounds = lifted_norm * np.outer(w1, w2)
     magnitudes = np.abs(h.coeffs)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(bounds > 0, magnitudes / np.where(bounds > 0, bounds, 1.0), 0.0)
+    ratios = np.divide(magnitudes, bounds, out=np.zeros_like(magnitudes), where=bounds > 0)
     flat = int(np.argmax(ratios))
     i, j = np.unravel_index(flat, ratios.shape)
     worst_index = (
@@ -246,9 +242,6 @@ def schwartz_coefficients(
         worst_ratio=float(ratios[i, j]),
         worst_index=worst_index,
         lifted_norm=lifted_norm,
-        magnitudes=magnitudes,
-        bounds=bounds,
-        ratios=ratios,
     )
 
 
@@ -257,10 +250,15 @@ def random_kernel(
 ) -> NCKernel:
     """Random kernel with the separable envelope and i.i.d. uniform phases.
 
-    c_{m,n} = (1+|m|^2)^(-s1/2) (1+|n|^2)^(-s2/2) e^{i phi} with phi drawn
-    uniformly from [0, 2 pi) by a Philox counter generator keyed on the
-    seed, consumed in row-major (linear index pair) order.  The envelope
-    keeps the kernel in the mixed Sobolev space of orders below
+    c_{m,n} = (1+|m|^2)^(-s1/2) (1+|n|^2)^(-s2/2) e^{2 pi i u} with u
+    drawn uniformly from [0, 1) by a Philox counter generator keyed on the
+    seed, consumed in row-major (linear index pair) order.  The phase is
+    evaluated in the tangent form e^{2 pi i u} = ((1 - t^2) + 2it)/(1 + t^2)
+    with t = tan(pi u), one vectorised tan per entry and no complex exp;
+    t stays finite because pi * u rounds below pi/2 at u = 1/2, and t^2
+    stays below 3e32.  The coefficients reproduce bit for bit on a given
+    numpy build; another build may round the last digit differently.  The
+    envelope keeps the kernel in the mixed Sobolev space of orders below
     (s1 - d/2, s2 - d/2), which makes smoothness hypotheses checkable by
     construction.
     """
@@ -268,6 +266,18 @@ def random_kernel(
         raise ValueError(f"envelope exponents must be nonnegative, got ({s1}, {s2})")
     box = LatticeBox(theta.d, radius)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(box.cardinality, box.cardinality))
-    envelope = np.outer(_leg_weights(box, -s1), _leg_weights(box, -s2))
-    return NCKernel(theta, box, box, envelope * np.exp(1j * phases))
+    t = rng.random((box.cardinality, box.cardinality))
+    t *= np.pi
+    np.tan(t, out=t)
+    coeffs = np.empty(t.shape, dtype=complex)
+    np.multiply(t, 2.0, out=coeffs.imag)
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=coeffs.real)
+    # t becomes envelope / (1 + t^2), the common scale of both parts
+    t += 1.0
+    np.divide(_leg_weights(box, -s1)[:, None], t, out=t)
+    t *= _leg_weights(box, -s2)[None, :]
+    coeffs.real *= t
+    coeffs.imag *= t
+    del t  # freed before NCKernel copies coeffs, which sets the peak
+    return NCKernel(theta, box, box, coeffs)

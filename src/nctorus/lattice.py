@@ -13,7 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LatticeBox", "as_multi_index", "norm_sq"]
+__all__ = ["LatticeBox", "MEMORY_GUARD_CARDINALITY", "as_multi_index", "norm_sq"]
+
+# Largest box cardinality (2N+1)^d a dense n x n construction will accept;
+# beyond this a single complex matrix tops 0.4 GB and the SVD minutes.
+MEMORY_GUARD_CARDINALITY = 5000
 
 
 def as_multi_index(m: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -33,6 +37,16 @@ def norm_sq(m: Sequence[int] | np.ndarray) -> int:
     """Squared Euclidean norm: sum of m_j**2."""
     arr = as_multi_index(m)
     return int(arr @ arr)
+
+
+def _guard_box(d: int, radius: int) -> None:
+    """Refuse a box whose dense n x n matrices would exceed the guard."""
+    card = (2 * radius + 1) ** d
+    if card > MEMORY_GUARD_CARDINALITY:
+        raise ValueError(
+            f"box cardinality (2N+1)^d = {card} exceeds the dense-matrix guard "
+            f"of {MEMORY_GUARD_CARDINALITY}; reduce N or d"
+        )
 
 
 @dataclass(frozen=True)

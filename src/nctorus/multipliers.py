@@ -113,5 +113,5 @@ def apply_multiplier(symbol: SymbolFunction, x: TorusElement) -> TorusElement:
 
 def sobolev_norm(x: TorusElement, alpha: float) -> float:
     """The order-alpha Sobolev norm: L2 norm after the Bessel multiplier."""
-    vals = bessel_symbol(alpha).values_on(x.box)
+    vals = multiplier_values(bessel_symbol(alpha), x.box)
     return float(np.linalg.norm(x.coeffs * vals))

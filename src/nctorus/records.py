@@ -1,8 +1,7 @@
 """One writer for every result record: CSV rows and JSON documents.
 
 A record is a dataclass and its columns are its `dataclasses.fields` in
-declaration order.  Field metadata narrows where a field appears:
-JSON_ONLY keeps it out of CSV rows, HIDDEN keeps it out of both formats.
+declaration order.  Field metadata JSON_ONLY keeps a field out of CSV rows.
 CSV cells print floats with %.17g so they round-trip exactly, integers
 as integers and booleans as true/false; JSON keeps the values as they
 are, with records nested wherever a document holds them.
@@ -14,10 +13,9 @@ import dataclasses
 import json
 import numbers
 
-__all__ = ["JSON_ONLY", "HIDDEN", "to_csv", "to_json"]
+__all__ = ["JSON_ONLY", "to_csv", "to_json"]
 
 JSON_ONLY = {"emit": "json"}
-HIDDEN = {"emit": None}
 
 
 def _columns(cls, fmt: str) -> tuple:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nctorus.cocycle import ReducedTheta, reduce_theta
 from nctorus.experiments import default_theta
+
+# Property tests draw the same examples on every run, with no per-example
+# time limit: a failure reproduces, and a slow host does not fail a test.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

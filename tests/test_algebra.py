@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,25 @@ def test_coefficient_outside_box_is_zero(red2):
     assert x.coefficient((5, 5)) == 0.0
 
 
+def test_dense_constructions_are_guarded(red2):
+    # a radius-36 d=2 box has 73^2 = 5329 points, above the guard; the
+    # refusal comes before the n x n x d difference table is allocated
+    x = random_element(red2, LatticeBox(2, 1), np.random.default_rng(0))
+    big = random_element(red2, LatticeBox(2, 36), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the dense-matrix guard"):
+            mult_matrix(x, LatticeBox(2, 36))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="exceeds the dense-matrix guard"):
+        twisted_convolve(big, x)
+    with pytest.raises(ValueError, match="exceeds the dense-matrix guard"):
+        twisted_convolve(x, big)
+
+
 def test_element_validation(red2):
     with pytest.raises(ValueError, match="length"):
         TorusElement(red2, LatticeBox(2, 1), np.ones(5))
@@ -271,7 +292,7 @@ def test_element_validation(red2):
                      LatticeBox(2, 1), np.ones(9))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 2**31))
 def test_product_trace_cyclicity_property(seed):
     rng = np.random.Generator(np.random.Philox(key=seed))

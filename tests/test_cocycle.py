@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctorus.cocycle import (
@@ -125,7 +125,7 @@ def test_phases_unimodular_for_large_indices(red2):
     assert abs(abs(val[0]) - 1.0) < 1e-13
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**31),
     vecs=st.lists(st.integers(-8, 8), min_size=6, max_size=6),
@@ -139,7 +139,7 @@ def test_cocycle_identity_property(seed, vecs):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**31),
     vecs=st.lists(st.integers(-8, 8), min_size=6, max_size=6),
@@ -164,6 +164,34 @@ def test_zero_theta_gives_trivial_phases():
 def test_random_theta_is_skew(rng):
     t = random_theta(4, rng)
     assert np.allclose(t.entries + t.entries.T, 0.0)
+
+
+# JSON-like values: what json.load can return, plus nan and inf
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=6,
+)
+_skew_rows = st.floats(-1, 1).map(lambda a: [[0.0, -a], [a, 0.0]])
+
+
+@given(
+    doc=st.fixed_dictionaries(
+        {},
+        optional={
+            "d": st.sampled_from([2, 3]) | _json_values,
+            "theta": _skew_rows | st.lists(st.lists(_json_values, max_size=3), max_size=3) | _json_values,
+        },
+    )
+)
+@example(doc={"d": 2, "theta": [[0, 10**400], [-(10**400), 0]]})
+def test_theta_document_roundtrips_or_names_the_error(doc):
+    try:
+        theta = theta_from_json(doc)
+    except ValueError:
+        return
+    again = theta_from_json(json.loads(json.dumps({"d": theta.d, "theta": theta.entries.tolist()})))
+    assert again == theta
 
 
 def test_theta_from_json_valid():

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nctorus.cocycle import ThetaMatrix, phase_pairs
 from nctorus.experiments import (
@@ -26,6 +28,62 @@ from nctorus.schatten import critical_exponent
 
 # ---------------------------------------------------------------------------
 # config
+
+
+# JSON-like values: what json.load can return, plus nan and inf
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=6,
+)
+# per key, a plausible value or any JSON-like value
+_config_docs = st.fixed_dictionaries(
+    {},
+    optional={
+        "d": st.sampled_from([2, 3, 2.0]) | _json_values,
+        "theta": st.just([[0.0, -0.5], [0.5, 0.0]]) | _json_values,
+        "N_grid": st.lists(st.integers(0, 30), max_size=4) | _json_values,
+        "alpha1": st.floats(0, 3) | _json_values,
+        "alpha2": st.floats(0, 3) | _json_values,
+        "r_grid": st.lists(st.floats(0.1, 4), max_size=3) | _json_values,
+        "s_margin": st.floats(0, 2) | _json_values,
+        "seed": st.integers(0, 2**40) | _json_values,
+        "s0": st.floats(2, 6) | _json_values,
+        "out": st.just("rows.csv") | _json_values,
+        "format": st.sampled_from(["csv", "json"]) | _json_values,
+    },
+)
+
+
+def _config_doc(cfg: ExperimentConfig) -> dict:
+    """The JSON document a config would be written as."""
+    doc = {
+        "d": cfg.d,
+        "N_grid": list(cfg.N_grid),
+        "alpha1": cfg.alpha1,
+        "alpha2": cfg.alpha2,
+        "s_margin": cfg.s_margin,
+        "seed": cfg.seed,
+        "s0": cfg.s0,
+        "out": cfg.out,
+        "format": cfg.fmt,
+    }
+    if cfg.theta is not None:
+        doc["theta"] = cfg.theta.entries.tolist()
+    if cfg.r_grid is not None:
+        doc["r_grid"] = list(cfg.r_grid)
+    return doc
+
+
+@given(doc=_config_docs)
+@example(doc={"theta": [[0, 10**400], [-(10**400), 0]]})
+def test_config_document_roundtrips_or_names_the_error(doc):
+    try:
+        cfg = ExperimentConfig.from_json(doc)
+    except ValueError:
+        return
+    again = ExperimentConfig.from_json(json.loads(json.dumps(_config_doc(cfg))))
+    assert again == cfg
 
 
 def test_config_defaults():

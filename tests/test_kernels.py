@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,22 @@ def test_kernel_matrix_frobenius_is_l2(red2):
     assert np.linalg.norm(mat) == pytest.approx(k.l2_norm(), rel=1e-13)
 
 
+def test_reversed_views_equal_negation_gathers(rng):
+    # negation is the index reversal, so the reversed views reproduce the
+    # gathers through negation_permutation bit for bit
+    for d, radius in ((2, 3), (3, 2)):
+        theta = reduce_theta(random_theta(d, rng))
+        box = LatticeBox(d, radius)
+        k = random_kernel(theta, radius, 1.0, 0.5, int(rng.integers(0, 2**31)))
+        neg = box.negation_permutation()
+        pts = box.enumerate()
+        phases = phase_pairs(theta.entries, pts, -pts)
+        assert np.array_equal(kernel_matrix(k, box), k.coeffs[:, neg] * phases[None, :])
+        star = np.conj(phases)
+        gathered = np.conj(k.coeffs[np.ix_(neg, neg)].T) * np.outer(star, star)
+        assert np.array_equal(flip_adjoint(k).coeffs, gathered)
+
+
 def test_kernel_matrix_requires_matching_boxes(red2):
     k = random_kernel(red2, 2, 1.0, 1.0, 5)
     with pytest.raises(ValueError, match="must both"):
@@ -312,7 +330,13 @@ def test_schwartz_random_kernel_bounded(red2):
     h = random_kernel(red2, 3, 2.0, 2.0, 47)
     report = schwartz_coefficients(h, 1.0, 0.5, 3.0)
     assert report.worst_ratio <= 1.0 + 1e-10
-    assert np.all(report.magnitudes <= report.bounds * (1 + 1e-10))
+    # every coefficient sits under the envelope, built here from its parts
+    box = LatticeBox(2, 3)
+    w1 = np.real(multiplier_values(bessel_symbol(-(1.0 + 3.0)), box))
+    w2 = np.real(multiplier_values(bessel_symbol(-(0.5 + 3.0)), box))
+    bounds = mixed_sobolev_norm(h, 1.0 + 3.0, 0.5 + 3.0) * np.outer(w1, w2)
+    assert report.lifted_norm == mixed_sobolev_norm(h, 4.0, 3.5)
+    assert np.all(np.abs(h.coeffs) <= bounds * (1 + 1e-10))
 
 
 def test_schwartz_requires_margin_above_dimension(red2):
@@ -335,6 +359,32 @@ def test_random_kernel_envelope_exact(red2):
     w1 = (1.0 + np.einsum("ij,ij->i", pts, pts)) ** (-1.5 / 2)
     w2 = (1.0 + np.einsum("ij,ij->i", pts, pts)) ** (-0.5 / 2)
     assert np.allclose(np.abs(k.coeffs), np.outer(w1, w2), rtol=1e-13)
+    # the draw is envelope * exp(2 pi i u) for the row-major Philox uniforms
+    for d, radius in ((2, 3), (3, 1), (3, 2)):
+        theta = reduce_theta(random_theta(d, np.random.Generator(np.random.Philox(key=d))))
+        box = LatticeBox(d, radius)
+        for seed in (0, 53, 2**31 - 1):
+            k = random_kernel(theta, radius, 1.5, 0.5, seed)
+            u = np.random.Generator(np.random.Philox(key=seed)).random((box.cardinality,) * 2)
+            envelope = np.outer(
+                np.real(multiplier_values(bessel_symbol(-1.5), box)),
+                np.real(multiplier_values(bessel_symbol(-0.5), box)),
+            )
+            assert np.allclose(k.coeffs, envelope * np.exp(2j * np.pi * u), rtol=1e-14, atol=0)
+            assert np.max(np.abs(np.abs(k.coeffs) / envelope - 1.0)) <= 1e-15
+
+
+def test_random_kernel_peak_memory(red2):
+    # the uniforms' buffer, the coefficients and NCKernel's copy: at most
+    # 40 bytes per entry at any moment of the draw
+    n = LatticeBox(2, 10).cardinality
+    tracemalloc.start()
+    try:
+        random_kernel(red2, 10, 1.0, 1.0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * n * n
 
 
 def test_random_kernel_determinism_and_seeds(red2):

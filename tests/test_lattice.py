@@ -97,7 +97,7 @@ def test_invalid_box_parameters():
         LatticeBox(2, -1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     d=st.integers(min_value=1, max_value=3),
     radius=st.integers(min_value=0, max_value=3),

@@ -126,6 +126,10 @@ def test_non_finite_symbol_names_the_point(red2, rng):
         apply_multiplier(symbol, x)
     with pytest.raises(ValueError, match=r"\(1, 0\)"):
         multiplier_values(symbol, LatticeBox(2, 1))
+    # an overflowing Bessel weight is named too, not returned as inf
+    x3 = random_element(red2, LatticeBox(2, 3), rng)
+    with pytest.raises(ValueError, match=r"'bessel\(1000\)' is not finite at lattice point \(-3, -3\)"):
+        sobolev_norm(x3, 1000.0)
 
 
 def test_symbol_shape_mismatch_rejected():

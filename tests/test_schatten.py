@@ -227,7 +227,7 @@ def test_ideal_property(rng):
     assert np.all(mu_ab <= top * mu_b + 1e-10)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**31), p=st.floats(0.3, 4.0))
 def test_weak_norm_below_schatten_norm(seed, p):
     # the weak quasinorm is dominated by the full p-norm
