@@ -43,6 +43,7 @@ from .cocycle import (
 )
 from .kernels import (
     SchwartzReport,
+    _leg_weights,
     apply_kernel,
     bessel_kernel,
     flip_adjoint,
@@ -285,12 +286,26 @@ def _factorization_gap(k, k_mat: np.ndarray, a1: float, a2: float) -> float:
     """Relative gap of B(a1) T_k = T_lift B(-a2), B(a) the Bessel multiplier.
 
     Multipliers stay vectors: B on the left scales rows, on the right columns.
+    The lifted kernel is gone before lhs is built, so at most two new n x n
+    arrays are alive at once.
     """
     box = k.box1
-    lhs = multiplier_values(bessel_symbol(a1), box)[:, None] * k_mat
     rhs = kernel_matrix(sobolev_lift(k, a1, a2), box)
-    rhs *= multiplier_values(bessel_symbol(-a2), box)[None, :]
+    rhs *= _leg_weights(box, -a2)[None, :]
+    lhs = _leg_weights(box, a1)[:, None] * k_mat
     return _rel_frobenius(lhs, rhs)
+
+
+def _adjoint_gap(k, k_mat: np.ndarray) -> float:
+    """Relative gap of the flip-adjoint kernel's matrix A against K^*.
+
+    A^* is formed in A's own buffer (conjugation in place on the
+    transposed view) and its difference with K is written there, so K^* is
+    never copied.
+    """
+    adj = kernel_matrix(flip_adjoint(k), k.box1).T
+    np.conjugate(adj, out=adj)
+    return _rel_frobenius(k_mat, adj)
 
 
 def run_property_suite(
@@ -455,8 +470,7 @@ def run_property_suite(
         err = max(err, _factorization_gap(k, mat, a1, a2))
     record("factorization", err, 1e-12)
 
-    err = _rel_frobenius(kernel_matrix(flip_adjoint(k), mbox), np.conj(mat.T))
-    record("adjoint-identity", err, 1e-12)
+    record("adjoint-identity", _adjoint_gap(k, mat), 1e-12)
 
     # linearity of the kernel action in both arguments
     k2 = random_kernel(red, 2, 1.0, 1.0, seed + 2)
@@ -537,8 +551,9 @@ class ScanRecord:
     """One (N, r) row of the scan.
 
     wall_ms is the time in ms from the start of that N's task (kernel
-    draw, matrix assembly, SVD, Sobolev norm) to this row, so a later r
-    row of the same N includes the norms of the rows before it.
+    draw, Sobolev norm, matrix assembly, SVD, in that order) to this row,
+    so a later r row of the same N includes the norms of the rows before
+    it.
     at_threshold marks r == r_star and appears in JSON only.
     """
 
@@ -557,9 +572,10 @@ def _scan_one(config: ExperimentConfig, radius: int) -> list:
     s1, s2 = config.envelope_exponents()
     red = config.reduced
     k = random_kernel(red, radius, s1, s2, config.seed)
-    box = LatticeBox(config.d, radius)
-    spectrum = singular_values(kernel_matrix(k, box))
     sob = mixed_sobolev_norm(k, config.alpha1, config.alpha2)
+    k_mat = kernel_matrix(k, LatticeBox(config.d, radius))
+    del k  # its memory can then hold the SVD's working copy
+    spectrum = singular_values(k_mat)
     r_star = config.r_star
     records = []
     for r in config.resolved_r_grid:
@@ -660,7 +676,7 @@ def _factor_one(config: ExperimentConfig, radius: int) -> list:
     k = random_kernel(red, radius, s1, s2, config.seed)
     box = LatticeBox(config.d, radius)
     k_mat = kernel_matrix(k, box)
-    adj_err = _rel_frobenius(kernel_matrix(flip_adjoint(k), box), np.conj(k_mat.T))
+    adj_err = _adjoint_gap(k, k_mat)
     rng = np.random.Generator(np.random.Philox(key=config.seed + radius))
     pairs = [(config.alpha1, config.alpha2), (0.0, 0.0)]
     pairs += [(float(rng.uniform(0, 3)), float(rng.uniform(0, 3))) for _ in range(3)]

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, phase_pairs
 from .lattice import LatticeBox
-from .multipliers import bessel_symbol, multiplier_values
+from .multipliers import _scaled_norm, bessel_symbol, multiplier_values
 from .records import JSON_ONLY
 
 __all__ = [
@@ -42,7 +42,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NCKernel:
-    """Coefficient matrix of a kernel over box1 (first leg) x box2 (second leg)."""
+    """Coefficient matrix of a kernel over box1 (first leg) x box2 (second leg).
+
+    A complex ndarray that owns its data is taken as it is, without a
+    copy, and made read-only: the caller's handle to it becomes read-only
+    too.  Anything else (a view, a list, another dtype) is copied.  Either
+    way coeffs is never writeable.
+    """
 
     theta: ReducedTheta
     box1: LatticeBox
@@ -55,7 +61,9 @@ class NCKernel:
                 f"kernel boxes have dimensions {self.box1.d}, {self.box2.d}; "
                 f"theta has dimension {self.theta.d}"
             )
-        arr = np.array(self.coeffs, dtype=complex)
+        arr = self.coeffs
+        if not (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.flags.owndata):
+            arr = np.array(arr, dtype=complex)
         want = (self.box1.cardinality, self.box2.cardinality)
         if arr.shape != want:
             raise ValueError(f"coefficient matrix has shape {arr.shape}, expected {want}")
@@ -150,22 +158,29 @@ def _leg_weights(box: LatticeBox, alpha: float) -> np.ndarray:
 
 def sobolev_lift(k: NCKernel, alpha1: float, alpha2: float) -> NCKernel:
     """Scale c_{m,n} by (1+|m|^2)^(alpha1/2) (1+|n|^2)^(alpha2/2)."""
-    w1 = _leg_weights(k.box1, alpha1)
-    w2 = _leg_weights(k.box2, alpha2)
-    return NCKernel(k.theta, k.box1, k.box2, k.coeffs * np.outer(w1, w2))
+    lifted = k.coeffs * _leg_weights(k.box1, alpha1)[:, None]
+    lifted *= _leg_weights(k.box2, alpha2)[None, :]
+    return NCKernel(k.theta, k.box1, k.box2, lifted)
+
+
+def _lifted_moduli(k: NCKernel, alpha1: float, alpha2: float) -> np.ndarray:
+    """|c_{m,n}| (1+|m|^2)^(alpha1/2) (1+|n|^2)^(alpha2/2), one fresh real array."""
+    if alpha1 < 0 or alpha2 < 0:
+        raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
+    lifted = np.abs(k.coeffs)
+    lifted *= _leg_weights(k.box1, alpha1)[:, None]
+    lifted *= _leg_weights(k.box2, alpha2)[None, :]
+    return lifted
 
 
 def mixed_sobolev_norm(k: NCKernel, alpha1: float, alpha2: float) -> float:
     """The mixed Sobolev norm: L2 norm of the lifted kernel.
 
     Orders must be nonnegative; the negative-order lifts remain available
-    through sobolev_lift directly.
+    through sobolev_lift directly.  The norm is taken after scaling by the
+    largest lifted modulus, so it stays finite wherever that modulus is.
     """
-    if alpha1 < 0 or alpha2 < 0:
-        raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
-    w1 = _leg_weights(k.box1, alpha1)
-    w2 = _leg_weights(k.box2, alpha2)
-    return float(np.linalg.norm(k.coeffs * np.outer(w1, w2)))
+    return _scaled_norm(_lifted_moduli(k, alpha1, alpha2))
 
 
 def flip_adjoint(k: NCKernel) -> NCKernel:
@@ -216,20 +231,19 @@ def schwartz_coefficients(
     """Check |c_{m,n}| against the Cauchy-Schwarz envelope with constant 1.
 
     The bound is norm(h in the (alpha1+s0, alpha2+s0) mixed Sobolev space)
-    times (1+|m|^2)^(-(alpha1+s0)/2) (1+|n|^2)^(-(alpha2+s0)/2).  s0 must
-    exceed the dimension so the envelope is summable over the full lattice.
+    times (1+|m|^2)^(-(alpha1+s0)/2) (1+|n|^2)^(-(alpha2+s0)/2).  Moving the
+    weights to the other side, the ratio at (m, n) is |lifted c_{m,n}| /
+    ||lifted h||, read off the one array of lifted moduli; worst_ratio is
+    its largest value.  s0 must exceed the dimension so the envelope is
+    summable over the full lattice.
     """
     d = h.theta.d
     if s0 <= d:
         raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {d}")
-    lifted_norm = mixed_sobolev_norm(h, alpha1 + s0, alpha2 + s0)
-    w1 = _leg_weights(h.box1, -(alpha1 + s0))
-    w2 = _leg_weights(h.box2, -(alpha2 + s0))
-    bounds = lifted_norm * np.outer(w1, w2)
-    magnitudes = np.abs(h.coeffs)
-    ratios = np.divide(magnitudes, bounds, out=np.zeros_like(magnitudes), where=bounds > 0)
-    flat = int(np.argmax(ratios))
-    i, j = np.unravel_index(flat, ratios.shape)
+    lifted = _lifted_moduli(h, alpha1 + s0, alpha2 + s0)
+    i, j = np.unravel_index(int(np.argmax(lifted)), lifted.shape)
+    worst = float(lifted[i, j])
+    lifted_norm = _scaled_norm(lifted)
     worst_index = (
         tuple(int(v) for v in h.box1.enumerate()[i]),
         tuple(int(v) for v in h.box2.enumerate()[j]),
@@ -239,7 +253,7 @@ def schwartz_coefficients(
         s0=float(s0),
         alpha1=alpha1,
         alpha2=alpha2,
-        worst_ratio=float(ratios[i, j]),
+        worst_ratio=worst / lifted_norm if lifted_norm > 0 else 0.0,
         worst_index=worst_index,
         lifted_norm=lifted_norm,
     )
@@ -279,5 +293,4 @@ def random_kernel(
     t *= _leg_weights(box, -s2)[None, :]
     coeffs.real *= t
     coeffs.imag *= t
-    del t  # freed before NCKernel copies coeffs, which sets the peak
     return NCKernel(theta, box, box, coeffs)

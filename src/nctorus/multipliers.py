@@ -111,7 +111,20 @@ def apply_multiplier(symbol: SymbolFunction, x: TorusElement) -> TorusElement:
     return TorusElement(x.theta, x.box, x.coeffs * multiplier_values(symbol, x.box))
 
 
+def _scaled_norm(moduli: np.ndarray) -> float:
+    """L2 norm of an array of nonnegative reals, which it divides in place.
+
+    Dividing by the largest entry first keeps the squares in range, so the
+    norm is finite wherever that entry is, and no warning is raised.
+    """
+    top = float(np.max(moduli, initial=0.0))
+    if top == 0.0:
+        return 0.0
+    moduli /= top
+    return top * float(np.linalg.norm(moduli))
+
+
 def sobolev_norm(x: TorusElement, alpha: float) -> float:
     """The order-alpha Sobolev norm: L2 norm after the Bessel multiplier."""
     vals = multiplier_values(bessel_symbol(alpha), x.box)
-    return float(np.linalg.norm(x.coeffs * vals))
+    return _scaled_norm(np.abs(x.coeffs * vals))

@@ -73,27 +73,33 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
     vals = spectrum.values
     if vals.size == 0 or vals[0] == 0.0:
         return 0.0
-    if math.isinf(p):
+    positive = vals[vals > 0]
+    if p >= 2.0**54 * math.log(positive.size):
+        # for m positive values the norm over the top one lies in
+        # [1, m^(1/p)], within half an ulp of 1 here: this covers p = inf
+        # and a single positive value, where p log mu may not round-trip
         return float(vals[0])
-    logs = p * np.log(vals[vals > 0])
+    logs = p * np.log(positive)
     top = logs.max()
     ties = logs == top
     count = np.count_nonzero(ties)
     terms = np.exp(logs - top)
     terms[ties] = 0.0
     rest = terms.sum() / count
-    return float(np.exp((np.log1p(rest) + np.log(count) + top) / p))
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return float(np.exp((np.log1p(rest) + np.log(count) + top) / p))
 
 
 def weak_norm(spectrum: SingularSpectrum, p: float) -> float:
     """The weak quasinorm sup_k (k+1)^(1/p) mu(k)."""
     if not (p > 0):
         raise ValueError(f"weak exponent must be positive, got {p}")
-    vals = spectrum.values
-    if vals.size == 0:
+    positive = spectrum.values[spectrum.values > 0]
+    if positive.size == 0:
         return 0.0
-    ranks = np.arange(1, vals.size + 1, dtype=float)
-    return float(np.max(ranks ** (1.0 / p) * vals))
+    ranks = np.arange(1, positive.size + 1, dtype=float)
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return float(np.max(ranks ** (1.0 / p) * positive))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nctorus
 from nctorus.cli import build_parser, main
@@ -398,3 +402,59 @@ def test_failed_assertion_output(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert (doc["max_error"], doc["passed"]) == (1.0, False)
+
+
+# argv fuzz: each subcommand with up to four of its flags, the values
+# small (radii up to 3, dimensions up to 3) but the floats from the whole
+# double range, nan and inf included, plus tokens argparse must refuse
+_ints = st.integers(-2, 3).map(str) | st.sampled_from(["x", "1.5"])
+_floats = st.floats(-1, 4).map(repr) | st.floats().map(repr) | st.sampled_from(["x", ""])
+_int_lists = st.lists(st.integers(-1, 3).map(str), max_size=3).map(",".join)
+_float_lists = st.lists(_floats, max_size=3).map(",".join)
+_COMMON_FLAGS = {
+    "--seed": st.integers(-1, 2**130).map(str),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--config": st.just("missing-config.json"),
+    "--theta-file": st.just("missing-theta.json"),
+    "--out": st.just("-"),
+}
+_DENSE_FLAGS = {
+    "--d": _ints,
+    "--alpha1": _floats,
+    "--alpha2": _floats,
+    "--s-margin": _floats,
+}
+_FLAGS = {
+    "suite": {},
+    "scan": {**_DENSE_FLAGS, "--n-grid": _int_lists, "--r-grid": _float_lists},
+    "decay": {"--d": _ints, "--alpha": _floats, "--n-grid": _int_lists},
+    "factor": {**_DENSE_FLAGS, "--n-grid": _int_lists},
+    "schwartz": {**_DENSE_FLAGS, "--n": _ints, "--s0": _floats},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = {**_COMMON_FLAGS, **_FLAGS[command]}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
+        argv += [flag, draw(flags[flag])]
+    return argv
+
+
+@settings(max_examples=100)
+@given(argv=_argv())
+# Schatten exponents whose norms overflow (tiny r) or whose powers did (huge r)
+@example(argv=["scan", "--n-grid", "2", "--r-grid", "1e-300"])
+@example(argv=["scan", "--n-grid", "2", "--r-grid", "5e-324"])
+@example(argv=["scan", "--n-grid", "2", "--r-grid", "1e+308"])
+def test_cli_exit_code_on_any_argv(argv):
+    # pytest turns warnings into errors, so a numpy warning fails here too
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)

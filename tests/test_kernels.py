@@ -13,6 +13,7 @@ from nctorus.algebra import (
     unit,
 )
 from nctorus.cocycle import ReducedTheta, phase_pairs, random_theta, reduce_theta, sigma, zero_theta
+from nctorus.experiments import _adjoint_gap, _factorization_gap
 from nctorus.kernels import (
     NCKernel,
     apply_kernel,
@@ -250,6 +251,17 @@ def test_mixed_sobolev_norm_zero_orders_is_l2(red2):
     assert mixed_sobolev_norm(k, 0.0, 0.0) == pytest.approx(k.l2_norm(), rel=1e-14)
 
 
+def test_mixed_sobolev_norm_finite_where_squares_overflow(red2):
+    # the lifted moduli reach 3^600 ~ 2e286 on the radius-1 box: finite,
+    # but their squares are not; the norm comes out finite, with no warning
+    k = random_kernel(red2, 1, 1.0, 1.0, 5)
+    w = np.real(multiplier_values(bessel_symbol(600.0), k.box1))
+    top = w.max()
+    reference = top * top * np.linalg.norm(np.abs(k.coeffs) * np.outer(w / top, w / top))
+    assert np.isfinite(reference)
+    assert mixed_sobolev_norm(k, 600.0, 600.0) == pytest.approx(reference, rel=1e-14)
+
+
 def test_mixed_sobolev_norm_rejects_negative(red2):
     k = random_kernel(red2, 1, 1.0, 1.0, 31)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -374,17 +386,66 @@ def test_random_kernel_envelope_exact(red2):
             assert np.max(np.abs(np.abs(k.coeffs) / envelope - 1.0)) <= 1e-15
 
 
+# Traced peak of each dense step in bytes per n^2 entry, its inputs built
+# beforehand: the draw holds the uniforms and the coefficients (8 + 16),
+# the lift one complex result, the norms one real array of lifted moduli,
+# and each gap two complex matrices.  2 more bytes cover the O(n) vectors.
+_STEP_PEAKS = {
+    "random_kernel": (24, lambda k, mat: random_kernel(k.theta, 10, 1.0, 1.0, 5)),
+    "sobolev_lift": (16, lambda k, mat: sobolev_lift(k, 1.0, 1.0)),
+    "mixed_sobolev_norm": (8, lambda k, mat: mixed_sobolev_norm(k, 1.0, 1.0)),
+    "schwartz_coefficients": (8, lambda k, mat: schwartz_coefficients(k, 1.0, 1.0, 3.0)),
+    "_factorization_gap": (32, lambda k, mat: _factorization_gap(k, mat, 1.0, 1.0)),
+    "_adjoint_gap": (32, lambda k, mat: _adjoint_gap(k, mat)),
+}
+
+
 def test_random_kernel_peak_memory(red2):
-    # the uniforms' buffer, the coefficients and NCKernel's copy: at most
-    # 40 bytes per entry at any moment of the draw
-    n = LatticeBox(2, 10).cardinality
-    tracemalloc.start()
-    try:
-        random_kernel(red2, 10, 1.0, 1.0, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * n * n
+    box = LatticeBox(2, 10)
+    k = random_kernel(red2, 10, 2.5, 2.5, 5)
+    mat = kernel_matrix(k, box)
+    entries = box.cardinality**2
+    peaks = {}
+    for step, (bound, run) in _STEP_PEAKS.items():
+        tracemalloc.start()
+        try:
+            run(k, mat)
+            peaks[step] = tracemalloc.get_traced_memory()[1] / entries
+        finally:
+            tracemalloc.stop()
+    over = {step: peak for step, peak in peaks.items() if peak > _STEP_PEAKS[step][0] + 2}
+    assert not over, f"bytes per entry above the bound: {over}"
+
+
+def test_kernel_takes_an_owned_complex_array(red2):
+    box = LatticeBox(2, 1)
+    arr = np.ones((9, 9), dtype=complex)
+    k = NCKernel(red2, box, box, arr)
+    assert k.coeffs is arr
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0, 0] = 2.0
+    assert not k.coeffs.flags.writeable
+
+
+def test_kernel_copies_views_lists_and_other_dtypes(red2):
+    box = LatticeBox(2, 1)
+    base = np.ones((9, 18), dtype=complex)
+    sources = [
+        base[:, :9],
+        np.ones((9, 9)).tolist(),
+        np.ones((9, 9)),
+        np.ones((9, 9), dtype=np.complex64),
+    ]
+    for source in sources:
+        k = NCKernel(red2, box, box, source)
+        assert k.coeffs is not source
+        assert not k.coeffs.flags.writeable
+        if isinstance(source, np.ndarray):
+            source[0, 0] = 5.0
+        else:
+            source[0][0] = 5.0
+        assert k.coeffs[0, 0] == 1.0
+    assert base.flags.writeable
 
 
 def test_random_kernel_determinism_and_seeds(red2):

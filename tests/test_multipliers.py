@@ -104,6 +104,17 @@ def test_sobolev_norm_monotone_in_order(red2, rng):
     assert sobolev_norm(x, 1.0) <= sobolev_norm(x, 2.0)
 
 
+def test_sobolev_norm_finite_where_squares_overflow(red2, rng):
+    # the weights reach 3^500 ~ 4e238 on the radius-1 box: finite, but
+    # their squares are not; the norm comes out finite, with no warning
+    x = random_element(red2, LatticeBox(2, 1), rng)
+    w = np.real(multiplier_values(bessel_symbol(1000.0), x.box))
+    top = w.max()
+    reference = top * np.linalg.norm(x.coeffs * (w / top))
+    assert np.isfinite(reference)
+    assert sobolev_norm(x, 1000.0) == pytest.approx(reference, rel=1e-14)
+
+
 def test_strongly_negative_orders_stay_finite():
     # underflowing symbol values flush to zero instead of denormal noise
     box = LatticeBox(2, 30)

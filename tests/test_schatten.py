@@ -76,6 +76,22 @@ def test_schatten_norm_basics():
             assert schatten_norm(spec, p) == pytest.approx(n ** (1.0 / p) * c, rel=1e-14)
 
 
+def test_norms_at_extreme_exponents():
+    # beyond the float range the norms are inf, with no overflow warning;
+    # for a huge p, or one positive value, the S_p norm is the top value
+    spec = SingularSpectrum(np.array([0.7, 0.3, 0.0]), 3)
+    for p in (1e-300, 5e-324):
+        assert schatten_norm(spec, p) == np.inf
+        assert weak_norm(spec, p) == np.inf
+    for p in (1e17, 1e308, np.inf):
+        assert schatten_norm(spec, p) == 0.7
+        assert weak_norm(spec, p) == 0.7
+    single = SingularSpectrum(np.array([0.7, 0.0]), 2)
+    for p in (5e-324, 0.5, 2.0):
+        assert schatten_norm(single, p) == 0.7
+        assert weak_norm(single, p) == 0.7
+
+
 def test_schatten_norm_rejects_nonpositive_p():
     spec = SingularSpectrum(np.array([1.0]), 1)
     with pytest.raises(ValueError, match="positive"):
