@@ -44,6 +44,9 @@ from .cocycle import (
 from .kernels import (
     SchwartzReport,
     _leg_weights,
+    _lift_rows,
+    _matrix_rows,
+    _row_blocks,
     apply_kernel,
     bessel_kernel,
     flip_adjoint,
@@ -54,7 +57,13 @@ from .kernels import (
     schwartz_coefficients,
     sobolev_lift,
 )
-from .lattice import MEMORY_GUARD_CARDINALITY, LatticeBox, _guard_box
+from .lattice import (
+    DECAY_GUARD_CARDINALITY,
+    MEMORY_GUARD_CARDINALITY,
+    LatticeBox,
+    _guard_box,
+    _guard_dimension,
+)
 from .multipliers import apply_multiplier, bessel_symbol, multiplier_values, riesz_symbol
 from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
@@ -148,6 +157,7 @@ class ExperimentConfig:
         store("d", _integer("d", self.d))
         if self.d < 2:
             raise ValueError(f"dimension must be at least 2, got {self.d}")
+        _guard_dimension(self.d)
         if self.theta is not None and self.theta.d != self.d:
             raise ValueError(
                 f"theta has dimension {self.theta.d}, config says d={self.d}"
@@ -275,37 +285,63 @@ def _coeff_gap(x, y) -> float:
     return float(np.max(np.abs(embedded(x, box).coeffs - embedded(y, box).coeffs)))
 
 
-def _rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b|| / ||a|| (or ||a - b|| when a is 0); b is overwritten by a - b."""
-    denom = np.linalg.norm(a)
-    gap = np.linalg.norm(np.subtract(a, b, out=b))
-    return float(gap / denom) if denom != 0.0 else float(gap)
+def _sumsq(block: np.ndarray) -> float:
+    """Sum of squared moduli of a contiguous complex block."""
+    return float(np.vdot(block, block).real)
 
 
-def _factorization_gap(k, k_mat: np.ndarray, a1: float, a2: float) -> float:
+def _relative(gap_sq: float, norm_sq: float) -> float:
+    """sqrt(gap_sq / norm_sq), or sqrt(gap_sq) when the norm is 0."""
+    gap = math.sqrt(gap_sq)
+    return gap / math.sqrt(norm_sq) if norm_sq != 0.0 else gap
+
+
+def _factorization_gap(k, a1: float, a2: float) -> float:
     """Relative gap of B(a1) T_k = T_lift B(-a2), B(a) the Bessel multiplier.
 
     Multipliers stay vectors: B on the left scales rows, on the right columns.
-    The lifted kernel is gone before lhs is built, so at most two new n x n
-    arrays are alive at once.
+    Both sides are built one row block at a time from k's coefficients, by
+    the same row forms as kernel_matrix and sobolev_lift, and only their
+    sums of squares are kept.
     """
     box = k.box1
-    rhs = kernel_matrix(sobolev_lift(k, a1, a2), box)
-    rhs *= _leg_weights(box, -a2)[None, :]
-    lhs = _leg_weights(box, a1)[:, None] * k_mat
-    return _rel_frobenius(lhs, rhs)
+    pts = box.enumerate()
+    col_phases = phase_pairs(k.theta.entries, pts, -pts)
+    w1 = _leg_weights(box, a1)
+    w2 = _leg_weights(box, a2)
+    w2_inv = _leg_weights(box, -a2)
+    norm_sq = gap_sq = 0.0
+    for rows in _row_blocks(box.cardinality):
+        lhs = _matrix_rows(k.coeffs[rows], col_phases)
+        lhs *= w1[rows, None]
+        rhs = _matrix_rows(_lift_rows(k.coeffs[rows], w1[rows], w2), col_phases)
+        rhs *= w2_inv[None, :]
+        norm_sq += _sumsq(lhs)
+        gap_sq += _sumsq(np.subtract(lhs, rhs, out=rhs))
+        del lhs, rhs  # free this block before the next one is built
+    return _relative(gap_sq, norm_sq)
 
 
-def _adjoint_gap(k, k_mat: np.ndarray) -> float:
+def _adjoint_gap(k) -> float:
     """Relative gap of the flip-adjoint kernel's matrix A against K^*.
 
-    A^* is formed in A's own buffer (conjugation in place on the
-    transposed view) and its difference with K is written there, so K^* is
-    never copied.
+    A block of K's rows is compared with the conjugate of the same block
+    of A's columns, which are contiguous because flip_adjoint's
+    coefficients are column-major.  Neither matrix is built whole.
     """
-    adj = kernel_matrix(flip_adjoint(k), k.box1).T
-    np.conjugate(adj, out=adj)
-    return _rel_frobenius(k_mat, adj)
+    box = k.box1
+    pts = box.enumerate()
+    col_phases = phase_pairs(k.theta.entries, pts, -pts)
+    adj = flip_adjoint(k).coeffs[:, ::-1]
+    norm_sq = gap_sq = 0.0
+    for rows in _row_blocks(box.cardinality):
+        k_rows = _matrix_rows(k.coeffs[rows], col_phases)
+        a_cols = np.multiply(adj[:, rows], col_phases[None, rows])
+        norm_sq += _sumsq(k_rows)
+        np.subtract(k_rows, np.conjugate(a_cols, out=a_cols).T, out=k_rows)
+        gap_sq += _sumsq(k_rows)
+        del k_rows, a_cols  # free this block before the next one is built
+    return _relative(gap_sq, norm_sq)
 
 
 def run_property_suite(
@@ -467,10 +503,10 @@ def run_property_suite(
 
     err = 0.0
     for a1, a2 in ((0.0, 0.0), (1.0, 1.0), (1.5, 0.7), (float(rng.uniform(0, 3)), float(rng.uniform(0, 3)))):
-        err = max(err, _factorization_gap(k, mat, a1, a2))
+        err = max(err, _factorization_gap(k, a1, a2))
     record("factorization", err, 1e-12)
 
-    record("adjoint-identity", _adjoint_gap(k, mat), 1e-12)
+    record("adjoint-identity", _adjoint_gap(k), 1e-12)
 
     # linearity of the kernel action in both arguments
     k2 = random_kernel(red, 2, 1.0, 1.0, seed + 2)
@@ -642,14 +678,19 @@ def _decay_one(d: int, alpha: float, radius: int) -> DecayRecord:
 def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     """Weak norm and fitted decay slope of the order -alpha Bessel spectra.
 
-    Diagonal spectra need no SVD, so large boxes are cheap and no memory
-    guard applies.  The p-th power sum is emitted alongside as data (it
-    diverges logarithmically at the weak endpoint); only the weak norm
-    and the slope carry assertions downstream.
+    Diagonal spectra need no SVD, so boxes far beyond the dense-matrix
+    guard are cheap; each box is held to DECAY_GUARD_CARDINALITY points
+    instead, checked for the whole grid first.  The p-th power sum is
+    emitted alongside as data (it diverges logarithmically at the weak
+    endpoint); only the weak norm and the slope carry assertions
+    downstream.
     """
     if _finite("alpha", alpha) <= 0:
         raise ValueError(f"potential order must be positive, got {alpha}")
-    records = [_decay_one(d, alpha, int(n)) for n in N_grid]
+    grid = [int(n) for n in N_grid]
+    for radius in grid:
+        _guard_box(d, radius, DECAY_GUARD_CARDINALITY, "point-count")
+    records = [_decay_one(d, alpha, radius) for radius in grid]
     records.sort(key=lambda rec: rec.N)
     return records
 
@@ -674,9 +715,7 @@ def _factor_one(config: ExperimentConfig, radius: int) -> list:
     red = config.reduced
     s1, s2 = config.envelope_exponents()
     k = random_kernel(red, radius, s1, s2, config.seed)
-    box = LatticeBox(config.d, radius)
-    k_mat = kernel_matrix(k, box)
-    adj_err = _adjoint_gap(k, k_mat)
+    adj_err = _adjoint_gap(k)
     rng = np.random.Generator(np.random.Philox(key=config.seed + radius))
     pairs = [(config.alpha1, config.alpha2), (0.0, 0.0)]
     pairs += [(float(rng.uniform(0, 3)), float(rng.uniform(0, 3))) for _ in range(3)]
@@ -685,7 +724,7 @@ def _factor_one(config: ExperimentConfig, radius: int) -> list:
             N=radius,
             alpha1=a1,
             alpha2=a2,
-            factor_error=_factorization_gap(k, k_mat, a1, a2),
+            factor_error=_factorization_gap(k, a1, a2),
             adjoint_error=adj_err,
         )
         for a1, a2 in pairs

@@ -12,18 +12,27 @@ so the operator's matrix has entry (m, p) = c_{m,-p} sigma(p, -p).  The
 unimodular sigma factors make the matrix assembly an index permutation
 plus a diagonal phase, which keeps Frobenius norms equal to kernel L2
 norms exactly.
+
+Every dense step works in row blocks of _BLOCK_ENTRIES entries: the draw
+fills its coefficients block by block, the norms reduce one block of
+lifted moduli at a time, and flip_adjoint phases one block of columns at
+a time.  So no step holds an n x n temporary beside the arrays it
+returns.  The row forms _matrix_rows and _lift_rows are the bodies of
+kernel_matrix and sobolev_lift, so a block of either is bit for bit the
+same rows of the whole result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, phase_pairs
-from .lattice import LatticeBox
-from .multipliers import _scaled_norm, bessel_symbol, multiplier_values
+from .lattice import LatticeBox, _guard_box
+from .multipliers import bessel_symbol, multiplier_values
 from .records import JSON_ONLY
 
 __all__ = [
@@ -39,6 +48,20 @@ __all__ = [
     "schwartz_coefficients",
     "random_kernel",
 ]
+
+# Entries per row block: 256 KiB of complex data, well inside a core's L2.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _row_blocks(n: int, width: int | None = None):
+    """Slices covering range(n), each at most _BLOCK_ENTRIES // width rows.
+
+    width is the row length, n by default; a block has at least one row.
+    """
+    rows = max(1, _BLOCK_ENTRIES // (n if width is None else width))
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
+
 
 @dataclass(frozen=True, eq=False)
 class NCKernel:
@@ -132,8 +155,12 @@ def kernel_matrix(k: NCKernel, box: LatticeBox) -> np.ndarray:
             f"equal the requested box (radius {box.radius})"
         )
     pts = box.enumerate()
-    col_phases = phase_pairs(k.theta.entries, pts, -pts)
-    return k.coeffs[:, ::-1] * col_phases[None, :]
+    return _matrix_rows(k.coeffs, phase_pairs(k.theta.entries, pts, -pts))
+
+
+def _matrix_rows(coeff_rows: np.ndarray, col_phases: np.ndarray) -> np.ndarray:
+    """Rows of kernel_matrix from the same rows of coefficients, a fresh array."""
+    return coeff_rows[:, ::-1] * col_phases[None, :]
 
 
 def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKernel:
@@ -142,6 +169,7 @@ def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKern
     Resolving (U^n)* = conj(sigma(n,-n)) U^{-n} puts the weight at
     coefficient (n, -n) with the conjugate phase attached.
     """
+    _guard_box(box.d, box.radius)
     pts = box.enumerate()
     nsq = np.einsum("ij,ij->i", pts, pts).astype(float)
     weights = (1.0 + nsq) ** (-alpha2 / 2.0)
@@ -158,29 +186,57 @@ def _leg_weights(box: LatticeBox, alpha: float) -> np.ndarray:
 
 def sobolev_lift(k: NCKernel, alpha1: float, alpha2: float) -> NCKernel:
     """Scale c_{m,n} by (1+|m|^2)^(alpha1/2) (1+|n|^2)^(alpha2/2)."""
-    lifted = k.coeffs * _leg_weights(k.box1, alpha1)[:, None]
-    lifted *= _leg_weights(k.box2, alpha2)[None, :]
+    lifted = _lift_rows(k.coeffs, _leg_weights(k.box1, alpha1), _leg_weights(k.box2, alpha2))
     return NCKernel(k.theta, k.box1, k.box2, lifted)
 
 
-def _lifted_moduli(k: NCKernel, alpha1: float, alpha2: float) -> np.ndarray:
-    """|c_{m,n}| (1+|m|^2)^(alpha1/2) (1+|n|^2)^(alpha2/2), one fresh real array."""
+def _lift_rows(coeff_rows: np.ndarray, w1_rows: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Rows of the lifted coefficients, scaled by their row and column weights."""
+    lifted = coeff_rows * w1_rows[:, None]
+    lifted *= w2[None, :]
+    return lifted
+
+
+def _lifted_extremes(k: NCKernel, alpha1: float, alpha2: float) -> tuple:
+    """(max, flat index of the first max, L2 norm) of the lifted moduli.
+
+    The lifted modulus at (m, n) is |c_{m,n}| (1+|m|^2)^(alpha1/2)
+    (1+|n|^2)^(alpha2/2).  One pass over row blocks: each block is divided
+    by the largest modulus seen so far before it is squared, and the sum of
+    squares is rescaled whenever that largest modulus grows, so the norm is
+    finite wherever the largest modulus is.
+    """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
-    lifted = np.abs(k.coeffs)
-    lifted *= _leg_weights(k.box1, alpha1)[:, None]
-    lifted *= _leg_weights(k.box2, alpha2)[None, :]
-    return lifted
+    w1 = _leg_weights(k.box1, alpha1)
+    w2 = _leg_weights(k.box2, alpha2)
+    width = k.coeffs.shape[1]
+    top, where, sumsq = 0.0, 0, 0.0
+    for rows in _row_blocks(k.coeffs.shape[0], width):
+        block = np.abs(k.coeffs[rows])
+        block *= w1[rows, None]
+        block *= w2[None, :]
+        i = int(np.argmax(block))
+        peak = float(block.flat[i])
+        if peak > top:
+            sumsq *= (top / peak) ** 2
+            top, where = peak, rows.start * width + i
+        if top > 0.0:
+            block /= top
+            sumsq += float(np.dot(block.ravel(), block.ravel()))
+        del block  # free this block before the next one is built
+    return top, where, top * math.sqrt(sumsq)
 
 
 def mixed_sobolev_norm(k: NCKernel, alpha1: float, alpha2: float) -> float:
     """The mixed Sobolev norm: L2 norm of the lifted kernel.
 
     Orders must be nonnegative; the negative-order lifts remain available
-    through sobolev_lift directly.  The norm is taken after scaling by the
-    largest lifted modulus, so it stays finite wherever that modulus is.
+    through sobolev_lift directly.  The norm is taken in row blocks scaled
+    by the largest lifted modulus, so it stays finite wherever that
+    modulus is.
     """
-    return _scaled_norm(_lifted_moduli(k, alpha1, alpha2))
+    return _lifted_extremes(k, alpha1, alpha2)[2]
 
 
 def flip_adjoint(k: NCKernel) -> NCKernel:
@@ -196,10 +252,14 @@ def flip_adjoint(k: NCKernel) -> NCKernel:
     box = k.box1
     pts = box.enumerate()
     star_phases = np.conj(phase_pairs(k.theta.entries, pts, -pts))
+    # swapped is column-major, so a block of its columns is contiguous; the
+    # phase product keeps the order star[p] * star[q], which a fused
+    # multiply-add need not round the same way as star[q] * star[p]
     swapped = np.conj(k.coeffs[::-1, ::-1].T)
-    # the outer product of the phases, built in swapped's column-major
-    # layout so the in-place product streams through both
-    swapped *= np.multiply(star_phases[:, None], star_phases[None, :], order="F")
+    for cols in _row_blocks(box.cardinality):
+        swapped[:, cols] *= np.multiply(
+            star_phases[:, None], star_phases[None, cols], order="F"
+        )
     return NCKernel(k.theta, box, box, swapped)
 
 
@@ -233,17 +293,16 @@ def schwartz_coefficients(
     The bound is norm(h in the (alpha1+s0, alpha2+s0) mixed Sobolev space)
     times (1+|m|^2)^(-(alpha1+s0)/2) (1+|n|^2)^(-(alpha2+s0)/2).  Moving the
     weights to the other side, the ratio at (m, n) is |lifted c_{m,n}| /
-    ||lifted h||, read off the one array of lifted moduli; worst_ratio is
-    its largest value.  s0 must exceed the dimension so the envelope is
-    summable over the full lattice.
+    ||lifted h||, read off one streamed pass over the lifted moduli;
+    worst_ratio is its largest value, and worst_index the first place it
+    occurs.  s0 must exceed the dimension so the envelope is summable over
+    the full lattice.
     """
     d = h.theta.d
     if s0 <= d:
         raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {d}")
-    lifted = _lifted_moduli(h, alpha1 + s0, alpha2 + s0)
-    i, j = np.unravel_index(int(np.argmax(lifted)), lifted.shape)
-    worst = float(lifted[i, j])
-    lifted_norm = _scaled_norm(lifted)
+    worst, flat, lifted_norm = _lifted_extremes(h, alpha1 + s0, alpha2 + s0)
+    i, j = divmod(flat, h.box2.cardinality)
     worst_index = (
         tuple(int(v) for v in h.box1.enumerate()[i]),
         tuple(int(v) for v in h.box2.enumerate()[j]),
@@ -266,10 +325,12 @@ def random_kernel(
 
     c_{m,n} = (1+|m|^2)^(-s1/2) (1+|n|^2)^(-s2/2) e^{2 pi i u} with u
     drawn uniformly from [0, 1) by a Philox counter generator keyed on the
-    seed, consumed in row-major (linear index pair) order.  The phase is
-    evaluated in the tangent form e^{2 pi i u} = ((1 - t^2) + 2it)/(1 + t^2)
-    with t = tan(pi u), one vectorised tan per entry and no complex exp;
-    t stays finite because pi * u rounds below pi/2 at u = 1/2, and t^2
+    seed, consumed in row-major (linear index pair) order.  The uniforms
+    are drawn one row block at a time into one reused buffer; the generator
+    continues its stream from block to block, so the coefficients are
+    those of a single n x n draw.  The phase is evaluated in the tangent
+    form e^{2 pi i u} = ((1 - t^2) + 2it)/(1 + t^2) with t = tan(pi u),
+    one vectorised tan per entry and no complex exp; t stays finite because pi * u rounds below pi/2 at u = 1/2, and t^2
     stays below 3e32.  The coefficients reproduce bit for bit on a given
     numpy build; another build may round the last digit differently.  The
     envelope keeps the kernel in the mixed Sobolev space of orders below
@@ -278,19 +339,28 @@ def random_kernel(
     """
     if s1 < 0 or s2 < 0:
         raise ValueError(f"envelope exponents must be nonnegative, got ({s1}, {s2})")
+    _guard_box(theta.d, radius)
     box = LatticeBox(theta.d, radius)
+    n = box.cardinality
+    w1 = _leg_weights(box, -s1)
+    w2 = _leg_weights(box, -s2)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    t = rng.random((box.cardinality, box.cardinality))
-    t *= np.pi
-    np.tan(t, out=t)
-    coeffs = np.empty(t.shape, dtype=complex)
-    np.multiply(t, 2.0, out=coeffs.imag)
-    np.square(t, out=t)
-    np.subtract(1.0, t, out=coeffs.real)
-    # t becomes envelope / (1 + t^2), the common scale of both parts
-    t += 1.0
-    np.divide(_leg_weights(box, -s1)[:, None], t, out=t)
-    t *= _leg_weights(box, -s2)[None, :]
-    coeffs.real *= t
-    coeffs.imag *= t
+    coeffs = np.empty((n, n), dtype=complex)
+    blocks = list(_row_blocks(n))
+    buf = np.empty((blocks[0].stop, n))
+    for rows in blocks:
+        block = coeffs[rows]
+        t = buf[: rows.stop - rows.start]
+        rng.random(out=t)
+        t *= np.pi
+        np.tan(t, out=t)
+        np.multiply(t, 2.0, out=block.imag)
+        np.square(t, out=t)
+        np.subtract(1.0, t, out=block.real)
+        # t becomes envelope / (1 + t^2), the common scale of both parts
+        t += 1.0
+        np.divide(w1[rows, None], t, out=t)
+        t *= w2[None, :]
+        block.real *= t
+        block.imag *= t
     return NCKernel(theta, box, box, coeffs)

@@ -13,11 +13,28 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LatticeBox", "MEMORY_GUARD_CARDINALITY", "as_multi_index", "norm_sq"]
+__all__ = [
+    "LatticeBox",
+    "MAX_DIMENSION",
+    "MEMORY_GUARD_CARDINALITY",
+    "DECAY_GUARD_CARDINALITY",
+    "as_multi_index",
+    "norm_sq",
+]
 
 # Largest box cardinality (2N+1)^d a dense n x n construction will accept;
 # beyond this a single complex matrix tops 0.4 GB and the SVD minutes.
 MEMORY_GUARD_CARDINALITY = 5000
+
+# Largest box a diagonal spectrum (the decay fit) will enumerate: its
+# points, weights and sorted spectrum take tens of bytes per point.
+DECAY_GUARD_CARDINALITY = 1 << 20
+
+# Largest dimension accepted anywhere: the largest in which a radius-1 box
+# (3^d points) passes the decay guard.  Beyond it only the one-point box
+# would, and refusing d first keeps (2N+1)^d from ever being computed as
+# an exact power with a huge exponent.
+MAX_DIMENSION = 12
 
 
 def as_multi_index(m: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -39,13 +56,22 @@ def norm_sq(m: Sequence[int] | np.ndarray) -> int:
     return int(arr @ arr)
 
 
-def _guard_box(d: int, radius: int) -> None:
-    """Refuse a box whose dense n x n matrices would exceed the guard."""
+def _guard_dimension(d: int) -> None:
+    """Refuse a dimension above MAX_DIMENSION before any power of it is taken."""
+    if d > MAX_DIMENSION:
+        raise ValueError(f"dimension must be at most {MAX_DIMENSION}, got {d}")
+
+
+def _guard_box(
+    d: int, radius: int, limit: int = MEMORY_GUARD_CARDINALITY, name: str = "dense-matrix"
+) -> None:
+    """Refuse a box with more than limit points, by default the dense-matrix guard."""
+    _guard_dimension(d)
     card = (2 * radius + 1) ** d
-    if card > MEMORY_GUARD_CARDINALITY:
+    if card > limit:
         raise ValueError(
-            f"box cardinality (2N+1)^d = {card} exceeds the dense-matrix guard "
-            f"of {MEMORY_GUARD_CARDINALITY}; reduce N or d"
+            f"box cardinality (2N+1)^d = {card} exceeds the {name} guard "
+            f"of {limit}; reduce N or d"
         )
 
 

@@ -118,6 +118,8 @@ def test_missing_config_file(capsys):
 def test_memory_guard_exit(capsys):
     assert main(["scan", "--n-grid", "40"]) == 2
     assert "dense-matrix guard" in capsys.readouterr().err
+    assert main(["decay", "--d", "12", "--n-grid", "2"]) == 2
+    assert "point-count guard" in capsys.readouterr().err
 
 
 def test_decay_defaults(capsys):
@@ -125,6 +127,17 @@ def test_decay_defaults(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "N,p,weak_norm,slope,residual,s_p_norm"
     assert [line.split(",")[0] for line in lines[1:]] == ["10", "20"]
+
+
+def test_huge_dimension_is_refused_by_name(capsys):
+    # 2^70 as a decimal integer reaches the config check; the literal
+    # "2**70" is not an integer and argparse refuses it
+    assert main(["decay", "--d", str(2**70), "--n-grid", "1"]) == 2
+    assert capsys.readouterr().err == f"error: dimension must be at most 12, got {2**70}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--d", "2**70", "--n-grid", "1"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_decay_flags(capsys):
@@ -449,6 +462,9 @@ def _argv(draw):
 @example(argv=["scan", "--n-grid", "2", "--r-grid", "1e-300"])
 @example(argv=["scan", "--n-grid", "2", "--r-grid", "5e-324"])
 @example(argv=["scan", "--n-grid", "2", "--r-grid", "1e+308"])
+# a dimension whose exact box power would never finish
+@example(argv=["decay", "--d", str(2**70), "--n-grid", "1"])
+@example(argv=["scan", "--d", str(2**70), "--n-grid", "1"])
 def test_cli_exit_code_on_any_argv(argv):
     # pytest turns warnings into errors, so a numpy warning fails here too
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

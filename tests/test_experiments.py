@@ -22,6 +22,7 @@ from nctorus.experiments import (
     run_theorem_scan,
 )
 from nctorus.kernels import SchwartzReport
+from nctorus.lattice import DECAY_GUARD_CARDINALITY, MAX_DIMENSION
 from nctorus.records import to_csv, to_json
 from nctorus.schatten import critical_exponent
 
@@ -125,6 +126,10 @@ def test_config_validation(tmp_path, capsys):
         ExperimentConfig(d=2.7)
     with pytest.raises(ValueError, match="d must be an integer, got True"):
         ExperimentConfig(d=True)
+    # refused by name before any (2N+1)^d is taken
+    with pytest.raises(ValueError, match=f"dimension must be at most {MAX_DIMENSION}, got {2**70}"):
+        ExperimentConfig(d=2**70)
+    assert ExperimentConfig(d=MAX_DIMENSION).d == MAX_DIMENSION
     with pytest.raises(ValueError, match="N_grid entry must be an integer, got 4.5"):
         ExperimentConfig(N_grid=(4.5, 6))
     with pytest.raises(ValueError, match="N_grid must be a list"):
@@ -393,6 +398,15 @@ def test_decay_large_box_no_guard():
     records = run_potential_decay(2, 2.0, (40,))
     assert (2 * 40 + 1) ** 2 > MEMORY_GUARD_CARDINALITY
     assert records[0].N == 40
+
+
+def test_decay_point_count_guard():
+    # the benchmark's largest decay box passes
+    assert (2 * 160 + 1) ** 2 <= DECAY_GUARD_CARDINALITY
+    with pytest.raises(ValueError, match="exceeds the point-count guard"):
+        run_potential_decay(3, 2.0, (1, 60))
+    with pytest.raises(ValueError, match="dimension must be at most"):
+        run_potential_decay(2**70, 2.0, (1,))
 
 
 def test_decay_rejects_nonpositive_alpha():

@@ -13,9 +13,15 @@ from nctorus.algebra import (
     unit,
 )
 from nctorus.cocycle import ReducedTheta, phase_pairs, random_theta, reduce_theta, sigma, zero_theta
-from nctorus.experiments import _adjoint_gap, _factorization_gap
+from nctorus.experiments import ExperimentConfig, _adjoint_gap, _factor_one, _factorization_gap
 from nctorus.kernels import (
+    _BLOCK_ENTRIES,
     NCKernel,
+    _leg_weights,
+    _lift_rows,
+    _lifted_extremes,
+    _matrix_rows,
+    _row_blocks,
     apply_kernel,
     bessel_kernel,
     flip_adjoint,
@@ -390,31 +396,164 @@ def test_random_kernel_envelope_exact(red2):
 # beforehand: the draw holds the uniforms and the coefficients (8 + 16),
 # the lift one complex result, the norms one real array of lifted moduli,
 # and each gap two complex matrices.  2 more bytes cover the O(n) vectors.
+# Traced peak of each dense step at radius 10 (441 points): the n x n
+# arrays it holds, in bytes per entry, plus an allowance of four complex
+# row blocks and 2 B per entry for phase tables and weight vectors.
 _STEP_PEAKS = {
-    "random_kernel": (24, lambda k, mat: random_kernel(k.theta, 10, 1.0, 1.0, 5)),
-    "sobolev_lift": (16, lambda k, mat: sobolev_lift(k, 1.0, 1.0)),
-    "mixed_sobolev_norm": (8, lambda k, mat: mixed_sobolev_norm(k, 1.0, 1.0)),
-    "schwartz_coefficients": (8, lambda k, mat: schwartz_coefficients(k, 1.0, 1.0, 3.0)),
-    "_factorization_gap": (32, lambda k, mat: _factorization_gap(k, mat, 1.0, 1.0)),
-    "_adjoint_gap": (32, lambda k, mat: _adjoint_gap(k, mat)),
+    "random_kernel": (16, lambda k: random_kernel(k.theta, 10, 1.0, 1.0, 5)),
+    "sobolev_lift": (16, lambda k: sobolev_lift(k, 1.0, 1.0)),
+    "mixed_sobolev_norm": (0, lambda k: mixed_sobolev_norm(k, 1.0, 1.0)),
+    "schwartz_coefficients": (0, lambda k: schwartz_coefficients(k, 1.0, 1.0, 3.0)),
+    "flip_adjoint": (16, lambda k: flip_adjoint(k)),
+    "_factorization_gap": (0, lambda k: _factorization_gap(k, 1.0, 1.0)),
+    "_adjoint_gap": (16, lambda k: _adjoint_gap(k)),
+    "_factor_one": (32, lambda k: _factor_one(ExperimentConfig(N_grid=(10,)), 10)),
 }
 
 
 def test_random_kernel_peak_memory(red2):
     box = LatticeBox(2, 10)
     k = random_kernel(red2, 10, 2.5, 2.5, 5)
-    mat = kernel_matrix(k, box)
     entries = box.cardinality**2
+    allowance = 4 * 16 * _BLOCK_ENTRIES + 2 * entries
     peaks = {}
-    for step, (bound, run) in _STEP_PEAKS.items():
+    for step, (_, run) in _STEP_PEAKS.items():
         tracemalloc.start()
         try:
-            run(k, mat)
-            peaks[step] = tracemalloc.get_traced_memory()[1] / entries
+            run(k)
+            peaks[step] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    over = {step: peak for step, peak in peaks.items() if peak > _STEP_PEAKS[step][0] + 2}
+    over = {
+        step: round(peak / entries, 1)
+        for step, peak in peaks.items()
+        if peak > _STEP_PEAKS[step][0] * entries + allowance
+    }
     assert not over, f"bytes per entry above the bound: {over}"
+
+
+# Streaming: every dense step works in row blocks, and on boxes with
+# several blocks and a ragged last one it must reproduce the full-matrix
+# forms below, which are the formulas the steps had before streaming.
+_STREAM_BOXES = ((2, 10), (3, 3))
+
+
+def _draw_reference(theta, radius, s1, s2, seed):
+    box = LatticeBox(theta.d, radius)
+    t = np.random.Generator(np.random.Philox(key=seed)).random((box.cardinality,) * 2)
+    t *= np.pi
+    np.tan(t, out=t)
+    coeffs = np.empty(t.shape, dtype=complex)
+    np.multiply(t, 2.0, out=coeffs.imag)
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=coeffs.real)
+    t += 1.0
+    np.divide(_leg_weights(box, -s1)[:, None], t, out=t)
+    t *= _leg_weights(box, -s2)[None, :]
+    coeffs.real *= t
+    coeffs.imag *= t
+    return coeffs
+
+
+def _flip_reference(k):
+    pts = k.box1.enumerate()
+    star = np.conj(phase_pairs(k.theta.entries, pts, -pts))
+    swapped = np.conj(k.coeffs[::-1, ::-1].T)
+    swapped *= np.multiply(star[:, None], star[None, :], order="F")
+    return swapped
+
+
+def _lifted_reference(k, a1, a2):
+    lifted = np.abs(k.coeffs) * _leg_weights(k.box1, a1)[:, None]
+    lifted *= _leg_weights(k.box2, a2)[None, :]
+    where = int(np.argmax(lifted))
+    return lifted.flat[where], where, np.linalg.norm(lifted)
+
+
+def _rel_frobenius_reference(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(a)
+
+
+def _factorization_gap_reference(k, a1, a2):
+    box = k.box1
+    rhs = kernel_matrix(sobolev_lift(k, a1, a2), box) * _leg_weights(box, -a2)[None, :]
+    lhs = _leg_weights(box, a1)[:, None] * kernel_matrix(k, box)
+    return _rel_frobenius_reference(lhs, rhs)
+
+
+def _adjoint_gap_reference(k):
+    adj = kernel_matrix(flip_adjoint(k), k.box1)
+    return _rel_frobenius_reference(kernel_matrix(k, k.box1), np.conj(adj.T))
+
+
+def _stream_kernel(d, radius):
+    theta = reduce_theta(random_theta(d, np.random.default_rng(d)))
+    blocks = list(_row_blocks(LatticeBox(d, radius).cardinality))
+    sizes = {b.stop - b.start for b in blocks}
+    assert len(blocks) > 2 and len(sizes) == 2  # several blocks, the last ragged
+    return theta, random_kernel(theta, radius, 1.5, 2.0, 11), blocks
+
+
+@pytest.mark.parametrize("d, radius", _STREAM_BOXES)
+def test_streamed_draw_is_one_philox_draw(d, radius):
+    theta, k, _ = _stream_kernel(d, radius)
+    assert np.array_equal(k.coeffs, _draw_reference(theta, radius, 1.5, 2.0, 11))
+
+
+@pytest.mark.parametrize("d, radius", _STREAM_BOXES)
+def test_streamed_flip_adjoint_matches_outer_product(d, radius):
+    _, k, _ = _stream_kernel(d, radius)
+    assert np.array_equal(flip_adjoint(k).coeffs, _flip_reference(k))
+
+
+@pytest.mark.parametrize("d, radius", _STREAM_BOXES)
+def test_row_forms_concatenate_to_matrix_and_lift(d, radius):
+    _, k, blocks = _stream_kernel(d, radius)
+    pts = k.box1.enumerate()
+    phases = phase_pairs(k.theta.entries, pts, -pts)
+    w1, w2 = _leg_weights(k.box1, 1.3), _leg_weights(k.box2, 0.4)
+    rows = np.concatenate([_matrix_rows(k.coeffs[b], phases) for b in blocks])
+    assert np.array_equal(rows, kernel_matrix(k, k.box1))
+    lifted = np.concatenate([_lift_rows(k.coeffs[b], w1[b], w2) for b in blocks])
+    assert np.array_equal(lifted, sobolev_lift(k, 1.3, 0.4).coeffs)
+
+
+@pytest.mark.parametrize("d, radius", _STREAM_BOXES)
+def test_streamed_reductions_match_full_matrix_forms(d, radius):
+    _, k, _ = _stream_kernel(d, radius)
+    for a1, a2 in ((0.0, 0.0), (1.0, 1.0), (2.7, 0.3)):
+        top, where, norm = _lifted_extremes(k, a1, a2)
+        ref_top, ref_where, ref_norm = _lifted_reference(k, a1, a2)
+        assert (top, where) == (ref_top, ref_where)
+        assert norm == pytest.approx(ref_norm, rel=1e-13)
+        gap = _factorization_gap(k, a1, a2)
+        assert gap == pytest.approx(_factorization_gap_reference(k, a1, a2), rel=1e-13)
+    assert _adjoint_gap(k) == pytest.approx(_adjoint_gap_reference(k), rel=1e-13)
+
+
+def test_lifted_extremes_keeps_the_first_of_tied_maxima(red2):
+    # equal moduli everywhere: the first entry of the first block wins
+    box = LatticeBox(2, 10)
+    k = NCKernel(red2, box, box, np.full((box.cardinality,) * 2, 1j))
+    top, where, norm = _lifted_extremes(k, 0.0, 0.0)
+    assert (top, where) == (1.0, 0)
+    assert norm == pytest.approx(box.cardinality, rel=1e-13)
+
+
+def test_kernel_constructors_refuse_boxes_above_the_guard(red2):
+    # radius 36 has 73^2 = 5329 points; the refusal comes before the
+    # n x n coefficient array is allocated
+    box = LatticeBox(2, 36)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the dense-matrix guard"):
+            random_kernel(red2, 36, 1.0, 1.0, 0)
+        with pytest.raises(ValueError, match="exceeds the dense-matrix guard"):
+            bessel_kernel(1.0, box, red2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_kernel_takes_an_owned_complex_array(red2):
