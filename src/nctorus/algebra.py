@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import ReducedTheta, phase_pairs, phase_table
+from .cocycle import ReducedTheta, diagonal_phases, phase_pairs, phase_table
 from .lattice import LatticeBox, _guard_box, as_multi_index
 
 __all__ = [
@@ -175,8 +175,7 @@ def twisted_convolve(f: TorusElement, g: TorusElement) -> TorusElement:
 
 def involution(f: TorusElement) -> TorusElement:
     """The star operation f#(m) = conj(sigma(m, -m)) conj(f(-m))."""
-    pts = f.box.enumerate()
-    phases = phase_pairs(f.theta.entries, pts, -pts)
+    phases = diagonal_phases(f.theta, f.box)
     return TorusElement(f.theta, f.box, np.conj(phases) * np.conj(f.coeffs[::-1]))
 
 

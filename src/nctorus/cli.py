@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .cocycle import load_theta
 from .experiments import (
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     decay = subs.add_parser("decay", help="weak norms and decay slopes of potential spectra")
     _add_common(decay)
     decay.add_argument("--d", type=int, help="lattice dimension (default 2)")
-    decay.add_argument("--alpha", type=float, default=None, help="potential order (default 2)")
+    decay.add_argument("--alpha", type=float, default=2.0, help="potential order (default 2)")
     decay.add_argument("--n-grid", type=_int_list, help="comma-separated box radii")
 
     factor = subs.add_parser("factor", help="factorization and adjoint identity gaps")
@@ -102,32 +102,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# decay's own grid, used when neither the config file nor --n-grid gives one
+_DECAY_GRID = (10, 20)
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    doc: dict = {}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_json(json.load(fh))
+            doc = json.load(fh)
+        config = ExperimentConfig.from_json(doc)
     else:
         config = ExperimentConfig()
     updates: dict = {}
-    if getattr(args, "theta_file", None):
+    if args.command == "decay" and "N_grid" not in doc:
+        updates["N_grid"] = _DECAY_GRID
+    if args.theta_file:
         theta = load_theta(args.theta_file)
         updates["theta"] = theta
         updates["d"] = theta.d
-    for flag, field_name in (
-        ("d", "d"),
-        ("seed", "seed"),
-        ("alpha1", "alpha1"),
-        ("alpha2", "alpha2"),
-        ("n_grid", "N_grid"),
-        ("r_grid", "r_grid"),
-        ("s_margin", "s_margin"),
-        ("s0", "s0"),
-        ("out", "out"),
-        ("fmt", "fmt"),
-    ):
-        value = getattr(args, flag, None)
+    # each flag's destination is the lower-case name of the field it sets
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name.lower(), None)
         if value is not None:
-            updates[field_name] = value
+            updates[f.name] = value
     if getattr(args, "n", None) is not None:
         updates["N_grid"] = (args.n,)
     return replace(config, **updates)
@@ -166,12 +164,8 @@ def _cmd_scan(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
 
 
 def _cmd_decay(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
-    alpha = args.alpha if args.alpha is not None else 2.0
-    # _load_config has already copied --n-grid into config.N_grid
-    explicit = args.config is not None or args.n_grid is not None
-    grid = config.N_grid if explicit else (10, 20)
-    records = run_potential_decay(config.d, alpha, grid)
-    doc = {"d": config.d, "alpha": alpha, "records": records}
+    records = run_potential_decay(config.d, args.alpha, config.N_grid)
+    doc = {"d": config.d, "alpha": args.alpha, "records": records}
     return to_csv(DecayRecord, records), doc, None
 
 

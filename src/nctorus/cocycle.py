@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import as_multi_index
+from .lattice import LatticeBox, as_multi_index
 
 __all__ = [
     "SKEW_TOLERANCE",
@@ -30,6 +30,7 @@ __all__ = [
     "sigma",
     "phase_pairs",
     "phase_table",
+    "diagonal_phases",
     "theta_from_json",
     "load_theta",
     "zero_theta",
@@ -153,6 +154,12 @@ def phase_table(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.n
     right = np.asarray(right, dtype=float)
     args = left @ matrix @ right.T
     return _unit_phases(args)
+
+
+def diagonal_phases(theta: ReducedTheta, box: LatticeBox) -> np.ndarray:
+    """sigma(p, -p) at every point p of the box, in canonical order."""
+    pts = box.enumerate()
+    return phase_pairs(theta.entries, pts, -pts)
 
 
 def sigma(theta: ReducedTheta, m, n) -> complex:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,33 +37,25 @@ from .algebra import (
 from .cocycle import (
     ReducedTheta,
     ThetaMatrix,
+    diagonal_phases,
     phase_pairs,
     reduce_theta,
     theta_from_json,
 )
 from .kernels import (
+    NCKernel,
     SchwartzReport,
-    _leg_weights,
-    _lift_rows,
-    _matrix_rows,
-    _row_blocks,
+    adjoint_gap,
     apply_kernel,
     bessel_kernel,
-    flip_adjoint,
+    factorization_gap,
     kernel_matrix,
     mixed_sobolev_norm,
     op_multiply,
     random_kernel,
     schwartz_coefficients,
-    sobolev_lift,
 )
-from .lattice import (
-    DECAY_GUARD_CARDINALITY,
-    MEMORY_GUARD_CARDINALITY,
-    LatticeBox,
-    _guard_box,
-    _guard_dimension,
-)
+from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _guard_box, _guard_dimension
 from .multipliers import apply_multiplier, bessel_symbol, multiplier_values, riesz_symbol
 from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
@@ -85,12 +77,12 @@ __all__ = [
     "CheckResult",
     "SuiteReport",
     "default_theta",
+    "kernel_source",
     "run_property_suite",
     "run_theorem_scan",
     "run_potential_decay",
     "run_factorization_check",
     "run_schwartz_bound",
-    "MEMORY_GUARD_CARDINALITY",
 ]
 
 _IRRATIONAL = 0.7071067811865476  # double closest to 1/sqrt(2)
@@ -220,19 +212,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentConfig":
-        known = {
-            "d",
-            "theta",
-            "N_grid",
-            "alpha1",
-            "alpha2",
-            "r_grid",
-            "s_margin",
-            "seed",
-            "s0",
-            "out",
-            "format",
-        }
+        known = {"format" if f.name == "fmt" else f.name for f in fields(ExperimentConfig)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"config has unknown keys: {sorted(unknown)}")
@@ -244,6 +224,16 @@ class ExperimentConfig:
             kwargs["theta"] = theta_from_json({"d": size, "theta": rows})
             kwargs.setdefault("d", size)
         return ExperimentConfig(**kwargs)
+
+
+def kernel_source(config: ExperimentConfig, radius: int) -> NCKernel:
+    """The kernel that scan, factor and schwartz test on the box of this radius.
+
+    A random kernel over config.reduced, drawn from config.seed, whose
+    envelope puts it in the mixed Sobolev space of orders (alpha1, alpha2).
+    """
+    s1, s2 = config.envelope_exponents()
+    return random_kernel(config.reduced, radius, s1, s2, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -283,65 +273,6 @@ def _coeff_gap(x, y) -> float:
     r = max(x.box.radius, y.box.radius)
     box = LatticeBox(x.box.d, r)
     return float(np.max(np.abs(embedded(x, box).coeffs - embedded(y, box).coeffs)))
-
-
-def _sumsq(block: np.ndarray) -> float:
-    """Sum of squared moduli of a contiguous complex block."""
-    return float(np.vdot(block, block).real)
-
-
-def _relative(gap_sq: float, norm_sq: float) -> float:
-    """sqrt(gap_sq / norm_sq), or sqrt(gap_sq) when the norm is 0."""
-    gap = math.sqrt(gap_sq)
-    return gap / math.sqrt(norm_sq) if norm_sq != 0.0 else gap
-
-
-def _factorization_gap(k, a1: float, a2: float) -> float:
-    """Relative gap of B(a1) T_k = T_lift B(-a2), B(a) the Bessel multiplier.
-
-    Multipliers stay vectors: B on the left scales rows, on the right columns.
-    Both sides are built one row block at a time from k's coefficients, by
-    the same row forms as kernel_matrix and sobolev_lift, and only their
-    sums of squares are kept.
-    """
-    box = k.box1
-    pts = box.enumerate()
-    col_phases = phase_pairs(k.theta.entries, pts, -pts)
-    w1 = _leg_weights(box, a1)
-    w2 = _leg_weights(box, a2)
-    w2_inv = _leg_weights(box, -a2)
-    norm_sq = gap_sq = 0.0
-    for rows in _row_blocks(box.cardinality):
-        lhs = _matrix_rows(k.coeffs[rows], col_phases)
-        lhs *= w1[rows, None]
-        rhs = _matrix_rows(_lift_rows(k.coeffs[rows], w1[rows], w2), col_phases)
-        rhs *= w2_inv[None, :]
-        norm_sq += _sumsq(lhs)
-        gap_sq += _sumsq(np.subtract(lhs, rhs, out=rhs))
-        del lhs, rhs  # free this block before the next one is built
-    return _relative(gap_sq, norm_sq)
-
-
-def _adjoint_gap(k) -> float:
-    """Relative gap of the flip-adjoint kernel's matrix A against K^*.
-
-    A block of K's rows is compared with the conjugate of the same block
-    of A's columns, which are contiguous because flip_adjoint's
-    coefficients are column-major.  Neither matrix is built whole.
-    """
-    box = k.box1
-    pts = box.enumerate()
-    col_phases = phase_pairs(k.theta.entries, pts, -pts)
-    adj = flip_adjoint(k).coeffs[:, ::-1]
-    norm_sq = gap_sq = 0.0
-    for rows in _row_blocks(box.cardinality):
-        k_rows = _matrix_rows(k.coeffs[rows], col_phases)
-        a_cols = np.multiply(adj[:, rows], col_phases[None, rows])
-        norm_sq += _sumsq(k_rows)
-        np.subtract(k_rows, np.conjugate(a_cols, out=a_cols).T, out=k_rows)
-        gap_sq += _sumsq(k_rows)
-        del k_rows, a_cols  # free this block before the next one is built
-    return _relative(gap_sq, norm_sq)
 
 
 def run_property_suite(
@@ -483,7 +414,7 @@ def run_property_suite(
     # kernel matrix identities
     mbox = LatticeBox(d, 2)
     k = random_kernel(red, 2, 1.0, 1.0, seed + 1)
-    mat = kernel_matrix(k, mbox)
+    mat = kernel_matrix(k)
     err = abs(np.linalg.norm(mat) - k.l2_norm()) / max(k.l2_norm(), 1e-300)
     record("kernel-hs-identity", err, 1e-12)
 
@@ -496,17 +427,17 @@ def run_property_suite(
 
     err = 0.0
     for alpha in (0.0, 0.5, 1.7):
-        gap = kernel_matrix(bessel_kernel(alpha, mbox, red), mbox)
+        gap = kernel_matrix(bessel_kernel(alpha, mbox, red))
         gap[np.diag_indices_from(gap)] -= multiplier_values(bessel_symbol(-alpha), mbox)
         err = max(err, float(np.max(np.abs(gap))))
     record("bessel-kernel-diagonal", err, 1e-13)
 
     err = 0.0
     for a1, a2 in ((0.0, 0.0), (1.0, 1.0), (1.5, 0.7), (float(rng.uniform(0, 3)), float(rng.uniform(0, 3)))):
-        err = max(err, _factorization_gap(k, a1, a2))
+        err = max(err, factorization_gap(k, a1, a2))
     record("factorization", err, 1e-12)
 
-    record("adjoint-identity", _adjoint_gap(k), 1e-12)
+    record("adjoint-identity", adjoint_gap(k), 1e-12)
 
     # linearity of the kernel action in both arguments
     k2 = random_kernel(red, 2, 1.0, 1.0, seed + 2)
@@ -528,8 +459,7 @@ def run_property_suite(
 
     # Schatten block: unitary invariance under the cocycle diagonal,
     # adjoint norm equality, Hoelder composition, ideal inequality
-    pts = mbox.enumerate()
-    phases = phase_pairs(red.entries, pts, -pts)
+    phases = diagonal_phases(red, mbox)
     spec_a = singular_values(mat)
     spec_b = singular_values(phases[:, None] * mat)
     denom = max(float(spec_a.values[0]), 1e-300)
@@ -605,11 +535,9 @@ class ScanRecord:
 
 def _scan_one(config: ExperimentConfig, radius: int) -> list:
     t0 = time.perf_counter()
-    s1, s2 = config.envelope_exponents()
-    red = config.reduced
-    k = random_kernel(red, radius, s1, s2, config.seed)
+    k = kernel_source(config, radius)
     sob = mixed_sobolev_norm(k, config.alpha1, config.alpha2)
-    k_mat = kernel_matrix(k, LatticeBox(config.d, radius))
+    k_mat = kernel_matrix(k)
     del k  # its memory can then hold the SVD's working copy
     spectrum = singular_values(k_mat)
     r_star = config.r_star
@@ -661,7 +589,7 @@ class DecayRecord:
 def _decay_one(d: int, alpha: float, radius: int) -> DecayRecord:
     box = LatticeBox(d, radius)
     vals = np.sort(np.real(bessel_symbol(-alpha).values_on(box)))[::-1]
-    spectrum = SingularSpectrum(vals, box.cardinality)
+    spectrum = SingularSpectrum(vals)
     p = d / alpha
     k_min, k_max = default_decay_window(box.cardinality)
     fit = decay_exponent(spectrum, k_min, k_max)
@@ -687,7 +615,7 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     """
     if _finite("alpha", alpha) <= 0:
         raise ValueError(f"potential order must be positive, got {alpha}")
-    grid = [int(n) for n in N_grid]
+    grid = [_integer("N_grid entry", n) for n in N_grid]
     for radius in grid:
         _guard_box(d, radius, DECAY_GUARD_CARDINALITY, "point-count")
     records = [_decay_one(d, alpha, radius) for radius in grid]
@@ -712,10 +640,8 @@ FACTOR_TOLERANCE = 1e-12
 
 
 def _factor_one(config: ExperimentConfig, radius: int) -> list:
-    red = config.reduced
-    s1, s2 = config.envelope_exponents()
-    k = random_kernel(red, radius, s1, s2, config.seed)
-    adj_err = _adjoint_gap(k)
+    k = kernel_source(config, radius)
+    adj_err = adjoint_gap(k)
     rng = np.random.Generator(np.random.Philox(key=config.seed + radius))
     pairs = [(config.alpha1, config.alpha2), (0.0, 0.0)]
     pairs += [(float(rng.uniform(0, 3)), float(rng.uniform(0, 3))) for _ in range(3)]
@@ -724,7 +650,7 @@ def _factor_one(config: ExperimentConfig, radius: int) -> list:
             N=radius,
             alpha1=a1,
             alpha2=a2,
-            factor_error=_factorization_gap(k, a1, a2),
+            factor_error=factorization_gap(k, a1, a2),
             adjoint_error=adj_err,
         )
         for a1, a2 in pairs
@@ -765,7 +691,5 @@ def run_schwartz_bound(config: ExperimentConfig) -> SchwartzReport:
     s0 = config.resolved_s0
     radius = max(config.N_grid)
     _guard_box(config.d, radius)
-    red = config.reduced
-    s1, s2 = config.envelope_exponents()
-    k = random_kernel(red, radius, s1, s2, config.seed)
+    k = kernel_source(config, radius)
     return schwartz_coefficients(k, config.alpha1, config.alpha2, s0)

@@ -19,7 +19,9 @@ lifted moduli at a time, and flip_adjoint phases one block of columns at
 a time.  So no step holds an n x n temporary beside the arrays it
 returns.  The row forms _matrix_rows and _lift_rows are the bodies of
 kernel_matrix and sobolev_lift, so a block of either is bit for bit the
-same rows of the whole result.
+same rows of the whole result.  The identity gaps factorization_gap and
+adjoint_gap build both sides of their identities from those row forms,
+one block at a time, and keep only sums of squares.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import TorusElement, embedded, twisted_convolve
-from .cocycle import ReducedTheta, phase_pairs
+from .cocycle import ReducedTheta, diagonal_phases
 from .lattice import LatticeBox, _guard_box
 from .multipliers import bessel_symbol, multiplier_values
 from .records import JSON_ONLY
@@ -44,6 +46,8 @@ __all__ = [
     "sobolev_lift",
     "mixed_sobolev_norm",
     "flip_adjoint",
+    "factorization_gap",
+    "adjoint_gap",
     "SchwartzReport",
     "schwartz_coefficients",
     "random_kernel",
@@ -134,28 +138,29 @@ def apply_kernel(k: NCKernel, x: TorusElement) -> TorusElement:
             f"second-leg radius {k.box2.radius}"
         )
     xe = embedded(x, k.box2)
-    pts = k.box2.enumerate()
-    phases = phase_pairs(k.theta.entries, -pts, pts)
-    out = k.coeffs @ (phases * xe.coeffs[::-1])
+    out = k.coeffs @ (diagonal_phases(k.theta, k.box2) * xe.coeffs[::-1])
     return TorusElement(k.theta, k.box1, out)
 
 
-def kernel_matrix(k: NCKernel, box: LatticeBox) -> np.ndarray:
+def _square_box(k: NCKernel) -> LatticeBox:
+    """The box of both legs; a kernel with unequal legs is an error."""
+    if k.box1 != k.box2:
+        raise ValueError(
+            f"kernel needs equal legs, got radii {k.box1.radius} and {k.box2.radius}"
+        )
+    return k.box1
+
+
+def kernel_matrix(k: NCKernel) -> np.ndarray:
     """Matrix of the kernel's operator: entry (m, p) = c_{m,-p} sigma(p, -p).
 
     Column p holds the coefficients of the operator applied to the basis
-    monomial at p.  Both kernel legs must equal the requested box so the
-    matrix is square in the canonical order.  The result is a fresh array
-    the caller may modify.  Negation reverses the canonical order, so the
-    column permutation is a reversed view.
+    monomial at p.  Both kernel legs must be the same box so the matrix is
+    square in its canonical order.  The result is a fresh array the caller
+    may modify.  Negation reverses the canonical order, so the column
+    permutation is a reversed view.
     """
-    if k.box1 != box or k.box2 != box:
-        raise ValueError(
-            f"kernel legs (radii {k.box1.radius}, {k.box2.radius}) must both "
-            f"equal the requested box (radius {box.radius})"
-        )
-    pts = box.enumerate()
-    return _matrix_rows(k.coeffs, phase_pairs(k.theta.entries, pts, -pts))
+    return _matrix_rows(k.coeffs, diagonal_phases(k.theta, _square_box(k)))
 
 
 def _matrix_rows(coeff_rows: np.ndarray, col_phases: np.ndarray) -> np.ndarray:
@@ -173,7 +178,7 @@ def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKern
     pts = box.enumerate()
     nsq = np.einsum("ij,ij->i", pts, pts).astype(float)
     weights = (1.0 + nsq) ** (-alpha2 / 2.0)
-    star_phases = np.conj(phase_pairs(theta.entries, pts, -pts))
+    star_phases = np.conj(diagonal_phases(theta, box))
     coeffs = np.zeros((box.cardinality, box.cardinality), dtype=complex)
     np.fill_diagonal(coeffs[:, ::-1], weights * star_phases)
     return NCKernel(theta, box, box, coeffs)
@@ -245,13 +250,8 @@ def flip_adjoint(k: NCKernel) -> NCKernel:
     Coefficient-wise: c'_{p,q} = conj(c_{-q,-p} sigma(p,-p) sigma(q,-q)).
     Its matrix is the conjugate transpose of kernel_matrix(k).
     """
-    if k.box1 != k.box2:
-        raise ValueError(
-            f"flip requires equal legs, got radii {k.box1.radius} and {k.box2.radius}"
-        )
-    box = k.box1
-    pts = box.enumerate()
-    star_phases = np.conj(phase_pairs(k.theta.entries, pts, -pts))
+    box = _square_box(k)
+    star_phases = np.conj(diagonal_phases(k.theta, box))
     # swapped is column-major, so a block of its columns is contiguous; the
     # phase product keeps the order star[p] * star[q], which a fused
     # multiply-add need not round the same way as star[q] * star[p]
@@ -261,6 +261,63 @@ def flip_adjoint(k: NCKernel) -> NCKernel:
             star_phases[:, None], star_phases[None, cols], order="F"
         )
     return NCKernel(k.theta, box, box, swapped)
+
+
+def _sumsq(block: np.ndarray) -> float:
+    """Sum of squared moduli of a contiguous complex block."""
+    return float(np.vdot(block, block).real)
+
+
+def _relative(gap_sq: float, norm_sq: float) -> float:
+    """sqrt(gap_sq / norm_sq), or sqrt(gap_sq) when the norm is 0."""
+    gap = math.sqrt(gap_sq)
+    return gap / math.sqrt(norm_sq) if norm_sq != 0.0 else gap
+
+
+def factorization_gap(k: NCKernel, a1: float, a2: float) -> float:
+    """Relative gap of B(a1) T_k = T_lift B(-a2), B(a) the Bessel multiplier.
+
+    Multipliers stay vectors: B on the left scales rows, on the right columns.
+    Both sides are built one row block at a time from k's coefficients, by
+    the same row forms as kernel_matrix and sobolev_lift, and only their
+    sums of squares are kept.
+    """
+    box = _square_box(k)
+    col_phases = diagonal_phases(k.theta, box)
+    w1 = _leg_weights(box, a1)
+    w2 = _leg_weights(box, a2)
+    w2_inv = _leg_weights(box, -a2)
+    norm_sq = gap_sq = 0.0
+    for rows in _row_blocks(box.cardinality):
+        lhs = _matrix_rows(k.coeffs[rows], col_phases)
+        lhs *= w1[rows, None]
+        rhs = _matrix_rows(_lift_rows(k.coeffs[rows], w1[rows], w2), col_phases)
+        rhs *= w2_inv[None, :]
+        norm_sq += _sumsq(lhs)
+        gap_sq += _sumsq(np.subtract(lhs, rhs, out=rhs))
+        del lhs, rhs  # free this block before the next one is built
+    return _relative(gap_sq, norm_sq)
+
+
+def adjoint_gap(k: NCKernel) -> float:
+    """Relative gap of the flip-adjoint kernel's matrix A against K^*.
+
+    A block of K's rows is compared with the conjugate of the same block
+    of A's columns, which are contiguous because flip_adjoint's
+    coefficients are column-major.  Neither matrix is built whole.
+    """
+    box = _square_box(k)
+    col_phases = diagonal_phases(k.theta, box)
+    adj = flip_adjoint(k).coeffs[:, ::-1]
+    norm_sq = gap_sq = 0.0
+    for rows in _row_blocks(box.cardinality):
+        k_rows = _matrix_rows(k.coeffs[rows], col_phases)
+        a_cols = np.multiply(adj[:, rows], col_phases[None, rows])
+        norm_sq += _sumsq(k_rows)
+        np.subtract(k_rows, np.conjugate(a_cols, out=a_cols).T, out=k_rows)
+        gap_sq += _sumsq(k_rows)
+        del k_rows, a_cols  # free this block before the next one is built
+    return _relative(gap_sq, norm_sq)
 
 
 @dataclass(frozen=True, kw_only=True)

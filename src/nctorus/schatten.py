@@ -28,24 +28,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Nonincreasing nonnegative singular values with their source dimension."""
+    """Nonincreasing nonnegative singular values."""
 
     values: np.ndarray
-    dimension: int
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=float).reshape(-1)
-        if arr.size != self.dimension:
-            raise ValueError(
-                f"spectrum has {arr.size} values, source dimension is {self.dimension}"
-            )
         if arr.size and (np.any(arr < 0) or np.any(np.diff(arr) > 0)):
             raise ValueError("singular values must be nonnegative and nonincreasing")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
-        return self.dimension
+        return self.values.size
 
 
 def singular_values(matrix: np.ndarray) -> SingularSpectrum:
@@ -55,7 +50,7 @@ def singular_values(matrix: np.ndarray) -> SingularSpectrum:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     if not np.all(np.isfinite(entries)):
         raise ValueError("matrix has non-finite entries")
-    return SingularSpectrum(np.linalg.svd(entries, compute_uv=False), entries.shape[0])
+    return SingularSpectrum(np.linalg.svd(entries, compute_uv=False))
 
 
 def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:

@@ -125,7 +125,7 @@ def test_criterion_03_bessel_kernel_identity(capfd):
     worst = 0.0
     for alpha2 in (0.0, 0.5, 1.0, 2.0):
         # kernel matrix minus the diagonal of symbol values
-        gap = kernel_matrix(bessel_kernel(alpha2, box, cfg.reduced), box)
+        gap = kernel_matrix(bessel_kernel(alpha2, box, cfg.reduced))
         gap[np.diag_indices_from(gap)] -= multiplier_values(bessel_symbol(-alpha2), box)
         worst = max(worst, float(np.max(np.abs(gap))))
     ok = worst <= 1e-13
@@ -147,8 +147,8 @@ def test_criterion_04_factorization(capfd):
         # multipliers as row (left factor) and column (right factor) scalings
         v1 = multiplier_values(bessel_symbol(a1), box)
         v2 = multiplier_values(bessel_symbol(-a2), box)
-        lhs = v1[:, None] * kernel_matrix(k, box)
-        rhs = kernel_matrix(sobolev_lift(k, a1, a2), box) * v2[None, :]
+        lhs = v1[:, None] * kernel_matrix(k)
+        rhs = kernel_matrix(sobolev_lift(k, a1, a2)) * v2[None, :]
         gap = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
         worst = max(worst, float(gap))
     ok = worst <= 1e-12
@@ -160,12 +160,11 @@ def test_criterion_04_factorization(capfd):
 
 def test_criterion_05_hilbert_schmidt_identity(capfd):
     cfg = ExperimentConfig()
-    box = LatticeBox(2, 6)
     rng = np.random.Generator(np.random.Philox(key=505))
     worst = 0.0
     for _ in range(20):
         k = random_kernel(cfg.reduced, 6, 1.5, 1.5, int(rng.integers(0, 2**31)))
-        mat = kernel_matrix(k, box)
+        mat = kernel_matrix(k)
         worst = max(worst, abs(np.linalg.norm(mat) - k.l2_norm()) / k.l2_norm())
     ok = worst <= 1e-12
     _verdict(
@@ -176,13 +175,12 @@ def test_criterion_05_hilbert_schmidt_identity(capfd):
 
 def test_criterion_06_adjoint_identity(capfd):
     cfg = ExperimentConfig()
-    box = LatticeBox(2, 6)
     rng = np.random.Generator(np.random.Philox(key=606))
     worst = 0.0
     for _ in range(20):
         k = random_kernel(cfg.reduced, 6, 1.5, 1.5, int(rng.integers(0, 2**31)))
-        mat = kernel_matrix(k, box)
-        adj = kernel_matrix(flip_adjoint(k), box)
+        mat = kernel_matrix(k)
+        adj = kernel_matrix(flip_adjoint(k))
         worst = max(
             worst, float(np.linalg.norm(adj - np.conj(mat.T)) / np.linalg.norm(mat))
         )

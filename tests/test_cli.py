@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import nctorus
 from nctorus.cli import build_parser, main
+from nctorus.experiments import ExperimentConfig
 
 
 def _strip_wall(text: str) -> list:
@@ -127,6 +130,31 @@ def test_decay_defaults(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "N,p,weak_norm,slope,residual,s_p_norm"
     assert [line.split(",")[0] for line in lines[1:]] == ["10", "20"]
+
+
+def test_decay_grid_from_config_file(tmp_path, capsys):
+    # decay's own grid applies unless the config file or --n-grid gives one
+    plain, gridded = tmp_path / "plain.json", tmp_path / "grid.json"
+    plain.write_text(json.dumps({"seed": 3}))
+    gridded.write_text(json.dumps({"N_grid": [6, 7]}))
+    for argv, radii in (
+        (["--config", str(plain)], ["10", "20"]),
+        (["--config", str(gridded)], ["6", "7"]),
+        (["--config", str(plain), "--n-grid", "5"], ["5"]),
+        (["--config", str(gridded), "--n-grid", "5"], ["5"]),
+    ):
+        assert main(["decay", *argv]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[0] for line in lines[1:]] == radii
+
+
+def test_every_config_field_has_a_flag():
+    # a flag sets the field named by its destination, in lower case; theta
+    # alone comes in another way, through --theta-file
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for sub in subs.choices.values() for action in sub._actions}
+    names = [f.name for f in fields(ExperimentConfig) if f.name != "theta"]
+    assert [name for name in names if name.lower() not in dests] == []
 
 
 def test_huge_dimension_is_refused_by_name(capsys):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nctorus.cocycle import ThetaMatrix, phase_pairs
+from nctorus import experiments
+from nctorus.cocycle import ThetaMatrix, diagonal_phases, phase_pairs, random_theta, reduce_theta
 from nctorus.experiments import (
     DecayRecord,
     ExperimentConfig,
     FactorizationRecord,
-    MEMORY_GUARD_CARDINALITY,
     ScanRecord,
     default_theta,
     max_factor_error,
@@ -21,8 +21,21 @@ from nctorus.experiments import (
     run_schwartz_bound,
     run_theorem_scan,
 )
-from nctorus.kernels import SchwartzReport
-from nctorus.lattice import DECAY_GUARD_CARDINALITY, MAX_DIMENSION
+from nctorus.kernels import (
+    SchwartzReport,
+    adjoint_gap,
+    bessel_kernel,
+    factorization_gap,
+    mixed_sobolev_norm,
+    schwartz_coefficients,
+)
+from nctorus.lattice import (
+    DECAY_GUARD_CARDINALITY,
+    MAX_DIMENSION,
+    MEMORY_GUARD_CARDINALITY,
+    LatticeBox,
+)
+from nctorus.multipliers import bessel_symbol, multiplier_values
 from nctorus.records import to_csv, to_json
 from nctorus.schatten import critical_exponent
 
@@ -409,6 +422,13 @@ def test_decay_point_count_guard():
         run_potential_decay(2**70, 2.0, (1,))
 
 
+def test_decay_grid_entries_must_be_integers():
+    # a fractional or string radius is refused by name, not truncated or parsed
+    for grid, bad in (([10.7, 20], "10.7"), ([3, "4"], "'4'")):
+        with pytest.raises(ValueError, match=f"N_grid entry must be an integer, got {bad}"):
+            run_potential_decay(2, 2.0, grid)
+
+
 def test_decay_rejects_nonpositive_alpha():
     with pytest.raises(ValueError, match="positive"):
         run_potential_decay(2, 0.0, (10,))
@@ -496,11 +516,42 @@ def test_schwartz_guard():
         run_schwartz_bound(ExperimentConfig(N_grid=(40,)))
 
 
-def test_unitary_diagonal_is_exact_phase(red2):
-    # sanity anchor for the suite's unitary-invariance check
-    from nctorus.lattice import LatticeBox
+# ---------------------------------------------------------------------------
+# the kernel under test
 
-    box = LatticeBox(2, 2)
-    pts = box.enumerate()
-    diag = phase_pairs(red2.entries, pts, -pts)
-    assert np.allclose(np.abs(diag), 1.0, atol=1e-14)
+
+def test_runners_read_the_kernel_source(monkeypatch):
+    # with the Bessel kernel substituted, whose matrix is the diagonal of
+    # Bessel weights, every kernel runner reports on that kernel
+    alpha = 1.5
+
+    def bessel_source(config, radius):
+        return bessel_kernel(alpha, LatticeBox(config.d, radius), config.reduced)
+
+    monkeypatch.setattr(experiments, "kernel_source", bessel_source)
+    config = ExperimentConfig(N_grid=(2, 3), r_grid=(0.8, 2.0, 5.0))
+    for rec in run_theorem_scan(config):
+        k = bessel_source(config, rec.N)
+        weights = np.sort(np.real(multiplier_values(bessel_symbol(-alpha), k.box1)))[::-1]
+        expected = np.sum(weights**rec.r) ** (1.0 / rec.r)
+        assert rec.s_r_norm == pytest.approx(expected, rel=1e-12)
+        assert rec.sobolev_norm == mixed_sobolev_norm(k, config.alpha1, config.alpha2)
+    for rec in run_factorization_check(config):
+        k = bessel_source(config, rec.N)
+        assert rec.adjoint_error == adjoint_gap(k)
+        assert rec.factor_error == factorization_gap(k, rec.alpha1, rec.alpha2)
+    expected = schwartz_coefficients(bessel_source(config, 3), 1.0, 1.0, 3.0)
+    assert run_schwartz_bound(config) == expected
+
+
+def test_unitary_diagonal_is_exact_phase(rng):
+    # sanity anchor for the suite's unitary-invariance check; the diagonal
+    # is the same bit for bit in either order of the pair (p, -p)
+    for d, radius in ((2, 35), (3, 6), (5, 2)):
+        red = reduce_theta(random_theta(d, rng))
+        box = LatticeBox(d, radius)
+        pts = box.enumerate()
+        diag = diagonal_phases(red, box)
+        assert np.array_equal(diag, phase_pairs(red.entries, pts, -pts))
+        assert np.array_equal(diag, phase_pairs(red.entries, -pts, pts))
+        assert np.allclose(np.abs(diag), 1.0, atol=1e-14)

@@ -13,7 +13,7 @@ from nctorus.algebra import (
     unit,
 )
 from nctorus.cocycle import ReducedTheta, phase_pairs, random_theta, reduce_theta, sigma, zero_theta
-from nctorus.experiments import ExperimentConfig, _adjoint_gap, _factor_one, _factorization_gap
+from nctorus.experiments import ExperimentConfig, _factor_one
 from nctorus.kernels import (
     _BLOCK_ENTRIES,
     NCKernel,
@@ -22,8 +22,10 @@ from nctorus.kernels import (
     _lifted_extremes,
     _matrix_rows,
     _row_blocks,
+    adjoint_gap,
     apply_kernel,
     bessel_kernel,
+    factorization_gap,
     flip_adjoint,
     kernel_matrix,
     mixed_sobolev_norm,
@@ -169,7 +171,7 @@ def test_apply_kernel_theta_mismatch(red2, rng):
 def test_kernel_matrix_columns_match_action(red2):
     box = LatticeBox(2, 2)
     k = random_kernel(red2, 2, 1.0, 1.0, 17)
-    mat = kernel_matrix(k, box)
+    mat = kernel_matrix(k)
     for j, pt in enumerate(box.enumerate()):
         col = apply_kernel(k, monomial(red2, pt, box))
         assert np.allclose(mat[:, j], col.coeffs, atol=1e-13)
@@ -177,7 +179,7 @@ def test_kernel_matrix_columns_match_action(red2):
 
 def test_kernel_matrix_frobenius_is_l2(red2):
     k = random_kernel(red2, 2, 0.8, 1.2, 23)
-    mat = kernel_matrix(k, LatticeBox(2, 2))
+    mat = kernel_matrix(k)
     assert np.linalg.norm(mat) == pytest.approx(k.l2_norm(), rel=1e-13)
 
 
@@ -191,23 +193,25 @@ def test_reversed_views_equal_negation_gathers(rng):
         neg = box.negation_permutation()
         pts = box.enumerate()
         phases = phase_pairs(theta.entries, pts, -pts)
-        assert np.array_equal(kernel_matrix(k, box), k.coeffs[:, neg] * phases[None, :])
+        assert np.array_equal(kernel_matrix(k), k.coeffs[:, neg] * phases[None, :])
         star = np.conj(phases)
         gathered = np.conj(k.coeffs[np.ix_(neg, neg)].T) * np.outer(star, star)
         assert np.array_equal(flip_adjoint(k).coeffs, gathered)
 
 
 def test_kernel_matrix_requires_matching_boxes(red2):
-    k = random_kernel(red2, 2, 1.0, 1.0, 5)
-    with pytest.raises(ValueError, match="must both"):
-        kernel_matrix(k, LatticeBox(2, 1))
+    # the matrix and both identity gaps need the same box on both legs
+    k = NCKernel(red2, LatticeBox(2, 1), LatticeBox(2, 2), np.zeros((9, 25), dtype=complex))
+    for step in (kernel_matrix, adjoint_gap, lambda k: factorization_gap(k, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="equal legs"):
+            step(k)
 
 
 def test_bessel_kernel_matrix_is_bessel_multiplier(red2):
     box = LatticeBox(2, 3)
     for alpha in (0.0, 0.5, 1.0, 2.0):
         # kernel matrix minus the diagonal of symbol values
-        gap = kernel_matrix(bessel_kernel(alpha, box, red2), box)
+        gap = kernel_matrix(bessel_kernel(alpha, box, red2))
         gap[np.diag_indices_from(gap)] -= multiplier_values(bessel_symbol(-alpha), box)
         assert np.max(np.abs(gap)) <= 1e-13
 
@@ -289,10 +293,9 @@ def test_decoupled_kernel_norm_factorizes(red2, rng):
 def test_flip_adjoint_is_matrix_adjoint(rng):
     for trial in range(4):
         theta = reduce_theta(random_theta(2, rng))
-        box = LatticeBox(2, 3)
         k = random_kernel(theta, 3, 0.6, 1.1, int(rng.integers(0, 2**31)))
-        lhs = kernel_matrix(flip_adjoint(k), box)
-        rhs = np.conj(kernel_matrix(k, box).T)
+        lhs = kernel_matrix(flip_adjoint(k))
+        rhs = np.conj(kernel_matrix(k).T)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -307,7 +310,7 @@ def test_flip_adjoint_fixes_hermitian_kernels(red2):
     # flip-adjoint leaves the kernel itself fixed
     k = random_kernel(red2, 2, 1.0, 1.0, 41)
     sym = (k + flip_adjoint(k)) * 0.5
-    mat = kernel_matrix(sym, LatticeBox(2, 2))
+    mat = kernel_matrix(sym)
     assert np.max(np.abs(mat - np.conj(mat.T))) <= 1e-13
     fixed = flip_adjoint(sym)
     assert np.max(np.abs(fixed.coeffs - sym.coeffs)) <= 1e-13
@@ -405,8 +408,8 @@ _STEP_PEAKS = {
     "mixed_sobolev_norm": (0, lambda k: mixed_sobolev_norm(k, 1.0, 1.0)),
     "schwartz_coefficients": (0, lambda k: schwartz_coefficients(k, 1.0, 1.0, 3.0)),
     "flip_adjoint": (16, lambda k: flip_adjoint(k)),
-    "_factorization_gap": (0, lambda k: _factorization_gap(k, 1.0, 1.0)),
-    "_adjoint_gap": (16, lambda k: _adjoint_gap(k)),
+    "factorization_gap": (0, lambda k: factorization_gap(k, 1.0, 1.0)),
+    "adjoint_gap": (16, lambda k: adjoint_gap(k)),
     "_factor_one": (32, lambda k: _factor_one(ExperimentConfig(N_grid=(10,)), 10)),
 }
 
@@ -476,14 +479,14 @@ def _rel_frobenius_reference(a, b):
 
 def _factorization_gap_reference(k, a1, a2):
     box = k.box1
-    rhs = kernel_matrix(sobolev_lift(k, a1, a2), box) * _leg_weights(box, -a2)[None, :]
-    lhs = _leg_weights(box, a1)[:, None] * kernel_matrix(k, box)
+    rhs = kernel_matrix(sobolev_lift(k, a1, a2)) * _leg_weights(box, -a2)[None, :]
+    lhs = _leg_weights(box, a1)[:, None] * kernel_matrix(k)
     return _rel_frobenius_reference(lhs, rhs)
 
 
 def _adjoint_gap_reference(k):
-    adj = kernel_matrix(flip_adjoint(k), k.box1)
-    return _rel_frobenius_reference(kernel_matrix(k, k.box1), np.conj(adj.T))
+    adj = kernel_matrix(flip_adjoint(k))
+    return _rel_frobenius_reference(kernel_matrix(k), np.conj(adj.T))
 
 
 def _stream_kernel(d, radius):
@@ -513,7 +516,7 @@ def test_row_forms_concatenate_to_matrix_and_lift(d, radius):
     phases = phase_pairs(k.theta.entries, pts, -pts)
     w1, w2 = _leg_weights(k.box1, 1.3), _leg_weights(k.box2, 0.4)
     rows = np.concatenate([_matrix_rows(k.coeffs[b], phases) for b in blocks])
-    assert np.array_equal(rows, kernel_matrix(k, k.box1))
+    assert np.array_equal(rows, kernel_matrix(k))
     lifted = np.concatenate([_lift_rows(k.coeffs[b], w1[b], w2) for b in blocks])
     assert np.array_equal(lifted, sobolev_lift(k, 1.3, 0.4).coeffs)
 
@@ -526,9 +529,9 @@ def test_streamed_reductions_match_full_matrix_forms(d, radius):
         ref_top, ref_where, ref_norm = _lifted_reference(k, a1, a2)
         assert (top, where) == (ref_top, ref_where)
         assert norm == pytest.approx(ref_norm, rel=1e-13)
-        gap = _factorization_gap(k, a1, a2)
+        gap = factorization_gap(k, a1, a2)
         assert gap == pytest.approx(_factorization_gap_reference(k, a1, a2), rel=1e-13)
-    assert _adjoint_gap(k) == pytest.approx(_adjoint_gap_reference(k), rel=1e-13)
+    assert adjoint_gap(k) == pytest.approx(_adjoint_gap_reference(k), rel=1e-13)
 
 
 def test_lifted_extremes_keeps_the_first_of_tied_maxima(red2):

@@ -43,7 +43,7 @@ def test_rank_one_kernel_spectrum(red2, rng):
     a = random_element(red2, box, rng)
     b = random_element(red2, box, rng)
     k = NCKernel(red2, box, box, np.outer(a.coeffs, b.coeffs))
-    spec = singular_values(kernel_matrix(k, box))
+    spec = singular_values(kernel_matrix(k))
     assert spec.values[0] == pytest.approx(l2_norm(a) * l2_norm(b), rel=1e-12)
     assert np.max(spec.values[1:]) <= 1e-12 * spec.values[0]
 
@@ -57,21 +57,19 @@ def test_singular_values_validation():
 
 def test_spectrum_type_validation():
     with pytest.raises(ValueError, match="nonincreasing"):
-        SingularSpectrum(np.array([1.0, 2.0]), 2)
+        SingularSpectrum(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="nonincreasing"):
-        SingularSpectrum(np.array([1.0, -0.5]), 2)
-    with pytest.raises(ValueError, match="dimension"):
-        SingularSpectrum(np.array([1.0]), 2)
+        SingularSpectrum(np.array([1.0, -0.5]))
 
 
 def test_schatten_norm_basics():
-    spec = SingularSpectrum(np.array([1.0, 1.0]), 2)
+    spec = SingularSpectrum(np.array([1.0, 1.0]))
     assert schatten_norm(spec, 2.0) == pytest.approx(np.sqrt(2.0))
     assert schatten_norm(spec, np.inf) == 1.0
     assert schatten_norm(spec, 1.0) == pytest.approx(2.0)
     # a constant spectrum is all ties at the top of the log-sum-exp
     for c, n in ((0.3, 7), (2.5, 64), (1e-200, 1000)):
-        spec = SingularSpectrum(np.full(n, c), n)
+        spec = SingularSpectrum(np.full(n, c))
         for p in (0.5, 1.0, 2.0):
             assert schatten_norm(spec, p) == pytest.approx(n ** (1.0 / p) * c, rel=1e-14)
 
@@ -79,21 +77,21 @@ def test_schatten_norm_basics():
 def test_norms_at_extreme_exponents():
     # beyond the float range the norms are inf, with no overflow warning;
     # for a huge p, or one positive value, the S_p norm is the top value
-    spec = SingularSpectrum(np.array([0.7, 0.3, 0.0]), 3)
+    spec = SingularSpectrum(np.array([0.7, 0.3, 0.0]))
     for p in (1e-300, 5e-324):
         assert schatten_norm(spec, p) == np.inf
         assert weak_norm(spec, p) == np.inf
     for p in (1e17, 1e308, np.inf):
         assert schatten_norm(spec, p) == 0.7
         assert weak_norm(spec, p) == 0.7
-    single = SingularSpectrum(np.array([0.7, 0.0]), 2)
+    single = SingularSpectrum(np.array([0.7, 0.0]))
     for p in (5e-324, 0.5, 2.0):
         assert schatten_norm(single, p) == 0.7
         assert weak_norm(single, p) == 0.7
 
 
 def test_schatten_norm_rejects_nonpositive_p():
-    spec = SingularSpectrum(np.array([1.0]), 1)
+    spec = SingularSpectrum(np.array([1.0]))
     with pytest.raises(ValueError, match="positive"):
         schatten_norm(spec, 0.0)
     with pytest.raises(ValueError, match="positive"):
@@ -103,14 +101,14 @@ def test_schatten_norm_rejects_nonpositive_p():
 
 
 def test_quasinorm_below_one():
-    spec = SingularSpectrum(np.array([4.0, 1.0]), 2)
+    spec = SingularSpectrum(np.array([4.0, 1.0]))
     # (4^0.5 + 1^0.5)^2 = 9
     assert schatten_norm(spec, 0.5) == pytest.approx(9.0, rel=1e-13)
 
 
 def test_quasinorm_log_space_handles_tiny_values():
     vals = np.array([1e-280, 1e-290, 1e-300])
-    spec = SingularSpectrum(vals, 3)
+    spec = SingularSpectrum(vals)
     p = 0.1
     # vals**p stays representable here, so the naive power sum is a valid oracle
     expected = float(np.sum(vals**p) ** (1.0 / p))
@@ -120,14 +118,14 @@ def test_quasinorm_log_space_handles_tiny_values():
 
 
 def test_zero_spectrum_norms():
-    spec = SingularSpectrum(np.zeros(4), 4)
+    spec = SingularSpectrum(np.zeros(4))
     assert schatten_norm(spec, 1.0) == 0.0
     assert schatten_norm(spec, np.inf) == 0.0
     assert weak_norm(spec, 1.0) == 0.0
 
 
 def test_weak_norm_delta():
-    spec = SingularSpectrum(np.array([1.0, 0.0, 0.0]), 3)
+    spec = SingularSpectrum(np.array([1.0, 0.0, 0.0]))
     for p in (0.5, 1.0, 3.0):
         assert weak_norm(spec, p) == 1.0
 
@@ -135,26 +133,26 @@ def test_weak_norm_delta():
 def test_weak_norm_exact_power_law():
     p = 1.5
     vals = (np.arange(1, 30) ** (-1.0 / p))
-    spec = SingularSpectrum(vals, 29)
+    spec = SingularSpectrum(vals)
     assert weak_norm(spec, p) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_decay_exponent_exact_power_law():
     vals = (np.arange(1, 101, dtype=float)) ** (-1.0)
-    spec = SingularSpectrum(vals, 100)
+    spec = SingularSpectrum(vals)
     fit = decay_exponent(spec, 5, 80)
     assert fit.slope == pytest.approx(-1.0, abs=1e-12)
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decay_exponent_constant_spectrum():
-    spec = SingularSpectrum(np.ones(50), 50)
+    spec = SingularSpectrum(np.ones(50))
     fit = decay_exponent(spec, 2, 30)
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decay_exponent_window_validation():
-    spec = SingularSpectrum(np.ones(10), 10)
+    spec = SingularSpectrum(np.ones(10))
     with pytest.raises(ValueError, match="window"):
         decay_exponent(spec, 0, 5)
     with pytest.raises(ValueError, match="window"):
@@ -165,7 +163,7 @@ def test_decay_exponent_window_validation():
 
 def test_decay_exponent_zero_inside_window():
     vals = np.array([1.0, 0.5, 0.0, 0.0, 0.0])
-    spec = SingularSpectrum(vals, 5)
+    spec = SingularSpectrum(vals)
     with pytest.raises(ValueError, match="zero singular value"):
         decay_exponent(spec, 1, 3)
 
@@ -180,7 +178,7 @@ def test_bessel_potential_decay_slope():
     # the inverse-square envelope in d=2: mu_k falls like 1/k
     box = LatticeBox(2, 20)
     vals = np.sort(np.real(bessel_symbol(-2.0).values_on(box)))[::-1]
-    spec = SingularSpectrum(vals, box.cardinality)
+    spec = SingularSpectrum(vals)
     fit = decay_exponent(spec, 10, 400)
     assert -1.1 <= fit.slope <= -0.9
 
@@ -204,7 +202,7 @@ def test_unitary_invariance_under_cocycle_diagonal(red2):
 
     box = LatticeBox(2, 2)
     k = random_kernel(red2, 2, 1.0, 1.0, 79)
-    mat = kernel_matrix(k, box)
+    mat = kernel_matrix(k)
     pts = box.enumerate()
     diag = np.diag(phase_pairs(red2.entries, pts, -pts))
     twisted = singular_values(diag @ mat).values
@@ -249,13 +247,13 @@ def test_weak_norm_below_schatten_norm(seed, p):
     # the weak quasinorm is dominated by the full p-norm
     rng = np.random.default_rng(seed)
     vals = np.sort(np.abs(rng.standard_normal(12)))[::-1]
-    spec = SingularSpectrum(vals, 12)
+    spec = SingularSpectrum(vals)
     assert weak_norm(spec, p) <= schatten_norm(spec, p) * (1 + 1e-12)
 
 
 def test_schatten_norm_monotone_in_p():
     rng = np.random.default_rng(3)
     vals = np.sort(np.abs(rng.standard_normal(20)))[::-1]
-    spec = SingularSpectrum(vals, 20)
+    spec = SingularSpectrum(vals)
     norms = [schatten_norm(spec, p) for p in (0.5, 1.0, 2.0, 4.0, np.inf)]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
