@@ -8,146 +8,21 @@ matrices whose singular values drive Schatten-norm, weak-norm and
 decay-exponent diagnostics.
 """
 
-from .algebra import (
-    TorusElement,
-    embedded,
-    inner_product,
-    involution,
-    l2_norm,
-    laplacian,
-    monomial,
-    mult_matrix,
-    partial_derivative,
-    random_element,
-    restricted,
-    self_adjoint_derivative,
-    trace,
-    twisted_convolve,
-    unit,
-    zero_element,
-)
-from .cocycle import (
-    SKEW_TOLERANCE,
-    ReducedTheta,
-    ThetaMatrix,
-    load_theta,
-    phase_pairs,
-    phase_table,
-    random_theta,
-    reduce_theta,
-    sigma,
-    theta_from_json,
-    zero_theta,
-)
-from .experiments import (
-    ExperimentConfig,
-    default_theta,
-    run_factorization_check,
-    run_potential_decay,
-    run_property_suite,
-    run_schwartz_bound,
-    run_theorem_scan,
-)
-from .kernels import (
-    NCKernel,
-    apply_kernel,
-    bessel_kernel,
-    flip_adjoint,
-    kernel_matrix,
-    mixed_sobolev_norm,
-    op_multiply,
-    random_kernel,
-    schwartz_coefficients,
-    sobolev_lift,
-)
-from .lattice import LatticeBox, as_multi_index, norm_sq
-from .multipliers import (
-    SymbolFunction,
-    apply_multiplier,
-    bessel_symbol,
-    multiplier_values,
-    riesz_symbol,
-    sobolev_norm,
-)
-from .schatten import (
-    SingularSpectrum,
-    critical_exponent,
-    decay_exponent,
-    default_decay_window,
-    schatten_norm,
-    singular_values,
-    weak_norm,
-)
+from . import algebra, cocycle, experiments, kernels, lattice, multipliers, schatten
+from .algebra import *  # noqa: F401,F403
+from .cocycle import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .multipliers import *  # noqa: F401,F403
+from .schatten import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# the public names of the library modules; records, reference and cli stay
+# behind their own module paths
 __all__ = [
-    "__version__",
-    # lattice
-    "LatticeBox",
-    "as_multi_index",
-    "norm_sq",
-    # cocycle
-    "SKEW_TOLERANCE",
-    "ThetaMatrix",
-    "ReducedTheta",
-    "reduce_theta",
-    "zero_theta",
-    "random_theta",
-    "sigma",
-    "phase_pairs",
-    "phase_table",
-    "theta_from_json",
-    "load_theta",
-    # algebra
-    "TorusElement",
-    "monomial",
-    "unit",
-    "zero_element",
-    "random_element",
-    "embedded",
-    "restricted",
-    "twisted_convolve",
-    "involution",
-    "trace",
-    "inner_product",
-    "l2_norm",
-    "mult_matrix",
-    "partial_derivative",
-    "self_adjoint_derivative",
-    "laplacian",
-    # multipliers
-    "SymbolFunction",
-    "bessel_symbol",
-    "riesz_symbol",
-    "multiplier_values",
-    "apply_multiplier",
-    "sobolev_norm",
-    # kernels
-    "NCKernel",
-    "op_multiply",
-    "apply_kernel",
-    "kernel_matrix",
-    "bessel_kernel",
-    "sobolev_lift",
-    "mixed_sobolev_norm",
-    "flip_adjoint",
-    "schwartz_coefficients",
-    "random_kernel",
-    # schatten
-    "SingularSpectrum",
-    "singular_values",
-    "schatten_norm",
-    "weak_norm",
-    "decay_exponent",
-    "default_decay_window",
-    "critical_exponent",
-    # experiments
-    "ExperimentConfig",
-    "default_theta",
-    "run_property_suite",
-    "run_theorem_scan",
-    "run_potential_decay",
-    "run_factorization_check",
-    "run_schwartz_bound",
+    name
+    for module in (lattice, cocycle, algebra, multipliers, kernels, schatten, experiments)
+    for name in module.__all__
 ]

@@ -56,7 +56,7 @@ from .kernels import (
     schwartz_coefficients,
 )
 from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _guard_box, _guard_dimension
-from .multipliers import apply_multiplier, bessel_symbol, multiplier_values, riesz_symbol
+from .multipliers import apply_multiplier, bessel_weights, riesz_weights
 from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
 from .schatten import (
@@ -167,6 +167,8 @@ class ExperimentConfig:
         if self.s0 is not None:
             store("s0", _finite("s0", self.s0))
         store("seed", _integer("seed", self.seed))
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError(
                 f"smoothness orders must be nonnegative, got ({self.alpha1}, {self.alpha2})"
@@ -212,6 +214,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         known = {"format" if f.name == "fmt" else f.name for f in fields(ExperimentConfig)}
         unknown = set(doc) - known
         if unknown:
@@ -278,19 +282,12 @@ def _coeff_gap(x, y) -> float:
 def run_property_suite(
     seed: int = 42,
     theta: ThetaMatrix | None = None,
-    phase_fn=None,
 ) -> SuiteReport:
-    """Execute every module invariant on seeded random data.
-
-    phase_fn is a test-only hook replacing the cocycle phase evaluation
-    inside the cocycle-identity checks; passing a corrupted version must
-    make those checks fail (negative control).
-    """
+    """Execute every module invariant on seeded random data."""
     full = theta if theta is not None else default_theta(2)
     d = full.d
     red = reduce_theta(full)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    phases = phase_fn if phase_fn is not None else phase_pairs
     checks = []
 
     def draw_points(n: int) -> np.ndarray:
@@ -300,14 +297,17 @@ def run_property_suite(
         checks.append(CheckResult(name, float(err), tol))
 
     # cocycle: additivity in each slot, then the 2-cocycle identity
+    def sig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return phase_pairs(red.entries, a, b)
+
     m, n, p = draw_points(20), draw_points(20), draw_points(20)
     err = max(
-        float(np.max(np.abs(phases(red.entries, m + n, p) - phases(red.entries, m, p) * phases(red.entries, n, p)))),
-        float(np.max(np.abs(phases(red.entries, m, n + p) - phases(red.entries, m, n) * phases(red.entries, m, p)))),
+        float(np.max(np.abs(sig(m + n, p) - sig(m, p) * sig(n, p)))),
+        float(np.max(np.abs(sig(m, n + p) - sig(m, n) * sig(m, p)))),
     )
     record("cocycle-bicharacter", err, 1e-12)
-    lhs = phases(red.entries, m, n) * phases(red.entries, m + n, p)
-    rhs = phases(red.entries, n, p) * phases(red.entries, m, n + p)
+    lhs = sig(m, n) * sig(m + n, p)
+    rhs = sig(n, p) * sig(m, n + p)
     record("cocycle-identity", float(np.max(np.abs(lhs - rhs))), 1e-12)
 
     # commutation relation on basis monomials, via the full skew matrix
@@ -375,10 +375,12 @@ def run_property_suite(
 
     # multiplier algebra: inverse pair and the Laplacian symbol
     x = random_element(red, box, rng)
-    roundtrip = apply_multiplier(bessel_symbol(-1.3), apply_multiplier(bessel_symbol(1.3), x))
+    roundtrip = apply_multiplier(
+        bessel_weights(-1.3, box), apply_multiplier(bessel_weights(1.3, box), x)
+    )
     err = _coeff_gap(roundtrip, x)
     lap = laplacian(x)
-    via_riesz = (-4.0 * math.pi**2) * apply_multiplier(riesz_symbol(2.0), x)
+    via_riesz = (-4.0 * math.pi**2) * apply_multiplier(riesz_weights(2.0, box), x)
     err = max(err, _coeff_gap(lap, via_riesz))
     record("multiplier-algebra", err, 1e-10)
 
@@ -428,7 +430,7 @@ def run_property_suite(
     err = 0.0
     for alpha in (0.0, 0.5, 1.7):
         gap = kernel_matrix(bessel_kernel(alpha, mbox, red))
-        gap[np.diag_indices_from(gap)] -= multiplier_values(bessel_symbol(-alpha), mbox)
+        gap[np.diag_indices_from(gap)] -= bessel_weights(-alpha, mbox)
         err = max(err, float(np.max(np.abs(gap))))
     record("bessel-kernel-diagonal", err, 1e-13)
 
@@ -588,7 +590,7 @@ class DecayRecord:
 
 def _decay_one(d: int, alpha: float, radius: int) -> DecayRecord:
     box = LatticeBox(d, radius)
-    vals = np.sort(np.real(bessel_symbol(-alpha).values_on(box)))[::-1]
+    vals = np.sort(bessel_weights(-alpha, box))[::-1]
     spectrum = SingularSpectrum(vals)
     p = d / alpha
     k_min, k_max = default_decay_window(box.cardinality)

@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, diagonal_phases
 from .lattice import LatticeBox, _guard_box
-from .multipliers import bessel_symbol, multiplier_values
+from .multipliers import bessel_weights
 from .records import JSON_ONLY
 
 __all__ = [
@@ -184,14 +184,9 @@ def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKern
     return NCKernel(theta, box, box, coeffs)
 
 
-def _leg_weights(box: LatticeBox, alpha: float) -> np.ndarray:
-    """Bessel weights (1+|n|^2)^(alpha/2) on the box; a non-finite one is an error."""
-    return np.real(multiplier_values(bessel_symbol(alpha), box))
-
-
 def sobolev_lift(k: NCKernel, alpha1: float, alpha2: float) -> NCKernel:
     """Scale c_{m,n} by (1+|m|^2)^(alpha1/2) (1+|n|^2)^(alpha2/2)."""
-    lifted = _lift_rows(k.coeffs, _leg_weights(k.box1, alpha1), _leg_weights(k.box2, alpha2))
+    lifted = _lift_rows(k.coeffs, bessel_weights(alpha1, k.box1), bessel_weights(alpha2, k.box2))
     return NCKernel(k.theta, k.box1, k.box2, lifted)
 
 
@@ -213,8 +208,8 @@ def _lifted_extremes(k: NCKernel, alpha1: float, alpha2: float) -> tuple:
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
-    w1 = _leg_weights(k.box1, alpha1)
-    w2 = _leg_weights(k.box2, alpha2)
+    w1 = bessel_weights(alpha1, k.box1)
+    w2 = bessel_weights(alpha2, k.box2)
     width = k.coeffs.shape[1]
     top, where, sumsq = 0.0, 0, 0.0
     for rows in _row_blocks(k.coeffs.shape[0], width):
@@ -284,9 +279,9 @@ def factorization_gap(k: NCKernel, a1: float, a2: float) -> float:
     """
     box = _square_box(k)
     col_phases = diagonal_phases(k.theta, box)
-    w1 = _leg_weights(box, a1)
-    w2 = _leg_weights(box, a2)
-    w2_inv = _leg_weights(box, -a2)
+    w1 = bessel_weights(a1, box)
+    w2 = bessel_weights(a2, box)
+    w2_inv = bessel_weights(-a2, box)
     norm_sq = gap_sq = 0.0
     for rows in _row_blocks(box.cardinality):
         lhs = _matrix_rows(k.coeffs[rows], col_phases)
@@ -399,8 +394,8 @@ def random_kernel(
     _guard_box(theta.d, radius)
     box = LatticeBox(theta.d, radius)
     n = box.cardinality
-    w1 = _leg_weights(box, -s1)
-    w2 = _leg_weights(box, -s2)
+    w1 = bessel_weights(-s1, box)
+    w2 = bessel_weights(-s2, box)
     rng = np.random.Generator(np.random.Philox(key=seed))
     coeffs = np.empty((n, n), dtype=complex)
     blocks = list(_row_blocks(n))

@@ -1,18 +1,15 @@
-"""Fourier multipliers: coefficient-wise scaling by a symbol on Z^d.
+"""Fourier multipliers: coefficient-wise scaling by weights on Z^d.
 
 A multiplier acts diagonally in the Fourier basis, so it is kept as the
-vector of its symbol values on the box and never built as a matrix:
+real vector of its weights on the box and never built as a matrix:
 composing it with an operator matrix scales rows (multiplier on the
 left) or columns (on the right), and its spectrum is the sorted absolute
-values.  The heavy lifting is the Bessel family (1 + |n|^2)^(a/2) and its
+values.  The weights are the Bessel family (1 + |n|^2)^(a/2) and its
 homogeneous Riesz cousin |n|^a, both computed in log space so large
 boxes with very negative orders stay finite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,35 +17,15 @@ from .algebra import TorusElement
 from .lattice import LatticeBox
 
 __all__ = [
-    "SymbolFunction",
-    "bessel_symbol",
-    "riesz_symbol",
-    "multiplier_values",
+    "bessel_weights",
+    "riesz_weights",
     "apply_multiplier",
     "sobolev_norm",
 ]
 
-# Symbol values with magnitude below this flush to exact zero rather than
+# Weights with magnitude below this flush to exact zero rather than
 # denormal noise; 1e-300 sits just above the double-precision underflow floor.
 _UNDERFLOW_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class SymbolFunction:
-    """A named symbol evaluated vectorically on (k, d) arrays of lattice points."""
-
-    name: str
-    evaluate: Callable[[np.ndarray], np.ndarray]
-
-    def values_on(self, box: LatticeBox) -> np.ndarray:
-        pts = box.enumerate()
-        vals = np.asarray(self.evaluate(pts), dtype=complex).reshape(-1)
-        if vals.shape[0] != box.cardinality:
-            raise ValueError(
-                f"symbol {self.name!r} returned {vals.shape[0]} values "
-                f"for a box of cardinality {box.cardinality}"
-            )
-        return vals
 
 
 def _stable_power(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -58,7 +35,7 @@ def _stable_power(base: np.ndarray, exponent: float) -> np.ndarray:
     strongly negative exponents on large boxes before the reciprocal is
     taken; the log-space route never leaves the representable range.  A
     large positive exponent can still overflow to inf, silently here;
-    multiplier_values reports it by lattice point.
+    _checked reports it by lattice point.
     """
     with np.errstate(over="ignore"):
         out = np.exp(exponent * np.log(base))
@@ -66,49 +43,45 @@ def _stable_power(base: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
-def bessel_symbol(alpha: float) -> SymbolFunction:
-    """The symbol (1 + |n|^2)^(alpha/2) of the Bessel potential of order alpha."""
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        nsq = np.einsum("ij,ij->i", pts, pts).astype(float)
-        return _stable_power(1.0 + nsq, alpha / 2.0)
-
-    return SymbolFunction(f"bessel({alpha:g})", evaluate)
-
-
-def riesz_symbol(alpha: float) -> SymbolFunction:
-    """The homogeneous symbol |n|^alpha, with value 0 at the origin."""
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        nsq = np.einsum("ij,ij->i", pts, pts).astype(float)
-        out = np.zeros(len(pts), dtype=float)
-        nz = nsq > 0
-        out[nz] = _stable_power(nsq[nz], alpha / 2.0)
-        return out
-
-    return SymbolFunction(f"riesz({alpha:g})", evaluate)
-
-
-def multiplier_values(symbol: SymbolFunction, box: LatticeBox) -> np.ndarray:
-    """The multiplier on the box as its symbol values, in canonical order.
-
-    This vector is the diagonal of the multiplier's matrix: ``v[:, None] * A``
-    is the multiplier composed after A, ``A * v[None, :]`` before it.  A
-    non-finite value is an error naming its lattice point.
-    """
-    vals = symbol.values_on(box)
-    bad = ~np.isfinite(vals)
+def _checked(name: str, weights: np.ndarray, box: LatticeBox) -> np.ndarray:
+    """weights unchanged; a non-finite weight is an error naming its lattice point."""
+    bad = ~np.isfinite(weights)
     if np.any(bad):
         m = box.enumerate()[int(np.argmax(bad))]
         raise ValueError(
-            f"symbol {symbol.name!r} is not finite at lattice point {tuple(int(v) for v in m)}"
+            f"symbol {name!r} is not finite at lattice point {tuple(int(v) for v in m)}"
         )
-    return vals
+    return weights
 
 
-def apply_multiplier(symbol: SymbolFunction, x: TorusElement) -> TorusElement:
-    """Scale each Fourier coefficient of x by the symbol value at its index."""
-    return TorusElement(x.theta, x.box, x.coeffs * multiplier_values(symbol, x.box))
+def _squared_norms(box: LatticeBox) -> np.ndarray:
+    pts = box.enumerate()
+    return np.einsum("ij,ij->i", pts, pts).astype(float)
+
+
+def bessel_weights(alpha: float, box: LatticeBox) -> np.ndarray:
+    """The Bessel weights (1 + |n|^2)^(alpha/2) on the box, in canonical order.
+
+    This real vector is the diagonal of the multiplier's matrix:
+    ``w[:, None] * A`` is the multiplier composed after A, ``A * w[None, :]``
+    before it.
+    """
+    weights = _stable_power(1.0 + _squared_norms(box), alpha / 2.0)
+    return _checked(f"bessel({alpha:g})", weights, box)
+
+
+def riesz_weights(alpha: float, box: LatticeBox) -> np.ndarray:
+    """The homogeneous weights |n|^alpha on the box, 0 at the origin."""
+    nsq = _squared_norms(box)
+    weights = np.zeros(len(nsq))
+    nz = nsq > 0
+    weights[nz] = _stable_power(nsq[nz], alpha / 2.0)
+    return _checked(f"riesz({alpha:g})", weights, box)
+
+
+def apply_multiplier(weights: np.ndarray, x: TorusElement) -> TorusElement:
+    """Scale each Fourier coefficient of x by the weight at its index."""
+    return TorusElement(x.theta, x.box, x.coeffs * weights)
 
 
 def _scaled_norm(moduli: np.ndarray) -> float:
@@ -126,5 +99,4 @@ def _scaled_norm(moduli: np.ndarray) -> float:
 
 def sobolev_norm(x: TorusElement, alpha: float) -> float:
     """The order-alpha Sobolev norm: L2 norm after the Bessel multiplier."""
-    vals = multiplier_values(bessel_symbol(alpha), x.box)
-    return _scaled_norm(np.abs(x.coeffs * vals))
+    return _scaled_norm(np.abs(x.coeffs * bessel_weights(alpha, x.box)))

@@ -34,7 +34,7 @@ from nctorus.kernels import (
     random_kernel,
 )
 from nctorus.lattice import LatticeBox
-from nctorus.multipliers import bessel_symbol, multiplier_values
+from nctorus.multipliers import bessel_weights
 from nctorus.reference import apply_kernel_definitional
 from nctorus.schatten import schatten_norm, singular_values
 from nctorus.kernels import apply_kernel, sobolev_lift
@@ -126,7 +126,7 @@ def test_criterion_03_bessel_kernel_identity(capfd):
     for alpha2 in (0.0, 0.5, 1.0, 2.0):
         # kernel matrix minus the diagonal of symbol values
         gap = kernel_matrix(bessel_kernel(alpha2, box, cfg.reduced))
-        gap[np.diag_indices_from(gap)] -= multiplier_values(bessel_symbol(-alpha2), box)
+        gap[np.diag_indices_from(gap)] -= bessel_weights(-alpha2, box)
         worst = max(worst, float(np.max(np.abs(gap))))
     ok = worst <= 1e-13
     _verdict(
@@ -145,8 +145,8 @@ def test_criterion_04_factorization(capfd):
         k = random_kernel(cfg.reduced, 6, 2.5, 2.5, int(rng.integers(0, 2**31)))
         a1, a2 = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
         # multipliers as row (left factor) and column (right factor) scalings
-        v1 = multiplier_values(bessel_symbol(a1), box)
-        v2 = multiplier_values(bessel_symbol(-a2), box)
+        v1 = bessel_weights(a1, box)
+        v2 = bessel_weights(-a2, box)
         lhs = v1[:, None] * kernel_matrix(k)
         rhs = kernel_matrix(sobolev_lift(k, a1, a2)) * v2[None, :]
         gap = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)

@@ -118,6 +118,14 @@ def test_missing_config_file(capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_config_file_not_an_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for text, kind in (("[]", "list"), ("5", "int"), ("null", "NoneType")):
+        config.write_text(text)
+        assert main(["scan", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: config must be a JSON object, got {kind}\n"
+
+
 def test_memory_guard_exit(capsys):
     assert main(["scan", "--n-grid", "40"]) == 2
     assert "dense-matrix guard" in capsys.readouterr().err

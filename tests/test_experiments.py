@@ -35,7 +35,7 @@ from nctorus.lattice import (
     MEMORY_GUARD_CARDINALITY,
     LatticeBox,
 )
-from nctorus.multipliers import bessel_symbol, multiplier_values
+from nctorus.multipliers import bessel_weights
 from nctorus.records import to_csv, to_json
 from nctorus.schatten import critical_exponent
 
@@ -89,8 +89,9 @@ def _config_doc(cfg: ExperimentConfig) -> dict:
     return doc
 
 
-@given(doc=_config_docs)
+@given(doc=_config_docs | _json_values)
 @example(doc={"theta": [[0, 10**400], [-(10**400), 0]]})
+@example(doc=[])
 def test_config_document_roundtrips_or_names_the_error(doc):
     try:
         cfg = ExperimentConfig.from_json(doc)
@@ -149,6 +150,11 @@ def test_config_validation(tmp_path, capsys):
         ExperimentConfig(N_grid=4)
     with pytest.raises(ValueError, match="seed must be an integer"):
         ExperimentConfig(seed=1.5)
+    # Philox keys are 128-bit; the seed is refused by name, not by numpy
+    for bad in (-1, 2**128, 2**130):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*128\), got {bad}"):
+            ExperimentConfig(seed=bad)
+    assert ExperimentConfig(seed=2**128 - 1).seed == 2**128 - 1
     with pytest.raises(ValueError, match="out must be a path string"):
         ExperimentConfig(out=7)
     for name in ("alpha1", "alpha2", "s_margin", "s0"):
@@ -254,7 +260,7 @@ def test_property_suite_passes_d3():
     assert report.passed, report.failures
 
 
-def test_property_suite_negative_control():
+def test_property_suite_negative_control(monkeypatch):
     # dropping the sign of the phase exponent breaks additivity in each
     # slot and the cocycle identity, and must be caught by exactly the
     # two cocycle checks
@@ -262,7 +268,8 @@ def test_property_suite_negative_control():
         exponent = np.einsum("id,de,ie->i", left, matrix, right)
         return np.exp(2j * np.pi * np.abs(exponent))
 
-    report = run_property_suite(seed=42, phase_fn=corrupted)
+    monkeypatch.setattr(experiments, "phase_pairs", corrupted)
+    report = run_property_suite(seed=42)
     assert not report.passed
     assert report.failures == ("cocycle-bicharacter", "cocycle-identity")
 
@@ -532,7 +539,7 @@ def test_runners_read_the_kernel_source(monkeypatch):
     config = ExperimentConfig(N_grid=(2, 3), r_grid=(0.8, 2.0, 5.0))
     for rec in run_theorem_scan(config):
         k = bessel_source(config, rec.N)
-        weights = np.sort(np.real(multiplier_values(bessel_symbol(-alpha), k.box1)))[::-1]
+        weights = np.sort(bessel_weights(-alpha, k.box1))[::-1]
         expected = np.sum(weights**rec.r) ** (1.0 / rec.r)
         assert rec.s_r_norm == pytest.approx(expected, rel=1e-12)
         assert rec.sobolev_norm == mixed_sobolev_norm(k, config.alpha1, config.alpha2)

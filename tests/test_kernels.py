@@ -17,7 +17,6 @@ from nctorus.experiments import ExperimentConfig, _factor_one
 from nctorus.kernels import (
     _BLOCK_ENTRIES,
     NCKernel,
-    _leg_weights,
     _lift_rows,
     _lifted_extremes,
     _matrix_rows,
@@ -35,7 +34,7 @@ from nctorus.kernels import (
     sobolev_lift,
 )
 from nctorus.lattice import LatticeBox
-from nctorus.multipliers import apply_multiplier, bessel_symbol, multiplier_values, sobolev_norm
+from nctorus.multipliers import apply_multiplier, bessel_weights, sobolev_norm
 from nctorus.reference import apply_kernel_definitional, convolve_coefficients
 
 
@@ -143,7 +142,7 @@ def test_apply_kernel_bessel_equals_multiplier(red2, rng):
     for alpha in (0.0, 0.5, 1.0, 2.0):
         k = bessel_kernel(alpha, box, red2)
         via_kernel = apply_kernel(k, x)
-        via_symbol = apply_multiplier(bessel_symbol(-alpha), x)
+        via_symbol = apply_multiplier(bessel_weights(-alpha, box), x)
         assert np.allclose(via_kernel.coeffs, via_symbol.coeffs, atol=1e-13)
 
 
@@ -212,7 +211,7 @@ def test_bessel_kernel_matrix_is_bessel_multiplier(red2):
     for alpha in (0.0, 0.5, 1.0, 2.0):
         # kernel matrix minus the diagonal of symbol values
         gap = kernel_matrix(bessel_kernel(alpha, box, red2))
-        gap[np.diag_indices_from(gap)] -= multiplier_values(bessel_symbol(-alpha), box)
+        gap[np.diag_indices_from(gap)] -= bessel_weights(-alpha, box)
         assert np.max(np.abs(gap)) <= 1e-13
 
 
@@ -265,7 +264,7 @@ def test_mixed_sobolev_norm_finite_where_squares_overflow(red2):
     # the lifted moduli reach 3^600 ~ 2e286 on the radius-1 box: finite,
     # but their squares are not; the norm comes out finite, with no warning
     k = random_kernel(red2, 1, 1.0, 1.0, 5)
-    w = np.real(multiplier_values(bessel_symbol(600.0), k.box1))
+    w = bessel_weights(600.0, k.box1)
     top = w.max()
     reference = top * top * np.linalg.norm(np.abs(k.coeffs) * np.outer(w / top, w / top))
     assert np.isfinite(reference)
@@ -353,8 +352,8 @@ def test_schwartz_random_kernel_bounded(red2):
     assert report.worst_ratio <= 1.0 + 1e-10
     # every coefficient sits under the envelope, built here from its parts
     box = LatticeBox(2, 3)
-    w1 = np.real(multiplier_values(bessel_symbol(-(1.0 + 3.0)), box))
-    w2 = np.real(multiplier_values(bessel_symbol(-(0.5 + 3.0)), box))
+    w1 = bessel_weights(-(1.0 + 3.0), box)
+    w2 = bessel_weights(-(0.5 + 3.0), box)
     bounds = mixed_sobolev_norm(h, 1.0 + 3.0, 0.5 + 3.0) * np.outer(w1, w2)
     assert report.lifted_norm == mixed_sobolev_norm(h, 4.0, 3.5)
     assert np.all(np.abs(h.coeffs) <= bounds * (1 + 1e-10))
@@ -388,8 +387,8 @@ def test_random_kernel_envelope_exact(red2):
             k = random_kernel(theta, radius, 1.5, 0.5, seed)
             u = np.random.Generator(np.random.Philox(key=seed)).random((box.cardinality,) * 2)
             envelope = np.outer(
-                np.real(multiplier_values(bessel_symbol(-1.5), box)),
-                np.real(multiplier_values(bessel_symbol(-0.5), box)),
+                bessel_weights(-1.5, box),
+                bessel_weights(-0.5, box),
             )
             assert np.allclose(k.coeffs, envelope * np.exp(2j * np.pi * u), rtol=1e-14, atol=0)
             assert np.max(np.abs(np.abs(k.coeffs) / envelope - 1.0)) <= 1e-15
@@ -451,8 +450,8 @@ def _draw_reference(theta, radius, s1, s2, seed):
     np.square(t, out=t)
     np.subtract(1.0, t, out=coeffs.real)
     t += 1.0
-    np.divide(_leg_weights(box, -s1)[:, None], t, out=t)
-    t *= _leg_weights(box, -s2)[None, :]
+    np.divide(bessel_weights(-s1, box)[:, None], t, out=t)
+    t *= bessel_weights(-s2, box)[None, :]
     coeffs.real *= t
     coeffs.imag *= t
     return coeffs
@@ -467,8 +466,8 @@ def _flip_reference(k):
 
 
 def _lifted_reference(k, a1, a2):
-    lifted = np.abs(k.coeffs) * _leg_weights(k.box1, a1)[:, None]
-    lifted *= _leg_weights(k.box2, a2)[None, :]
+    lifted = np.abs(k.coeffs) * bessel_weights(a1, k.box1)[:, None]
+    lifted *= bessel_weights(a2, k.box2)[None, :]
     where = int(np.argmax(lifted))
     return lifted.flat[where], where, np.linalg.norm(lifted)
 
@@ -479,8 +478,8 @@ def _rel_frobenius_reference(a, b):
 
 def _factorization_gap_reference(k, a1, a2):
     box = k.box1
-    rhs = kernel_matrix(sobolev_lift(k, a1, a2)) * _leg_weights(box, -a2)[None, :]
-    lhs = _leg_weights(box, a1)[:, None] * kernel_matrix(k)
+    rhs = kernel_matrix(sobolev_lift(k, a1, a2)) * bessel_weights(-a2, box)[None, :]
+    lhs = bessel_weights(a1, box)[:, None] * kernel_matrix(k)
     return _rel_frobenius_reference(lhs, rhs)
 
 
@@ -514,7 +513,7 @@ def test_row_forms_concatenate_to_matrix_and_lift(d, radius):
     _, k, blocks = _stream_kernel(d, radius)
     pts = k.box1.enumerate()
     phases = phase_pairs(k.theta.entries, pts, -pts)
-    w1, w2 = _leg_weights(k.box1, 1.3), _leg_weights(k.box2, 0.4)
+    w1, w2 = bessel_weights(1.3, k.box1), bessel_weights(0.4, k.box2)
     rows = np.concatenate([_matrix_rows(k.coeffs[b], phases) for b in blocks])
     assert np.array_equal(rows, kernel_matrix(k))
     lifted = np.concatenate([_lift_rows(k.coeffs[b], w1[b], w2) for b in blocks])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nctorus.algebra import l2_norm, random_element
 from nctorus.kernels import NCKernel, kernel_matrix, random_kernel
 from nctorus.lattice import LatticeBox
-from nctorus.multipliers import bessel_symbol
+from nctorus.multipliers import bessel_weights
 from nctorus.schatten import (
     SingularSpectrum,
     critical_exponent,
@@ -177,7 +177,7 @@ def test_default_decay_window():
 def test_bessel_potential_decay_slope():
     # the inverse-square envelope in d=2: mu_k falls like 1/k
     box = LatticeBox(2, 20)
-    vals = np.sort(np.real(bessel_symbol(-2.0).values_on(box)))[::-1]
+    vals = np.sort(bessel_weights(-2.0, box))[::-1]
     spec = SingularSpectrum(vals)
     fit = decay_exponent(spec, 10, 400)
     assert -1.1 <= fit.slope <= -0.9
