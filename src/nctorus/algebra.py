@@ -25,7 +25,6 @@ __all__ = [
     "TorusElement",
     "monomial",
     "unit",
-    "zero_element",
     "random_element",
     "embedded",
     "restricted",
@@ -36,7 +35,6 @@ __all__ = [
     "l2_norm",
     "mult_matrix",
     "partial_derivative",
-    "self_adjoint_derivative",
     "laplacian",
 ]
 
@@ -108,10 +106,6 @@ def monomial(theta: ReducedTheta, m, box: LatticeBox) -> TorusElement:
 def unit(theta: ReducedTheta, box: LatticeBox) -> TorusElement:
     """The multiplicative unit: coefficient 1 at the origin."""
     return monomial(theta, np.zeros(box.d, dtype=np.int64), box)
-
-
-def zero_element(theta: ReducedTheta, box: LatticeBox) -> TorusElement:
-    return TorusElement(theta, box, np.zeros(box.cardinality, dtype=complex))
 
 
 def random_element(
@@ -228,11 +222,6 @@ def partial_derivative(x: TorusElement, j: int) -> TorusElement:
         raise ValueError(f"derivation index {j} out of range 1..{x.box.d}")
     factors = 2j * np.pi * x.box.enumerate()[:, j - 1]
     return TorusElement(x.theta, x.box, x.coeffs * factors)
-
-
-def self_adjoint_derivative(x: TorusElement, j: int) -> TorusElement:
-    """The symmetrized derivation -i d_j (self-adjoint convenience form)."""
-    return (-1j) * partial_derivative(x, j)
 
 
 def laplacian(x: TorusElement) -> TorusElement:

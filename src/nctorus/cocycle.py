@@ -91,7 +91,7 @@ class ThetaMatrix(_SquareMatrix):
         for j in range(d):
             if abs(arr[j, j]) > SKEW_TOLERANCE:
                 raise ValueError(
-                    f"theta[{j}][{j}] = {arr[j, j]!r} exceeds the diagonal "
+                    f"theta[{j}][{j}] = {float(arr[j, j])} exceeds the diagonal "
                     f"tolerance {SKEW_TOLERANCE}"
                 )
         for j in range(d):
@@ -99,7 +99,7 @@ class ThetaMatrix(_SquareMatrix):
                 defect = arr[j, k] + arr[k, j]
                 if abs(defect) > SKEW_TOLERANCE:
                     raise ValueError(
-                        f"theta[{j}][{k}] + theta[{k}][{j}] = {defect!r} exceeds the "
+                        f"theta[{j}][{k}] + theta[{k}][{j}] = {float(defect)} exceeds the "
                         f"skew-symmetry tolerance {SKEW_TOLERANCE}"
                     )
 
@@ -115,7 +115,7 @@ class ReducedTheta(_SquareMatrix):
             j, k = np.argwhere(upper != 0.0)[0]
             raise ValueError(
                 f"reduced theta must be strictly lower triangular, "
-                f"entry [{j}][{k}] = {arr[j, k]!r} is nonzero"
+                f"entry [{j}][{k}] = {float(arr[j, k])} is nonzero"
             )
 
 

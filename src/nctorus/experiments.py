@@ -415,7 +415,7 @@ def run_property_suite(
 
     # kernel matrix identities
     mbox = LatticeBox(d, 2)
-    k = random_kernel(red, 2, 1.0, 1.0, seed + 1)
+    k = random_kernel(red, 2, 1.0, 1.0, (seed + 1) % 2**128)
     mat = kernel_matrix(k)
     err = abs(np.linalg.norm(mat) - k.l2_norm()) / max(k.l2_norm(), 1e-300)
     record("kernel-hs-identity", err, 1e-12)
@@ -442,7 +442,7 @@ def run_property_suite(
     record("adjoint-identity", adjoint_gap(k), 1e-12)
 
     # linearity of the kernel action in both arguments
-    k2 = random_kernel(red, 2, 1.0, 1.0, seed + 2)
+    k2 = random_kernel(red, 2, 1.0, 1.0, (seed + 2) % 2**128)
     xa = random_element(red, mbox, rng)
     xb = random_element(red, mbox, rng)
     c1, c2 = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
@@ -610,7 +610,8 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
 
     Diagonal spectra need no SVD, so boxes far beyond the dense-matrix
     guard are cheap; each box is held to DECAY_GUARD_CARDINALITY points
-    instead, checked for the whole grid first.  The p-th power sum is
+    instead, checked for the whole grid first.  N = 0 leaves no fit window
+    and is refused with the grid checks.  The p-th power sum is
     emitted alongside as data (it diverges logarithmically at the weak
     endpoint); only the weak norm and the slope carry assertions
     downstream.
@@ -619,6 +620,8 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
         raise ValueError(f"potential order must be positive, got {alpha}")
     grid = [_integer("N_grid entry", n) for n in N_grid]
     for radius in grid:
+        if radius < 1:
+            raise ValueError(f"decay needs every N_grid entry to be at least 1, got {radius}")
         _guard_box(d, radius, DECAY_GUARD_CARDINALITY, "point-count")
     records = [_decay_one(d, alpha, radius) for radius in grid]
     records.sort(key=lambda rec: rec.N)
@@ -644,7 +647,7 @@ FACTOR_TOLERANCE = 1e-12
 def _factor_one(config: ExperimentConfig, radius: int) -> list:
     k = kernel_source(config, radius)
     adj_err = adjoint_gap(k)
-    rng = np.random.Generator(np.random.Philox(key=config.seed + radius))
+    rng = np.random.Generator(np.random.Philox(key=(config.seed + radius) % 2**128))
     pairs = [(config.alpha1, config.alpha2), (0.0, 0.0)]
     pairs += [(float(rng.uniform(0, 3)), float(rng.uniform(0, 3))) for _ in range(3)]
     return [

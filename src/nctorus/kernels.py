@@ -1,10 +1,10 @@
 """Integral kernels over the twisted algebra and its opposite.
 
-A kernel is a coefficient matrix c_{m,n} over a pair of lattice boxes,
-representing k = sum c_{m,n} U^m (x) U^n with the second tensor leg
-carrying the reversed product.  Its integral operator acts by a partial
-trace over the second leg; on Fourier coefficients this collapses to the
-closed form
+A kernel is a square coefficient matrix c_{m,n} over one lattice box,
+representing k = sum c_{m,n} U^m (x) U^n with both tensor legs on that
+box and the second leg carrying the reversed product.  Its integral
+operator acts by a partial trace over the second leg; on Fourier
+coefficients this collapses to the closed form
 
     (T_k x)(m) = sum_n c_{m,n} sigma(-n, n) x(-n),
 
@@ -57,19 +57,19 @@ __all__ = [
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _row_blocks(n: int, width: int | None = None):
-    """Slices covering range(n), each at most _BLOCK_ENTRIES // width rows.
+def _row_blocks(n: int):
+    """Slices covering range(n), each at most _BLOCK_ENTRIES // n rows of n.
 
-    width is the row length, n by default; a block has at least one row.
+    A block has at least one row.
     """
-    rows = max(1, _BLOCK_ENTRIES // (n if width is None else width))
+    rows = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, n, rows):
         yield slice(start, min(start + rows, n))
 
 
 @dataclass(frozen=True, eq=False)
 class NCKernel:
-    """Coefficient matrix of a kernel over box1 (first leg) x box2 (second leg).
+    """Coefficient matrix of a kernel over box x box, one row per first-leg point.
 
     A complex ndarray that owns its data is taken as it is, without a
     copy, and made read-only: the caller's handle to it becomes read-only
@@ -78,20 +78,18 @@ class NCKernel:
     """
 
     theta: ReducedTheta
-    box1: LatticeBox
-    box2: LatticeBox
+    box: LatticeBox
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.box1.d != self.theta.d or self.box2.d != self.theta.d:
+        if self.box.d != self.theta.d:
             raise ValueError(
-                f"kernel boxes have dimensions {self.box1.d}, {self.box2.d}; "
-                f"theta has dimension {self.theta.d}"
+                f"kernel box has dimension {self.box.d}; theta has dimension {self.theta.d}"
             )
         arr = self.coeffs
         if not (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.flags.owndata):
             arr = np.array(arr, dtype=complex)
-        want = (self.box1.cardinality, self.box2.cardinality)
+        want = (self.box.cardinality,) * 2
         if arr.shape != want:
             raise ValueError(f"coefficient matrix has shape {arr.shape}, expected {want}")
         arr.flags.writeable = False
@@ -106,14 +104,14 @@ class NCKernel:
             return NotImplemented
         if self.theta != other.theta:
             raise ValueError("kernels live over different deformation matrices")
-        if self.box1 != other.box1 or self.box2 != other.box2:
+        if self.box != other.box:
             raise ValueError("kernel boxes differ")
-        return NCKernel(self.theta, self.box1, self.box2, self.coeffs + other.coeffs)
+        return NCKernel(self.theta, self.box, self.coeffs + other.coeffs)
 
     def __mul__(self, scalar: complex) -> "NCKernel":
         if not isinstance(scalar, (int, float, complex, np.number)):
             return NotImplemented
-        return NCKernel(self.theta, self.box1, self.box2, self.coeffs * complex(scalar))
+        return NCKernel(self.theta, self.box, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -128,39 +126,28 @@ def apply_kernel(k: NCKernel, x: TorusElement) -> TorusElement:
 
     Closed form of the partial trace over the second leg: the output
     coefficient at m is sum_n c_{m,n} sigma(-n, n) x(-n).  x must be
-    supported inside the second-leg box.
+    supported inside the kernel's box.
     """
     if x.theta != k.theta:
         raise ValueError("kernel and argument live over different deformation matrices")
-    if x.box.radius > k.box2.radius:
+    if x.box.radius > k.box.radius:
         raise ValueError(
-            f"argument radius {x.box.radius} exceeds the kernel's "
-            f"second-leg radius {k.box2.radius}"
+            f"argument radius {x.box.radius} exceeds the kernel's radius {k.box.radius}"
         )
-    xe = embedded(x, k.box2)
-    out = k.coeffs @ (diagonal_phases(k.theta, k.box2) * xe.coeffs[::-1])
-    return TorusElement(k.theta, k.box1, out)
-
-
-def _square_box(k: NCKernel) -> LatticeBox:
-    """The box of both legs; a kernel with unequal legs is an error."""
-    if k.box1 != k.box2:
-        raise ValueError(
-            f"kernel needs equal legs, got radii {k.box1.radius} and {k.box2.radius}"
-        )
-    return k.box1
+    xe = embedded(x, k.box)
+    out = k.coeffs @ (diagonal_phases(k.theta, k.box) * xe.coeffs[::-1])
+    return TorusElement(k.theta, k.box, out)
 
 
 def kernel_matrix(k: NCKernel) -> np.ndarray:
     """Matrix of the kernel's operator: entry (m, p) = c_{m,-p} sigma(p, -p).
 
     Column p holds the coefficients of the operator applied to the basis
-    monomial at p.  Both kernel legs must be the same box so the matrix is
-    square in its canonical order.  The result is a fresh array the caller
-    may modify.  Negation reverses the canonical order, so the column
-    permutation is a reversed view.
+    monomial at p, in the box's canonical order.  The result is a fresh
+    array the caller may modify.  Negation reverses the canonical order,
+    so the column permutation is a reversed view.
     """
-    return _matrix_rows(k.coeffs, diagonal_phases(k.theta, _square_box(k)))
+    return _matrix_rows(k.coeffs, diagonal_phases(k.theta, k.box))
 
 
 def _matrix_rows(coeff_rows: np.ndarray, col_phases: np.ndarray) -> np.ndarray:
@@ -181,13 +168,13 @@ def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKern
     star_phases = np.conj(diagonal_phases(theta, box))
     coeffs = np.zeros((box.cardinality, box.cardinality), dtype=complex)
     np.fill_diagonal(coeffs[:, ::-1], weights * star_phases)
-    return NCKernel(theta, box, box, coeffs)
+    return NCKernel(theta, box, coeffs)
 
 
 def sobolev_lift(k: NCKernel, alpha1: float, alpha2: float) -> NCKernel:
     """Scale c_{m,n} by (1+|m|^2)^(alpha1/2) (1+|n|^2)^(alpha2/2)."""
-    lifted = _lift_rows(k.coeffs, bessel_weights(alpha1, k.box1), bessel_weights(alpha2, k.box2))
-    return NCKernel(k.theta, k.box1, k.box2, lifted)
+    lifted = _lift_rows(k.coeffs, bessel_weights(alpha1, k.box), bessel_weights(alpha2, k.box))
+    return NCKernel(k.theta, k.box, lifted)
 
 
 def _lift_rows(coeff_rows: np.ndarray, w1_rows: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -208,11 +195,11 @@ def _lifted_extremes(k: NCKernel, alpha1: float, alpha2: float) -> tuple:
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
-    w1 = bessel_weights(alpha1, k.box1)
-    w2 = bessel_weights(alpha2, k.box2)
-    width = k.coeffs.shape[1]
+    w1 = bessel_weights(alpha1, k.box)
+    w2 = bessel_weights(alpha2, k.box)
+    n = k.box.cardinality
     top, where, sumsq = 0.0, 0, 0.0
-    for rows in _row_blocks(k.coeffs.shape[0], width):
+    for rows in _row_blocks(n):
         block = np.abs(k.coeffs[rows])
         block *= w1[rows, None]
         block *= w2[None, :]
@@ -220,7 +207,7 @@ def _lifted_extremes(k: NCKernel, alpha1: float, alpha2: float) -> tuple:
         peak = float(block.flat[i])
         if peak > top:
             sumsq *= (top / peak) ** 2
-            top, where = peak, rows.start * width + i
+            top, where = peak, rows.start * n + i
         if top > 0.0:
             block /= top
             sumsq += float(np.dot(block.ravel(), block.ravel()))
@@ -245,17 +232,16 @@ def flip_adjoint(k: NCKernel) -> NCKernel:
     Coefficient-wise: c'_{p,q} = conj(c_{-q,-p} sigma(p,-p) sigma(q,-q)).
     Its matrix is the conjugate transpose of kernel_matrix(k).
     """
-    box = _square_box(k)
-    star_phases = np.conj(diagonal_phases(k.theta, box))
+    star_phases = np.conj(diagonal_phases(k.theta, k.box))
     # swapped is column-major, so a block of its columns is contiguous; the
     # phase product keeps the order star[p] * star[q], which a fused
     # multiply-add need not round the same way as star[q] * star[p]
     swapped = np.conj(k.coeffs[::-1, ::-1].T)
-    for cols in _row_blocks(box.cardinality):
+    for cols in _row_blocks(k.box.cardinality):
         swapped[:, cols] *= np.multiply(
             star_phases[:, None], star_phases[None, cols], order="F"
         )
-    return NCKernel(k.theta, box, box, swapped)
+    return NCKernel(k.theta, k.box, swapped)
 
 
 def _sumsq(block: np.ndarray) -> float:
@@ -277,13 +263,12 @@ def factorization_gap(k: NCKernel, a1: float, a2: float) -> float:
     the same row forms as kernel_matrix and sobolev_lift, and only their
     sums of squares are kept.
     """
-    box = _square_box(k)
-    col_phases = diagonal_phases(k.theta, box)
-    w1 = bessel_weights(a1, box)
-    w2 = bessel_weights(a2, box)
-    w2_inv = bessel_weights(-a2, box)
+    col_phases = diagonal_phases(k.theta, k.box)
+    w1 = bessel_weights(a1, k.box)
+    w2 = bessel_weights(a2, k.box)
+    w2_inv = bessel_weights(-a2, k.box)
     norm_sq = gap_sq = 0.0
-    for rows in _row_blocks(box.cardinality):
+    for rows in _row_blocks(k.box.cardinality):
         lhs = _matrix_rows(k.coeffs[rows], col_phases)
         lhs *= w1[rows, None]
         rhs = _matrix_rows(_lift_rows(k.coeffs[rows], w1[rows], w2), col_phases)
@@ -301,11 +286,10 @@ def adjoint_gap(k: NCKernel) -> float:
     of A's columns, which are contiguous because flip_adjoint's
     coefficients are column-major.  Neither matrix is built whole.
     """
-    box = _square_box(k)
-    col_phases = diagonal_phases(k.theta, box)
+    col_phases = diagonal_phases(k.theta, k.box)
     adj = flip_adjoint(k).coeffs[:, ::-1]
     norm_sq = gap_sq = 0.0
-    for rows in _row_blocks(box.cardinality):
+    for rows in _row_blocks(k.box.cardinality):
         k_rows = _matrix_rows(k.coeffs[rows], col_phases)
         a_cols = np.multiply(adj[:, rows], col_phases[None, rows])
         norm_sq += _sumsq(k_rows)
@@ -319,7 +303,7 @@ def adjoint_gap(k: NCKernel) -> float:
 class SchwartzReport:
     """Coefficient magnitudes against the smooth-kernel decay envelope.
 
-    radius is the larger leg radius.  The fields print in this order as
+    radius is the kernel's box radius.  The fields print in this order as
     the `schwartz` record; worst_index and tolerance appear in JSON only.
     """
 
@@ -354,13 +338,11 @@ def schwartz_coefficients(
     if s0 <= d:
         raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {d}")
     worst, flat, lifted_norm = _lifted_extremes(h, alpha1 + s0, alpha2 + s0)
-    i, j = divmod(flat, h.box2.cardinality)
-    worst_index = (
-        tuple(int(v) for v in h.box1.enumerate()[i]),
-        tuple(int(v) for v in h.box2.enumerate()[j]),
-    )
+    pts = h.box.enumerate()
+    i, j = divmod(flat, h.box.cardinality)
+    worst_index = (tuple(int(v) for v in pts[i]), tuple(int(v) for v in pts[j]))
     return SchwartzReport(
-        radius=max(h.box1.radius, h.box2.radius),
+        radius=h.box.radius,
         s0=float(s0),
         alpha1=alpha1,
         alpha2=alpha2,
@@ -415,4 +397,4 @@ def random_kernel(
         t *= w2[None, :]
         block.real *= t
         block.imag *= t
-    return NCKernel(theta, box, box, coeffs)
+    return NCKernel(theta, box, coeffs)

@@ -19,7 +19,6 @@ __all__ = [
     "MEMORY_GUARD_CARDINALITY",
     "DECAY_GUARD_CARDINALITY",
     "as_multi_index",
-    "norm_sq",
 ]
 
 # Largest box cardinality (2N+1)^d a dense n x n construction will accept;
@@ -48,12 +47,6 @@ def as_multi_index(m: Sequence[int] | np.ndarray) -> np.ndarray:
             raise ValueError(f"multi-index entries must be integers, got {m!r}")
         arr = rounded
     return arr.astype(np.int64)
-
-
-def norm_sq(m: Sequence[int] | np.ndarray) -> int:
-    """Squared Euclidean norm: sum of m_j**2."""
-    arr = as_multi_index(m)
-    return int(arr @ arr)
 
 
 def _guard_dimension(d: int) -> None:

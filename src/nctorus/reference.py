@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import TorusElement
+from .cocycle import ReducedTheta
 from .kernels import NCKernel
 from .lattice import LatticeBox
 
@@ -68,27 +69,27 @@ def plain_convolution(f: TorusElement, g: TorusElement) -> TorusElement:
     return TorusElement(f.theta, box, full.reshape(-1))
 
 
-def tensor_multiply(k: NCKernel, l: NCKernel) -> NCKernel:
+def tensor_multiply(theta: ReducedTheta, k: tuple, l: tuple) -> tuple:
     """Product of two tensor-algebra elements, second leg reversed.
 
-    Each coefficient pair contributes c_{a,b} d_{c,e} sigma(a,c)
-    sigma(e,b) at index (a+c, e+b); the result lives on the Minkowski-sum
-    boxes.  Quartic cost, intended for tiny boxes only.
+    An element is a triple (box1, box2, coeffs) with one coefficient row
+    per first-leg point; the legs may differ, since a product lives on the
+    Minkowski-sum boxes.  Each coefficient pair contributes c_{a,b} d_{c,e}
+    sigma(a,c) sigma(e,b) at index (a+c, e+b).  Quartic cost, intended for
+    tiny boxes only.
     """
-    if k.theta != l.theta:
-        raise ValueError("kernels live over different deformation matrices")
-    theta = k.theta.entries
-    out1 = LatticeBox(k.box1.d, k.box1.radius + l.box1.radius)
-    out2 = LatticeBox(k.box2.d, k.box2.radius + l.box2.radius)
-    pa = k.box1.enumerate()
-    pb = k.box2.enumerate()
-    pc = l.box1.enumerate()
-    pe = l.box2.enumerate()
+    (k1, k2, kc), (l1, l2, lc) = k, l
+    out1 = LatticeBox(k1.d, k1.radius + l1.radius)
+    out2 = LatticeBox(k2.d, k2.radius + l2.radius)
+    pa = k1.enumerate()
+    pb = k2.enumerate()
+    pc = l1.enumerate()
+    pe = l2.enumerate()
     # sigma(a, c) and sigma(e, b) tables, then a full outer contraction
-    ph_ac = np.exp(2j * np.pi * np.mod(pa @ theta @ pc.T, 1.0))
-    ph_eb = np.exp(2j * np.pi * np.mod(pe @ theta @ pb.T, 1.0))
-    contrib = np.einsum("ab,ce,ac,eb->abce", k.coeffs, l.coeffs, ph_ac, ph_eb)
-    d = k.box1.d
+    ph_ac = np.exp(2j * np.pi * np.mod(pa @ theta.entries @ pc.T, 1.0))
+    ph_eb = np.exp(2j * np.pi * np.mod(pe @ theta.entries @ pb.T, 1.0))
+    contrib = np.einsum("ab,ce,ac,eb->abce", kc, lc, ph_ac, ph_eb)
+    d = k1.d
     sums_ac = (pa[:, None, :] + pc[None, :, :]).reshape(-1, d)
     sums_eb = (pe[:, None, :] + pb[None, :, :]).reshape(-1, d)
     rows = out1.linear_indices(sums_ac).reshape(len(pa), len(pc))  # (a, c)
@@ -100,20 +101,23 @@ def tensor_multiply(k: NCKernel, l: NCKernel) -> NCKernel:
         + cols.T[None, :, None, :]
     )
     np.add.at(flat, idx.ravel(), contrib.ravel())
-    return NCKernel(k.theta, out1, out2, flat.reshape(out1.cardinality, out2.cardinality))
+    return out1, out2, flat.reshape(out1.cardinality, out2.cardinality)
 
 
-def one_tensor(x: TorusElement) -> NCKernel:
+def one_tensor(x: TorusElement) -> tuple:
     """The element 1 (x) x: first leg the unit on a radius-0 box."""
-    unit_box = LatticeBox(x.box.d, 0)
-    return NCKernel(x.theta, unit_box, x.box, x.coeffs[None, :].copy())
+    return LatticeBox(x.box.d, 0), x.box, x.coeffs[None, :]
 
 
-def partial_trace_second(k: NCKernel) -> TorusElement:
+def partial_trace_second(theta: ReducedTheta, t: tuple) -> TorusElement:
     """Apply the trace to the second leg: keep its coefficient at 0."""
-    return TorusElement(k.theta, k.box1, k.coeffs[:, k.box2.center_index()].copy())
+    box1, box2, coeffs = t
+    return TorusElement(theta, box1, coeffs[:, box2.center_index()].copy())
 
 
 def apply_kernel_definitional(k: NCKernel, x: TorusElement) -> TorusElement:
     """The partial-trace definition of the kernel action, spelled out."""
-    return partial_trace_second(tensor_multiply(k, one_tensor(x)))
+    if k.theta != x.theta:
+        raise ValueError("kernels live over different deformation matrices")
+    product = tensor_multiply(k.theta, (k.box, k.box, k.coeffs), one_tensor(x))
+    return partial_trace_second(k.theta, product)

@@ -103,8 +103,6 @@ class DecayFit:
 
     slope: float
     residual: float
-    k_min: int
-    k_max: int
 
 
 def default_decay_window(length: int) -> tuple:
@@ -131,7 +129,7 @@ def decay_exponent(spectrum: SingularSpectrum, k_min: int, k_max: int) -> DecayF
     slope, intercept = np.polyfit(logx, logy, 1)
     fitted = slope * logx + intercept
     residual = float(np.sqrt(np.mean((logy - fitted) ** 2)))
-    return DecayFit(float(slope), residual, int(k_min), int(k_max))
+    return DecayFit(float(slope), residual)
 
 
 def critical_exponent(d: int, alpha1: float, alpha2: float) -> float:

@@ -192,6 +192,25 @@ def test_decay_bad_alpha(capsys):
         assert capsys.readouterr().err == f"error: alpha must be a finite number, got {bad}\n"
 
 
+def test_decay_refuses_radius_zero(capsys):
+    # a one-point spectrum has no fit window; the grid check names N
+    for grid in ("0", "0,5"):
+        assert main(["decay", "--n-grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: decay needs every N_grid entry to be at least 1, got 0\n"
+
+
+def test_seeds_near_the_key_bound(capsys):
+    # the keys the runners derive from the seed wrap modulo 2**128
+    for argv in (
+        ["suite", "--seed", str(2**128 - 1)],
+        ["factor", "--n-grid", "3", "--seed", str(2**128 - 2)],
+    ):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_factor_non_finite_multiplier(capsys):
     # a Bessel order too large for the box is refused by name, not as NaN
     # gaps or a NaN Sobolev norm, and the overflow prints no numpy warning

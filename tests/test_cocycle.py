@@ -40,15 +40,28 @@ def test_theta_matrix_rejects_d1():
 
 
 def test_theta_matrix_rejects_nonzero_diagonal():
-    bad = np.array([[1e-3, -0.3], [0.3, 0.0]])
-    with pytest.raises(ValueError, match=r"theta\[0\]\[0\]"):
+    # the value prints as a Python float, not as numpy's repr
+    bad = np.array([[1e-6, -0.3], [0.3, 0.0]])
+    with pytest.raises(ValueError) as exc:
         ThetaMatrix(bad)
+    assert str(exc.value) == "theta[0][0] = 1e-06 exceeds the diagonal tolerance 1e-12"
 
 
 def test_theta_matrix_cites_skew_defect_entry():
-    bad = np.array([[0.0, 0.25], [0.3, 0.0]])
-    with pytest.raises(ValueError, match=r"theta\[0\]\[1\] \+ theta\[1\]\[0\]"):
+    bad = np.array([[0.0, 0.25], [0.5, 0.0]])
+    with pytest.raises(ValueError) as exc:
         ThetaMatrix(bad)
+    assert str(exc.value) == (
+        "theta[0][1] + theta[1][0] = 0.75 exceeds the skew-symmetry tolerance 1e-12"
+    )
+
+
+def test_reduced_theta_cites_nonzero_entry():
+    with pytest.raises(ValueError) as exc:
+        ReducedTheta(np.array([[0.0, 0.5], [0.0, 0.0]]))
+    assert str(exc.value) == (
+        "reduced theta must be strictly lower triangular, entry [0][1] = 0.5 is nonzero"
+    )
 
 
 def test_skew_tolerance_boundary():

@@ -539,7 +539,7 @@ def test_runners_read_the_kernel_source(monkeypatch):
     config = ExperimentConfig(N_grid=(2, 3), r_grid=(0.8, 2.0, 5.0))
     for rec in run_theorem_scan(config):
         k = bessel_source(config, rec.N)
-        weights = np.sort(bessel_weights(-alpha, k.box1))[::-1]
+        weights = np.sort(bessel_weights(-alpha, k.box))[::-1]
         expected = np.sum(weights**rec.r) ** (1.0 / rec.r)
         assert rec.s_r_norm == pytest.approx(expected, rel=1e-12)
         assert rec.sobolev_norm == mixed_sobolev_norm(k, config.alpha1, config.alpha2)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus.lattice import LatticeBox, as_multi_index, norm_sq
+from nctorus.lattice import LatticeBox, as_multi_index
 
 
 def test_enumerate_lex_order_d2_n1():
@@ -83,11 +83,6 @@ def test_as_multi_index_rejects_non_integers():
     with pytest.raises((TypeError, ValueError)):
         as_multi_index((0.5, 1.0))
     assert np.array_equal(as_multi_index((1.0, -2.0)), np.array([1, -2]))
-
-
-def test_norm_sq():
-    assert norm_sq((3, -4)) == 25
-    assert norm_sq((0, 0, 0)) == 0
 
 
 def test_invalid_box_parameters():

@@ -42,7 +42,7 @@ def test_rank_one_kernel_spectrum(red2, rng):
     box = LatticeBox(2, 2)
     a = random_element(red2, box, rng)
     b = random_element(red2, box, rng)
-    k = NCKernel(red2, box, box, np.outer(a.coeffs, b.coeffs))
+    k = NCKernel(red2, box, np.outer(a.coeffs, b.coeffs))
     spec = singular_values(kernel_matrix(k))
     assert spec.values[0] == pytest.approx(l2_norm(a) * l2_norm(b), rel=1e-12)
     assert np.max(spec.values[1:]) <= 1e-12 * spec.values[0]
