@@ -53,7 +53,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--theta-file", help="JSON file with the full skew matrix")
     sub.add_argument("--seed", type=int, help="PRNG seed (default 42)")
     sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
+    sub.add_argument("--format", choices=("csv", "json"), help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         table, doc, failure = _COMMANDS[args.command](args, config)
-        text = to_json(doc) if config.fmt == "json" else table
+        text = to_json(doc) if config.format == "json" else table
         if config.out in (None, "-"):
             sys.stdout.write(text)
         else:

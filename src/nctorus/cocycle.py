@@ -14,13 +14,12 @@ scaling by 2 pi so large indices do not lose accuracy.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeBox, as_multi_index
+from .lattice import LatticeBox, _finite, _integer, as_multi_index
 
 __all__ = [
     "SKEW_TOLERANCE",
@@ -183,8 +182,8 @@ def theta_from_json(doc: dict) -> ThetaMatrix:
     for key in ("d", "theta"):
         if key not in doc:
             raise ValueError(f"theta document missing key {key!r}")
-    d = doc["d"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+    d = _integer("'d'", doc["d"])
+    if d < 2:
         raise ValueError(f"'d' must be an integer >= 2, got {d!r}")
     rows = doc["theta"]
     if not isinstance(rows, list) or len(rows) != d:
@@ -195,12 +194,7 @@ def theta_from_json(doc: dict) -> ThetaMatrix:
             n = len(row) if isinstance(row, list) else f"a {type(row).__name__}"
             raise ValueError(f"theta[{j}] has {n} entries, expected {d}")
         for k, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"theta[{j}][{k}] = {v!r} is not a real number")
-            try:
-                float(v)
-            except OverflowError:  # an int beyond the float range
-                raise ValueError(f"theta[{j}][{k}] is an integer beyond the float range") from None
+            _finite(f"theta[{j}][{k}]", v)
     return ThetaMatrix(np.array(rows, dtype=float))
 
 

@@ -13,7 +13,6 @@ is a dataclass written by the shared emitter in `records`.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -56,6 +55,7 @@ from .kernels import (
     schwartz_coefficients,
 )
 from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _guard_box, _guard_dimension
+from .lattice import _finite, _integer, _positive
 from .multipliers import apply_multiplier, bessel_weights, riesz_weights
 from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
@@ -96,36 +96,6 @@ def default_theta(d: int = 2) -> ThetaMatrix:
     return ThetaMatrix(entries)
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; integral floats such as 2.0 pass, 2.7 or True do not."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _finite(name: str, value) -> float:
-    try:
-        ok = not isinstance(value, bool) and isinstance(value, numbers.Real)
-        ok = ok and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive(name: str, value) -> float:
-    """value as a float > 0; inf passes, NaN, bools and non-numbers do not."""
-    try:
-        if not isinstance(value, bool) and isinstance(value, numbers.Real) and value > 0:
-            return float(value)
-    except OverflowError:  # an int beyond the float range
-        pass
-    raise ValueError(f"{name} must be a positive number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs for the grid runners; validated on construction."""
@@ -140,7 +110,7 @@ class ExperimentConfig:
     seed: int = 42
     s0: float | None = None
     out: str | None = None
-    fmt: str = "csv"
+    format: str = "csv"
 
     def __post_init__(self) -> None:
         def store(name: str, value) -> None:
@@ -177,8 +147,8 @@ class ExperimentConfig:
             if not isinstance(self.r_grid, (list, tuple)):
                 raise ValueError(f"r_grid must be a list of numbers, got {self.r_grid!r}")
             store("r_grid", tuple(_positive("r_grid entry", r) for r in self.r_grid))
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, got {self.out!r}")
 
@@ -216,18 +186,15 @@ class ExperimentConfig:
     def from_json(doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-        known = {"format" if f.name == "fmt" else f.name for f in fields(ExperimentConfig)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"config has unknown keys: {sorted(unknown)}")
-        kwargs = {("fmt" if key == "format" else key): value for key, value in doc.items()}
         if "theta" in doc:
             # theta takes its dimension from its rows; __post_init__ checks it against d
             rows = doc["theta"]
             size = len(rows) if isinstance(rows, list) else 2
-            kwargs["theta"] = theta_from_json({"d": size, "theta": rows})
-            kwargs.setdefault("d", size)
-        return ExperimentConfig(**kwargs)
+            doc = {"d": size, **doc, "theta": theta_from_json({"d": size, "theta": rows})}
+        return ExperimentConfig(**doc)
 
 
 def kernel_source(config: ExperimentConfig, radius: int) -> NCKernel:
@@ -594,6 +561,11 @@ def _decay_one(d: int, alpha: float, radius: int) -> DecayRecord:
     spectrum = SingularSpectrum(vals)
     p = d / alpha
     k_min, k_max = default_decay_window(box.cardinality)
+    where = f"decay at N={radius}, alpha={alpha:g}: the fit window [{k_min}, {k_max}]"
+    if vals[k_max] == 0.0:
+        raise ValueError(f"{where} holds weights that underflow to 0")
+    if vals[k_min] == vals[k_max]:
+        raise ValueError(f"{where} holds equal weights only, so it shows no decay")
     fit = decay_exponent(spectrum, k_min, k_max)
     return DecayRecord(
         N=radius,
@@ -611,10 +583,10 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     Diagonal spectra need no SVD, so boxes far beyond the dense-matrix
     guard are cheap; each box is held to DECAY_GUARD_CARDINALITY points
     instead, checked for the whole grid first.  N = 0 leaves no fit window
-    and is refused with the grid checks.  The p-th power sum is
-    emitted alongside as data (it diverges logarithmically at the weak
-    endpoint); only the weak norm and the slope carry assertions
-    downstream.
+    and is refused with the grid checks, and a window of equal weights (N =
+    1 at d = 2) or of weights flushed to 0 before its fit.  The p-th power
+    sum is emitted alongside as data (it diverges logarithmically at the
+    weak endpoint); only the weak norm and the slope carry assertions.
     """
     if _finite("alpha", alpha) <= 0:
         raise ValueError(f"potential order must be positive, got {alpha}")

@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, diagonal_phases
 from .lattice import LatticeBox, _guard_box
-from .multipliers import bessel_weights
+from .multipliers import _scaled_extremes, _squared_norms, bessel_weights
 from .records import JSON_ONLY
 
 __all__ = [
@@ -162,9 +162,7 @@ def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKern
     coefficient (n, -n) with the conjugate phase attached.
     """
     _guard_box(box.d, box.radius)
-    pts = box.enumerate()
-    nsq = np.einsum("ij,ij->i", pts, pts).astype(float)
-    weights = (1.0 + nsq) ** (-alpha2 / 2.0)
+    weights = (1.0 + _squared_norms(box)) ** (-alpha2 / 2.0)
     star_phases = np.conj(diagonal_phases(theta, box))
     coeffs = np.zeros((box.cardinality, box.cardinality), dtype=complex)
     np.fill_diagonal(coeffs[:, ::-1], weights * star_phases)
@@ -185,43 +183,21 @@ def _lift_rows(coeff_rows: np.ndarray, w1_rows: np.ndarray, w2: np.ndarray) -> n
 
 
 def _lifted_extremes(k: NCKernel, alpha1: float, alpha2: float) -> tuple:
-    """(max, flat index of the first max, L2 norm) of the lifted moduli.
-
-    The lifted modulus at (m, n) is |c_{m,n}| (1+|m|^2)^(alpha1/2)
-    (1+|n|^2)^(alpha2/2).  One pass over row blocks: each block is divided
-    by the largest modulus seen so far before it is squared, and the sum of
-    squares is rescaled whenever that largest modulus grows, so the norm is
-    finite wherever the largest modulus is.
-    """
+    """(max, flat index of the first max, L2 norm) of |sobolev_lift|, by row blocks."""
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
     w1 = bessel_weights(alpha1, k.box)
     w2 = bessel_weights(alpha2, k.box)
-    n = k.box.cardinality
-    top, where, sumsq = 0.0, 0, 0.0
-    for rows in _row_blocks(n):
-        block = np.abs(k.coeffs[rows])
-        block *= w1[rows, None]
-        block *= w2[None, :]
-        i = int(np.argmax(block))
-        peak = float(block.flat[i])
-        if peak > top:
-            sumsq *= (top / peak) ** 2
-            top, where = peak, rows.start * n + i
-        if top > 0.0:
-            block /= top
-            sumsq += float(np.dot(block.ravel(), block.ravel()))
-        del block  # free this block before the next one is built
-    return top, where, top * math.sqrt(sumsq)
+    rows = _row_blocks(k.box.cardinality)
+    return _scaled_extremes(_lift_rows(np.abs(k.coeffs[r]), w1[r], w2) for r in rows)
 
 
 def mixed_sobolev_norm(k: NCKernel, alpha1: float, alpha2: float) -> float:
     """The mixed Sobolev norm: L2 norm of the lifted kernel.
 
     Orders must be nonnegative; the negative-order lifts remain available
-    through sobolev_lift directly.  The norm is taken in row blocks scaled
-    by the largest lifted modulus, so it stays finite wherever that
-    modulus is.
+    through sobolev_lift directly.  The norm is finite wherever the largest
+    lifted modulus is, and NaN or inf with it.
     """
     return _lifted_extremes(k, alpha1, alpha2)[2]
 
@@ -331,8 +307,9 @@ def schwartz_coefficients(
     weights to the other side, the ratio at (m, n) is |lifted c_{m,n}| /
     ||lifted h||, read off one streamed pass over the lifted moduli;
     worst_ratio is its largest value, and worst_index the first place it
-    occurs.  s0 must exceed the dimension so the envelope is summable over
-    the full lattice.
+    occurs.  A NaN or inf modulus makes worst_ratio NaN, so the check fails.
+    s0 must exceed the dimension so the envelope is summable over the full
+    lattice.
     """
     d = h.theta.d
     if s0 <= d:
@@ -346,7 +323,7 @@ def schwartz_coefficients(
         s0=float(s0),
         alpha1=alpha1,
         alpha2=alpha2,
-        worst_ratio=worst / lifted_norm if lifted_norm > 0 else 0.0,
+        worst_ratio=worst / lifted_norm if lifted_norm != 0.0 else 0.0,
         worst_index=worst_index,
         lifted_norm=lifted_norm,
     )

@@ -3,10 +3,13 @@
 Every matrix and coefficient vector in this package is indexed by the
 points of such a box, enumerated in a single canonical order, so the
 index bijections here are the ground truth for everything built on top.
+The number rules every module checks its inputs by live here as well.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -36,17 +39,54 @@ DECAY_GUARD_CARDINALITY = 1 << 20
 MAX_DIMENSION = 12
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; integral floats such as 2.0 pass, 2.7 or True do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integer_array(name: str, value) -> np.ndarray:
+    """value as an int64 array by the rule of _integer; int64 arrays pass uncopied."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN, inf and huge entries cast to junk
+            out = arr.astype(np.int64)
+        if np.array_equal(out, arr):  # junk never equals the entry it came from
+            return out
+    raise ValueError(f"{name} entries must be integers, got {value!r}")
+
+
+def _finite(name: str, value) -> float:
+    """value as a finite float; NaN, inf, bools and non-numbers do not pass."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _positive(name: str, value) -> float:
+    """value as a float > 0; inf passes, NaN, bools and non-numbers do not."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and value > 0:
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"{name} must be a positive number, got {value!r}")
+
+
 def as_multi_index(m: Sequence[int] | np.ndarray) -> np.ndarray:
     """Coerce a multi-index to a 1-d int64 array, rejecting non-integers."""
-    arr = np.asarray(m)
+    arr = _integer_array("multi-index", m)
     if arr.ndim != 1:
         raise ValueError(f"multi-index must be one-dimensional, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(rounded, arr):
-            raise ValueError(f"multi-index entries must be integers, got {m!r}")
-        arr = rounded
-    return arr.astype(np.int64)
+    return arr
 
 
 def _guard_dimension(d: int) -> None:
@@ -82,9 +122,12 @@ class LatticeBox:
     radius: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
+        if type(self.d) is not int or type(self.radius) is not int:  # plain ints are the fast path
+            object.__setattr__(self, "d", _integer("dimension", self.d))
+            object.__setattr__(self, "radius", _integer("radius", self.radius))
+        if self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
-        if not isinstance(self.radius, (int, np.integer)) or self.radius < 0:
+        if self.radius < 0:
             raise ValueError(f"radius must be a nonnegative integer, got {self.radius!r}")
 
     @property
@@ -133,7 +176,7 @@ class LatticeBox:
 
     def linear_indices(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized linear_index over an (n, d) array of in-box points."""
-        pts = np.asarray(pts, dtype=np.int64)
+        pts = _integer_array("lattice point", pts)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise IndexError(f"expected an (n, {self.d}) array of points, got shape {pts.shape}")
         if np.any(np.abs(pts) > self.radius):

@@ -11,6 +11,8 @@ boxes with very negative orders stay finite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import TorusElement
@@ -84,19 +86,27 @@ def apply_multiplier(weights: np.ndarray, x: TorusElement) -> TorusElement:
     return TorusElement(x.theta, x.box, x.coeffs * weights)
 
 
-def _scaled_norm(moduli: np.ndarray) -> float:
-    """L2 norm of an array of nonnegative reals, which it divides in place.
+def _scaled_extremes(blocks) -> tuple:
+    """(max, flat index of its first occurrence, L2 norm) of blocks of nonnegative reals.
 
-    Dividing by the largest entry first keeps the squares in range, so the
-    norm is finite wherever that entry is, and no warning is raised.
+    The blocks, read in order as one flat array, are each divided in place
+    by the largest entry so far before they are squared, so the norm is
+    finite wherever the max is.  A NaN makes both NaN, else an inf both inf.
     """
-    top = float(np.max(moduli, initial=0.0))
-    if top == 0.0:
-        return 0.0
-    moduli /= top
-    return top * float(np.linalg.norm(moduli))
+    top, where, sumsq, offset = 0.0, 0, 0.0, 0
+    for block in blocks:
+        i = int(np.argmax(block))  # the first NaN, if the block holds one
+        peak = float(block.flat[i])
+        if peak > top or (math.isnan(peak) and not math.isnan(top)):
+            sumsq *= (top / peak) ** 2
+            top, where = peak, offset + i
+        offset += block.size
+        if 0.0 < top < math.inf:
+            block /= top
+            sumsq += float(np.dot(block.ravel(), block.ravel()))
+    return top, where, (top * math.sqrt(sumsq) if top < math.inf else top)
 
 
 def sobolev_norm(x: TorusElement, alpha: float) -> float:
     """The order-alpha Sobolev norm: L2 norm after the Bessel multiplier."""
-    return _scaled_norm(np.abs(x.coeffs * bessel_weights(alpha, x.box)))
+    return _scaled_extremes([np.abs(x.coeffs * bessel_weights(alpha, x.box))])[2]

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _integer
+
 __all__ = [
     "SingularSpectrum",
     "singular_values",
@@ -134,7 +136,8 @@ def decay_exponent(spectrum: SingularSpectrum, k_min: int, k_max: int) -> DecayF
 
 def critical_exponent(d: int, alpha1: float, alpha2: float) -> float:
     """The Schatten threshold 2d / (d + 2(alpha1 + alpha2))."""
-    if not (isinstance(d, (int, np.integer)) and d >= 2):
+    d = _integer("dimension", d)
+    if d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"smoothness orders must be nonnegative, got ({alpha1}, {alpha2})")

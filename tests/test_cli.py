@@ -4,9 +4,11 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,10 +100,13 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_theta_file(tmp_path, capsys):
     theta = tmp_path / "theta.json"
-    theta.write_text(json.dumps({"d": 2, "theta": [[0.0, -0.25], [0.25, 0.0]]}))
-    assert main(["scan", "--theta-file", str(theta), "--n-grid", "3", "--r-grid", "1.0"]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 2
+    # "d": 2.0 is the integer 2, as it is in a config file
+    for d in (2, 2.0):
+        theta.write_text(json.dumps({"d": d, "theta": [[0.0, -0.25], [0.25, 0.0]]}))
+        argv = ["scan", "--theta-file", str(theta), "--n-grid", "3", "--r-grid", "1.0"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 2
 
 
 def test_bad_theta_file(tmp_path, capsys):
@@ -199,6 +204,41 @@ def test_decay_refuses_radius_zero(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: decay needs every N_grid entry to be at least 1, got 0\n"
+
+
+def test_decay_refuses_windows_without_decay(capsys):
+    # a fit window of equal weights, or of weights flushed to 0, holds no
+    # decay to fit; the refusal names N and alpha
+    for argv, why in (
+        (["--n-grid", "1"], "N=1, alpha=2: the fit window [1, 4] holds equal weights only"),
+        (
+            ["--alpha", "1e-300", "--n-grid", "4"],
+            "N=4, alpha=1e-300: the fit window [5, 40] holds equal weights only",
+        ),
+        (
+            ["--alpha", "700", "--n-grid", "40"],
+            "N=40, alpha=700: the fit window [329, 3280] holds weights that underflow to 0",
+        ),
+    ):
+        code, out, err = _run(capsys, ["decay", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: decay at {why}")
+    # at d=3 the radius-1 window spans two shells of weights and is fitted
+    code, out, err = _run(capsys, ["decay", "--d", "3", "--n-grid", "1"])
+    assert (code, err) == (0, "")
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    # every nctorus line of the README's command-line block runs and exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("nctorus ")]
+    assert {argv[0] for argv in commands} == {"suite", "scan", "decay", "factor", "schwartz"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_seeds_near_the_key_bound(capsys):

@@ -230,15 +230,21 @@ def test_theta_from_json_entry_count():
 
 
 def test_theta_from_json_cites_bad_entry():
-    with pytest.raises(ValueError, match=r"theta\[0\]\[1\] = 'x' is not a real number"):
+    with pytest.raises(ValueError, match=r"theta\[0\]\[1\] must be a finite number, got 'x'"):
         theta_from_json({"d": 2, "theta": [[0.0, "x"], [0.0, 0.0]]})
-    with pytest.raises(ValueError, match=r"theta\[0\]\[0\] = True is not a real number"):
+    with pytest.raises(ValueError, match=r"theta\[0\]\[0\] must be a finite number, got True"):
         theta_from_json({"d": 2, "theta": [[True, 0.0], [0.0, 0.0]]})
+    with pytest.raises(ValueError, match=r"theta\[1\]\[0\] must be a finite number, got nan"):
+        theta_from_json({"d": 2, "theta": [[0.0, 0.0], [float("nan"), 0.0]]})
 
 
 def test_theta_from_json_bad_d():
     with pytest.raises(ValueError, match="'d' must be an integer >= 2"):
         theta_from_json({"d": 1, "theta": [[0.0]]})
+    with pytest.raises(ValueError, match="'d' must be an integer, got True"):
+        theta_from_json({"d": True, "theta": [[0.0]]})
+    # an integral float is the integer
+    assert theta_from_json({"d": 2.0, "theta": [[0.0, -0.5], [0.5, 0.0]]}).d == 2
 
 
 def test_load_theta_roundtrip(tmp_path, theta2):

@@ -80,7 +80,7 @@ def _config_doc(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "s0": cfg.s0,
         "out": cfg.out,
-        "format": cfg.fmt,
+        "format": cfg.format,
     }
     if cfg.theta is not None:
         doc["theta"] = cfg.theta.entries.tolist()
@@ -133,7 +133,7 @@ def test_config_validation(tmp_path, capsys):
     assert cfg.r_grid == (float("inf"), 2.0)
     assert all(type(r) is float for r in cfg.r_grid)
     with pytest.raises(ValueError, match="format"):
-        ExperimentConfig(fmt="xml")
+        ExperimentConfig(format="xml")
     with pytest.raises(ValueError, match="dimension"):
         ExperimentConfig(d=3, theta=default_theta(2))
     with pytest.raises(ValueError, match="d must be an integer, got 2.7"):
@@ -197,7 +197,7 @@ def test_config_from_json_roundtrip():
     assert cfg.N_grid == (3, 5)
     assert cfg.r_grid == (0.8, 1.6)
     assert cfg.seed == 7
-    assert cfg.fmt == "json"
+    assert cfg.format == "json"
 
 
 def test_config_from_json_rejects_unknown_keys():

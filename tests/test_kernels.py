@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nctorus.algebra import (
+    TorusElement,
     involution,
     l2_norm,
     monomial,
@@ -289,6 +290,35 @@ def test_mixed_sobolev_norm_finite_where_squares_overflow(red2):
     reference = top * top * np.linalg.norm(np.abs(k.coeffs) * np.outer(w / top, w / top))
     assert np.isfinite(reference)
     assert mixed_sobolev_norm(k, 600.0, 600.0) == pytest.approx(reference, rel=1e-14)
+
+
+def test_lifted_norms_carry_nan_and_inf(red2):
+    # one bad coefficient makes the norm NaN or inf, and the Schwartz check fail
+    k = random_kernel(red2, 2, 1.0, 1.0, 31)
+    for bad, norm_is in ((np.nan, np.isnan), (np.inf, np.isinf)):
+        coeffs = k.coeffs.copy()
+        coeffs[3, 5] = bad
+        k_bad = NCKernel(red2, k.box, coeffs)
+        assert norm_is(mixed_sobolev_norm(k_bad, 1.0, 1.0))
+        rep = schwartz_coefficients(k_bad, 1.0, 1.0, 3.0)
+        assert norm_is(rep.lifted_norm) and np.isnan(rep.worst_ratio)
+        assert rep.passed is False
+        assert rep.worst_index == (tuple(k.box.enumerate()[3]), tuple(k.box.enumerate()[5]))
+    # over many row blocks the first NaN wins, even after an inf
+    k = random_kernel(red2, 10, 1.0, 1.0, 31)
+    n = k.box.cardinality
+    coeffs = k.coeffs.copy()
+    coeffs[2, 7], coeffs[n - 3, 1], coeffs[n - 1, 0] = np.inf, np.nan, np.nan
+    top, where, norm = _lifted_extremes(NCKernel(red2, k.box, coeffs.copy()), 0.5, 0.5)
+    assert np.isnan(top) and np.isnan(norm) and where == (n - 3) * n + 1
+    coeffs[n - 3, 1] = coeffs[n - 1, 0] = 0.0
+    top, where, norm = _lifted_extremes(NCKernel(red2, k.box, coeffs), 0.5, 0.5)
+    assert (top, where, norm) == (np.inf, 2 * n + 7, np.inf)
+    # the element norm shares the reduction
+    x = random_element(red2, LatticeBox(2, 2), np.random.default_rng(31))
+    x_coeffs = x.coeffs.copy()
+    x_coeffs[4] = np.nan
+    assert np.isnan(sobolev_norm(TorusElement(red2, x.box, x_coeffs), 1.0))
 
 
 def test_mixed_sobolev_norm_rejects_negative(red2):

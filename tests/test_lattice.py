@@ -83,6 +83,17 @@ def test_as_multi_index_rejects_non_integers():
     with pytest.raises((TypeError, ValueError)):
         as_multi_index((0.5, 1.0))
     assert np.array_equal(as_multi_index((1.0, -2.0)), np.array([1, -2]))
+    # bools are not integers; an int64 array passes as it is, uncopied
+    with pytest.raises(ValueError, match="multi-index entries must be integers"):
+        as_multi_index(np.array([True, False]))
+    arr = np.array([1, -2])
+    assert as_multi_index(arr) is arr
+    # the point array of linear_indices follows the same rule
+    box = LatticeBox(2, 1)
+    for bad in ([[0.5, 0.0]], np.array([[True, False]]), [[np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="lattice point entries must be integers"):
+            box.linear_indices(bad)
+    assert box.linear_indices([[1.0, 0.0]]).tolist() == [box.linear_index((1, 0))]
 
 
 def test_invalid_box_parameters():
@@ -90,6 +101,13 @@ def test_invalid_box_parameters():
         LatticeBox(0, 1)
     with pytest.raises(ValueError):
         LatticeBox(2, -1)
+    for d, radius in ((True, 1), (2, False), (2.5, 1), (2, 1.5), ("2", 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            LatticeBox(d, radius)
+    # integral floats and numpy integers are stored as plain ints
+    box = LatticeBox(2.0, np.int64(1))
+    assert (type(box.d), type(box.radius)) == (int, int)
+    assert box == LatticeBox(2, 1) and box.cardinality == 9
 
 
 @settings(max_examples=60)

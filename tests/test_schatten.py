@@ -188,11 +188,16 @@ def test_critical_exponent_reference_values():
     assert critical_exponent(2, 0.0, 0.0) == pytest.approx(2.0)
     assert critical_exponent(2, 0.0, 1.0) == pytest.approx(1.0)
     assert critical_exponent(3, 0.5, 1.0) == pytest.approx(1.0)
+    # an integral float dimension counts as the integer
+    assert critical_exponent(2.0, 1.0, 1.0) == critical_exponent(2, 1.0, 1.0)
 
 
 def test_critical_exponent_validation():
     with pytest.raises(ValueError, match=">= 2"):
         critical_exponent(1, 1.0, 1.0)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match=f"dimension must be an integer, got {bad}"):
+            critical_exponent(bad, 1.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         critical_exponent(2, -0.1, 0.0)
 
