@@ -34,24 +34,26 @@ from .records import to_csv, to_json
 __all__ = ["main"]
 
 
-def _int_list(text: str) -> tuple:
+def _number(text: str) -> int | float:
+    """One numeral: an integer literal as an exact int, any other as a float.
+
+    The flag's value then meets the rules its field meets in a config file.
+    """
     try:
-        return tuple(int(part) for part in text.split(","))
+        return int(text) if text.strip().lstrip("+-").isdigit() else float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
 
 
-def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _numbers(text: str) -> tuple:
+    """Comma-separated numerals, each read by _number."""
+    return tuple(_number(part) for part in text.split(","))
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--theta-file", help="JSON file with the full skew matrix")
-    sub.add_argument("--seed", type=int, help="PRNG seed (default 42)")
+    sub.add_argument("--seed", type=_number, help="PRNG seed (default 42)")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), help="output format")
 
@@ -69,35 +71,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = subs.add_parser("scan", help="Schatten norms of random smooth kernels over an N grid")
     _add_common(scan)
-    scan.add_argument("--d", type=int, help="lattice dimension (default 2)")
-    scan.add_argument("--alpha1", type=float, help="first smoothness order")
-    scan.add_argument("--alpha2", type=float, help="second smoothness order")
-    scan.add_argument("--n-grid", type=_int_list, help="comma-separated box radii")
-    scan.add_argument("--r-grid", type=_float_list, help="comma-separated Schatten exponents")
-    scan.add_argument("--s-margin", type=float, help="envelope margin above alpha_i + d/2")
+    scan.add_argument("--d", type=_number, help="lattice dimension (default 2)")
+    scan.add_argument("--alpha1", type=_number, help="first smoothness order")
+    scan.add_argument("--alpha2", type=_number, help="second smoothness order")
+    scan.add_argument("--n-grid", type=_numbers, help="comma-separated box radii")
+    scan.add_argument("--r-grid", type=_numbers, help="comma-separated Schatten exponents")
+    scan.add_argument("--s-margin", type=_number, help="envelope margin above alpha_i + d/2")
 
     decay = subs.add_parser("decay", help="weak norms and decay slopes of potential spectra")
     _add_common(decay)
-    decay.add_argument("--d", type=int, help="lattice dimension (default 2)")
-    decay.add_argument("--alpha", type=float, default=2.0, help="potential order (default 2)")
-    decay.add_argument("--n-grid", type=_int_list, help="comma-separated box radii")
+    decay.add_argument("--d", type=_number, help="lattice dimension (default 2)")
+    decay.add_argument("--alpha", type=_number, default=2.0, help="potential order (default 2)")
+    decay.add_argument("--n-grid", type=_numbers, help="comma-separated box radii")
 
     factor = subs.add_parser("factor", help="factorization and adjoint identity gaps")
     _add_common(factor)
-    factor.add_argument("--d", type=int, help="lattice dimension (default 2)")
-    factor.add_argument("--alpha1", type=float, help="first smoothness order")
-    factor.add_argument("--alpha2", type=float, help="second smoothness order")
-    factor.add_argument("--n-grid", type=_int_list, help="comma-separated box radii")
-    factor.add_argument("--s-margin", type=float, help="envelope margin above alpha_i + d/2")
+    factor.add_argument("--d", type=_number, help="lattice dimension (default 2)")
+    factor.add_argument("--alpha1", type=_number, help="first smoothness order")
+    factor.add_argument("--alpha2", type=_number, help="second smoothness order")
+    factor.add_argument("--n-grid", type=_numbers, help="comma-separated box radii")
+    factor.add_argument("--s-margin", type=_number, help="envelope margin above alpha_i + d/2")
 
     schwartz = subs.add_parser("schwartz", help="coefficient bound against the decay envelope")
     _add_common(schwartz)
-    schwartz.add_argument("--d", type=int, help="lattice dimension (default 2)")
-    schwartz.add_argument("--alpha1", type=float, help="first smoothness order")
-    schwartz.add_argument("--alpha2", type=float, help="second smoothness order")
-    schwartz.add_argument("--n", type=int, help="box radius (default: largest grid entry)")
-    schwartz.add_argument("--s0", type=float, help="decay margin, must exceed d (default d+1)")
-    schwartz.add_argument("--s-margin", type=float, help="envelope margin above alpha_i + d/2")
+    schwartz.add_argument("--d", type=_number, help="lattice dimension (default 2)")
+    schwartz.add_argument("--alpha1", type=_number, help="first smoothness order")
+    schwartz.add_argument("--alpha2", type=_number, help="second smoothness order")
+    schwartz.add_argument("--n", type=_number, help="box radius (default: largest grid entry)")
+    schwartz.add_argument("--s0", type=_number, help="decay margin, must exceed d (default d+1)")
+    schwartz.add_argument("--s-margin", type=_number, help="envelope margin above alpha_i + d/2")
 
     return parser
 
@@ -165,7 +167,8 @@ def _cmd_scan(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
 
 def _cmd_decay(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     records = run_potential_decay(config.d, args.alpha, config.N_grid)
-    doc = {"d": config.d, "alpha": args.alpha, "records": records}
+    # run_potential_decay has refused an alpha that is not a finite number
+    doc = {"d": config.d, "alpha": float(args.alpha), "records": records}
     return to_csv(DecayRecord, records), doc, None
 
 

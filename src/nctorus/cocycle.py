@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeBox, _finite, _integer, as_multi_index
+from .lattice import LatticeBox, _finite, _integer, _shown, as_multi_index
 
 __all__ = [
     "SKEW_TOLERANCE",
@@ -184,7 +184,7 @@ def theta_from_json(doc: dict) -> ThetaMatrix:
             raise ValueError(f"theta document missing key {key!r}")
     d = _integer("'d'", doc["d"])
     if d < 2:
-        raise ValueError(f"'d' must be an integer >= 2, got {d!r}")
+        raise ValueError(f"'d' must be an integer >= 2, got {_shown(d)}")
     rows = doc["theta"]
     if not isinstance(rows, list) or len(rows) != d:
         n = len(rows) if isinstance(rows, list) else f"a {type(rows).__name__}"

@@ -55,7 +55,7 @@ from .kernels import (
     schwartz_coefficients,
 )
 from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _guard_box, _guard_dimension
-from .lattice import _finite, _integer, _positive
+from .lattice import _finite, _integer, _positive, _shown
 from .multipliers import apply_multiplier, bessel_weights, riesz_weights
 from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
@@ -118,7 +118,7 @@ class ExperimentConfig:
 
         store("d", _integer("d", self.d))
         if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
+            raise ValueError(f"dimension must be at least 2, got {_shown(self.d)}")
         _guard_dimension(self.d)
         if self.theta is not None and self.theta.d != self.d:
             raise ValueError(
@@ -128,9 +128,9 @@ class ExperimentConfig:
             raise ValueError(f"N_grid must be a list of integers, got {self.N_grid!r}")
         grid = tuple(_integer("N_grid entry", n) for n in self.N_grid)
         if not grid or any(n < 0 for n in grid):
-            raise ValueError(f"N grid must be nonempty and nonnegative, got {grid}")
+            raise ValueError(f"N grid must be nonempty and nonnegative, got {_shown(grid)}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"N grid must be strictly increasing, got {grid}")
+            raise ValueError(f"N grid must be strictly increasing, got {_shown(grid)}")
         store("N_grid", grid)
         for name in ("alpha1", "alpha2", "s_margin"):
             store(name, _finite(name, getattr(self, name)))
@@ -138,7 +138,7 @@ class ExperimentConfig:
             store("s0", _finite("s0", self.s0))
         store("seed", _integer("seed", self.seed))
         if not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
+            raise ValueError(f"seed must be in [0, 2**128), got {_shown(self.seed)}")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError(
                 f"smoothness orders must be nonnegative, got ({self.alpha1}, {self.alpha2})"
@@ -593,7 +593,9 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     grid = [_integer("N_grid entry", n) for n in N_grid]
     for radius in grid:
         if radius < 1:
-            raise ValueError(f"decay needs every N_grid entry to be at least 1, got {radius}")
+            raise ValueError(
+                f"decay needs every N_grid entry to be at least 1, got {_shown(radius)}"
+            )
         _guard_box(d, radius, DECAY_GUARD_CARDINALITY, "point-count")
     records = [_decay_one(d, alpha, radius) for radius in grid]
     records.sort(key=lambda rec: rec.N)

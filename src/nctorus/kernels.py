@@ -15,13 +15,13 @@ norms exactly.
 
 Every dense step works in row blocks of _BLOCK_ENTRIES entries: the draw
 fills its coefficients block by block, the norms reduce one block of
-lifted moduli at a time, and flip_adjoint phases one block of columns at
+lifted moduli at a time, and flip_adjoint fills one block of columns at
 a time.  So no step holds an n x n temporary beside the arrays it
-returns.  The row forms _matrix_rows and _lift_rows are the bodies of
-kernel_matrix and sobolev_lift, so a block of either is bit for bit the
-same rows of the whole result.  The identity gaps factorization_gap and
-adjoint_gap build both sides of their identities from those row forms,
-one block at a time, and keep only sums of squares.
+returns.  The row forms _matrix_rows and _lift_rows and the column form
+_flip_cols are the bodies of kernel_matrix, sobolev_lift and flip_adjoint,
+so a block of any is bit for bit those rows or columns of the whole.  The
+identity gaps factorization_gap and adjoint_gap build both sides from
+these forms and share one reduction, _relative_gap, of sums of squares.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, diagonal_phases
 from .lattice import LatticeBox, _guard_box
-from .multipliers import _scaled_extremes, _squared_norms, bessel_weights
+from .multipliers import _scaled_extremes, bessel_weights
 from .records import JSON_ONLY
 
 __all__ = [
@@ -162,10 +162,9 @@ def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKern
     coefficient (n, -n) with the conjugate phase attached.
     """
     _guard_box(box.d, box.radius)
-    weights = (1.0 + _squared_norms(box)) ** (-alpha2 / 2.0)
-    star_phases = np.conj(diagonal_phases(theta, box))
+    weights = bessel_weights(-alpha2, box) * np.conj(diagonal_phases(theta, box))
     coeffs = np.zeros((box.cardinality, box.cardinality), dtype=complex)
-    np.fill_diagonal(coeffs[:, ::-1], weights * star_phases)
+    np.fill_diagonal(coeffs[:, ::-1], weights)
     return NCKernel(theta, box, coeffs)
 
 
@@ -209,24 +208,34 @@ def flip_adjoint(k: NCKernel) -> NCKernel:
     Its matrix is the conjugate transpose of kernel_matrix(k).
     """
     star_phases = np.conj(diagonal_phases(k.theta, k.box))
-    # swapped is column-major, so a block of its columns is contiguous; the
-    # phase product keeps the order star[p] * star[q], which a fused
-    # multiply-add need not round the same way as star[q] * star[p]
-    swapped = np.conj(k.coeffs[::-1, ::-1].T)
-    for cols in _row_blocks(k.box.cardinality):
-        swapped[:, cols] *= np.multiply(
-            star_phases[:, None], star_phases[None, cols], order="F"
-        )
+    n = k.box.cardinality
+    swapped = np.empty((n, n), dtype=complex, order="F")
+    for cols in _row_blocks(n):
+        swapped[:, cols] = _flip_cols(k.coeffs[::-1][cols], star_phases, star_phases[cols])
     return NCKernel(k.theta, k.box, swapped)
 
 
-def _sumsq(block: np.ndarray) -> float:
-    """Sum of squared moduli of a contiguous complex block."""
-    return float(np.vdot(block, block).real)
+def _flip_cols(coeff_rows: np.ndarray, star: np.ndarray, star_cols: np.ndarray) -> np.ndarray:
+    """Columns q of flip_adjoint from rows -q of the coefficients, fresh and column-major.
+
+    star is conj(sigma(p,-p)) and star_cols its entries at those q.  The phase
+    product keeps the order star[p] * star[q], which a fused multiply-add need
+    not round the same way as star[q] * star[p].
+    """
+    cols = np.conj(coeff_rows[:, ::-1].T)
+    cols *= np.multiply(star[:, None], star_cols[None, :], order="F")
+    return cols
 
 
-def _relative(gap_sq: float, norm_sq: float) -> float:
-    """sqrt(gap_sq / norm_sq), or sqrt(gap_sq) when the norm is 0."""
+def _relative_gap(n: int, sides) -> float:
+    """||lhs - rhs|| / ||lhs|| (absolute if lhs is 0) of fresh blocks (lhs, rhs) = sides(rows)."""
+    norm_sq = gap_sq = 0.0
+    for rows in _row_blocks(n):
+        lhs, rhs = sides(rows)
+        norm_sq += float(np.vdot(lhs, lhs).real)
+        np.subtract(lhs, rhs, out=rhs)
+        gap_sq += float(np.vdot(rhs, rhs).real)
+        del lhs, rhs  # free this pair before the next one is built
     gap = math.sqrt(gap_sq)
     return gap / math.sqrt(norm_sq) if norm_sq != 0.0 else gap
 
@@ -234,45 +243,35 @@ def _relative(gap_sq: float, norm_sq: float) -> float:
 def factorization_gap(k: NCKernel, a1: float, a2: float) -> float:
     """Relative gap of B(a1) T_k = T_lift B(-a2), B(a) the Bessel multiplier.
 
-    Multipliers stay vectors: B on the left scales rows, on the right columns.
-    Both sides are built one row block at a time from k's coefficients, by
-    the same row forms as kernel_matrix and sobolev_lift, and only their
-    sums of squares are kept.
+    Multipliers stay vectors: B on the left scales rows, on the right columns,
+    of row blocks built by the row forms of kernel_matrix and sobolev_lift.
     """
     col_phases = diagonal_phases(k.theta, k.box)
     w1 = bessel_weights(a1, k.box)
     w2 = bessel_weights(a2, k.box)
     w2_inv = bessel_weights(-a2, k.box)
-    norm_sq = gap_sq = 0.0
-    for rows in _row_blocks(k.box.cardinality):
+    def sides(rows: slice) -> tuple:
         lhs = _matrix_rows(k.coeffs[rows], col_phases)
         lhs *= w1[rows, None]
         rhs = _matrix_rows(_lift_rows(k.coeffs[rows], w1[rows], w2), col_phases)
         rhs *= w2_inv[None, :]
-        norm_sq += _sumsq(lhs)
-        gap_sq += _sumsq(np.subtract(lhs, rhs, out=rhs))
-        del lhs, rhs  # free this block before the next one is built
-    return _relative(gap_sq, norm_sq)
+        return lhs, rhs
+    return _relative_gap(k.box.cardinality, sides)
 
 
 def adjoint_gap(k: NCKernel) -> float:
     """Relative gap of the flip-adjoint kernel's matrix A against K^*.
 
-    A block of K's rows is compared with the conjugate of the same block
-    of A's columns, which are contiguous because flip_adjoint's
-    coefficients are column-major.  Neither matrix is built whole.
+    K's rows p are compared with the conjugate of A's columns p: column -p
+    of the flip-adjoint times sigma(p, -p), built from row p of k.
     """
     col_phases = diagonal_phases(k.theta, k.box)
-    adj = flip_adjoint(k).coeffs[:, ::-1]
-    norm_sq = gap_sq = 0.0
-    for rows in _row_blocks(k.box.cardinality):
-        k_rows = _matrix_rows(k.coeffs[rows], col_phases)
-        a_cols = np.multiply(adj[:, rows], col_phases[None, rows])
-        norm_sq += _sumsq(k_rows)
-        np.subtract(k_rows, np.conjugate(a_cols, out=a_cols).T, out=k_rows)
-        gap_sq += _sumsq(k_rows)
-        del k_rows, a_cols  # free this block before the next one is built
-    return _relative(gap_sq, norm_sq)
+    star_phases = np.conj(col_phases)
+    def sides(rows: slice) -> tuple:
+        a_cols = _flip_cols(k.coeffs[rows], star_phases, star_phases[::-1][rows])
+        a_cols *= col_phases[None, rows]
+        return _matrix_rows(k.coeffs[rows], col_phases), np.conjugate(a_cols, out=a_cols).T
+    return _relative_gap(k.box.cardinality, sides)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -39,12 +39,22 @@ DECAY_GUARD_CARDINALITY = 1 << 20
 MAX_DIMENSION = 12
 
 
+def _shown(value) -> str:
+    """repr(value), or an int's bit length when it has too many digits to print."""
+    try:
+        return repr(value)
+    except ValueError:  # past the digit limit of int-to-str conversion
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def _integer(name: str, value) -> int:
     """value as an int; integral floats such as 2.0 pass, 2.7 or True do not."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     return int(value)
 
 
@@ -58,7 +68,7 @@ def _integer_array(name: str, value) -> np.ndarray:
             out = arr.astype(np.int64)
         if np.array_equal(out, arr):  # junk never equals the entry it came from
             return out
-    raise ValueError(f"{name} entries must be integers, got {value!r}")
+    raise ValueError(f"{name} entries must be integers, got {_shown(value)}")
 
 
 def _finite(name: str, value) -> float:
@@ -68,7 +78,7 @@ def _finite(name: str, value) -> float:
             return float(value)
     except OverflowError:  # an int beyond the float range
         pass
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+    raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
 
 
 def _positive(name: str, value) -> float:
@@ -78,7 +88,7 @@ def _positive(name: str, value) -> float:
             return float(value)
     except OverflowError:  # an int beyond the float range
         pass
-    raise ValueError(f"{name} must be a positive number, got {value!r}")
+    raise ValueError(f"{name} must be a positive number, got {_shown(value)}")
 
 
 def as_multi_index(m: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -92,7 +102,7 @@ def as_multi_index(m: Sequence[int] | np.ndarray) -> np.ndarray:
 def _guard_dimension(d: int) -> None:
     """Refuse a dimension above MAX_DIMENSION before any power of it is taken."""
     if d > MAX_DIMENSION:
-        raise ValueError(f"dimension must be at most {MAX_DIMENSION}, got {d}")
+        raise ValueError(f"dimension must be at most {MAX_DIMENSION}, got {_shown(d)}")
 
 
 def _guard_box(
@@ -103,7 +113,7 @@ def _guard_box(
     card = (2 * radius + 1) ** d
     if card > limit:
         raise ValueError(
-            f"box cardinality (2N+1)^d = {card} exceeds the {name} guard "
+            f"box cardinality (2N+1)^d = {_shown(card)} exceeds the {name} guard "
             f"of {limit}; reduce N or d"
         )
 
@@ -126,9 +136,9 @@ class LatticeBox:
             object.__setattr__(self, "d", _integer("dimension", self.d))
             object.__setattr__(self, "radius", _integer("radius", self.radius))
         if self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
+            raise ValueError(f"dimension must be a positive integer, got {_shown(self.d)}")
         if self.radius < 0:
-            raise ValueError(f"radius must be a nonnegative integer, got {self.radius!r}")
+            raise ValueError(f"radius must be a nonnegative integer, got {_shown(self.radius)}")
 
     @property
     def side(self) -> int:

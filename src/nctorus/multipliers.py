@@ -109,4 +109,4 @@ def _scaled_extremes(blocks) -> tuple:
 
 def sobolev_norm(x: TorusElement, alpha: float) -> float:
     """The order-alpha Sobolev norm: L2 norm after the Bessel multiplier."""
-    return _scaled_extremes([np.abs(x.coeffs * bessel_weights(alpha, x.box))])[2]
+    return _scaled_extremes([np.abs(x.coeffs) * bessel_weights(alpha, x.box)])[2]

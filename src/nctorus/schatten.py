@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _integer
+from .lattice import _finite, _guard_dimension, _integer, _shown
 
 __all__ = [
     "SingularSpectrum",
@@ -138,7 +138,9 @@ def critical_exponent(d: int, alpha1: float, alpha2: float) -> float:
     """The Schatten threshold 2d / (d + 2(alpha1 + alpha2))."""
     d = _integer("dimension", d)
     if d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+        raise ValueError(f"dimension must be an integer >= 2, got {_shown(d)}")
+    _guard_dimension(d)
+    alpha1, alpha2 = _finite("alpha1", alpha1), _finite("alpha2", alpha2)
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"smoothness orders must be nonnegative, got ({alpha1}, {alpha2})")
     return 2.0 * d / (d + 2.0 * (alpha1 + alpha2))

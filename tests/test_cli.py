@@ -21,7 +21,10 @@ from nctorus.experiments import ExperimentConfig
 
 
 def _strip_wall(text: str) -> list:
+    """The lines of a CSV, its last column dropped from the rows if it is wall_ms."""
     lines = text.strip().split("\n")
+    if not lines[0].endswith(",wall_ms"):
+        return lines
     return [lines[0]] + [line.rsplit(",", 1)[0] for line in lines[1:]]
 
 
@@ -179,6 +182,27 @@ def test_huge_dimension_is_refused_by_name(capsys):
         main(["decay", "--d", "2**70", "--n-grid", "1"])
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_flags_read_numerals_as_config_values(capsys):
+    # an integral float on the command line is its integer, as in a file
+    for ints, floats in (
+        (["scan", "--d", "2", "--n-grid", "3", "--r-grid", "2"],
+         ["scan", "--d", "2.0", "--n-grid", "3", "--r-grid", "2"]),
+        (["scan", "--n-grid", "3", "--seed", "7"], ["scan", "--n-grid", "3.0", "--seed", "7.0"]),
+        (["schwartz", "--n", "3"], ["schwartz", "--n", "3.0"]),
+    ):
+        code, out, err = _run(capsys, ints)
+        assert (code, err) == (0, "")
+        f_code, f_out, f_err = _run(capsys, floats)
+        assert (f_code, _strip_wall(f_out), f_err) == (code, _strip_wall(out), err)
+    # a non-integral value meets the config's rule, by the field's name
+    assert _run(capsys, ["scan", "--d", "2.5", "--n-grid", "3"]) == (
+        2, "", "error: d must be an integer, got 2.5\n"
+    )
+    # decay reports its potential order as a float, however it was spelled
+    code, out, _ = _run(capsys, ["decay", "--alpha", "2", "--n-grid", "8", "--format", "json"])
+    assert code == 0 and '"alpha": 2.0' in out
 
 
 def test_decay_flags(capsys):
@@ -569,3 +593,46 @@ def test_cli_exit_code_on_any_argv(argv):
             assert exc.code == 2
             return
     assert code in (0, 1, 2)
+
+
+# A flag and a config-file value meet the same rules: each numeric field,
+# given one drawn value either way, exits, prints and errs alike.
+_FIELD_FLAGS = {  # field: (argv around it, its flag)
+    "d": (["scan", "--n-grid", "1"], "--d"),
+    "N_grid": (["scan"], "--n-grid"),
+    "alpha1": (["scan", "--n-grid", "1"], "--alpha1"),
+    "alpha2": (["scan", "--n-grid", "1"], "--alpha2"),
+    "r_grid": (["scan", "--n-grid", "1"], "--r-grid"),
+    "s_margin": (["scan", "--n-grid", "1"], "--s-margin"),
+    "seed": (["scan", "--n-grid", "1"], "--seed"),
+    "s0": (["schwartz", "--n", "1"], "--s0"),
+}
+# ints, integral and other floats, negatives and zeros, inf and nan, and
+# integers past every guard; values stay small so each box stays tiny
+_field_values = (
+    st.integers(-2, 4)
+    | st.integers(-2, 4).map(float)
+    | st.floats(-4, 4)
+    | st.sampled_from([0, -0.0, float("inf"), float("-inf"), float("nan"), 2**130, 1e300])
+)
+
+
+def _outcome(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, _strip_wall(out.getvalue()), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(sorted(_FIELD_FLAGS)), value=_field_values)
+def test_flag_and_config_value_agree(tmp_path_factory, field, value):
+    argv, flag = _FIELD_FLAGS[field]
+    text = repr(value) if isinstance(value, float) else str(value)
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps({field: [value] if field.endswith("_grid") else value}))
+    # "--flag=value" keeps a negative value from reading as a flag
+    assert _outcome(argv + [f"{flag}={text}"]) == _outcome(argv + ["--config", str(path)])

@@ -155,6 +155,22 @@ def test_config_validation(tmp_path, capsys):
         with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*128\), got {bad}"):
             ExperimentConfig(seed=bad)
     assert ExperimentConfig(seed=2**128 - 1).seed == 2**128 - 1
+    # an int too long to print is named by its bit length, not by a failed conversion
+    huge = 10**5000
+    for kw, rule in (
+        ({"alpha1": huge}, "alpha1 must be a finite number"),
+        ({"s0": huge}, "s0 must be a finite number"),
+        ({"r_grid": (huge,)}, "r_grid entry must be a positive number"),
+        ({"seed": huge}, r"seed must be in \[0, 2\*\*128\)"),
+        ({"seed": -huge}, r"seed must be in \[0, 2\*\*128\)"),
+        ({"d": huge}, f"dimension must be at most {MAX_DIMENSION}"),
+        ({"d": -huge}, "dimension must be at least 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{rule}, got an integer of 16610 bits$"):
+            ExperimentConfig(**kw)
+    for grid, rule in (((-huge,), "nonempty and nonnegative"), ((huge, 1), "strictly increasing")):
+        with pytest.raises(ValueError, match=f"^N grid must be {rule}, got a tuple holding"):
+            ExperimentConfig(N_grid=grid)
     with pytest.raises(ValueError, match="out must be a path string"):
         ExperimentConfig(out=7)
     for name in ("alpha1", "alpha2", "s_margin", "s0"):

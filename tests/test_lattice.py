@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus.lattice import LatticeBox, as_multi_index
+from nctorus.lattice import LatticeBox, _guard_box, as_multi_index
 
 
 def test_enumerate_lex_order_d2_n1():
@@ -108,6 +108,16 @@ def test_invalid_box_parameters():
     box = LatticeBox(2.0, np.int64(1))
     assert (type(box.d), type(box.radius)) == (int, int)
     assert box == LatticeBox(2, 1) and box.cardinality == 9
+    # an int too long to print is named by its bit length
+    huge = 10**5000
+    with pytest.raises(ValueError, match="dimension must be .*, got an integer of 16610 bits"):
+        LatticeBox(-huge, 1)
+    with pytest.raises(ValueError, match="radius must be .*, got an integer of 16610 bits"):
+        LatticeBox(2, -huge)
+    with pytest.raises(ValueError, match="got a list holding an integer too long to print"):
+        as_multi_index([huge, 0])
+    with pytest.raises(ValueError, match=r"\(2N\+1\)\^d = an integer of 33222 bits exceeds"):
+        _guard_box(2, huge)
 
 
 @settings(max_examples=60)

@@ -200,6 +200,14 @@ def test_critical_exponent_validation():
             critical_exponent(bad, 1.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         critical_exponent(2, -0.1, 0.0)
+    # orders go through the finite-number rule, the dimension through its guard
+    for bad in (float("nan"), float("inf"), 10**400):
+        with pytest.raises(ValueError, match="alpha1 must be a finite number"):
+            critical_exponent(2, bad, 1)
+        with pytest.raises(ValueError, match="alpha2 must be a finite number"):
+            critical_exponent(2, 1, bad)
+    with pytest.raises(ValueError, match="dimension must be at most 12, got an integer of 16610"):
+        critical_exponent(10**5000, 1, 1)
 
 
 def test_unitary_invariance_under_cocycle_diagonal(red2):
