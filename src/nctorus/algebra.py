@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import ReducedTheta, diagonal_phases, phase_pairs, phase_table
-from .lattice import LatticeBox, _guard_box, as_multi_index
+from .lattice import LatticeBox, _guard_box, _sum_squares, as_multi_index
 
 __all__ = [
     "TorusElement",
@@ -190,7 +190,7 @@ def inner_product(x: TorusElement, y: TorusElement) -> complex:
 
 def l2_norm(x: TorusElement) -> float:
     """Plancherel norm: sqrt of the sum of squared coefficient moduli."""
-    return float(np.linalg.norm(x.coeffs))
+    return math.sqrt(_sum_squares(x.coeffs))
 
 
 def mult_matrix(x: TorusElement, box: LatticeBox) -> np.ndarray:

@@ -22,6 +22,9 @@ _flip_cols are the bodies of kernel_matrix, sobolev_lift and flip_adjoint,
 so a block of any is bit for bit those rows or columns of the whole.  The
 identity gaps factorization_gap and adjoint_gap build both sides from
 these forms and share one reduction, _relative_gap, of sums of squares.
+Every sum of squares here, in the gaps, the lifted norms and l2_norm, is
+lattice._sum_squares, which never calls BLAS: its result does not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, diagonal_phases
-from .lattice import LatticeBox, _guard_box
+from .lattice import LatticeBox, _guard_box, _sum_squares
 from .multipliers import _scaled_extremes, bessel_weights
 from .records import JSON_ONLY
 
@@ -97,7 +100,7 @@ class NCKernel:
 
     def l2_norm(self) -> float:
         """Tensor-product Plancherel norm: the Frobenius norm of the coefficients."""
-        return float(np.linalg.norm(self.coeffs))
+        return math.sqrt(_sum_squares(self.coeffs))
 
     def __add__(self, other: "NCKernel") -> "NCKernel":
         if not isinstance(other, NCKernel):
@@ -232,9 +235,9 @@ def _relative_gap(n: int, sides) -> float:
     norm_sq = gap_sq = 0.0
     for rows in _row_blocks(n):
         lhs, rhs = sides(rows)
-        norm_sq += float(np.vdot(lhs, lhs).real)
+        norm_sq += _sum_squares(lhs)
         np.subtract(lhs, rhs, out=rhs)
-        gap_sq += float(np.vdot(rhs, rhs).real)
+        gap_sq += _sum_squares(rhs)
         del lhs, rhs  # free this pair before the next one is built
     gap = math.sqrt(gap_sq)
     return gap / math.sqrt(norm_sq) if norm_sq != 0.0 else gap

@@ -3,7 +3,8 @@
 Every matrix and coefficient vector in this package is indexed by the
 points of such a box, enumerated in a single canonical order, so the
 index bijections here are the ground truth for everything built on top.
-The number rules every module checks its inputs by live here as well.
+The number rules every module checks its inputs by live here as well,
+and so does the one sum of squares every norm and gap reduces with.
 """
 
 from __future__ import annotations
@@ -47,6 +48,19 @@ def _shown(value) -> str:
         if isinstance(value, int):
             return f"an integer of {value.bit_length()} bits"
         return f"a {type(value).__name__} holding an integer too long to print"
+
+
+def _sum_squares(block: np.ndarray) -> float:
+    """Sum of |entry|^2 over a real or complex array; NaN gives NaN, else inf inf.
+
+    einsum's own loop does the sum, never BLAS, so no BLAS thread is woken
+    and the result does not depend on the BLAS thread count.  A C- or
+    F-contiguous block, or its transpose, is read in place as floats.
+    """
+    flat = np.ravel(block, order="K")
+    if flat.dtype.kind == "c":
+        flat = flat.view(flat.real.dtype)
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def _integer(name: str, value) -> int:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .algebra import TorusElement
-from .lattice import LatticeBox
+from .lattice import LatticeBox, _sum_squares
 
 __all__ = [
     "bessel_weights",
@@ -103,7 +103,7 @@ def _scaled_extremes(blocks) -> tuple:
         offset += block.size
         if 0.0 < top < math.inf:
             block /= top
-            sumsq += float(np.dot(block.ravel(), block.ravel()))
+            sumsq += _sum_squares(block)
     return top, where, (top * math.sqrt(sumsq) if top < math.inf else top)
 
 

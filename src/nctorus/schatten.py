@@ -66,7 +66,7 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
     order and matches the scipy.special.logsumexp algorithm bit for bit.
     """
     if not (p > 0):
-        raise ValueError(f"Schatten exponent must be positive, got {p}")
+        raise ValueError(f"Schatten exponent must be positive, got {_shown(p)}")
     vals = spectrum.values
     if vals.size == 0 or vals[0] == 0.0:
         return 0.0
@@ -90,7 +90,7 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
 def weak_norm(spectrum: SingularSpectrum, p: float) -> float:
     """The weak quasinorm sup_k (k+1)^(1/p) mu(k)."""
     if not (p > 0):
-        raise ValueError(f"weak exponent must be positive, got {p}")
+        raise ValueError(f"weak exponent must be positive, got {_shown(p)}")
     positive = spectrum.values[spectrum.values > 0]
     if positive.size == 0:
         return 0.0

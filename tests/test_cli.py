@@ -311,6 +311,45 @@ def test_no_scipy_on_the_import_path():
     assert proc.stdout == "[]\n"
 
 
+def test_outputs_do_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count once, at import, so each count needs
+    # a fresh interpreter.  s_r_norm and weak_r_norm come from LAPACK's
+    # SVD, whose threaded blocking may round differently, so only scan's
+    # sobolev_norm is compared; on a one-CPU host both runs use one thread.
+    code = (
+        "import contextlib, io, json\n"
+        "import nctorus.cli\n"
+        "outs = []\n"
+        "for argv in (['factor', '--n-grid', '6,8', '--seed', '3', '--format', 'json'],\n"
+        "             ['schwartz', '--n', '20', '--seed', '7501', '--format', 'json'],\n"
+        "             ['scan', '--n-grid', '6,8', '--seed', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert nctorus.cli.main(argv) == 0, argv\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps(outs))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nctorus.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    (factor1, schwartz1, scan1), (factor2, schwartz2, scan2) = runs
+    assert factor1 == factor2
+    assert schwartz1 == schwartz2
+
+    def sobolev_column(text: str) -> list:
+        rows = text.strip().split("\n")
+        column = rows[0].split(",").index("sobolev_norm")
+        return [row.split(",")[column] for row in rows]
+
+    assert sobolev_column(scan1) == sobolev_column(scan2)
+    assert len(sobolev_column(scan1)) == 7  # the header and 2 radii x 3 exponents
+
+
 def test_factor_passes(capsys):
     assert main(["factor", "--n-grid", "3"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus.lattice import LatticeBox, _guard_box, as_multi_index
+from nctorus.lattice import LatticeBox, _guard_box, _sum_squares, as_multi_index
 
 
 def test_enumerate_lex_order_d2_n1():
@@ -132,3 +134,32 @@ def test_linear_index_roundtrip_property(d, radius, data):
     i = box.linear_index(pt)
     assert 0 <= i < box.cardinality
     assert np.array_equal(box.enumerate()[i], pt)
+
+
+def test_sum_squares_matches_vdot_in_place():
+    rng = np.random.default_rng(11)
+    for shape in ((16, 1089), (37, 441), (3, 3), (1, 7)):
+        scale = np.exp(rng.uniform(-20.0, 20.0, shape))  # forty orders of magnitude
+        real = rng.standard_normal(shape) * scale
+        for a in (real, real + 1j * rng.standard_normal(shape) * scale):
+            want = np.vdot(a, a).real
+            for block in (a, np.asfortranarray(a), a.T, np.asfortranarray(a).T):
+                assert abs(_sum_squares(block) - want) <= 1e-14 * want
+                tracemalloc.start()
+                try:
+                    _sum_squares(block)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4096, (shape, a.dtype, peak)  # a copy of (16, 1089) is 279 kB
+    assert _sum_squares(np.zeros((0, 3))) == 0.0
+    assert _sum_squares(np.array([3.0, 4.0])) == 25.0
+    assert _sum_squares(np.array([3 + 4j, 1j])) == 26.0
+
+
+def test_sum_squares_carries_nan_and_inf():
+    assert np.isnan(_sum_squares(np.array([1.0, np.nan, np.inf])))
+    assert np.isnan(_sum_squares(np.array([complex(np.inf, np.nan)])))
+    assert _sum_squares(np.array([1.0, -np.inf])) == np.inf
+    assert _sum_squares(np.array([[1.0, complex(1.0, np.inf)]]).T) == np.inf
+    assert _sum_squares(np.array([1e200, 1.0])) == np.inf  # overflow, as with vdot

@@ -1,3 +1,4 @@
+import re
 import types
 from pathlib import Path
 
@@ -29,6 +30,25 @@ def _load_workloads():
 
 
 workloads = _load_workloads()
+
+
+# inner_product pairs two suite-sized vectors; it is not a sum of squares
+_BLAS_REDUCTIONS_KEPT = {"algebra.py": ["return complex(np.vdot(ys.coeffs, xs.coeffs))"]}
+
+
+@pytest.mark.parametrize("module", (algebra, multipliers, kernels, experiments))
+def test_sums_of_squares_stay_off_blas(module):
+    # OpenBLAS splits a level-1 reduction over its threads, which changes
+    # the order of the sum and keeps an idle thread spinning; every norm and
+    # gap goes through lattice._sum_squares instead.  Matrix products (@)
+    # are not reductions and stay.
+    path = Path(module.__file__)
+    found = [
+        line.strip()
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if re.search(r"np\.(dot|vdot|linalg\.norm)\(", line)
+    ]
+    assert found == _BLAS_REDUCTIONS_KEPT.get(path.name, [])
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

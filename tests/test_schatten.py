@@ -98,6 +98,15 @@ def test_schatten_norm_rejects_nonpositive_p():
         schatten_norm(spec, -1.0)
     with pytest.raises(ValueError, match="positive"):
         weak_norm(spec, 0.0)
+    # an int too long to print is named by its bit length, not by str's error
+    with pytest.raises(ValueError, match="^Schatten exponent must be positive, got an integer "
+                       "of 16610 bits$"):
+        schatten_norm(spec, -10**5000)
+    with pytest.raises(ValueError, match="^weak exponent must be positive, got an integer "
+                       "of 16610 bits$"):
+        weak_norm(spec, -10**5000)
+    with pytest.raises(ValueError, match=r"^weak exponent must be positive, got nan$"):
+        weak_norm(spec, float("nan"))
 
 
 def test_quasinorm_below_one():
