@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .cocycle import load_theta
 from .experiments import (
@@ -50,12 +50,31 @@ def _numbers(text: str) -> tuple:
     return tuple(_number(part) for part in text.split(","))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--theta-file", help="JSON file with the full skew matrix")
-    sub.add_argument("--seed", type=_number, help="PRNG seed (default 42)")
-    sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
+# Each numeric flag once: its type and help.  A flag's destination is the
+# lower-case name of the config field it sets; --alpha is decay's own
+# order and --n is schwartz's one-entry grid.
+_NUMERIC_FLAGS = {
+    "--d": (_number, "lattice dimension (default 2)"),
+    "--alpha": (_number, "potential order (default 2)"),
+    "--alpha1": (_number, "first smoothness order"),
+    "--alpha2": (_number, "second smoothness order"),
+    "--n": (_number, "box radius (default: largest grid entry)"),
+    "--n-grid": (_numbers, "comma-separated box radii"),
+    "--r-grid": (_numbers, "comma-separated Schatten exponents"),
+    "--s0": (_number, "decay margin, must exceed d (default d+1)"),
+    "--s-margin": (_number, "envelope margin above alpha_i + d/2"),
+}
+
+_SUBCOMMANDS = {  # name: (help, its numeric flags in help order)
+    "suite": ("run every module invariant on seeded data", ()),
+    "scan": ("Schatten norms of random smooth kernels over an N grid",
+             ("--d", "--alpha1", "--alpha2", "--n-grid", "--r-grid", "--s-margin")),
+    "decay": ("weak norms and decay slopes of potential spectra", ("--d", "--alpha", "--n-grid")),
+    "factor": ("factorization and adjoint identity gaps",
+               ("--d", "--alpha1", "--alpha2", "--n-grid", "--s-margin")),
+    "schwartz": ("coefficient bound against the decay envelope",
+                 ("--d", "--alpha1", "--alpha2", "--n", "--s0", "--s-margin")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,72 +84,43 @@ def build_parser() -> argparse.ArgumentParser:
         "Schatten scans, decay fits, factorization and coefficient bounds.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    suite = subs.add_parser("suite", help="run every module invariant on seeded data")
-    _add_common(suite)
-
-    scan = subs.add_parser("scan", help="Schatten norms of random smooth kernels over an N grid")
-    _add_common(scan)
-    scan.add_argument("--d", type=_number, help="lattice dimension (default 2)")
-    scan.add_argument("--alpha1", type=_number, help="first smoothness order")
-    scan.add_argument("--alpha2", type=_number, help="second smoothness order")
-    scan.add_argument("--n-grid", type=_numbers, help="comma-separated box radii")
-    scan.add_argument("--r-grid", type=_numbers, help="comma-separated Schatten exponents")
-    scan.add_argument("--s-margin", type=_number, help="envelope margin above alpha_i + d/2")
-
-    decay = subs.add_parser("decay", help="weak norms and decay slopes of potential spectra")
-    _add_common(decay)
-    decay.add_argument("--d", type=_number, help="lattice dimension (default 2)")
-    decay.add_argument("--alpha", type=_number, default=2.0, help="potential order (default 2)")
-    decay.add_argument("--n-grid", type=_numbers, help="comma-separated box radii")
-
-    factor = subs.add_parser("factor", help="factorization and adjoint identity gaps")
-    _add_common(factor)
-    factor.add_argument("--d", type=_number, help="lattice dimension (default 2)")
-    factor.add_argument("--alpha1", type=_number, help="first smoothness order")
-    factor.add_argument("--alpha2", type=_number, help="second smoothness order")
-    factor.add_argument("--n-grid", type=_numbers, help="comma-separated box radii")
-    factor.add_argument("--s-margin", type=_number, help="envelope margin above alpha_i + d/2")
-
-    schwartz = subs.add_parser("schwartz", help="coefficient bound against the decay envelope")
-    _add_common(schwartz)
-    schwartz.add_argument("--d", type=_number, help="lattice dimension (default 2)")
-    schwartz.add_argument("--alpha1", type=_number, help="first smoothness order")
-    schwartz.add_argument("--alpha2", type=_number, help="second smoothness order")
-    schwartz.add_argument("--n", type=_number, help="box radius (default: largest grid entry)")
-    schwartz.add_argument("--s0", type=_number, help="decay margin, must exceed d (default d+1)")
-    schwartz.add_argument("--s-margin", type=_number, help="envelope margin above alpha_i + d/2")
-
+    for name, (summary, flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        sub.add_argument("--config", help="JSON config file; flags override its values")
+        sub.add_argument("--theta-file", help="JSON file with the full skew matrix")
+        sub.add_argument("--seed", type=_number, help="PRNG seed (default 42)")
+        sub.add_argument("--out", help="output path (default stdout)")
+        sub.add_argument("--format", choices=("csv", "json"), help="output format")
+        for flag in flags:
+            kind, text = _NUMERIC_FLAGS[flag]
+            sub.add_argument(flag, type=kind, help=text)
+    subs.choices["decay"].set_defaults(alpha=2.0)
     return parser
 
 
-# decay's own grid, used when neither the config file nor --n-grid gives one
+# decay's own grid, laid under the config file and the flags
 _DECAY_GRID = (10, 20)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's object with the flags laid over it, built once."""
     doc: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        config = ExperimentConfig.from_json(doc)
-    else:
-        config = ExperimentConfig()
-    updates: dict = {}
-    if args.command == "decay" and "N_grid" not in doc:
-        updates["N_grid"] = _DECAY_GRID
+    if args.command == "decay" and isinstance(doc, dict):
+        doc = {"N_grid": _DECAY_GRID, **doc}
+    flags: dict = {}
     if args.theta_file:
         theta = load_theta(args.theta_file)
-        updates["theta"] = theta
-        updates["d"] = theta.d
-    # each flag's destination is the lower-case name of the field it sets
+        flags.update(theta=theta, d=theta.d)
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name.lower(), None)
         if value is not None:
-            updates[f.name] = value
+            flags[f.name] = value
     if getattr(args, "n", None) is not None:
-        updates["N_grid"] = (args.n,)
-    return replace(config, **updates)
+        flags["N_grid"] = (args.n,)
+    return ExperimentConfig.from_json(doc, **flags)
 
 
 # Each command returns (CSV or text table, JSON document, failure note or None).

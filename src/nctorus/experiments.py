@@ -183,18 +183,24 @@ class ExperimentConfig:
         )
 
     @staticmethod
-    def from_json(doc: dict) -> "ExperimentConfig":
+    def from_json(doc: dict, **overrides) -> "ExperimentConfig":
+        """The config of a JSON object with overrides laid over it.
+
+        A key that overrides names is never read from doc.  theta comes as
+        rows and takes its dimension from them; __post_init__ checks it
+        against d.
+        """
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"config has unknown keys: {sorted(unknown)}")
-        if "theta" in doc:
-            # theta takes its dimension from its rows; __post_init__ checks it against d
-            rows = doc["theta"]
+        values = {key: value for key, value in doc.items() if key not in overrides}
+        if "theta" in values:
+            rows = values["theta"]
             size = len(rows) if isinstance(rows, list) else 2
-            doc = {"d": size, **doc, "theta": theta_from_json({"d": size, "theta": rows})}
-        return ExperimentConfig(**doc)
+            values = {"d": size, **values, "theta": theta_from_json({"d": size, "theta": rows})}
+        return ExperimentConfig(**{**values, **overrides})
 
 
 def kernel_source(config: ExperimentConfig, radius: int) -> NCKernel:
