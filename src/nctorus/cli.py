@@ -10,11 +10,10 @@ flags override.  Exit status is 0 exactly when every assertion passed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 
-from .cocycle import load_theta
+from .cocycle import _read_json, load_theta
 from .experiments import (
     FACTOR_TOLERANCE,
     DecayRecord,
@@ -104,10 +103,7 @@ _DECAY_GRID = (10, 20)
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's object with the flags laid over it, built once."""
-    doc: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = _read_json(args.config) if args.config else {}
     if args.command == "decay" and isinstance(doc, dict):
         doc = {"N_grid": _DECAY_GRID, **doc}
     flags: dict = {}

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeBox, _finite, _integer, _shown, as_multi_index
+from .lattice import LatticeBox, _finite, _torus_dimension, as_multi_index
 
 __all__ = [
     "SKEW_TOLERANCE",
@@ -182,24 +182,36 @@ def theta_from_json(doc: dict) -> ThetaMatrix:
     for key in ("d", "theta"):
         if key not in doc:
             raise ValueError(f"theta document missing key {key!r}")
-    d = _integer("'d'", doc["d"])
-    if d < 2:
-        raise ValueError(f"'d' must be an integer >= 2, got {_shown(d)}")
-    rows = doc["theta"]
-    if not isinstance(rows, list) or len(rows) != d:
-        n = len(rows) if isinstance(rows, list) else f"a {type(rows).__name__}"
-        raise ValueError(f"'theta' has {n} rows, expected {d}")
+    return _theta_rows(doc["theta"], _torus_dimension("'d'", doc["d"]))
+
+
+def _theta_rows(rows, d: int | None = None) -> ThetaMatrix:
+    """A ThetaMatrix from JSON rows: d of them, or as many as there are."""
+    if not isinstance(rows, list):
+        raise ValueError(f"'theta' must be a list of rows, got {type(rows).__name__}")
+    if d is None:
+        d = _torus_dimension("'d'", len(rows))
+    if len(rows) != d:
+        raise ValueError(f"'theta' has {len(rows)} rows, expected {d}")
     for j, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != d:
-            n = len(row) if isinstance(row, list) else f"a {type(row).__name__}"
-            raise ValueError(f"theta[{j}] has {n} entries, expected {d}")
+        if not isinstance(row, list):
+            raise ValueError(f"theta[{j}] must be a list of entries, got {type(row).__name__}")
+        if len(row) != d:
+            raise ValueError(f"theta[{j}] has {len(row)} entries, expected {d}")
         for k, v in enumerate(row):
             _finite(f"theta[{j}][{k}]", v)
     return ThetaMatrix(np.array(rows, dtype=float))
 
 
+def _read_json(path: str | Path):
+    """The JSON document in a file; a syntax error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def load_theta(path: str | Path) -> ThetaMatrix:
     """Read a theta JSON document from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return theta_from_json(doc)
+    return theta_from_json(_read_json(path))

@@ -1,6 +1,6 @@
 """Reproducible experiment runners behind the command-line interface.
 
-Four runners exercise the library end to end: a property suite executing
+Five runners exercise the library end to end: a property suite executing
 every module's invariants on seeded random data, a Schatten-norm scan of
 random smooth kernels across box sizes, a potential-decay fit for the
 diagonal Bessel spectra, a factorization and adjoint identity check, and
@@ -36,10 +36,10 @@ from .algebra import (
 from .cocycle import (
     ReducedTheta,
     ThetaMatrix,
+    _theta_rows,
     diagonal_phases,
     phase_pairs,
     reduce_theta,
-    theta_from_json,
 )
 from .kernels import (
     NCKernel,
@@ -54,8 +54,8 @@ from .kernels import (
     random_kernel,
     schwartz_coefficients,
 )
-from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _guard_box, _guard_dimension
-from .lattice import _finite, _integer, _positive, _shown, _sum_squares
+from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _finite, _guard_box, _integer
+from .lattice import _positive, _shown, _sum_squares, _torus_dimension
 from .multipliers import apply_multiplier, bessel_weights, riesz_weights
 from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
@@ -116,10 +116,7 @@ class ExperimentConfig:
         def store(name: str, value) -> None:
             object.__setattr__(self, name, value)
 
-        store("d", _integer("d", self.d))
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {_shown(self.d)}")
-        _guard_dimension(self.d)
+        store("d", _torus_dimension("d", self.d))
         if self.theta is not None and self.theta.d != self.d:
             raise ValueError(
                 f"theta has dimension {self.theta.d}, config says d={self.d}"
@@ -197,9 +194,8 @@ class ExperimentConfig:
             raise ValueError(f"config has unknown keys: {sorted(unknown)}")
         values = {key: value for key, value in doc.items() if key not in overrides}
         if "theta" in values:
-            rows = values["theta"]
-            size = len(rows) if isinstance(rows, list) else 2
-            values = {"d": size, **values, "theta": theta_from_json({"d": size, "theta": rows})}
+            theta = _theta_rows(values["theta"])
+            values = {"d": theta.d, **values, "theta": theta}
         return ExperimentConfig(**{**values, **overrides})
 
 

@@ -119,6 +119,15 @@ def _guard_dimension(d: int) -> None:
         raise ValueError(f"dimension must be at most {MAX_DIMENSION}, got {_shown(d)}")
 
 
+def _torus_dimension(name: str, value) -> int:
+    """value as a torus dimension: an integer by _integer, from 2 to MAX_DIMENSION."""
+    d = _integer(name, value)
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {_shown(d)}")
+    _guard_dimension(d)
+    return d
+
+
 def _guard_box(
     d: int, radius: int, limit: int = MEMORY_GUARD_CARDINALITY, name: str = "dense-matrix"
 ) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _finite, _guard_dimension, _integer, _shown
+from .lattice import _finite, _shown, _torus_dimension
 
 __all__ = [
     "SingularSpectrum",
@@ -136,10 +136,7 @@ def decay_exponent(spectrum: SingularSpectrum, k_min: int, k_max: int) -> DecayF
 
 def critical_exponent(d: int, alpha1: float, alpha2: float) -> float:
     """The Schatten threshold 2d / (d + 2(alpha1 + alpha2))."""
-    d = _integer("dimension", d)
-    if d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {_shown(d)}")
-    _guard_dimension(d)
+    d = _torus_dimension("dimension", d)
     alpha1, alpha2 = _finite("alpha1", alpha1), _finite("alpha2", alpha2)
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"smoothness orders must be nonnegative, got ({alpha1}, {alpha2})")

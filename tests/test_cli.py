@@ -127,11 +127,82 @@ def test_missing_config_file(capsys):
 
 
 def test_config_file_not_an_object(tmp_path, capsys):
+    # decay too, although it lays its own grid under the file's object
     config = tmp_path / "config.json"
     for text, kind in (("[]", "list"), ("5", "int"), ("null", "NoneType")):
         config.write_text(text)
-        assert main(["scan", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == f"error: config must be a JSON object, got {kind}\n"
+        for command in ("suite", "scan", "decay", "factor", "schwartz"):
+            assert _run(capsys, [command, "--config", str(config)]) == (
+                2, "", f"error: config must be a JSON object, got {kind}\n"
+            )
+
+
+def test_flags_override_config_values_unread(tmp_path, capsys):
+    # a file value that a flag overrides is never read, so it cannot fail the run
+    for doc, argv in (
+        ({"d": 2.5}, ["scan", "--d", "2", "--n-grid", "2", "--r-grid", "1"]),
+        ({"N_grid": [5, 3]}, ["schwartz", "--n", "1"]),
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, argv + ["--config", str(config)])
+        assert (code, err) == (0, "")
+        assert _strip_wall(out) == _strip_wall(_run(capsys, argv)[1])
+
+
+def test_config_theta_against_flags(tmp_path, capsys):
+    rows = [[0.0, 0.25], [-0.25, 0.0]]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"theta": rows}))
+    # the file's rows give d = 2, which --d 3 contradicts by name
+    assert _run(capsys, ["scan", "--config", str(config), "--d", "3", "--n-grid", "1"]) == (
+        2, "", "error: theta has dimension 2, config says d=3\n"
+    )
+    # a 2x2 theta file replaces the file's d = 3 with its own dimension
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"d": 2, "theta": rows}))
+    config.write_text(json.dumps({"d": 3}))
+    argv = ["--theta-file", str(theta), "--n-grid", "1", "--r-grid", "1", "--format", "json"]
+    code, out, err = _run(capsys, ["scan", "--config", str(config), *argv])
+    assert (code, err) == (0, "") and json.loads(out)["d"] == 2
+
+
+def test_one_config_construction_per_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    post_init = ExperimentConfig.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha1": 0.5, "N_grid": [1, 2]}))
+    for argv in (
+        ["suite"],
+        ["scan", "--n-grid", "1", "--r-grid", "1", "--config", str(config)],
+        ["decay", "--n-grid", "4"],
+        ["decay", "--config", str(config), "--n-grid", "4"],
+        ["factor", "--n-grid", "1", "--d", "2"],
+        ["schwartz", "--n", "1", "--config", str(config)],
+    ):
+        calls.clear()
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert len(calls) == 1, argv
+
+
+def test_json_syntax_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"d": 2,')
+    for flag in ("--config", "--theta-file"):
+        code, out, err = _run(capsys, ["scan", flag, str(bad)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: Expecting property name") and "Traceback" not in err
+        assert err.count("\n") == 1
+    assert _run(capsys, ["decay", "--config", os.devnull]) == (
+        2, "", f"error: {os.devnull}: Expecting value: line 1 column 1 (char 0)\n"
+    )
 
 
 def test_memory_guard_exit(capsys):

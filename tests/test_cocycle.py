@@ -222,11 +222,18 @@ def test_theta_from_json_missing_keys():
 def test_theta_from_json_row_count():
     with pytest.raises(ValueError, match="has 1 rows, expected 2"):
         theta_from_json({"d": 2, "theta": [[0.0, 0.0]]})
+    # rows that are not a list name their type and claim no row count
+    for rows, kind in (("x", "str"), (5, "int"), (None, "NoneType"), ({}, "dict")):
+        with pytest.raises(ValueError, match=f"^'theta' must be a list of rows, got {kind}$"):
+            theta_from_json({"d": 2, "theta": rows})
 
 
 def test_theta_from_json_entry_count():
     with pytest.raises(ValueError, match=r"theta\[1\] has 1 entries, expected 2"):
         theta_from_json({"d": 2, "theta": [[0.0, 0.0], [0.0]]})
+    for rows, j, kind in (([1, 2], 0, "int"), ([[0.0, 0.0], "ab"], 1, "str")):
+        with pytest.raises(ValueError, match=rf"^theta\[{j}\] must be a list of entries, got {kind}$"):
+            theta_from_json({"d": 2, "theta": rows})
 
 
 def test_theta_from_json_cites_bad_entry():
@@ -239,8 +246,11 @@ def test_theta_from_json_cites_bad_entry():
 
 
 def test_theta_from_json_bad_d():
-    with pytest.raises(ValueError, match="'d' must be an integer >= 2"):
+    # one dimension rule for configs, theta files and critical_exponent
+    with pytest.raises(ValueError, match="^dimension must be at least 2, got 1$"):
         theta_from_json({"d": 1, "theta": [[0.0]]})
+    with pytest.raises(ValueError, match="^dimension must be at most 12, got 13$"):
+        theta_from_json({"d": 13, "theta": [[0.0]]})
     with pytest.raises(ValueError, match="'d' must be an integer, got True"):
         theta_from_json({"d": True, "theta": [[0.0]]})
     # an integral float is the integer

@@ -239,6 +239,23 @@ def test_config_from_json_reads_theta():
     cfg = ExperimentConfig.from_json(doc)
     assert cfg.d == 2
     assert cfg.resolved_theta == ThetaMatrix([[0.0, -0.25], [0.25, 0.0]])
+    # rows that are not a list claim no dimension; too few rows meet the dimension rule
+    with pytest.raises(ValueError, match="^'theta' must be a list of rows, got int$"):
+        ExperimentConfig.from_json({"theta": 5})
+    with pytest.raises(ValueError, match="^dimension must be at least 2, got 1$"):
+        ExperimentConfig.from_json({"theta": [[0.0]]})
+
+
+def test_config_from_json_never_reads_an_overridden_key():
+    bad = {"d": 2.5, "N_grid": [5, 3], "alpha1": "x", "theta": 5}
+    theta = ThetaMatrix([[0.0, -0.25], [0.25, 0.0]])
+    cfg = ExperimentConfig.from_json(bad, d=2, N_grid=(1,), alpha1=0.5, theta=theta)
+    assert (cfg.d, cfg.N_grid, cfg.alpha1, cfg.theta) == (2, (1,), 0.5, theta)
+    # the rows give d unless an override does, and the config checks the two agree
+    rows = {"theta": [[0.0, -0.25], [0.25, 0.0]]}
+    with pytest.raises(ValueError, match="^theta has dimension 2, config says d=3$"):
+        ExperimentConfig.from_json(rows, d=3)
+    assert ExperimentConfig.from_json({"d": 3}, theta=theta, d=2).d == 2
 
 
 def test_default_theta_structure():

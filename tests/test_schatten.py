@@ -202,7 +202,7 @@ def test_critical_exponent_reference_values():
 
 
 def test_critical_exponent_validation():
-    with pytest.raises(ValueError, match=">= 2"):
+    with pytest.raises(ValueError, match="^dimension must be at least 2, got 1$"):
         critical_exponent(1, 1.0, 1.0)
     for bad in (True, 2.5):
         with pytest.raises(ValueError, match=f"dimension must be an integer, got {bad}"):
