@@ -123,7 +123,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_suite(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
-    report = run_property_suite(seed=config.seed, theta=config.resolved_theta)
+    report = run_property_suite(config.seed, config.theta)
     failed = ", ".join(report.failures)
     lines = [check.line() for check in report.checks]
     lines.append("all checks passed" if report.passed else "FAILED checks: " + failed)

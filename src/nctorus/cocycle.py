@@ -204,11 +204,11 @@ def _theta_rows(rows, d: int | None = None) -> ThetaMatrix:
 
 
 def _read_json(path: str | Path):
-    """The JSON document in a file; a syntax error names the file."""
+    """The JSON document in a file; every error json.load raises names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, bytes not UTF-8, an int too long to read
             raise ValueError(f"{path}: {exc}") from None
 
 

@@ -88,7 +88,7 @@ __all__ = [
 _IRRATIONAL = 0.7071067811865476  # double closest to 1/sqrt(2)
 
 
-def default_theta(d: int = 2) -> ThetaMatrix:
+def default_theta(d: int) -> ThetaMatrix:
     """Skew matrix with an irrational twist in the leading 2x2 block."""
     entries = np.zeros((d, d))
     entries[1, 0] = _IRRATIONAL
@@ -98,7 +98,14 @@ def default_theta(d: int = 2) -> ThetaMatrix:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs for the grid runners; validated on construction."""
+    """Inputs for the runners, validated and resolved on construction.
+
+    theta, r_grid and s0 may be given as None.  Construction replaces
+    them with their defaults: the irrational twist of default_theta for d,
+    (1.1 r_star, 1, 2) and d + 1.  So every field holds the value the run
+    uses.  N_grid is stored as a strictly increasing tuple of ints, so its
+    last entry is the largest box.
+    """
 
     d: int = 2
     theta: ThetaMatrix | None = None
@@ -117,7 +124,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
 
         store("d", _torus_dimension("d", self.d))
-        if self.theta is not None and self.theta.d != self.d:
+        if self.theta is None:
+            store("theta", default_theta(self.d))
+        elif self.theta.d != self.d:
             raise ValueError(
                 f"theta has dimension {self.theta.d}, config says d={self.d}"
             )
@@ -131,8 +140,7 @@ class ExperimentConfig:
         store("N_grid", grid)
         for name in ("alpha1", "alpha2", "s_margin"):
             store(name, _finite(name, getattr(self, name)))
-        if self.s0 is not None:
-            store("s0", _finite("s0", self.s0))
+        store("s0", float(self.d + 1) if self.s0 is None else _finite("s0", self.s0))
         store("seed", _integer("seed", self.seed))
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), got {_shown(self.seed)}")
@@ -140,9 +148,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"smoothness orders must be nonnegative, got ({self.alpha1}, {self.alpha2})"
             )
-        if self.r_grid is not None:
-            if not isinstance(self.r_grid, (list, tuple)):
-                raise ValueError(f"r_grid must be a list of numbers, got {self.r_grid!r}")
+        if self.r_grid is None:
+            store("r_grid", (self.r_star * 1.1, 1.0, 2.0))
+        elif not isinstance(self.r_grid, (list, tuple)):
+            raise ValueError(f"r_grid must be a list of numbers, got {self.r_grid!r}")
+        else:
             store("r_grid", tuple(_positive("r_grid entry", r) for r in self.r_grid))
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
@@ -150,26 +160,12 @@ class ExperimentConfig:
             raise ValueError(f"out must be a path string, got {self.out!r}")
 
     @property
-    def resolved_theta(self) -> ThetaMatrix:
-        return self.theta if self.theta is not None else default_theta(self.d)
-
-    @property
     def reduced(self) -> ReducedTheta:
-        return reduce_theta(self.resolved_theta)
+        return reduce_theta(self.theta)
 
     @property
     def r_star(self) -> float:
         return critical_exponent(self.d, self.alpha1, self.alpha2)
-
-    @property
-    def resolved_r_grid(self) -> tuple:
-        if self.r_grid is not None:
-            return self.r_grid
-        return (self.r_star * 1.1, 1.0, 2.0)
-
-    @property
-    def resolved_s0(self) -> float:
-        return self.s0 if self.s0 is not None else float(self.d + 1)
 
     def envelope_exponents(self) -> tuple:
         """Random-kernel envelope giving membership in H^{alpha1, alpha2}."""
@@ -248,14 +244,10 @@ def _coeff_gap(x, y) -> float:
     return float(np.max(np.abs(embedded(x, box).coeffs - embedded(y, box).coeffs)))
 
 
-def run_property_suite(
-    seed: int = 42,
-    theta: ThetaMatrix | None = None,
-) -> SuiteReport:
+def run_property_suite(seed: int, theta: ThetaMatrix) -> SuiteReport:
     """Execute every module invariant on seeded random data."""
-    full = theta if theta is not None else default_theta(2)
-    d = full.d
-    red = reduce_theta(full)
+    d = theta.d
+    red = reduce_theta(theta)
     rng = np.random.Generator(np.random.Philox(key=seed))
     checks = []
 
@@ -286,7 +278,7 @@ def run_property_suite(
         a, b = rng.integers(-1, 2, size=(2, d))
         ua, ub = monomial(red, a, box1), monomial(red, b, box1)
         lhs_el = twisted_convolve(ua, ub)
-        phase = np.exp(2j * np.pi * float(a @ full.entries @ b))
+        phase = np.exp(2j * np.pi * float(a @ theta.entries @ b))
         rhs_el = phase * twisted_convolve(ub, ua)
         err = max(err, _coeff_gap(lhs_el, rhs_el))
     record("commutation-relation", err, 1e-10)
@@ -513,7 +505,7 @@ def _scan_one(config: ExperimentConfig, radius: int) -> list:
     spectrum = singular_values(k_mat)
     r_star = config.r_star
     records = []
-    for r in config.resolved_r_grid:
+    for r in config.r_grid:
         records.append(
             ScanRecord(
                 N=radius,
@@ -536,8 +528,7 @@ def run_theorem_scan(config: ExperimentConfig) -> list:
     (alpha1, alpha2) by construction, so the scan watches the truncated
     S_r norms stabilize as the box grows.
     """
-    for radius in config.N_grid:
-        _guard_box(config.d, radius)
+    _guard_box(config.d, config.N_grid[-1])
     records = [rec for radius in config.N_grid for rec in _scan_one(config, radius)]
     records.sort(key=lambda rec: (rec.N, rec.r))
     return records
@@ -645,8 +636,7 @@ def run_factorization_check(config: ExperimentConfig) -> list:
     (lifted-kernel operator) . (inverse Bessel multiplier) is assembled
     both ways, together with the adjoint-kernel/conjugate-transpose gap.
     """
-    for radius in config.N_grid:
-        _guard_box(config.d, radius)
+    _guard_box(config.d, config.N_grid[-1])
     records = [rec for radius in config.N_grid for rec in _factor_one(config, radius)]
     records.sort(key=lambda rec: (rec.N, rec.alpha1, rec.alpha2))
     return records
@@ -669,8 +659,7 @@ def run_schwartz_bound(config: ExperimentConfig) -> SchwartzReport:
     The decay margin s0 must exceed the dimension; the value used is
     recorded in the report so output metadata pins the choice.
     """
-    s0 = config.resolved_s0
-    radius = max(config.N_grid)
+    radius = config.N_grid[-1]
     _guard_box(config.d, radius)
     k = kernel_source(config, radius)
-    return schwartz_coefficients(k, config.alpha1, config.alpha2, s0)
+    return schwartz_coefficients(k, config.alpha1, config.alpha2, config.s0)

@@ -283,6 +283,7 @@ class SchwartzReport:
 
     radius is the kernel's box radius.  The fields print in this order as
     the `schwartz` record; worst_index and tolerance appear in JSON only.
+    tolerance is fixed at 1e-10 and is not a constructor argument.
     """
 
     radius: int
@@ -292,7 +293,7 @@ class SchwartzReport:
     worst_ratio: float
     worst_index: tuple = field(metadata=JSON_ONLY)
     lifted_norm: float
-    tolerance: float = field(default=1e-10, metadata=JSON_ONLY)
+    tolerance: float = field(default=1e-10, init=False, metadata=JSON_ONLY)
     passed: bool = field(init=False)
 
     def __post_init__(self) -> None:

@@ -173,7 +173,7 @@ class LatticeBox:
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        # place values of the mixed-radix expansion behind linear_index
+        # place values of the mixed-radix expansion behind linear_indices
         w = self.side ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
         w.flags.writeable = False
         return w
@@ -195,34 +195,24 @@ class LatticeBox:
         return arr.shape[0] == self.d and bool(np.all(np.abs(arr) <= self.radius))
 
     def linear_index(self, m: Sequence[int] | np.ndarray) -> int:
-        """Position of m in enumerate(); inverse of the enumeration."""
-        arr = as_multi_index(m)
-        if arr.shape[0] != self.d:
-            raise IndexError(
-                f"multi-index {tuple(arr)} has dimension {arr.shape[0]}, box has d={self.d}"
-            )
-        if np.any(np.abs(arr) > self.radius):
-            raise IndexError(
-                f"multi-index {tuple(arr)} outside box of radius {self.radius}"
-            )
-        return int((arr + self.radius) @ self._weights)
+        """Position of m in enumerate(); the one-point case of linear_indices."""
+        return int(self.linear_indices(as_multi_index(m)[None])[0])
 
     def linear_indices(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized linear_index over an (n, d) array of in-box points."""
+        """Positions in enumerate() of an (n, d) array of in-box points."""
         pts = _integer_array("lattice point", pts)
         if pts.ndim != 2 or pts.shape[1] != self.d:
+            if pts.ndim == 2 and len(pts):
+                raise IndexError(
+                    f"lattice point {tuple(pts[0].tolist())} has dimension {pts.shape[1]}, "
+                    f"box has d={self.d}"
+                )
             raise IndexError(f"expected an (n, {self.d}) array of points, got shape {pts.shape}")
-        if np.any(np.abs(pts) > self.radius):
-            raise IndexError(f"point outside box of radius {self.radius}")
+        far = np.abs(pts) > self.radius
+        if np.any(far):
+            point = tuple(pts[far.any(axis=1)][0].tolist())
+            raise IndexError(f"lattice point {point} outside box of radius {self.radius}")
         return (pts + self.radius) @ self._weights
-
-    def negation_permutation(self) -> np.ndarray:
-        """Permutation p with enumerate()[p[i]] == -enumerate()[i].
-
-        Negation reverses the lexicographic order on a symmetric box, so
-        this is simply the index reversal.
-        """
-        return np.arange(self.cardinality - 1, -1, -1)
 
     def center_index(self) -> int:
         """Linear index of the origin."""

@@ -203,6 +203,15 @@ def test_json_syntax_error_names_the_file(tmp_path, capsys):
     assert _run(capsys, ["decay", "--config", os.devnull]) == (
         2, "", f"error: {os.devnull}: Expecting value: line 1 column 1 (char 0)\n"
     )
+    # bytes that are not UTF-8, and an integer literal too long to convert
+    binary, huge = tmp_path / "binary.json", tmp_path / "huge.json"
+    binary.write_bytes(b"\xc3\x28{}")
+    huge.write_text('{"seed": ' + "9" * 5000 + "}")
+    for path, words in ((binary, "'utf-8' codec can't decode"), (huge, "Exceeds the limit")):
+        for flag in ("--config", "--theta-file"):
+            code, out, err = _run(capsys, ["suite", flag, str(path)])
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {path}: {words}") and err.count("\n") == 1
 
 
 def test_memory_guard_exit(capsys):

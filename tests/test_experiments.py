@@ -71,7 +71,7 @@ _config_docs = st.fixed_dictionaries(
 
 def _config_doc(cfg: ExperimentConfig) -> dict:
     """The JSON document a config would be written as."""
-    doc = {
+    return {
         "d": cfg.d,
         "N_grid": list(cfg.N_grid),
         "alpha1": cfg.alpha1,
@@ -81,12 +81,9 @@ def _config_doc(cfg: ExperimentConfig) -> dict:
         "s0": cfg.s0,
         "out": cfg.out,
         "format": cfg.format,
+        "theta": cfg.theta.entries.tolist(),
+        "r_grid": list(cfg.r_grid),
     }
-    if cfg.theta is not None:
-        doc["theta"] = cfg.theta.entries.tolist()
-    if cfg.r_grid is not None:
-        doc["r_grid"] = list(cfg.r_grid)
-    return doc
 
 
 @given(doc=_config_docs | _json_values)
@@ -106,10 +103,10 @@ def test_config_defaults():
     assert cfg.d == 2
     assert cfg.N_grid == (4, 6, 8, 10)
     assert cfg.r_star == pytest.approx(critical_exponent(2, 1.0, 1.0))
-    assert cfg.resolved_r_grid == (cfg.r_star * 1.1, 1.0, 2.0)
-    assert cfg.resolved_s0 == 3.0
+    assert cfg.r_grid == (cfg.r_star * 1.1, 1.0, 2.0)
+    assert cfg.s0 == 3.0
     assert cfg.envelope_exponents() == (2.5, 2.5)
-    assert cfg.resolved_theta == default_theta(2)
+    assert cfg.theta == default_theta(2)
 
 
 def test_config_validation(tmp_path, capsys):
@@ -238,7 +235,7 @@ def test_config_from_json_reads_theta():
     doc = {"theta": [[0.0, -0.25], [0.25, 0.0]]}
     cfg = ExperimentConfig.from_json(doc)
     assert cfg.d == 2
-    assert cfg.resolved_theta == ThetaMatrix([[0.0, -0.25], [0.25, 0.0]])
+    assert cfg.theta == ThetaMatrix([[0.0, -0.25], [0.25, 0.0]])
     # rows that are not a list claim no dimension; too few rows meet the dimension rule
     with pytest.raises(ValueError, match="^'theta' must be a list of rows, got int$"):
         ExperimentConfig.from_json({"theta": 5})
@@ -271,7 +268,7 @@ def test_default_theta_structure():
 
 
 def test_property_suite_passes_default():
-    report = run_property_suite(seed=42)
+    report = run_property_suite(seed=42, theta=default_theta(2))
     assert report.passed, report.failures
     assert len(report.checks) == 25
     names = [c.name for c in report.checks]
@@ -302,13 +299,13 @@ def test_property_suite_negative_control(monkeypatch):
         return np.exp(2j * np.pi * np.abs(exponent))
 
     monkeypatch.setattr(experiments, "phase_pairs", corrupted)
-    report = run_property_suite(seed=42)
+    report = run_property_suite(seed=42, theta=default_theta(2))
     assert not report.passed
     assert report.failures == ("cocycle-bicharacter", "cocycle-identity")
 
 
 def test_suite_report_json_shape():
-    report = run_property_suite(seed=1)
+    report = run_property_suite(seed=1, theta=default_theta(2))
     doc = json.loads(to_json(report))
     assert set(doc) == {"passed", "checks"}
     assert doc["passed"] is True
@@ -318,7 +315,7 @@ def test_suite_report_json_shape():
 
 
 def test_check_line_format():
-    report = run_property_suite(seed=2)
+    report = run_property_suite(seed=2, theta=default_theta(2))
     line = report.checks[0].line()
     assert line.startswith("pass  ")
     assert "max error" in line and "tol" in line
@@ -516,6 +513,14 @@ def test_factorization_guard():
         run_factorization_check(ExperimentConfig(N_grid=(50,)))
 
 
+def test_grid_guard_names_the_largest_box():
+    # the grid is increasing, so its last radius decides; (2*40+1)^2 = 6561
+    cfg = ExperimentConfig(N_grid=(2, 35, 40))
+    for runner in (run_theorem_scan, run_factorization_check, run_schwartz_bound):
+        with pytest.raises(ValueError, match=r"= 6561 exceeds the dense-matrix guard"):
+            runner(cfg)
+
+
 # ---------------------------------------------------------------------------
 # Schwartz bound
 
@@ -554,6 +559,14 @@ def test_schwartz_json_and_csv():
 def test_schwartz_guard():
     with pytest.raises(ValueError, match="dense-matrix guard"):
         run_schwartz_bound(ExperimentConfig(N_grid=(40,)))
+
+
+def test_schwartz_tolerance_is_not_an_argument():
+    kw = dict(radius=1, s0=3.0, alpha1=1.0, alpha2=1.0, worst_ratio=0.5,
+              worst_index=((0, 0), (0, 0)), lifted_norm=1.0)
+    assert SchwartzReport(**kw).tolerance == 1e-10
+    with pytest.raises(TypeError, match="tolerance"):
+        SchwartzReport(**kw, tolerance=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -213,13 +213,13 @@ def test_kernel_matrix_frobenius_is_l2(red2):
 
 def test_reversed_views_equal_negation_gathers(rng):
     # negation is the index reversal, so the reversed views reproduce the
-    # gathers through negation_permutation bit for bit
+    # gathers through the negated points' linear indices bit for bit
     for d, radius in ((2, 3), (3, 2)):
         theta = reduce_theta(random_theta(d, rng))
         box = LatticeBox(d, radius)
         k = random_kernel(theta, radius, 1.0, 0.5, int(rng.integers(0, 2**31)))
-        neg = box.negation_permutation()
         pts = box.enumerate()
+        neg = box.linear_indices(-pts)
         phases = phase_pairs(theta.entries, pts, -pts)
         assert np.array_equal(kernel_matrix(k), k.coeffs[:, neg] * phases[None, :])
         star = np.conj(phases)
@@ -240,7 +240,7 @@ def test_bessel_kernel_untwisted_coefficients():
     red = zero_theta(2)
     box = LatticeBox(2, 1)
     k = bessel_kernel(0.0, box, red)
-    neg = box.negation_permutation()
+    neg = box.linear_indices(-box.enumerate())
     rows = np.arange(box.cardinality)
     assert np.allclose(k.coeffs[rows, neg], 1.0)
     off = k.coeffs.copy()

@@ -55,6 +55,19 @@ def test_linear_index_outside_raises():
         box.linear_indices(np.array([[0, 2]]))
 
 
+def test_index_errors_name_the_point():
+    # linear_index is the one-point case of linear_indices: same rule, same words
+    box = LatticeBox(2, 1)
+    for call in (lambda: box.linear_index((0, 2)), lambda: box.linear_indices([[1, 1], [0, 2]])):
+        with pytest.raises(IndexError, match=r"^lattice point \(0, 2\) outside box of radius 1$"):
+            call()
+    for call in (lambda: box.linear_index((0, 0, 1)), lambda: box.linear_indices([[0, 0, 1]])):
+        with pytest.raises(IndexError, match=r"^lattice point \(0, 0, 1\) has dimension 3, box has d=2$"):
+            call()
+    with pytest.raises(IndexError, match=r"^expected an \(n, 2\) array of points, got shape \(0, 3\)$"):
+        box.linear_indices(np.zeros((0, 3), dtype=np.int64))
+
+
 def test_contains():
     box = LatticeBox(2, 1)
     assert box.contains((1, -1))
@@ -65,8 +78,10 @@ def test_contains():
 def test_negation_permutation():
     for d, radius in ((2, 1), (2, 3), (3, 1)):
         box = LatticeBox(d, radius)
-        perm = box.negation_permutation()
+        perm = box.linear_indices(-box.enumerate())
         assert np.array_equal(box.enumerate()[perm], -box.enumerate())
+        # negation reverses the canonical order, which every caller relies on
+        assert np.array_equal(perm, np.arange(box.cardinality)[::-1])
 
 
 def test_center_index_is_origin():
