@@ -33,14 +33,14 @@ def test_suite_passes(capsys):
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
     assert lines[-1] == "all checks passed"
-    assert sum(1 for line in lines if line.startswith("pass  ")) == 25
+    assert sum(1 for line in lines if line.startswith("pass  ")) == len(SUITE_CHECKS)
 
 
 def test_suite_json(capsys):
     assert main(["suite", "--format", "json", "--seed", "7"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
-    assert len(doc["checks"]) == 25
+    assert len(doc["checks"]) == len(SUITE_CHECKS)
 
 
 def test_scan_default_csv(capsys):
@@ -395,13 +395,17 @@ def test_outputs_do_not_depend_on_blas_threads():
     # OpenBLAS reads its thread count once, at import, so each count needs
     # a fresh interpreter.  s_r_norm and weak_r_norm come from LAPACK's
     # SVD, whose threaded blocking may round differently, so only scan's
-    # sobolev_norm is compared; on a one-CPU host both runs use one thread.
+    # sobolev_norm is compared.  The suite's SVDs are of 25 x 25 matrices,
+    # small enough that its JSON is compared whole.  On a one-CPU host both
+    # runs use one thread.
     code = (
         "import contextlib, io, json\n"
         "import nctorus.cli\n"
         "outs = []\n"
         "for argv in (['factor', '--n-grid', '6,8', '--seed', '3', '--format', 'json'],\n"
         "             ['schwartz', '--n', '20', '--seed', '7501', '--format', 'json'],\n"
+        "             ['decay', '--n-grid', '10,20,40'],\n"
+        "             ['suite', '--seed', '7', '--format', 'json'],\n"
         "             ['scan', '--n-grid', '6,8', '--seed', '3']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        assert nctorus.cli.main(argv) == 0, argv\n"
@@ -417,9 +421,9 @@ def test_outputs_do_not_depend_on_blas_threads():
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         runs.append(json.loads(proc.stdout))
-    (factor1, schwartz1, scan1), (factor2, schwartz2, scan2) = runs
-    assert factor1 == factor2
-    assert schwartz1 == schwartz2
+    *exact1, scan1 = runs[0]
+    *exact2, scan2 = runs[1]
+    assert exact1 == exact2
 
     def sobolev_column(text: str) -> list:
         rows = text.strip().split("\n")
@@ -505,9 +509,8 @@ SUITE_CHECKS = [
     "involution-antihomomorphism", "involution-involutive", "plancherel-pairing",
     "derivation-leibniz", "multiplier-algebra", "mult-matrix-consistency",
     "op-multiply-reversal", "kernel-oracle", "kernel-hs-identity",
-    "kernel-column-consistency", "bessel-kernel-diagonal", "factorization",
-    "adjoint-identity", "kernel-linearity", "schatten-unitary-invariance",
-    "schatten-adjoint-norm", "holder-composition", "schatten-ideal", "schwartz-bound",
+    "kernel-column-consistency", "bessel-kernel-diagonal", "schatten-exact",
+    "factorization", "adjoint-identity", "kernel-linearity", "schwartz-exact",
 ]
 
 SCAN_COLUMNS = ["N", "r", "r_star", "s_r_norm", "weak_r_norm", "sobolev_norm", "wall_ms"]

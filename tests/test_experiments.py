@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nctorus import experiments
+from nctorus import algebra, experiments, kernels
+from nctorus.algebra import TorusElement, twisted_convolve
 from nctorus.cocycle import ThetaMatrix, diagonal_phases, phase_pairs, random_theta, reduce_theta
 from nctorus.experiments import (
     DecayRecord,
@@ -22,6 +24,7 @@ from nctorus.experiments import (
     run_theorem_scan,
 )
 from nctorus.kernels import (
+    NCKernel,
     SchwartzReport,
     adjoint_gap,
     bessel_kernel,
@@ -37,7 +40,7 @@ from nctorus.lattice import (
 )
 from nctorus.multipliers import bessel_weights
 from nctorus.records import to_csv, to_json
-from nctorus.schatten import critical_exponent
+from nctorus.schatten import SingularSpectrum, critical_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,9 @@ def test_config_from_json_reads_theta():
     cfg = ExperimentConfig.from_json(doc)
     assert cfg.d == 2
     assert cfg.theta == ThetaMatrix([[0.0, -0.25], [0.25, 0.0]])
+    # null takes the default for d, as it does for r_grid and s0
+    assert ExperimentConfig.from_json({"theta": None}).theta == default_theta(2)
+    assert ExperimentConfig.from_json({"theta": None, "d": 3}).theta == default_theta(3)
     # rows that are not a list claim no dimension; too few rows meet the dimension rule
     with pytest.raises(ValueError, match="^'theta' must be a list of rows, got int$"):
         ExperimentConfig.from_json({"theta": 5})
@@ -270,7 +276,7 @@ def test_default_theta_structure():
 def test_property_suite_passes_default():
     report = run_property_suite(seed=42, theta=default_theta(2))
     assert report.passed, report.failures
-    assert len(report.checks) == 25
+    assert len(report.checks) == 22
     names = [c.name for c in report.checks]
     assert len(names) == len(set(names))
 
@@ -290,6 +296,107 @@ def test_property_suite_passes_d3():
     assert report.passed, report.failures
 
 
+def _absolute_exponent(matrix, left, right):
+    exponent = np.einsum("id,de,ie->i", left, matrix, right)
+    return np.exp(2j * np.pi * np.abs(exponent))
+
+
+def _folded(f):
+    # phases folded onto the upper half circle: no longer a bicharacter
+    return lambda *args: np.exp(1j * np.abs(np.angle(f(*args))))
+
+
+def _halved_spectrum(f):
+    def spectrum(matrix):
+        values = f(matrix).values.copy()
+        values[(values.size + 1) // 2 :] = 0.0
+        return SingularSpectrum(values)
+
+    return spectrum
+
+
+def _shrunk_lifted_norm(f):
+    def extremes(*args):
+        top, where, norm = f(*args)
+        return top, where, 0.99 * norm
+
+    return extremes
+
+
+def _unconjugated_involution(f):
+    # f#(m) = conj(sigma(m, -m)) f(-m): the coefficients keep their phase
+    return lambda x: TorusElement(
+        x.theta, x.box, np.conj(diagonal_phases(x.theta, x.box)) * x.coeffs[::-1]
+    )
+
+
+# (mutation, object patched, attribute, replacement of the original, checks it fails)
+SUITE_MUTATIONS = [
+    ("phase exponent without its sign", experiments, "phase_pairs",
+     lambda f: _absolute_exponent, {"cocycle-bicharacter", "cocycle-identity"}),
+    ("product reversed", experiments, "twisted_convolve",
+     lambda f: lambda a, b: f(b, a), {"commutation-relation", "mult-matrix-consistency"}),
+    ("product phases folded", algebra, "phase_table", _folded,
+     {"algebra-associativity", "commutation-relation", "involution-antihomomorphism",
+      "mult-matrix-consistency", "op-multiply-reversal", "plancherel-pairing"}),
+    ("product doubled", experiments, "twisted_convolve",
+     lambda f: lambda a, b: 2.0 * f(a, b),
+     {"algebra-unit", "mult-matrix-consistency", "plancherel-pairing"}),
+    ("trace reads the coefficient at (0, 1)", experiments, "trace",
+     lambda f: lambda x: complex(x.coeffs[x.box.center_index() + 1]),
+     {"trace-property", "plancherel-pairing"}),
+    ("involution drops sigma(m, -m)", algebra, "diagonal_phases",
+     lambda f: lambda theta, box: np.ones(box.cardinality, dtype=complex),
+     {"involution-antihomomorphism", "plancherel-pairing"}),
+    ("involution keeps the coefficients' phase", experiments, "involution",
+     _unconjugated_involution,
+     {"involution-antihomomorphism", "involution-involutive", "plancherel-pairing"}),
+    ("inner product conjugated", experiments, "inner_product",
+     lambda f: lambda x, y: f(y, x), {"plancherel-pairing"}),
+    ("derivation shifted by the identity", experiments, "partial_derivative",
+     lambda f: lambda x, j: f(x, j) + x, {"derivation-leibniz"}),
+    ("Riesz weights of twice the order", experiments, "riesz_weights",
+     lambda f: lambda alpha, box: f(2.0 * alpha, box), {"multiplier-algebra"}),
+    ("multiplication matrix transposed", experiments, "mult_matrix",
+     lambda f: lambda x, box: f(x, box).T, {"mult-matrix-consistency"}),
+    ("reversed product not reversed", experiments, "op_multiply",
+     lambda f: twisted_convolve, {"op-multiply-reversal"}),
+    ("sigma(p, -p) conjugated in the kernel layer", kernels, "diagonal_phases",
+     lambda f: lambda theta, box: np.conj(f(theta, box)), {"kernel-oracle"}),
+    ("Schatten norm without its 1/p root", experiments, "schatten_norm",
+     lambda f: lambda s, p: f(s, p) ** p, {"kernel-hs-identity", "schatten-exact"}),
+    ("Schatten norm is the operator norm", experiments, "schatten_norm",
+     lambda f: lambda s, p: f(s, math.inf), {"kernel-hs-identity", "schatten-exact"}),
+    ("Schatten norm scaled by 0.9", experiments, "schatten_norm",
+     lambda f: lambda s, p: 0.9 * f(s, p), {"kernel-hs-identity", "schatten-exact"}),
+    ("Schatten norm scaled by 1.1", experiments, "schatten_norm",
+     lambda f: lambda s, p: 1.1 * f(s, p), {"kernel-hs-identity", "schatten-exact"}),
+    ("spectrum doubled", experiments, "singular_values",
+     lambda f: lambda m: SingularSpectrum(2.0 * f(m).values),
+     {"kernel-hs-identity", "schatten-exact"}),
+    ("smaller half of the spectrum zeroed", experiments, "singular_values", _halved_spectrum,
+     {"kernel-hs-identity", "schatten-exact"}),
+    ("weak norm with exponent 1/p", experiments, "weak_norm",
+     lambda f: lambda s, p: f(s, 1.0 / p), {"schatten-exact"}),
+    ("kernel matrix without the negation", kernels, "_matrix_rows",
+     lambda f: lambda rows, phases: rows * phases[None, :],
+     {"adjoint-identity", "bessel-kernel-diagonal", "kernel-column-consistency"}),
+    ("Bessel kernel carries sigma(n, -n), not its conjugate", experiments, "bessel_kernel",
+     lambda f: lambda a, box, theta: NCKernel(theta, box, np.conj(f(a, box, theta).coeffs)),
+     {"bessel-kernel-diagonal"}),
+    ("lift drops the second leg's weight", kernels, "_lift_rows",
+     lambda f: lambda rows, w1, w2: f(rows, w1, np.ones_like(w2)),
+     {"factorization", "schwartz-exact"}),
+    ("flip-adjoint stars with sigma, not its conjugate", kernels, "_flip_cols",
+     lambda f: lambda rows, star, cols: f(rows, np.conj(star), np.conj(cols)),
+     {"adjoint-identity"}),
+    ("scalar times kernel conjugates the scalar", NCKernel, "__rmul__",
+     lambda f: lambda k, c: f(k, np.conj(c)), {"kernel-linearity"}),
+    ("lifted norm scaled by 0.99", kernels, "_lifted_extremes", _shrunk_lifted_norm,
+     {"schwartz-exact"}),
+]
+
+
 def test_property_suite_negative_control(monkeypatch):
     # dropping the sign of the phase exponent breaks additivity in each
     # slot and the cocycle identity, and must be caught by exactly the
@@ -302,6 +409,22 @@ def test_property_suite_negative_control(monkeypatch):
     report = run_property_suite(seed=42, theta=default_theta(2))
     assert not report.passed
     assert report.failures == ("cocycle-bicharacter", "cocycle-identity")
+
+
+def test_every_suite_check_fails_under_a_mutation(monkeypatch):
+    # every check the suite emits fails under some mutation of the code it
+    # checks, and each mutation fails exactly the checks its row names
+    clean = run_property_suite(seed=7, theta=default_theta(2))
+    assert clean.passed, clean.failures
+    assert set().union(*(row[-1] for row in SUITE_MUTATIONS)) == {c.name for c in clean.checks}
+    wrong = []
+    for label, target, attr, mutate, failing in SUITE_MUTATIONS:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, attr, mutate(getattr(target, attr)))
+            failures = set(run_property_suite(seed=7, theta=default_theta(2)).failures)
+        if failures != failing:
+            wrong.append((label, sorted(failures)))
+    assert wrong == []
 
 
 def test_suite_report_json_shape():
@@ -598,8 +721,8 @@ def test_runners_read_the_kernel_source(monkeypatch):
 
 
 def test_unitary_diagonal_is_exact_phase(rng):
-    # sanity anchor for the suite's unitary-invariance check; the diagonal
-    # is the same bit for bit in either order of the pair (p, -p)
+    # the diagonal is unimodular and the same bit for bit in either order
+    # of the pair (p, -p)
     for d, radius in ((2, 35), (3, 6), (5, 2)):
         red = reduce_theta(random_theta(d, rng))
         box = LatticeBox(d, radius)
