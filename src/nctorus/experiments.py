@@ -41,14 +41,19 @@ from .cocycle import (
     reduce_theta,
 )
 from .kernels import (
-    NCKernel,
     SchwartzReport,
+    _adjoint_side,
+    _assembling,
+    _factorization_side,
+    _lifted_extremes,
+    _random_rows,
+    _relative_gaps,
+    _schwartz_report,
     adjoint_gap,
     apply_kernel,
     bessel_kernel,
     factorization_gap,
     kernel_matrix,
-    mixed_sobolev_norm,
     op_multiply,
     random_kernel,
     schwartz_coefficients,
@@ -194,14 +199,17 @@ class ExperimentConfig:
         return ExperimentConfig(**{**values, **overrides})
 
 
-def kernel_source(config: ExperimentConfig, radius: int) -> NCKernel:
-    """The kernel that scan, factor and schwartz test on the box of this radius.
+def kernel_source(config: ExperimentConfig, radius: int) -> tuple:
+    """(box, row stream) of the kernel that scan, factor and schwartz test.
 
-    A random kernel over config.reduced, drawn from config.seed, whose
-    envelope puts it in the mixed Sobolev space of orders (alpha1, alpha2).
+    A random kernel over config.reduced on the box of this radius, drawn
+    from config.seed, whose envelope puts it in the mixed Sobolev space of
+    orders (alpha1, alpha2).  The stream yields (rows, block) as
+    NCKernel.row_blocks does, so the runners reduce the draw as it is made
+    and never hold its coefficients; each block is valid until the next.
     """
     s1, s2 = config.envelope_exponents()
-    return random_kernel(config.reduced, radius, s1, s2, config.seed)
+    return _random_rows(config.reduced, radius, s1, s2, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +468,7 @@ class ScanRecord:
     """One (N, r) row of the scan.
 
     wall_ms is the time in ms from the start of that N's task (kernel
-    draw, Sobolev norm, matrix assembly, SVD, in that order) to this row,
+    draw streamed into the Sobolev norm and the matrix, then SVD) to this row,
     so a later r row of the same N includes the norms of the rows before
     it.
     at_threshold marks r == r_star and appears in JSON only.
@@ -478,10 +486,10 @@ class ScanRecord:
 
 def _scan_one(config: ExperimentConfig, radius: int) -> list:
     t0 = time.perf_counter()
-    k = kernel_source(config, radius)
-    sob = mixed_sobolev_norm(k, config.alpha1, config.alpha2)
-    k_mat = kernel_matrix(k)
-    del k  # its memory can then hold the SVD's working copy
+    box, blocks = kernel_source(config, radius)
+    k_mat = np.empty((box.cardinality,) * 2, dtype=complex)
+    blocks = _assembling(config.reduced, box, blocks, k_mat)
+    sob = _lifted_extremes(box, blocks, config.alpha1, config.alpha2)[2]
     spectrum = singular_values(k_mat)
     r_star = config.r_star
     records = []
@@ -592,20 +600,23 @@ FACTOR_TOLERANCE = 1e-12
 
 
 def _factor_one(config: ExperimentConfig, radius: int) -> list:
-    k = kernel_source(config, radius)
-    adj_err = adjoint_gap(k)
+    box, blocks = kernel_source(config, radius)
     rng = np.random.Generator(np.random.Philox(key=(config.seed + radius) % 2**128))
     pairs = [(config.alpha1, config.alpha2), (0.0, 0.0)]
     pairs += [(float(rng.uniform(0, 3)), float(rng.uniform(0, 3))) for _ in range(3)]
+    theta = config.reduced
+    sides = [_adjoint_side(theta, box)]
+    sides += [_factorization_side(theta, box, a1, a2) for a1, a2 in pairs]
+    adj_err, *factor_errs = _relative_gaps(box.cardinality, blocks, sides)
     return [
         FactorizationRecord(
             N=radius,
             alpha1=a1,
             alpha2=a2,
-            factor_error=factorization_gap(k, a1, a2),
+            factor_error=err,
             adjoint_error=adj_err,
         )
-        for a1, a2 in pairs
+        for (a1, a2), err in zip(pairs, factor_errs)
     ]
 
 
@@ -614,7 +625,9 @@ def run_factorization_check(config: ExperimentConfig) -> list:
 
     For each N the identity (Bessel multiplier) . (kernel operator) =
     (lifted-kernel operator) . (inverse Bessel multiplier) is assembled
-    both ways, together with the adjoint-kernel/conjugate-transpose gap.
+    both ways, together with the adjoint-kernel/conjugate-transpose gap:
+    the adjoint gap and the five factorization gaps reduce one pass over
+    the kernel's row stream.
     """
     _guard_box(config.d, config.N_grid[-1])
     records = [rec for radius in config.N_grid for rec in _factor_one(config, radius)]
@@ -641,5 +654,5 @@ def run_schwartz_bound(config: ExperimentConfig) -> SchwartzReport:
     """
     radius = config.N_grid[-1]
     _guard_box(config.d, radius)
-    k = kernel_source(config, radius)
-    return schwartz_coefficients(k, config.alpha1, config.alpha2, config.s0)
+    box, blocks = kernel_source(config, radius)
+    return _schwartz_report(box, blocks, config.alpha1, config.alpha2, config.s0)

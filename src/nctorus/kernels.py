@@ -13,18 +13,21 @@ unimodular sigma factors make the matrix assembly an index permutation
 plus a diagonal phase, which keeps Frobenius norms equal to kernel L2
 norms exactly.
 
-Every dense step works in row blocks of _BLOCK_ENTRIES entries: the draw
-fills its coefficients block by block, the norms reduce one block of
-lifted moduli at a time, and flip_adjoint fills one block of columns at
-a time.  So no step holds an n x n temporary beside the arrays it
-returns.  The row forms _matrix_rows and _lift_rows and the column form
-_flip_cols are the bodies of kernel_matrix, sobolev_lift and flip_adjoint,
-so a block of any is bit for bit those rows or columns of the whole.  The
-identity gaps factorization_gap and adjoint_gap build both sides from
-these forms and share one reduction, _relative_gap, of sums of squares.
-Every sum of squares here, in the gaps, the lifted norms and l2_norm, is
-lattice._sum_squares, which never calls BLAS: its result does not depend
-on the BLAS thread count.
+Every dense step works in row blocks of _BLOCK_ENTRIES entries.  A draw
+is a row stream: random_kernel's body is _draw_blocks, a generator of
+(rows, block) pairs, and a held kernel streams its coeffs[rows] through
+NCKernel.row_blocks.  The reducers take such a stream: _lifted_extremes
+(the Sobolev norm and the Schwartz check) and _relative_gaps (the
+identity gaps, several sides in one pass).  So the runners reduce a draw
+as it is made and never hold its n x n coefficients.  Each reducer
+allocates its block buffers once per call and writes into them with
+out=; the row forms _matrix_rows and _lift_rows and the column form
+_flip_cols take that out and are the bodies of kernel_matrix,
+sobolev_lift and flip_adjoint, so a block of any is bit for bit those
+rows or columns of the whole.  No step holds an n x n temporary beside
+the arrays it returns.  Every sum of squares here, in the gaps, the
+lifted norms and l2_norm, is lattice._sum_squares, which never calls
+BLAS: its result does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ def _row_blocks(n: int):
         yield slice(start, min(start + rows, n))
 
 
+def _block_buffer(n: int, dtype=complex) -> np.ndarray:
+    """A buffer for the tallest row block of n columns; slice it to each block's height."""
+    return np.empty((min(n, max(1, _BLOCK_ENTRIES // n)), n), dtype=dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class NCKernel:
     """Coefficient matrix of a kernel over box x box, one row per first-leg point.
@@ -97,6 +105,11 @@ class NCKernel:
             raise ValueError(f"coefficient matrix has shape {arr.shape}, expected {want}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
+
+    def row_blocks(self):
+        """The coefficients as a row stream: (rows, coeffs[rows]) over _row_blocks."""
+        for rows in _row_blocks(self.box.cardinality):
+            yield rows, self.coeffs[rows]
 
     def l2_norm(self) -> float:
         """Tensor-product Plancherel norm: the Frobenius norm of the coefficients."""
@@ -153,9 +166,17 @@ def kernel_matrix(k: NCKernel) -> np.ndarray:
     return _matrix_rows(k.coeffs, diagonal_phases(k.theta, k.box))
 
 
-def _matrix_rows(coeff_rows: np.ndarray, col_phases: np.ndarray) -> np.ndarray:
-    """Rows of kernel_matrix from the same rows of coefficients, a fresh array."""
-    return coeff_rows[:, ::-1] * col_phases[None, :]
+def _matrix_rows(coeff_rows: np.ndarray, col_phases: np.ndarray, out=None) -> np.ndarray:
+    """Rows of kernel_matrix from the same rows of coefficients, into out or a fresh array."""
+    return np.multiply(coeff_rows[:, ::-1], col_phases[None, :], out=out)
+
+
+def _assembling(theta: ReducedTheta, box: LatticeBox, blocks, matrix: np.ndarray):
+    """Pass a row stream on, first writing each block's rows of kernel_matrix into matrix."""
+    col_phases = diagonal_phases(theta, box)
+    for rows, block in blocks:
+        _matrix_rows(block, col_phases, out=matrix[rows])
+        yield rows, block
 
 
 def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKernel:
@@ -177,21 +198,36 @@ def sobolev_lift(k: NCKernel, alpha1: float, alpha2: float) -> NCKernel:
     return NCKernel(k.theta, k.box, lifted)
 
 
-def _lift_rows(coeff_rows: np.ndarray, w1_rows: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Rows of the lifted coefficients, scaled by their row and column weights."""
-    lifted = coeff_rows * w1_rows[:, None]
+def _lift_rows(
+    coeff_rows: np.ndarray, w1_rows: np.ndarray, w2: np.ndarray, out=None
+) -> np.ndarray:
+    """Rows of the lifted coefficients, scaled by their row and column weights.
+
+    out, if given, may be coeff_rows itself.
+    """
+    lifted = np.multiply(coeff_rows, w1_rows[:, None], out=out)
     lifted *= w2[None, :]
     return lifted
 
 
-def _lifted_extremes(k: NCKernel, alpha1: float, alpha2: float) -> tuple:
-    """(max, flat index of the first max, L2 norm) of |sobolev_lift|, by row blocks."""
+def _lifted_extremes(box: LatticeBox, blocks, alpha1: float, alpha2: float) -> tuple:
+    """(max, flat index of the first max, L2 norm) of the lifted moduli of a row stream.
+
+    blocks yields (rows, coefficient block) over _row_blocks of the box;
+    the orders are checked before the first block is read.
+    """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
-    w1 = bessel_weights(alpha1, k.box)
-    w2 = bessel_weights(alpha2, k.box)
-    rows = _row_blocks(k.box.cardinality)
-    return _scaled_extremes(_lift_rows(np.abs(k.coeffs[r]), w1[r], w2) for r in rows)
+    w1 = bessel_weights(alpha1, box)
+    w2 = bessel_weights(alpha2, box)
+    buf = _block_buffer(box.cardinality, float)
+
+    def lifted():
+        for rows, block in blocks:
+            moduli = np.abs(block, out=buf[: rows.stop - rows.start])
+            yield _lift_rows(moduli, w1[rows], w2, out=moduli)
+
+    return _scaled_extremes(lifted())
 
 
 def mixed_sobolev_norm(k: NCKernel, alpha1: float, alpha2: float) -> float:
@@ -201,7 +237,7 @@ def mixed_sobolev_norm(k: NCKernel, alpha1: float, alpha2: float) -> float:
     through sobolev_lift directly.  The norm is finite wherever the largest
     lifted modulus is, and NaN or inf with it.
     """
-    return _lifted_extremes(k, alpha1, alpha2)[2]
+    return _lifted_extremes(k.box, k.row_blocks(), alpha1, alpha2)[2]
 
 
 def flip_adjoint(k: NCKernel) -> NCKernel:
@@ -213,34 +249,88 @@ def flip_adjoint(k: NCKernel) -> NCKernel:
     star_phases = np.conj(diagonal_phases(k.theta, k.box))
     n = k.box.cardinality
     swapped = np.empty((n, n), dtype=complex, order="F")
+    scratch = _block_buffer(n)
     for cols in _row_blocks(n):
-        swapped[:, cols] = _flip_cols(k.coeffs[::-1][cols], star_phases, star_phases[cols])
+        _flip_cols(
+            k.coeffs[::-1][cols], star_phases, star_phases[cols],
+            out=swapped[:, cols], scratch=scratch[: cols.stop - cols.start].T,
+        )
     return NCKernel(k.theta, k.box, swapped)
 
 
-def _flip_cols(coeff_rows: np.ndarray, star: np.ndarray, star_cols: np.ndarray) -> np.ndarray:
-    """Columns q of flip_adjoint from rows -q of the coefficients, fresh and column-major.
+def _flip_cols(
+    coeff_rows: np.ndarray, star: np.ndarray, star_cols: np.ndarray, out=None, scratch=None
+) -> np.ndarray:
+    """Columns q of flip_adjoint from rows -q of the coefficients, column-major.
 
-    star is conj(sigma(p,-p)) and star_cols its entries at those q.  The phase
-    product keeps the order star[p] * star[q], which a fused multiply-add need
-    not round the same way as star[q] * star[p].
+    star is conj(sigma(p,-p)) and star_cols its entries at those q.  The
+    columns go into out and the phase product into scratch, each fresh if
+    None.  The phase product keeps the order star[p] * star[q], which a
+    fused multiply-add need not round the same way as star[q] * star[p].
     """
-    cols = np.conj(coeff_rows[:, ::-1].T)
-    cols *= np.multiply(star[:, None], star_cols[None, :], order="F")
+    cols = np.conjugate(coeff_rows[:, ::-1].T, out=out)
+    cols *= np.multiply(star[:, None], star_cols[None, :], out=scratch, order="F")
     return cols
 
 
-def _relative_gap(n: int, sides) -> float:
-    """||lhs - rhs|| / ||lhs|| (absolute if lhs is 0) of fresh blocks (lhs, rhs) = sides(rows)."""
-    norm_sq = gap_sq = 0.0
-    for rows in _row_blocks(n):
-        lhs, rhs = sides(rows)
-        norm_sq += _sum_squares(lhs)
-        np.subtract(lhs, rhs, out=rhs)
-        gap_sq += _sum_squares(rhs)
-        del lhs, rhs  # free this pair before the next one is built
-    gap = math.sqrt(gap_sq)
-    return gap / math.sqrt(norm_sq) if norm_sq != 0.0 else gap
+def _relative_gaps(n: int, blocks, sides) -> list:
+    """||lhs - rhs|| / ||lhs|| (absolute if lhs is 0) of each side, in one pass over blocks.
+
+    blocks yields (rows, coefficient block) over _row_blocks(n).  A side
+    is called as side(rows, block, lhs, rhs, scratch) with three buffers
+    of the block's shape, and returns its (lhs, rhs) blocks built in them.
+    The sides share the buffers, one after another.
+    """
+    lhs_buf, rhs_buf, scratch_buf = (_block_buffer(n) for _ in range(3))
+    norm_sq = [0.0] * len(sides)
+    gap_sq = [0.0] * len(sides)
+    for rows, block in blocks:
+        height = rows.stop - rows.start
+        for i, side in enumerate(sides):
+            buffers = lhs_buf[:height], rhs_buf[:height], scratch_buf[:height]
+            lhs, rhs = side(rows, block, *buffers)
+            norm_sq[i] += _sum_squares(lhs)
+            np.subtract(lhs, rhs, out=rhs)
+            gap_sq[i] += _sum_squares(rhs)
+    gaps = [math.sqrt(g) for g in gap_sq]
+    return [g / math.sqrt(s) if s != 0.0 else g for g, s in zip(gaps, norm_sq)]
+
+
+def _factorization_side(theta: ReducedTheta, box: LatticeBox, a1: float, a2: float):
+    """The side of _relative_gaps for factorization_gap at orders (a1, a2)."""
+    col_phases = diagonal_phases(theta, box)
+    w1 = bessel_weights(a1, box)
+    w2 = bessel_weights(a2, box)
+    w2_inv = bessel_weights(-a2, box)
+
+    def side(rows, block, lhs, rhs, scratch) -> tuple:
+        _matrix_rows(block, col_phases, out=lhs)
+        lhs *= w1[rows, None]
+        _matrix_rows(_lift_rows(block, w1[rows], w2, out=scratch), col_phases, out=rhs)
+        rhs *= w2_inv[None, :]
+        return lhs, rhs
+
+    return side
+
+
+def _adjoint_side(theta: ReducedTheta, box: LatticeBox):
+    """The side of _relative_gaps for adjoint_gap.
+
+    K's rows p are compared with the conjugate of A's columns p: column -p
+    of the flip-adjoint times sigma(p, -p), built from row p of the kernel.
+    """
+    col_phases = diagonal_phases(theta, box)
+    star_phases = np.conj(col_phases)
+
+    def side(rows, block, lhs, rhs, scratch) -> tuple:
+        a_cols = _flip_cols(
+            block, star_phases, star_phases[::-1][rows], out=rhs.T, scratch=scratch.T
+        )
+        a_cols *= col_phases[None, rows]
+        np.conjugate(a_cols, out=a_cols)
+        return _matrix_rows(block, col_phases, out=lhs), rhs
+
+    return side
 
 
 def factorization_gap(k: NCKernel, a1: float, a2: float) -> float:
@@ -249,32 +339,14 @@ def factorization_gap(k: NCKernel, a1: float, a2: float) -> float:
     Multipliers stay vectors: B on the left scales rows, on the right columns,
     of row blocks built by the row forms of kernel_matrix and sobolev_lift.
     """
-    col_phases = diagonal_phases(k.theta, k.box)
-    w1 = bessel_weights(a1, k.box)
-    w2 = bessel_weights(a2, k.box)
-    w2_inv = bessel_weights(-a2, k.box)
-    def sides(rows: slice) -> tuple:
-        lhs = _matrix_rows(k.coeffs[rows], col_phases)
-        lhs *= w1[rows, None]
-        rhs = _matrix_rows(_lift_rows(k.coeffs[rows], w1[rows], w2), col_phases)
-        rhs *= w2_inv[None, :]
-        return lhs, rhs
-    return _relative_gap(k.box.cardinality, sides)
+    side = _factorization_side(k.theta, k.box, a1, a2)
+    return _relative_gaps(k.box.cardinality, k.row_blocks(), [side])[0]
 
 
 def adjoint_gap(k: NCKernel) -> float:
-    """Relative gap of the flip-adjoint kernel's matrix A against K^*.
-
-    K's rows p are compared with the conjugate of A's columns p: column -p
-    of the flip-adjoint times sigma(p, -p), built from row p of k.
-    """
-    col_phases = diagonal_phases(k.theta, k.box)
-    star_phases = np.conj(col_phases)
-    def sides(rows: slice) -> tuple:
-        a_cols = _flip_cols(k.coeffs[rows], star_phases, star_phases[::-1][rows])
-        a_cols *= col_phases[None, rows]
-        return _matrix_rows(k.coeffs[rows], col_phases), np.conjugate(a_cols, out=a_cols).T
-    return _relative_gap(k.box.cardinality, sides)
+    """Relative gap of the flip-adjoint kernel's matrix A against K^*."""
+    side = _adjoint_side(k.theta, k.box)
+    return _relative_gaps(k.box.cardinality, k.row_blocks(), [side])[0]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -314,15 +386,21 @@ def schwartz_coefficients(
     s0 must exceed the dimension so the envelope is summable over the full
     lattice.
     """
-    d = h.theta.d
-    if s0 <= d:
-        raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {d}")
-    worst, flat, lifted_norm = _lifted_extremes(h, alpha1 + s0, alpha2 + s0)
-    pts = h.box.enumerate()
-    i, j = divmod(flat, h.box.cardinality)
+    return _schwartz_report(h.box, h.row_blocks(), alpha1, alpha2, s0)
+
+
+def _schwartz_report(
+    box: LatticeBox, blocks, alpha1: float, alpha2: float, s0: float
+) -> SchwartzReport:
+    """schwartz_coefficients of a row stream over box x box."""
+    if s0 <= box.d:
+        raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {box.d}")
+    worst, flat, lifted_norm = _lifted_extremes(box, blocks, alpha1 + s0, alpha2 + s0)
+    pts = box.enumerate()
+    i, j = divmod(flat, box.cardinality)
     worst_index = (tuple(int(v) for v in pts[i]), tuple(int(v) for v in pts[j]))
     return SchwartzReport(
-        radius=h.box.radius,
+        radius=box.radius,
         s0=float(s0),
         alpha1=alpha1,
         alpha2=alpha2,
@@ -339,32 +417,48 @@ def random_kernel(
 
     c_{m,n} = (1+|m|^2)^(-s1/2) (1+|n|^2)^(-s2/2) e^{2 pi i u} with u
     drawn uniformly from [0, 1) by a Philox counter generator keyed on the
-    seed, consumed in row-major (linear index pair) order.  The uniforms
-    are drawn one row block at a time into one reused buffer; the generator
-    continues its stream from block to block, so the coefficients are
-    those of a single n x n draw.  The phase is evaluated in the tangent
-    form e^{2 pi i u} = ((1 - t^2) + 2it)/(1 + t^2) with t = tan(pi u),
-    one vectorised tan per entry and no complex exp; t stays finite because pi * u rounds below pi/2 at u = 1/2, and t^2
-    stays below 3e32.  The coefficients reproduce bit for bit on a given
-    numpy build; another build may round the last digit differently.  The
+    seed, consumed in row-major (linear index pair) order.  The matrix is
+    filled from the row stream of _random_rows, the one draw path.  The
     envelope keeps the kernel in the mixed Sobolev space of orders below
     (s1 - d/2, s2 - d/2), which makes smoothness hypotheses checkable by
     construction.
     """
+    box, blocks = _random_rows(theta, radius, s1, s2, seed)
+    coeffs = np.empty((box.cardinality,) * 2, dtype=complex)
+    for rows, block in blocks:
+        coeffs[rows] = block
+    return NCKernel(theta, box, coeffs)
+
+
+def _random_rows(theta: ReducedTheta, radius: int, s1: float, s2: float, seed: int) -> tuple:
+    """(box, row stream) of random_kernel's draw, with its inputs checked before any draw."""
     if s1 < 0 or s2 < 0:
         raise ValueError(f"envelope exponents must be nonnegative, got ({s1}, {s2})")
     _guard_box(theta.d, radius)
     box = LatticeBox(theta.d, radius)
-    n = box.cardinality
-    w1 = bessel_weights(-s1, box)
-    w2 = bessel_weights(-s2, box)
+    return box, _draw_blocks(bessel_weights(-s1, box), bessel_weights(-s2, box), seed)
+
+
+def _draw_blocks(w1: np.ndarray, w2: np.ndarray, seed: int):
+    """Yield (rows, block) of the random kernel with envelope weights w1 x w2.
+
+    The uniforms are drawn one row block at a time; the generator continues
+    its stream from block to block, so the blocks are those of a single
+    n x n draw.  Each block is written into one buffer, valid until the
+    next block is drawn.  The phase is evaluated in the tangent form
+    e^{2 pi i u} = ((1 - t^2) + 2it)/(1 + t^2) with t = tan(pi u), one
+    vectorised tan per entry and no complex exp; t stays finite because
+    pi * u rounds below pi/2 at u = 1/2, and t^2 stays below 3e32.  The
+    coefficients reproduce bit for bit on a given numpy build; another
+    build may round the last digit differently.
+    """
+    n = w2.size
     rng = np.random.Generator(np.random.Philox(key=seed))
-    coeffs = np.empty((n, n), dtype=complex)
-    blocks = list(_row_blocks(n))
-    buf = np.empty((blocks[0].stop, n))
-    for rows in blocks:
-        block = coeffs[rows]
-        t = buf[: rows.stop - rows.start]
+    t_buf = _block_buffer(n, float)
+    block_buf = _block_buffer(n)
+    for rows in _row_blocks(n):
+        height = rows.stop - rows.start
+        t, block = t_buf[:height], block_buf[:height]
         rng.random(out=t)
         t *= np.pi
         np.tan(t, out=t)
@@ -377,4 +471,4 @@ def random_kernel(
         t *= w2[None, :]
         block.real *= t
         block.imag *= t
-    return NCKernel(theta, box, coeffs)
+        yield rows, block

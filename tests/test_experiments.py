@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,9 @@ from nctorus.kernels import (
     adjoint_gap,
     bessel_kernel,
     factorization_gap,
+    kernel_matrix,
     mixed_sobolev_norm,
+    random_kernel,
     schwartz_coefficients,
 )
 from nctorus.lattice import (
@@ -40,7 +43,13 @@ from nctorus.lattice import (
 )
 from nctorus.multipliers import bessel_weights
 from nctorus.records import to_csv, to_json
-from nctorus.schatten import SingularSpectrum, critical_exponent
+from nctorus.schatten import (
+    SingularSpectrum,
+    critical_exponent,
+    schatten_norm,
+    singular_values,
+    weak_norm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +388,16 @@ SUITE_MUTATIONS = [
     ("weak norm with exponent 1/p", experiments, "weak_norm",
      lambda f: lambda s, p: f(s, 1.0 / p), {"schatten-exact"}),
     ("kernel matrix without the negation", kernels, "_matrix_rows",
-     lambda f: lambda rows, phases: rows * phases[None, :],
+     lambda f: lambda rows, phases, out=None: np.multiply(rows, phases[None, :], out=out),
      {"adjoint-identity", "bessel-kernel-diagonal", "kernel-column-consistency"}),
     ("Bessel kernel carries sigma(n, -n), not its conjugate", experiments, "bessel_kernel",
      lambda f: lambda a, box, theta: NCKernel(theta, box, np.conj(f(a, box, theta).coeffs)),
      {"bessel-kernel-diagonal"}),
     ("lift drops the second leg's weight", kernels, "_lift_rows",
-     lambda f: lambda rows, w1, w2: f(rows, w1, np.ones_like(w2)),
+     lambda f: lambda rows, w1, w2, **out: f(rows, w1, np.ones_like(w2), **out),
      {"factorization", "schwartz-exact"}),
     ("flip-adjoint stars with sigma, not its conjugate", kernels, "_flip_cols",
-     lambda f: lambda rows, star, cols: f(rows, np.conj(star), np.conj(cols)),
+     lambda f: lambda rows, star, cols, **out: f(rows, np.conj(star), np.conj(cols), **out),
      {"adjoint-identity"}),
     ("scalar times kernel conjugates the scalar", NCKernel, "__rmul__",
      lambda f: lambda k, c: f(k, np.conj(c)), {"kernel-linearity"}),
@@ -701,23 +710,83 @@ def test_runners_read_the_kernel_source(monkeypatch):
     # Bessel weights, every kernel runner reports on that kernel
     alpha = 1.5
 
-    def bessel_source(config, radius):
+    def bessel(config, radius):
         return bessel_kernel(alpha, LatticeBox(config.d, radius), config.reduced)
+
+    def bessel_source(config, radius):
+        k = bessel(config, radius)
+        return k.box, k.row_blocks()
 
     monkeypatch.setattr(experiments, "kernel_source", bessel_source)
     config = ExperimentConfig(N_grid=(2, 3), r_grid=(0.8, 2.0, 5.0))
     for rec in run_theorem_scan(config):
-        k = bessel_source(config, rec.N)
+        k = bessel(config, rec.N)
         weights = np.sort(bessel_weights(-alpha, k.box))[::-1]
         expected = np.sum(weights**rec.r) ** (1.0 / rec.r)
         assert rec.s_r_norm == pytest.approx(expected, rel=1e-12)
         assert rec.sobolev_norm == mixed_sobolev_norm(k, config.alpha1, config.alpha2)
     for rec in run_factorization_check(config):
-        k = bessel_source(config, rec.N)
+        k = bessel(config, rec.N)
         assert rec.adjoint_error == adjoint_gap(k)
         assert rec.factor_error == factorization_gap(k, rec.alpha1, rec.alpha2)
-    expected = schwartz_coefficients(bessel_source(config, 3), 1.0, 1.0, 3.0)
+    expected = schwartz_coefficients(bessel(config, 3), 1.0, 1.0, 3.0)
     assert run_schwartz_bound(config) == expected
+
+
+# boxes of several row blocks whose last block is short (441 = 11 * 37 + 34
+# rows, 343 = 7 * 47 + 14)
+_STREAMED_RUNNER_BOXES = ((2, 10), (3, 3))
+
+
+@pytest.mark.parametrize("d, radius", _STREAMED_RUNNER_BOXES)
+def test_streamed_runners_match_the_held_kernel(monkeypatch, d, radius):
+    # the runners reduce the draw as it is made; each number they report
+    # is bit for bit that of the same kernel drawn whole and held
+    blocks = list(kernels._row_blocks(LatticeBox(d, radius).cardinality))
+    assert len({b.stop - b.start for b in blocks}) == 2
+    config = ExperimentConfig(d=d, N_grid=(radius,), seed=13, alpha1=0.7, alpha2=1.4)
+    k = random_kernel(config.reduced, radius, *config.envelope_exponents(), config.seed)
+    for rec in run_factorization_check(config):
+        assert rec.factor_error == factorization_gap(k, rec.alpha1, rec.alpha2)
+        assert rec.adjoint_error == adjoint_gap(k)
+    assert run_schwartz_bound(config) == schwartz_coefficients(
+        k, config.alpha1, config.alpha2, config.s0
+    )
+    matrices = []
+
+    def kept(matrix):
+        matrices.append(matrix.copy())
+        return singular_values(matrix)
+
+    monkeypatch.setattr(experiments, "singular_values", kept)
+    records = run_theorem_scan(config)
+    (matrix,) = matrices
+    assert np.array_equal(matrix, kernel_matrix(k))
+    spectrum = singular_values(kernel_matrix(k))
+    for rec in records:
+        assert rec.sobolev_norm == mixed_sobolev_norm(k, config.alpha1, config.alpha2)
+        assert rec.s_r_norm == schatten_norm(spectrum, rec.r)
+        assert rec.weak_r_norm == weak_norm(spectrum, rec.r)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_runners_never_hold_the_coefficients():
+    # tracemalloc sees numpy's allocations; a runner holding the n x n
+    # coefficients (16 B per entry) would peak far above these bounds
+    n = LatticeBox(2, 20).cardinality
+    peak = _traced_peak(lambda: run_schwartz_bound(ExperimentConfig(N_grid=(20,))))
+    assert peak < n * n * 16 / 4, f"schwartz peaked at {peak / 2**20:.1f} MiB"
+    n = LatticeBox(2, 16).cardinality
+    peak = _traced_peak(lambda: run_factorization_check(ExperimentConfig(N_grid=(12, 16))))
+    assert peak < n * n * 16 / 2, f"factor peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_unitary_diagonal_is_exact_phase(rng):

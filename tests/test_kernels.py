@@ -317,10 +317,12 @@ def test_lifted_norms_carry_nan_and_inf(red2):
     n = k.box.cardinality
     coeffs = k.coeffs.copy()
     coeffs[2, 7], coeffs[n - 3, 1], coeffs[n - 1, 0] = np.inf, np.nan, np.nan
-    top, where, norm = _lifted_extremes(NCKernel(red2, k.box, coeffs.copy()), 0.5, 0.5)
+    k_bad = NCKernel(red2, k.box, coeffs.copy())
+    top, where, norm = _lifted_extremes(k.box, k_bad.row_blocks(), 0.5, 0.5)
     assert np.isnan(top) and np.isnan(norm) and where == (n - 3) * n + 1
     coeffs[n - 3, 1] = coeffs[n - 1, 0] = 0.0
-    top, where, norm = _lifted_extremes(NCKernel(red2, k.box, coeffs), 0.5, 0.5)
+    k_bad = NCKernel(red2, k.box, coeffs)
+    top, where, norm = _lifted_extremes(k.box, k_bad.row_blocks(), 0.5, 0.5)
     assert (top, where, norm) == (np.inf, 2 * n + 7, np.inf)
     # the element norm shares the reduction
     x = random_element(red2, LatticeBox(2, 2), np.random.default_rng(31))
@@ -573,7 +575,7 @@ def test_row_forms_concatenate_to_matrix_and_lift(d, radius):
 def test_streamed_reductions_match_full_matrix_forms(d, radius):
     _, k, _ = _stream_kernel(d, radius)
     for a1, a2 in ((0.0, 0.0), (1.0, 1.0), (2.7, 0.3)):
-        top, where, norm = _lifted_extremes(k, a1, a2)
+        top, where, norm = _lifted_extremes(k.box, k.row_blocks(), a1, a2)
         ref_top, ref_where, ref_norm = _lifted_reference(k, a1, a2)
         assert (top, where) == (ref_top, ref_where)
         assert norm == pytest.approx(ref_norm, rel=1e-13)
@@ -586,7 +588,7 @@ def test_lifted_extremes_keeps_the_first_of_tied_maxima(red2):
     # equal moduli everywhere: the first entry of the first block wins
     box = LatticeBox(2, 10)
     k = NCKernel(red2, box, np.full((box.cardinality,) * 2, 1j))
-    top, where, norm = _lifted_extremes(k, 0.0, 0.0)
+    top, where, norm = _lifted_extremes(box, k.row_blocks(), 0.0, 0.0)
     assert (top, where) == (1.0, 0)
     assert norm == pytest.approx(box.cardinality, rel=1e-13)
 
