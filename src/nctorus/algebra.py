@@ -13,6 +13,7 @@ an explicit, caller-side decision (`restricted`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,18 +154,50 @@ def twisted_convolve(f: TorusElement, g: TorusElement) -> TorusElement:
     _require_same_theta(f, g)
     _guard_box(f.box.d, f.box.radius)
     _guard_box(g.box.d, g.box.radius)
-    box = LatticeBox(f.box.d, f.box.radius + g.box.radius)
-    pf = f.box.enumerate()
-    pg = g.box.enumerate()
-    phases = phase_table(f.theta.entries, pf, pg)
+    box, scatter, phases = _product_plan(f.theta, f.box, g.box)
     contrib = np.outer(f.coeffs, g.coeffs) * phases
-    # linear index of pf[i] + pg[j] in the sum box splits additively
-    w = (box.side ** np.arange(box.d - 1, -1, -1)).astype(np.int64)
-    left = (pf + f.box.radius) @ w
-    right = (pg + g.box.radius) @ w
     coeffs = np.zeros(box.cardinality, dtype=complex)
-    np.add.at(coeffs, (left[:, None] + right[None, :]).ravel(), contrib.ravel())
+    np.add.at(coeffs, scatter, contrib.ravel())
     return TorusElement(f.theta, box, coeffs)
+
+
+# Largest phase table a product plan is memoised for: 2^14 entries, the
+# 256 KiB block of complex data kernels.py works in.
+_PLAN_MEMO_ENTRIES = 1 << 14
+
+
+def _product_plan(theta: ReducedTheta, box_f: LatticeBox, box_g: LatticeBox) -> tuple:
+    """(sum box, flat scatter index, read-only phase table) of a product box_f x box_g.
+
+    The phase table holds sigma(p, q) for p in box_f, q in box_g, and the
+    scatter index the linear index of p + q in the sum box, flattened in
+    the table's order.  A plan whose table has at most _PLAN_MEMO_ENTRIES
+    entries comes from _plan_memo, an LRU of at most 16 plans: with its
+    int64 index, at most 384 KiB each and 6 MiB in all.  A larger plan is
+    built for each call.  Either way the plan is built by _build_plan, so
+    the memo changes no bit of a product.
+    """
+    if box_f.cardinality * box_g.cardinality <= _PLAN_MEMO_ENTRIES:
+        return _plan_memo(theta, box_f, box_g)
+    return _build_plan(theta, box_f, box_g)
+
+
+def _build_plan(theta: ReducedTheta, box_f: LatticeBox, box_g: LatticeBox) -> tuple:
+    """_product_plan, built afresh."""
+    box = LatticeBox(box_f.d, box_f.radius + box_g.radius)
+    pf = box_f.enumerate()
+    pg = box_g.enumerate()
+    phases = phase_table(theta.entries, pf, pg)
+    # linear index of pf[i] + pg[j] in the sum box splits additively
+    left = (pf + box_f.radius) @ box._weights
+    right = (pg + box_g.radius) @ box._weights
+    scatter = (left[:, None] + right[None, :]).ravel()
+    phases.flags.writeable = False
+    scatter.flags.writeable = False
+    return box, scatter, phases
+
+
+_plan_memo = functools.lru_cache(maxsize=16)(_build_plan)
 
 
 def involution(f: TorusElement) -> TorusElement:

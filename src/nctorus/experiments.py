@@ -538,8 +538,10 @@ class DecayRecord:
 
 def _decay_one(d: int, alpha: float, radius: int) -> DecayRecord:
     box = LatticeBox(d, radius)
-    vals = np.sort(bessel_weights(-alpha, box))[::-1]
-    spectrum = SingularSpectrum(vals)
+    vals = bessel_weights(-alpha, box)
+    vals.sort()
+    spectrum = SingularSpectrum(vals[::-1])
+    vals = spectrum.values  # the spectrum's copy is the one kept
     p = d / alpha
     k_min, k_max = default_decay_window(box.cardinality)
     where = f"decay at N={radius}, alpha={alpha:g}: the fit window [{k_min}, {k_max}]"
@@ -607,7 +609,7 @@ def _factor_one(config: ExperimentConfig, radius: int) -> list:
     theta = config.reduced
     sides = [_adjoint_side(theta, box)]
     sides += [_factorization_side(theta, box, a1, a2) for a1, a2 in pairs]
-    adj_err, *factor_errs = _relative_gaps(box.cardinality, blocks, sides)
+    adj_err, *factor_errs = _relative_gaps(theta, box, blocks, sides)
     return [
         FactorizationRecord(
             N=radius,

@@ -18,16 +18,17 @@ is a row stream: random_kernel's body is _draw_blocks, a generator of
 (rows, block) pairs, and a held kernel streams its coeffs[rows] through
 NCKernel.row_blocks.  The reducers take such a stream: _lifted_extremes
 (the Sobolev norm and the Schwartz check) and _relative_gaps (the
-identity gaps, several sides in one pass).  So the runners reduce a draw
-as it is made and never hold its n x n coefficients.  Each reducer
-allocates its block buffers once per call and writes into them with
-out=; the row forms _matrix_rows and _lift_rows and the column form
-_flip_cols take that out and are the bodies of kernel_matrix,
-sobolev_lift and flip_adjoint, so a block of any is bit for bit those
-rows or columns of the whole.  No step holds an n x n temporary beside
-the arrays it returns.  Every sum of squares here, in the gaps, the
-lifted norms and l2_norm, is lattice._sum_squares, which never calls
-BLAS: its result does not depend on the BLAS thread count.
+identity gaps, several sides in one pass, all reading one block of
+kernel-matrix rows).  So the runners reduce a draw as it is made and
+never hold its n x n coefficients.  Each reducer allocates its block
+buffers once per call and writes into them with out=; the row forms
+_matrix_rows and _lift_rows and the column form _flip_cols take that out
+and are the bodies of kernel_matrix, sobolev_lift and flip_adjoint, so a
+block of any is bit for bit those rows or columns of the whole.  No step
+holds an n x n temporary beside the arrays it returns.  Every sum of
+squares here, in the gaps, the lifted norms and l2_norm, is
+lattice._sum_squares, which never calls BLAS: its result does not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -273,22 +274,28 @@ def _flip_cols(
     return cols
 
 
-def _relative_gaps(n: int, blocks, sides) -> list:
+def _relative_gaps(theta: ReducedTheta, box: LatticeBox, blocks, sides) -> list:
     """||lhs - rhs|| / ||lhs|| (absolute if lhs is 0) of each side, in one pass over blocks.
 
-    blocks yields (rows, coefficient block) over _row_blocks(n).  A side
-    is called as side(rows, block, lhs, rhs, scratch) with three buffers
-    of the block's shape, and returns its (lhs, rhs) blocks built in them.
-    The sides share the buffers, one after another.
+    blocks yields (rows, coefficient block) over _row_blocks of the box.
+    Each block's rows of kernel_matrix are built once, into k_rows, and
+    every side reads them.  A side is called as side(rows, block, k_rows,
+    lhs, rhs, scratch) with three buffers of the block's shape, and
+    returns its (lhs, rhs) blocks built in them; its lhs may be k_rows
+    itself, which no side writes.  The sides share the buffers, one after
+    another.
     """
-    lhs_buf, rhs_buf, scratch_buf = (_block_buffer(n) for _ in range(3))
+    n = box.cardinality
+    col_phases = diagonal_phases(theta, box)
+    k_buf, lhs_buf, rhs_buf, scratch_buf = (_block_buffer(n) for _ in range(4))
     norm_sq = [0.0] * len(sides)
     gap_sq = [0.0] * len(sides)
     for rows, block in blocks:
         height = rows.stop - rows.start
+        k_rows = _matrix_rows(block, col_phases, out=k_buf[:height])
         for i, side in enumerate(sides):
             buffers = lhs_buf[:height], rhs_buf[:height], scratch_buf[:height]
-            lhs, rhs = side(rows, block, *buffers)
+            lhs, rhs = side(rows, block, k_rows, *buffers)
             norm_sq[i] += _sum_squares(lhs)
             np.subtract(lhs, rhs, out=rhs)
             gap_sq[i] += _sum_squares(rhs)
@@ -303,9 +310,8 @@ def _factorization_side(theta: ReducedTheta, box: LatticeBox, a1: float, a2: flo
     w2 = bessel_weights(a2, box)
     w2_inv = bessel_weights(-a2, box)
 
-    def side(rows, block, lhs, rhs, scratch) -> tuple:
-        _matrix_rows(block, col_phases, out=lhs)
-        lhs *= w1[rows, None]
+    def side(rows, block, k_rows, lhs, rhs, scratch) -> tuple:
+        np.multiply(k_rows, w1[rows, None], out=lhs)
         _matrix_rows(_lift_rows(block, w1[rows], w2, out=scratch), col_phases, out=rhs)
         rhs *= w2_inv[None, :]
         return lhs, rhs
@@ -322,13 +328,13 @@ def _adjoint_side(theta: ReducedTheta, box: LatticeBox):
     col_phases = diagonal_phases(theta, box)
     star_phases = np.conj(col_phases)
 
-    def side(rows, block, lhs, rhs, scratch) -> tuple:
+    def side(rows, block, k_rows, lhs, rhs, scratch) -> tuple:
         a_cols = _flip_cols(
             block, star_phases, star_phases[::-1][rows], out=rhs.T, scratch=scratch.T
         )
         a_cols *= col_phases[None, rows]
         np.conjugate(a_cols, out=a_cols)
-        return _matrix_rows(block, col_phases, out=lhs), rhs
+        return k_rows, rhs
 
     return side
 
@@ -340,13 +346,13 @@ def factorization_gap(k: NCKernel, a1: float, a2: float) -> float:
     of row blocks built by the row forms of kernel_matrix and sobolev_lift.
     """
     side = _factorization_side(k.theta, k.box, a1, a2)
-    return _relative_gaps(k.box.cardinality, k.row_blocks(), [side])[0]
+    return _relative_gaps(k.theta, k.box, k.row_blocks(), [side])[0]
 
 
 def adjoint_gap(k: NCKernel) -> float:
     """Relative gap of the flip-adjoint kernel's matrix A against K^*."""
     side = _adjoint_side(k.theta, k.box)
-    return _relative_gaps(k.box.cardinality, k.row_blocks(), [side])[0]
+    return _relative_gaps(k.theta, k.box, k.row_blocks(), [side])[0]
 
 
 @dataclass(frozen=True, kw_only=True)

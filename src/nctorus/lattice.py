@@ -180,9 +180,9 @@ class LatticeBox:
 
     @cached_property
     def _points(self) -> np.ndarray:
-        axes = [np.arange(-self.radius, self.radius + 1, dtype=np.int64)] * self.d
-        grid = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack(grid, axis=-1).reshape(-1, self.d)
+        grid = np.indices((self.side,) * self.d, dtype=np.int64).reshape(self.d, -1)
+        pts = np.ascontiguousarray(grid.T)
+        pts -= self.radius
         pts.flags.writeable = False
         return pts
 

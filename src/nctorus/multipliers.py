@@ -39,9 +39,11 @@ def _stable_power(base: np.ndarray, exponent: float) -> np.ndarray:
     large positive exponent can still overflow to inf, silently here;
     _checked reports it by lattice point.
     """
+    out = np.log(base)
+    out *= exponent
     with np.errstate(over="ignore"):
-        out = np.exp(exponent * np.log(base))
-    out[np.abs(out) < _UNDERFLOW_FLOOR] = 0.0
+        np.exp(out, out=out)
+    out[out < _UNDERFLOW_FLOOR] = 0.0  # exp is never negative
     return out
 
 
@@ -68,7 +70,9 @@ def bessel_weights(alpha: float, box: LatticeBox) -> np.ndarray:
     ``w[:, None] * A`` is the multiplier composed after A, ``A * w[None, :]``
     before it.
     """
-    weights = _stable_power(1.0 + _squared_norms(box), alpha / 2.0)
+    base = _squared_norms(box)
+    base += 1.0
+    weights = _stable_power(base, alpha / 2.0)
     return _checked(f"bessel({alpha:g})", weights, box)
 
 

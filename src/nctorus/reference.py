@@ -44,12 +44,14 @@ def convolve_coefficients(
     out = np.zeros(out_box.cardinality, dtype=complex)
     pf = box_f.enumerate()
     pg = box_g.enumerate()
+    sums = out_box.linear_indices((pf[:, None, :] + pg[None, :, :]).reshape(-1, box_f.d))
+    sums = sums.reshape(len(pf), len(pg))
     for i, u in enumerate(pf):
         if f[i] == 0:
             continue
         for j, v in enumerate(pg):
             phase = np.exp(2j * np.pi * float(u @ matrix @ v))
-            out[out_box.linear_index(u + v)] += f[i] * g[j] * phase
+            out[sums[i, j]] += f[i] * g[j] * phase
     return out_box, out
 
 

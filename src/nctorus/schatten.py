@@ -76,11 +76,13 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
         # [1, m^(1/p)], within half an ulp of 1 here: this covers p = inf
         # and a single positive value, where p log mu may not round-trip
         return float(vals[0])
-    logs = p * np.log(positive)
-    top = logs.max()
-    ties = logs == top
+    terms = np.log(positive)
+    terms *= p
+    top = terms.max()
+    ties = terms == top
     count = np.count_nonzero(ties)
-    terms = np.exp(logs - top)
+    terms -= top
+    np.exp(terms, out=terms)
     terms[ties] = 0.0
     rest = terms.sum() / count
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
@@ -94,9 +96,11 @@ def weak_norm(spectrum: SingularSpectrum, p: float) -> float:
     positive = spectrum.values[spectrum.values > 0]
     if positive.size == 0:
         return 0.0
-    ranks = np.arange(1, positive.size + 1, dtype=float)
+    scaled = np.arange(1, positive.size + 1, dtype=float)
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-        return float(np.max(ranks ** (1.0 / p) * positive))
+        scaled **= 1.0 / p  # not np.power: ** takes numpy's sqrt shortcut at 1/p = 0.5
+        scaled *= positive
+    return float(np.max(scaled))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctorus import algebra
 from nctorus.algebra import (
     TorusElement,
     embedded,
@@ -22,6 +23,7 @@ from nctorus.algebra import (
     unit,
 )
 from nctorus.cocycle import random_theta, reduce_theta, sigma, zero_theta
+from nctorus.experiments import run_property_suite
 from nctorus.lattice import LatticeBox
 from nctorus.reference import plain_convolution
 
@@ -295,3 +297,69 @@ def test_product_trace_cyclicity_property(seed):
     abc = trace(twisted_convolve(twisted_convolve(f, g), h))
     cab = trace(twisted_convolve(twisted_convolve(h, f), g))
     assert abc == pytest.approx(cab, abs=1e-11)
+
+
+def _suite_errors(seed, theta):
+    report = run_property_suite(seed, theta)
+    assert report.passed, report.failures
+    return np.array([c.max_error for c in report.checks]).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_plan_memo_changes_no_suite_bit(d, monkeypatch):
+    # the memo starting cleared, starting warm, or not consulted at all
+    # gives the same suite errors bit for bit
+    theta = random_theta(d, np.random.Generator(np.random.Philox(key=d)))
+    for seed in (7, 8, 9):
+        algebra._plan_memo.cache_clear()
+        cleared = _suite_errors(seed, theta)
+        warm = _suite_errors(seed, theta)
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_product_plan", algebra._build_plan)
+            unmemoised = _suite_errors(seed, theta)
+        assert np.array_equal(cleared, warm)
+        assert np.array_equal(cleared, unmemoised)
+
+
+def test_memoised_plans_are_read_only(red2):
+    algebra._plan_memo.cache_clear()
+    box, scatter, phases = algebra._product_plan(red2, LatticeBox(2, 2), LatticeBox(2, 1))
+    assert algebra._plan_memo.cache_info().currsize == 1
+    assert box == LatticeBox(2, 3)
+    for arr in (scatter, phases):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_plan_memo_skips_products_over_its_bound():
+    red3 = reduce_theta(random_theta(3, np.random.default_rng(3)))
+    rng = np.random.Generator(np.random.Philox(key=4))
+    f = random_element(red3, LatticeBox(3, 4), rng)
+    g = random_element(red3, LatticeBox(3, 2), rng)
+    assert algebra._PLAN_MEMO_ENTRIES == 1 << 14
+    assert f.box.cardinality * g.box.cardinality > algebra._PLAN_MEMO_ENTRIES
+    algebra._plan_memo.cache_clear()
+    twisted_convolve(f, g)
+    assert algebra._plan_memo.cache_info().currsize == 0
+    # 125 x 125 = 15,625 entries is within the bound
+    twisted_convolve(g, g)
+    assert algebra._plan_memo.cache_info().currsize == 1
+
+
+def test_plan_memo_holds_at_most_16_plans(monkeypatch):
+    # twenty thetas over one box pair: twenty plans, of which the memo
+    # keeps the last 16, and every product is the one built without it
+    rng = np.random.Generator(np.random.Philox(key=5))
+    box = LatticeBox(2, 1)
+    elements = []
+    for _ in range(20):
+        theta = reduce_theta(random_theta(2, rng))
+        elements.append(random_element(theta, box, rng))
+    algebra._plan_memo.cache_clear()
+    memoised = [twisted_convolve(x, x).coeffs for x in elements + elements[:2]]
+    info = algebra._plan_memo.cache_info()
+    assert info.maxsize == 16
+    assert info.misses == 22 and info.currsize == 16
+    monkeypatch.setattr(algebra, "_product_plan", algebra._build_plan)
+    for x, coeffs in zip(elements + elements[:2], memoised):
+        assert np.array_equal(twisted_convolve(x, x).coeffs, coeffs)

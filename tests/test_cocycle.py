@@ -9,6 +9,7 @@ from nctorus.cocycle import (
     SKEW_TOLERANCE,
     ReducedTheta,
     ThetaMatrix,
+    _mod_one,
     load_theta,
     phase_pairs,
     phase_table,
@@ -130,6 +131,26 @@ def test_phase_table_matches_pairs(red2):
     for i in range(5):
         row = phase_pairs(red2.entries, np.repeat(left[i][None], 7, axis=0), right)
         assert np.allclose(table[i], row, atol=1e-14)
+
+
+def test_phase_reduction_is_np_mod_bit_for_bit():
+    tiny = 5e-324
+    edges = [
+        0.0, -0.0, tiny, -tiny, -1e-20, -0.25, -1.0, -3.75,
+        1 - 2**-53, -(1 - 2**-53), 2**52 + 0.5, -(2**52 + 0.5), 2.0**53, -(2.0**53),
+    ]
+    rng = np.random.Generator(np.random.Philox(key=23))
+    near_1e15 = 1e15 + np.arange(-64, 65) / 8.0  # every representable step near 1e15
+    ks = np.concatenate([np.arange(-(2**16), 2**16 + 1), rng.integers(-(2**50), 2**50, 4096)])
+    args = np.concatenate([
+        edges,
+        rng.uniform(-50.0, 0.0, 4096),
+        near_1e15, -near_1e15, rng.uniform(-2e15, 2e15, 4096),
+        ks * 0.7071067811865476,  # integer multiples of the double nearest 1/sqrt(2)
+    ])
+    got = _mod_one(args).view(np.int64)
+    want = np.mod(args, 1.0).view(np.int64)
+    assert np.array_equal(got, want), args[got != want][:5]
 
 
 def test_phases_unimodular_for_large_indices(red2):
@@ -274,3 +295,8 @@ def test_theta_equality_and_hash(theta2):
     assert ReducedTheta(np.zeros((2, 2))) == ReducedTheta(np.zeros((2, 2)))
     assert ThetaMatrix(np.zeros((2, 2))) != ReducedTheta(np.zeros((2, 2)))
     assert ReducedTheta(np.zeros((2, 2))) != ThetaMatrix(np.zeros((2, 2)))
+    # a signed zero changes neither equality nor the hash
+    signed = ReducedTheta(np.array([[-0.0, -0.0], [0.5, -0.0]]))
+    plain = ReducedTheta(np.array([[0.0, 0.0], [0.5, 0.0]]))
+    assert signed == plain and hash(signed) == hash(plain)
+    assert signed == signed

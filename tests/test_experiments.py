@@ -310,9 +310,15 @@ def _absolute_exponent(matrix, left, right):
     return np.exp(2j * np.pi * np.abs(exponent))
 
 
-def _folded(f):
-    # phases folded onto the upper half circle: no longer a bicharacter
-    return lambda *args: np.exp(1j * np.abs(np.angle(f(*args))))
+def _folded_plan(f):
+    # the plan's phases folded onto the upper half circle: no longer a
+    # bicharacter.  Patching the plan, not phase_table behind its memo,
+    # reaches every product however warm the memo is.
+    def plan(*args):
+        box, scatter, phases = f(*args)
+        return box, scatter, np.exp(1j * np.abs(np.angle(phases)))
+
+    return plan
 
 
 def _halved_spectrum(f):
@@ -345,7 +351,7 @@ SUITE_MUTATIONS = [
      lambda f: _absolute_exponent, {"cocycle-bicharacter", "cocycle-identity"}),
     ("product reversed", experiments, "twisted_convolve",
      lambda f: lambda a, b: f(b, a), {"commutation-relation", "mult-matrix-consistency"}),
-    ("product phases folded", algebra, "phase_table", _folded,
+    ("product phases folded", algebra, "_product_plan", _folded_plan,
      {"algebra-associativity", "commutation-relation", "involution-antihomomorphism",
       "mult-matrix-consistency", "op-multiply-reversal", "plancherel-pairing"}),
     ("product doubled", experiments, "twisted_convolve",
