@@ -40,8 +40,8 @@ def _stable_power(base: np.ndarray, exponent: float) -> np.ndarray:
     _checked reports it by lattice point.
     """
     out = np.log(base)
-    out *= exponent
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a huge order overflows the product too
+        out *= exponent
         np.exp(out, out=out)
     out[out < _UNDERFLOW_FLOOR] = 0.0  # exp is never negative
     return out

@@ -76,13 +76,11 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
         # [1, m^(1/p)], within half an ulp of 1 here: this covers p = inf
         # and a single positive value, where p log mu may not round-trip
         return float(vals[0])
-    terms = np.log(positive)
-    terms *= p
-    top = terms.max()
-    ties = terms == top
+    logs = p * np.log(positive)
+    top = logs.max()
+    ties = logs == top
     count = np.count_nonzero(ties)
-    terms -= top
-    np.exp(terms, out=terms)
+    terms = np.exp(logs - top)
     terms[ties] = 0.0
     rest = terms.sum() / count
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
@@ -96,11 +94,9 @@ def weak_norm(spectrum: SingularSpectrum, p: float) -> float:
     positive = spectrum.values[spectrum.values > 0]
     if positive.size == 0:
         return 0.0
-    scaled = np.arange(1, positive.size + 1, dtype=float)
+    ranks = np.arange(1, positive.size + 1, dtype=float)
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-        scaled **= 1.0 / p  # not np.power: ** takes numpy's sqrt shortcut at 1/p = 0.5
-        scaled *= positive
-    return float(np.max(scaled))
+        return float(np.max(ranks ** (1.0 / p) * positive))
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,12 @@ def test_decay_bad_alpha(capsys):
     for bad in ("inf", "nan"):
         assert main(["decay", "--alpha", bad, "--n-grid", "4"]) == 2
         assert capsys.readouterr().err == f"error: alpha must be a finite number, got {bad}\n"
+    # alpha * log(1 + |n|^2) overflows too; the underflow check is the only line
+    assert main(["decay", "--alpha", "1e308", "--n-grid", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "error: decay at N=8, alpha=1e+308: the fit window [15, 144] holds weights"
+        " that underflow to 0\n"
+    )
 
 
 def test_decay_refuses_radius_zero(capsys):

@@ -111,6 +111,10 @@ def test_strongly_negative_orders_stay_finite():
     assert np.all(np.isfinite(vals))
     assert vals[box.center_index()] == 1.0
     assert vals[box.linear_index((30, 30))] == 0.0
+    # the most negative order overflows the log-space product to -inf
+    vals = bessel_weights(-np.finfo(float).max, LatticeBox(2, 2))
+    assert vals[LatticeBox(2, 2).center_index()] == 1.0
+    assert np.count_nonzero(vals) == 1
 
 
 def test_non_finite_symbol_names_the_point(red2, rng):
@@ -121,3 +125,8 @@ def test_non_finite_symbol_names_the_point(red2, rng):
         bessel_weights(1000.0, box)
     with pytest.raises(ValueError, match=named):
         sobolev_norm(random_element(red2, box, rng), 1000.0)
+    # the largest order overflows order * log base too; only the error reports it
+    top = np.finfo(float).max
+    for weights, name in ((bessel_weights, "bessel"), (riesz_weights, "riesz")):
+        with pytest.raises(ValueError, match=rf"'{name}\(1\.79769e\+308\)' is not finite .* \(-2, -2\)"):
+            weights(top, LatticeBox(2, 2))
