@@ -5,9 +5,9 @@ every module's invariants on seeded random data, a Schatten-norm scan of
 random smooth kernels across box sizes, a potential-decay fit for the
 diagonal Bessel spectra, a factorization and adjoint identity check, and
 the Schwartz coefficient-bound sweep.  All runners are deterministic
-given (config, seed); grid points run one after another, and records are
-sorted so user-given grids come out in a fixed order.  Each record type
-is a dataclass written by the shared emitter in `records`.
+given (config, seed); the scan's grid points may run two at a time, and
+records are sorted so user-given grids come out in a fixed order.  Each
+record type is a dataclass written by the shared emitter in `records`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import schatten
 from .algebra import (
     embedded,
     inner_product,
@@ -470,7 +471,8 @@ class ScanRecord:
     wall_ms is the time in ms from the start of that N's task (kernel
     draw streamed into the Sobolev norm and the matrix, then SVD) to this row,
     so a later r row of the same N includes the norms of the rows before
-    it.
+    it.  When two grid points run at once, it includes time shared with
+    the other.
     at_threshold marks r == r_star and appears in JSON only.
     """
 
@@ -484,13 +486,16 @@ class ScanRecord:
     at_threshold: bool = field(default=False, metadata=JSON_ONLY)
 
 
+_SCAN_WIDTH = 2  # grid points in flight, so at most two n x n matrices
+
+
 def _scan_one(config: ExperimentConfig, radius: int) -> list:
     t0 = time.perf_counter()
     box, blocks = kernel_source(config, radius)
-    k_mat = np.empty((box.cardinality,) * 2, dtype=complex)
+    k_mat = np.empty((box.cardinality,) * 2, dtype=complex, order="F")
     blocks = _assembling(config.reduced, box, blocks, k_mat)
     sob = _lifted_extremes(box, blocks, config.alpha1, config.alpha2)[2]
-    spectrum = singular_values(k_mat)
+    spectrum = singular_values(k_mat, overwrite=True)
     r_star = config.r_star
     records = []
     for r in config.r_grid:
@@ -515,9 +520,33 @@ def run_theorem_scan(config: ExperimentConfig) -> list:
     The kernel envelope puts it in the mixed Sobolev space of orders
     (alpha1, alpha2) by construction, so the scan watches the truncated
     S_r norms stabilize as the box grows.
+
+    On the bundled OpenBLAS the grid points run on a pool of threads,
+    largest N first, with BLAS pinned to one thread for the pool's life
+    and restored after it.  The pool is no wider than the thread count
+    BLAS had, nor than _SCAN_WIDTH, since each running grid point holds
+    one n x n matrix.  One BLAS thread per SVD makes the spectra the
+    same at every thread count.
     """
     _guard_box(config.d, config.N_grid[-1])
-    records = [rec for radius in config.N_grid for rec in _scan_one(config, radius)]
+    with schatten._one_blas_thread() as threads:
+        width = 1 if threads is None else min(threads, len(config.N_grid), _SCAN_WIDTH)
+        if width == 1:
+            records = [rec for radius in config.N_grid for rec in _scan_one(config, radius)]
+        else:
+            # imported here: concurrent.futures loads logging, which would
+            # add about 6 ms to every command's start
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(width) as pool:
+                tasks = [
+                    pool.submit(_scan_one, config, radius) for radius in reversed(config.N_grid)
+                ]
+                try:
+                    records = [rec for task in tasks for rec in task.result()]
+                except BaseException:  # after a failure or an interrupt, start no more
+                    pool.shutdown(cancel_futures=True)
+                    raise
     records.sort(key=lambda rec: (rec.N, rec.r))
     return records
 

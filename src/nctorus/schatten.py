@@ -5,11 +5,22 @@ complex matrix; the potential-decay runner needs no SVD, it builds its
 spectrum from the sorted Bessel symbol values.  Quasinorms with p < 1
 accumulate in log space so tiny singular values raised to small powers
 neither underflow nor drown the sum.
+
+Where numpy runs on its bundled 64-bit-integer OpenBLAS, the SVD calls
+that library's LAPACKE zgesdd through ctypes, on a Fortran-ordered
+matrix it may overwrite; that is the routine and workspace numpy's own
+svd uses, so the values agree bit for bit at a given thread count.  The
+same binding lets the scan pin BLAS to one thread.  Any other numpy
+build goes through np.linalg.svd.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +56,93 @@ class SingularSpectrum:
         return self.values.size
 
 
-def singular_values(matrix: np.ndarray) -> SingularSpectrum:
-    """Singular values of a square matrix, sorted nonincreasing."""
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def _openblas():
+    """ctypes handle to the ILP64 OpenBLAS that numpy loaded, or None.
+
+    Resolved on first use.  RTLD_NOLOAD only finds a library already in
+    the process, so the handle is numpy's own and shares its thread
+    setting.  None when numpy bundles no scipy-openblas64 (MKL, conda or
+    macOS builds, numpy 1.x) or when the build does not take int64 sizes.
+    """
+    import glob  # here, so that importing the package does not pay for it
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(np.__file__)))
+    paths = glob.glob(os.path.join(root, "numpy.libs", "libscipy_openblas64_*.so"))
+    if len(paths) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(paths[0], mode=os.RTLD_NOLOAD)
+        config = lib.scipy_openblas_get_config64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        gesdd = lib.scipy_LAPACKE_zgesdd64_
+    except (OSError, AttributeError):
+        return None
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    if b"USE64BITINT" not in config():
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    size, ptr = ctypes.c_int64, ctypes.c_void_p
+    # (layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt)
+    gesdd.argtypes = [
+        ctypes.c_int, ctypes.c_char, size, size, ptr, size, ptr, ptr, size, ptr, size
+    ]
+    gesdd.restype = size
+    return lib
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one BLAS thread; yields the thread count it had.
+
+    Yields None, and pins nothing, without the bundled OpenBLAS.  The
+    setting is process-wide, so pin from one thread only and run the
+    threads that use BLAS inside the body.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield None
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield threads
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
+
+
+def singular_values(matrix: np.ndarray, overwrite: bool = False) -> SingularSpectrum:
+    """Singular values of a square matrix, sorted nonincreasing.
+
+    With overwrite, a writeable Fortran-ordered complex matrix is the
+    SVD's workspace and its entries are lost; any other matrix is copied.
+    """
     entries = np.asarray(matrix, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     if not np.all(np.isfinite(entries)):
         raise ValueError("matrix has non-finite entries")
-    return SingularSpectrum(np.linalg.svd(entries, compute_uv=False))
+    lib = _openblas()
+    if lib is None:
+        return SingularSpectrum(np.linalg.svd(entries, compute_uv=False))
+    if overwrite:
+        entries = np.require(entries, requirements="FAW")
+    else:
+        entries = np.array(entries, order="F")
+    n = entries.shape[0]
+    values = np.empty(n)
+    info = lib.scipy_LAPACKE_zgesdd64_(
+        _LAPACK_COL_MAJOR, b"N", n, n, entries.ctypes.data, max(1, n),
+        values.ctypes.data, None, 1, None, 1,
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgesdd failed with info = {info}")
+    return SingularSpectrum(values)
 
 
 def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:

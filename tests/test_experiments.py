@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nctorus import algebra, experiments, kernels
+from nctorus import algebra, experiments, kernels, schatten
 from nctorus.algebra import TorusElement, twisted_convolve
 from nctorus.cocycle import ThetaMatrix, diagonal_phases, phase_pairs, random_theta, reduce_theta
 from nctorus.experiments import (
@@ -536,6 +538,87 @@ def test_scan_determinism():
         assert ra.sobolev_norm == rb.sobolev_norm
 
 
+def _blas_threads():
+    lib = schatten._openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+@contextlib.contextmanager
+def _scan_reads_threads(count: int):
+    """The scan reads count BLAS threads; the real count is restored after."""
+    lib = schatten._openblas()
+    if lib is None:
+        pytest.skip("the scan runs serially without the bundled OpenBLAS")
+    threads = lib.scipy_openblas_get_num_threads64_()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lib, "scipy_openblas_get_num_threads64_", lambda: count)
+        try:
+            yield
+        finally:
+            lib.scipy_openblas_set_num_threads64_(threads)
+
+
+def test_scan_restores_the_blas_thread_count(monkeypatch):
+    before = _blas_threads()
+    run_theorem_scan(ExperimentConfig(N_grid=(2, 3, 4), r_grid=(1.0,)))
+    assert _blas_threads() == before
+    calls = []
+
+    def failing(config, radius):
+        calls.append(radius)
+        if radius == 3:
+            raise RuntimeError("grid point failed")
+        return []
+
+    monkeypatch.setattr(experiments, "_scan_one", failing)
+    with pytest.raises(RuntimeError, match="grid point failed"):
+        run_theorem_scan(ExperimentConfig(N_grid=(2, 3, 4), r_grid=(1.0,)))
+    assert _blas_threads() == before
+    assert 3 in calls
+
+
+def test_scan_pool_runs_the_largest_box_first(monkeypatch):
+    # on two threads the grid runs on the pool, largest N first; the
+    # records come out sorted and equal to those of the serial loop
+    cfg = ExperimentConfig(N_grid=(2, 3, 4), r_grid=(2.0, 1.0))
+    calls = []
+    scan_one = experiments._scan_one
+
+    def recorded(config, radius):
+        calls.append(radius)
+        return scan_one(config, radius)
+
+    monkeypatch.setattr(experiments, "_scan_one", recorded)
+    with _scan_reads_threads(2):
+        pooled = run_theorem_scan(cfg)
+    assert calls[0] == 4 and sorted(calls) == [2, 3, 4]
+    assert [(rec.N, rec.r) for rec in pooled] == [(n, r) for n in (2, 3, 4) for r in (1.0, 2.0)]
+    with _scan_reads_threads(1):
+        serial = run_theorem_scan(cfg)
+    assert calls[3:] == [2, 3, 4]
+    assert [(r.s_r_norm, r.weak_r_norm, r.sobolev_norm) for r in pooled] == [
+        (r.s_r_norm, r.weak_r_norm, r.sobolev_norm) for r in serial
+    ]
+
+
+def test_scan_failure_cancels_the_queued_grid_points(monkeypatch):
+    # N=5 fails at once; N=4 holds one worker and N=3 the other, so N=2
+    # is still queued when the failure surfaces, and never starts
+    calls = []
+
+    def failing(config, radius):
+        calls.append(radius)
+        if radius == 5:
+            raise RuntimeError("grid point failed")
+        time.sleep(0.5)
+        return []
+
+    monkeypatch.setattr(experiments, "_scan_one", failing)
+    with _scan_reads_threads(2), pytest.raises(RuntimeError, match="grid point failed"):
+        run_theorem_scan(ExperimentConfig(N_grid=(2, 3, 4, 5), r_grid=(1.0,)))
+    assert 2 not in calls
+
+
 def test_scan_csv_layout():
     cfg = ExperimentConfig(N_grid=(3,), r_grid=(1.0,))
     records = run_theorem_scan(cfg)
@@ -760,15 +843,17 @@ def test_streamed_runners_match_the_held_kernel(monkeypatch, d, radius):
     )
     matrices = []
 
-    def kept(matrix):
+    def kept(matrix, overwrite=False):
         matrices.append(matrix.copy())
-        return singular_values(matrix)
+        return singular_values(matrix, overwrite)
 
     monkeypatch.setattr(experiments, "singular_values", kept)
     records = run_theorem_scan(config)
     (matrix,) = matrices
     assert np.array_equal(matrix, kernel_matrix(k))
-    spectrum = singular_values(kernel_matrix(k))
+    # the scan takes its SVDs at one BLAS thread where it can pin one
+    with schatten._one_blas_thread():
+        spectrum = singular_values(kernel_matrix(k))
     for rec in records:
         assert rec.sobolev_norm == mixed_sobolev_norm(k, config.alpha1, config.alpha2)
         assert rec.s_r_norm == schatten_norm(spectrum, rec.r)

@@ -1,3 +1,8 @@
+import glob
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +11,7 @@ from hypothesis import strategies as st
 from nctorus.algebra import l2_norm, random_element
 from nctorus.kernels import NCKernel, kernel_matrix, random_kernel
 from nctorus.lattice import LatticeBox
+from nctorus import schatten
 from nctorus.multipliers import bessel_weights
 from nctorus.schatten import (
     SingularSpectrum,
@@ -53,6 +59,100 @@ def test_singular_values_validation():
         singular_values(np.ones((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def _matrices(seed: int):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 25, 300):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        yield a, np.asfortranarray(a)
+
+
+def test_singular_values_match_numpy_bit_for_bit():
+    # the bundled LAPACKE zgesdd is numpy's own routine and workspace, at
+    # the process's thread count; C and Fortran input give the same bits
+    for c_order, f_order in _matrices(5):
+        expected = np.linalg.svd(c_order, compute_uv=False)
+        for a in (c_order, f_order):
+            kept = a.copy()
+            assert np.array_equal(singular_values(a).values, expected)
+            assert np.array_equal(a, kept)  # not handed over, so untouched
+            handed_over = singular_values(a.copy(order="K"), overwrite=True)
+            assert np.array_equal(handed_over.values, expected)
+
+
+def test_overwrite_spends_only_a_fortran_matrix():
+    c_order, f_order = list(_matrices(6))[2]
+    spectrum = singular_values(f_order, overwrite=True)
+    assert np.array_equal(spectrum.values, np.linalg.svd(c_order, compute_uv=False))
+    if schatten._openblas() is not None:
+        assert not np.array_equal(f_order, c_order)  # it was the workspace
+    # a C-ordered or read-only matrix is copied even when handed over
+    kept = c_order.copy()
+    singular_values(c_order, overwrite=True)
+    assert np.array_equal(c_order, kept)
+    frozen = np.asfortranarray(kept)
+    frozen.flags.writeable = False
+    assert np.array_equal(singular_values(frozen, overwrite=True).values, spectrum.values)
+    assert np.array_equal(frozen, c_order)
+
+
+def test_fallback_is_numpy_svd(monkeypatch):
+    monkeypatch.setattr(schatten, "_openblas", lambda: None)
+    with schatten._one_blas_thread() as threads:
+        assert threads is None
+    for c_order, f_order in _matrices(7):
+        expected = np.linalg.svd(c_order, compute_uv=False)
+        for a in (c_order, f_order):
+            assert np.array_equal(singular_values(a, overwrite=True).values, expected)
+
+
+def test_one_blas_thread_pins_and_restores():
+    lib = schatten._openblas()
+    if lib is None:
+        pytest.skip("numpy does not run on its bundled OpenBLAS here")
+    before = lib.scipy_openblas_get_num_threads64_()
+    with pytest.raises(RuntimeError):
+        with schatten._one_blas_thread() as threads:
+            assert threads == before
+            assert lib.scipy_openblas_get_num_threads64_() == 1
+            raise RuntimeError
+    assert lib.scipy_openblas_get_num_threads64_() == before
+
+
+def test_concurrent_svds_match_serial():
+    # the scan's pool runs zgesdd from two threads at once; with more
+    # threads than that and a short switch interval each matrix still gets
+    # its serial spectrum, bit for bit
+    matrices = [a for a, _ in _matrices(8)] * 4
+    with schatten._one_blas_thread():
+        expected = [singular_values(a).values for a in matrices]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                spectra = pool.map(
+                    lambda a: singular_values(a.copy(order="F"), overwrite=True).values,
+                    matrices,
+                    timeout=120,
+                )
+                got = list(spectra)
+        finally:
+            sys.setswitchinterval(interval)
+    assert len(got) == len(expected)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+_BUNDLED = glob.glob(os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(np.__file__))),
+    "numpy.libs", "libscipy_openblas64_*",
+))
+
+
+@pytest.mark.skipif(not _BUNDLED, reason="numpy bundles no scipy-openblas64 here")
+def test_bundled_openblas_is_bound():
+    # where numpy ships its OpenBLAS the SVD must not fall back silently
+    assert schatten._openblas() is not None
 
 
 def test_spectrum_type_validation():
