@@ -42,12 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TorusElement:
-    """Fourier coefficients of a twisted-algebra element on a lattice box.
-
-    As in NCKernel, a one-dimensional complex ndarray that owns its data
-    is taken without a copy and made read-only, so the caller's handle
-    becomes read-only too; anything else is copied and flattened.
-    """
+    """Fourier coefficients of a twisted-algebra element on a lattice box."""
 
     theta: ReducedTheta
     box: LatticeBox
@@ -58,10 +53,7 @@ class TorusElement:
             raise ValueError(
                 f"box dimension {self.box.d} does not match theta dimension {self.theta.d}"
             )
-        arr = self.coeffs
-        owned = isinstance(arr, np.ndarray) and arr.dtype == complex and arr.flags.owndata
-        if not (owned and arr.ndim == 1):
-            arr = np.array(arr, dtype=complex).reshape(-1)
+        arr = np.array(self.coeffs, dtype=complex).reshape(-1)
         if arr.shape[0] != self.box.cardinality:
             raise ValueError(
                 f"coefficient vector has length {arr.shape[0]}, "

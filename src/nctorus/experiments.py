@@ -521,32 +521,28 @@ def run_theorem_scan(config: ExperimentConfig) -> list:
     (alpha1, alpha2) by construction, so the scan watches the truncated
     S_r norms stabilize as the box grows.
 
-    On the bundled OpenBLAS the grid points run on a pool of threads,
-    largest N first, with BLAS pinned to one thread for the pool's life
-    and restored after it.  The pool is no wider than the thread count
-    BLAS had, nor than _SCAN_WIDTH, since each running grid point holds
-    one n x n matrix.  One BLAS thread per SVD makes the spectra the
-    same at every thread count.
+    The grid points run on a pool of threads, largest N first.  On the
+    bundled OpenBLAS, BLAS is pinned to one thread for the whole process
+    while the scan runs, and the pool is min(t, len(N_grid), _SCAN_WIDTH)
+    wide, where t is the thread count BLAS had: at most two cores, since
+    each running grid point holds one n x n matrix.  One BLAS thread per
+    SVD makes the spectra the same at every thread count.  Without that
+    binding the pool is one wide and each SVD keeps BLAS's own threads.
     """
     _guard_box(config.d, config.N_grid[-1])
+    # imported here: concurrent.futures loads logging, which would add
+    # about 6 ms to every command's start
+    from concurrent.futures import ThreadPoolExecutor
+
     with schatten._one_blas_thread() as threads:
         width = 1 if threads is None else min(threads, len(config.N_grid), _SCAN_WIDTH)
-        if width == 1:
-            records = [rec for radius in config.N_grid for rec in _scan_one(config, radius)]
-        else:
-            # imported here: concurrent.futures loads logging, which would
-            # add about 6 ms to every command's start
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(width) as pool:
-                tasks = [
-                    pool.submit(_scan_one, config, radius) for radius in reversed(config.N_grid)
-                ]
-                try:
-                    records = [rec for task in tasks for rec in task.result()]
-                except BaseException:  # after a failure or an interrupt, start no more
-                    pool.shutdown(cancel_futures=True)
-                    raise
+        with ThreadPoolExecutor(width) as pool:
+            tasks = [pool.submit(_scan_one, config, radius) for radius in reversed(config.N_grid)]
+            try:
+                records = [rec for task in tasks for rec in task.result()]
+            except BaseException:  # after a failure or an interrupt, start no more
+                pool.shutdown(cancel_futures=True)
+                raise
     records.sort(key=lambda rec: (rec.N, rec.r))
     return records
 

@@ -21,6 +21,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,24 +97,29 @@ def _openblas():
     return lib
 
 
+_PIN = threading.RLock()  # one pin at a time, so restores cannot interleave
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body on one BLAS thread; yields the thread count it had.
 
     Yields None, and pins nothing, without the bundled OpenBLAS.  The
-    setting is process-wide, so pin from one thread only and run the
-    threads that use BLAS inside the body.
+    setting is process-wide: every thread's BLAS calls run on one thread
+    until the body ends.  Pins from other threads wait for it, so each
+    restores the count it read.
     """
     lib = _openblas()
     if lib is None:
         yield None
         return
-    threads = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield threads
-    finally:
-        lib.scipy_openblas_set_num_threads64_(threads)
+    with _PIN:
+        threads = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(1)
+        try:
+            yield threads
+        finally:
+            lib.scipy_openblas_set_num_threads64_(threads)
 
 
 def singular_values(matrix: np.ndarray, overwrite: bool = False) -> SingularSpectrum:

@@ -85,25 +85,6 @@ def test_product_box_is_minkowski_sum(red2, rng):
     assert twisted_convolve(f, g).box.radius == 3
 
 
-def test_element_takes_an_owned_complex_vector(red2):
-    box = LatticeBox(2, 1)
-    arr = np.ones(9, dtype=complex)
-    x = TorusElement(red2, box, arr)
-    assert x.coeffs is arr
-    with pytest.raises(ValueError, match="read-only"):
-        arr[0] = 2.0
-    # views, other shapes, lists and other dtypes are copied
-    base = np.ones(18, dtype=complex)
-    for source in (base[:9], np.ones((3, 3), dtype=complex), [1.0] * 9, np.ones(9)):
-        x = TorusElement(red2, box, source)
-        assert x.coeffs is not source and x.coeffs.shape == (9,)
-        assert not x.coeffs.flags.writeable
-    assert base.flags.writeable
-    # the products hand their fresh arrays over without a copy
-    y = twisted_convolve(x, x)
-    assert y.coeffs.flags.owndata and not y.coeffs.flags.writeable
-
-
 def test_theta_mismatch_rejected(red2, rng):
     other = zero_theta(2)
     f = random_element(red2, LatticeBox(2, 1), rng)

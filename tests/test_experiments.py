@@ -578,8 +578,8 @@ def test_scan_restores_the_blas_thread_count(monkeypatch):
 
 
 def test_scan_pool_runs_the_largest_box_first(monkeypatch):
-    # on two threads the grid runs on the pool, largest N first; the
-    # records come out sorted and equal to those of the serial loop
+    # the grid runs on the pool, largest N first; the records come out
+    # sorted, and a pool one wide gives the same ones as two wide
     cfg = ExperimentConfig(N_grid=(2, 3, 4), r_grid=(2.0, 1.0))
     calls = []
     scan_one = experiments._scan_one
@@ -595,10 +595,26 @@ def test_scan_pool_runs_the_largest_box_first(monkeypatch):
     assert [(rec.N, rec.r) for rec in pooled] == [(n, r) for n in (2, 3, 4) for r in (1.0, 2.0)]
     with _scan_reads_threads(1):
         serial = run_theorem_scan(cfg)
-    assert calls[3:] == [2, 3, 4]
     assert [(r.s_r_norm, r.weak_r_norm, r.sobolev_norm) for r in pooled] == [
         (r.s_r_norm, r.weak_r_norm, r.sobolev_norm) for r in serial
     ]
+
+
+def test_concurrent_scans_restore_the_blas_thread_count():
+    # two scans at once in one process: the second pin waits for the
+    # first, so neither restores the other's pinned count of one
+    from concurrent.futures import ThreadPoolExecutor
+
+    before = _blas_threads()
+    cfg = ExperimentConfig(N_grid=(2, 3), r_grid=(1.0,))
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(run_theorem_scan, cfg) for _ in range(8)]
+        results = [
+            [(r.N, r.r, r.s_r_norm, r.weak_r_norm, r.sobolev_norm) for r in run.result(120)]
+            for run in runs
+        ]
+    assert all(result == results[0] for result in results)
+    assert _blas_threads() == before
 
 
 def test_scan_failure_cancels_the_queued_grid_points(monkeypatch):
