@@ -64,18 +64,6 @@ _NUMERIC_FLAGS = {
     "--s-margin": (_number, "envelope margin above alpha_i + d/2"),
 }
 
-_SUBCOMMANDS = {  # name: (help, its numeric flags in help order)
-    "suite": ("run every module invariant on seeded data", ()),
-    "scan": ("Schatten norms of random smooth kernels over an N grid",
-             ("--d", "--alpha1", "--alpha2", "--n-grid", "--r-grid", "--s-margin")),
-    "decay": ("weak norms and decay slopes of potential spectra", ("--d", "--alpha", "--n-grid")),
-    "factor": ("factorization and adjoint identity gaps",
-               ("--d", "--alpha1", "--alpha2", "--n-grid", "--s-margin")),
-    "schwartz": ("coefficient bound against the decay envelope",
-                 ("--d", "--alpha1", "--alpha2", "--n", "--s0", "--s-margin")),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nctorus",
@@ -83,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Schatten scans, decay fits, factorization and coefficient bounds.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, flags) in _SUBCOMMANDS.items():
+    for name, (summary, flags, _) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=summary)
         sub.add_argument("--config", help="JSON config file; flags override its values")
         sub.add_argument("--theta-file", help="JSON file with the full skew matrix")
@@ -183,12 +171,16 @@ def _cmd_schwartz(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     return to_csv(SchwartzReport, [report]), report, failure
 
 
-_COMMANDS = {
-    "suite": _cmd_suite,
-    "scan": _cmd_scan,
-    "decay": _cmd_decay,
-    "factor": _cmd_factor,
-    "schwartz": _cmd_schwartz,
+_SUBCOMMANDS = {  # name: (help, its numeric flags in help order, command)
+    "suite": ("run every module invariant on seeded data", (), _cmd_suite),
+    "scan": ("Schatten norms of random smooth kernels over an N grid",
+             ("--d", "--alpha1", "--alpha2", "--n-grid", "--r-grid", "--s-margin"), _cmd_scan),
+    "decay": ("weak norms and decay slopes of potential spectra",
+              ("--d", "--alpha", "--n-grid"), _cmd_decay),
+    "factor": ("factorization and adjoint identity gaps",
+               ("--d", "--alpha1", "--alpha2", "--n-grid", "--s-margin"), _cmd_factor),
+    "schwartz": ("coefficient bound against the decay envelope",
+                 ("--d", "--alpha1", "--alpha2", "--n", "--s0", "--s-margin"), _cmd_schwartz),
 }
 
 
@@ -196,7 +188,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        table, doc, failure = _COMMANDS[args.command](args, config)
+        table, doc, failure = _SUBCOMMANDS[args.command][2](args, config)
         text = to_json(doc) if config.format == "json" else table
         if config.out in (None, "-"):
             sys.stdout.write(text)

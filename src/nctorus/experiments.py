@@ -42,18 +42,14 @@ from .cocycle import (
     reduce_theta,
 )
 from .kernels import (
+    KernelRows,
     SchwartzReport,
-    _adjoint_side,
     _assembling,
-    _factorization_side,
     _lifted_extremes,
     _random_rows,
-    _relative_gaps,
-    _schwartz_report,
-    adjoint_gap,
     apply_kernel,
     bessel_kernel,
-    factorization_gap,
+    identity_gaps,
     kernel_matrix,
     op_multiply,
     random_kernel,
@@ -200,14 +196,13 @@ class ExperimentConfig:
         return ExperimentConfig(**{**values, **overrides})
 
 
-def kernel_source(config: ExperimentConfig, radius: int) -> tuple:
-    """(box, row stream) of the kernel that scan, factor and schwartz test.
+def kernel_source(config: ExperimentConfig, radius: int) -> KernelRows:
+    """The kernel that scan, factor and schwartz test, as its row stream.
 
     A random kernel over config.reduced on the box of this radius, drawn
     from config.seed, whose envelope puts it in the mixed Sobolev space of
-    orders (alpha1, alpha2).  The stream yields (rows, block) as
-    NCKernel.row_blocks does, so the runners reduce the draw as it is made
-    and never hold its coefficients; each block is valid until the next.
+    orders (alpha1, alpha2).  The runners reduce the draw as it is made
+    and never hold its coefficients.
     """
     s1, s2 = config.envelope_exponents()
     return _random_rows(config.reduced, radius, s1, s2, config.seed)
@@ -422,12 +417,10 @@ def run_property_suite(seed: int, theta: ThetaMatrix) -> SuiteReport:
     record("bessel-kernel-diagonal", err_diag, 1e-13)
     record("schatten-exact", err_exact, 1e-12)
 
-    err = 0.0
-    for a1, a2 in ((0.0, 0.0), (1.0, 1.0), (1.5, 0.7), (float(rng.uniform(0, 3)), float(rng.uniform(0, 3)))):
-        err = max(err, factorization_gap(k, a1, a2))
-    record("factorization", err, 1e-12)
-
-    record("adjoint-identity", adjoint_gap(k), 1e-12)
+    drawn = (float(rng.uniform(0, 3)), float(rng.uniform(0, 3)))
+    adjoint_err, factor_errs = identity_gaps(k, ((0.0, 0.0), (1.0, 1.0), (1.5, 0.7), drawn))
+    record("factorization", max(0.0, *factor_errs), 1e-12)
+    record("adjoint-identity", adjoint_err, 1e-12)
 
     # linearity of the kernel action in both arguments
     k2 = random_kernel(red, 2, 1.0, 1.0, (seed + 2) % 2**128)
@@ -491,10 +484,9 @@ _SCAN_WIDTH = 2  # grid points in flight, so at most two n x n matrices
 
 def _scan_one(config: ExperimentConfig, radius: int) -> list:
     t0 = time.perf_counter()
-    box, blocks = kernel_source(config, radius)
-    k_mat = np.empty((box.cardinality,) * 2, dtype=complex, order="F")
-    blocks = _assembling(config.reduced, box, blocks, k_mat)
-    sob = _lifted_extremes(box, blocks, config.alpha1, config.alpha2)[2]
+    k = kernel_source(config, radius)
+    k_mat = np.empty((k.box.cardinality,) * 2, dtype=complex, order="F")
+    sob = _lifted_extremes(k.box, _assembling(k, k_mat), config.alpha1, config.alpha2)[2]
     spectrum = singular_values(k_mat, overwrite=True)
     r_star = config.r_star
     records = []
@@ -594,7 +586,9 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     and is refused with the grid checks, and a window of equal weights (N =
     1 at d = 2) or of weights flushed to 0 before its fit.  The p-th power
     sum is emitted alongside as data (it diverges logarithmically at the
-    weak endpoint); only the weak norm and the slope carry assertions.
+    weak endpoint).  Nothing here asserts on the records, and `decay`
+    never exits 1: tier-1 acceptance criterion 7 and the benchmark's
+    output check test the weak norm and the slope.
     """
     if _finite("alpha", alpha) <= 0:
         raise ValueError(f"potential order must be positive, got {alpha}")
@@ -627,14 +621,11 @@ FACTOR_TOLERANCE = 1e-12
 
 
 def _factor_one(config: ExperimentConfig, radius: int) -> list:
-    box, blocks = kernel_source(config, radius)
+    k = kernel_source(config, radius)
     rng = np.random.Generator(np.random.Philox(key=(config.seed + radius) % 2**128))
     pairs = [(config.alpha1, config.alpha2), (0.0, 0.0)]
     pairs += [(float(rng.uniform(0, 3)), float(rng.uniform(0, 3))) for _ in range(3)]
-    theta = config.reduced
-    sides = [_adjoint_side(theta, box)]
-    sides += [_factorization_side(theta, box, a1, a2) for a1, a2 in pairs]
-    adj_err, *factor_errs = _relative_gaps(theta, box, blocks, sides)
+    adj_err, factor_errs = identity_gaps(k, pairs)
     return [
         FactorizationRecord(
             N=radius,
@@ -681,5 +672,5 @@ def run_schwartz_bound(config: ExperimentConfig) -> SchwartzReport:
     """
     radius = config.N_grid[-1]
     _guard_box(config.d, radius)
-    box, blocks = kernel_source(config, radius)
-    return _schwartz_report(box, blocks, config.alpha1, config.alpha2, config.s0)
+    k = kernel_source(config, radius)
+    return schwartz_coefficients(k, config.alpha1, config.alpha2, config.s0)

@@ -13,28 +13,31 @@ unimodular sigma factors make the matrix assembly an index permutation
 plus a diagonal phase, which keeps Frobenius norms equal to kernel L2
 norms exactly.
 
-Every dense step works in row blocks of _BLOCK_ENTRIES entries.  A draw
-is a row stream: random_kernel's body is _draw_blocks, a generator of
-(rows, block) pairs, and a held kernel streams its coeffs[rows] through
-NCKernel.row_blocks.  The reducers take such a stream: _lifted_extremes
-(the Sobolev norm and the Schwartz check) and _relative_gaps (the
-identity gaps, several sides in one pass, all reading one block of
-kernel-matrix rows).  So the runners reduce a draw as it is made and
-never hold its n x n coefficients.  Each reducer allocates its block
-buffers once per call and writes into them with out=; the row forms
-_matrix_rows and _lift_rows and the column form _flip_cols take that out
-and are the bodies of kernel_matrix, sobolev_lift and flip_adjoint, so a
-block of any is bit for bit those rows or columns of the whole.  No step
-holds an n x n temporary beside the arrays it returns.  Every sum of
-squares here, in the gaps, the lifted norms and l2_norm, is
-lattice._sum_squares, which never calls BLAS: its result does not depend
-on the BLAS thread count.
+Every dense step works in row blocks of _BLOCK_ENTRIES entries.  A kernel
+here is anything with theta, box and row_blocks(), a stream of (rows,
+coefficient block) pairs: a held NCKernel streams its coeffs[rows], and
+a KernelRows streams a draw as it is made (random_kernel fills its
+matrix from one).  Every reducer takes either: mixed_sobolev_norm and
+schwartz_coefficients (through _lifted_extremes) and identity_gaps (the
+adjoint gap and any number of factorization gaps, in one pass reading
+one block of kernel-matrix rows).  So the runners reduce a draw as it is
+made and never hold its n x n coefficients.  Each reducer allocates its
+block buffers once per call and writes into them with out=; the row
+forms _matrix_rows and _lift_rows and the column form _flip_cols take
+that out and are the bodies of kernel_matrix, sobolev_lift and
+flip_adjoint, so a block of any is bit for bit those rows or columns of
+the whole.  No step holds an n x n temporary beside the arrays it
+returns.  Every sum of squares here, in the gaps, the lifted norms and
+l2_norm, is lattice._sum_squares, which never calls BLAS: its result
+does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .records import JSON_ONLY
 
 __all__ = [
     "NCKernel",
+    "KernelRows",
     "op_multiply",
     "apply_kernel",
     "kernel_matrix",
@@ -53,8 +57,7 @@ __all__ = [
     "sobolev_lift",
     "mixed_sobolev_norm",
     "flip_adjoint",
-    "factorization_gap",
-    "adjoint_gap",
+    "identity_gaps",
     "SchwartzReport",
     "schwartz_coefficients",
     "random_kernel",
@@ -133,6 +136,19 @@ class NCKernel:
     __rmul__ = __mul__
 
 
+class KernelRows(NamedTuple):
+    """A kernel given by its row stream alone.
+
+    row_blocks() yields (rows, coefficient block) over _row_blocks of the
+    box, as NCKernel.row_blocks does; each block is valid until the next,
+    and each call streams the same rows afresh.
+    """
+
+    theta: ReducedTheta
+    box: LatticeBox
+    row_blocks: Callable
+
+
 def op_multiply(a: TorusElement, b: TorusElement) -> TorusElement:
     """The reversed product a . b = b * a used on the second tensor leg."""
     return twisted_convolve(b, a)
@@ -172,10 +188,10 @@ def _matrix_rows(coeff_rows: np.ndarray, col_phases: np.ndarray, out=None) -> np
     return np.multiply(coeff_rows[:, ::-1], col_phases[None, :], out=out)
 
 
-def _assembling(theta: ReducedTheta, box: LatticeBox, blocks, matrix: np.ndarray):
-    """Pass a row stream on, first writing each block's rows of kernel_matrix into matrix."""
-    col_phases = diagonal_phases(theta, box)
-    for rows, block in blocks:
+def _assembling(k: NCKernel | KernelRows, matrix: np.ndarray):
+    """Pass k's row stream on, first writing each block's rows of kernel_matrix into matrix."""
+    col_phases = diagonal_phases(k.theta, k.box)
+    for rows, block in k.row_blocks():
         _matrix_rows(block, col_phases, out=matrix[rows])
         yield rows, block
 
@@ -231,7 +247,7 @@ def _lifted_extremes(box: LatticeBox, blocks, alpha1: float, alpha2: float) -> t
     return _scaled_extremes(lifted())
 
 
-def mixed_sobolev_norm(k: NCKernel, alpha1: float, alpha2: float) -> float:
+def mixed_sobolev_norm(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -> float:
     """The mixed Sobolev norm: L2 norm of the lifted kernel.
 
     Orders must be nonnegative; the negative-order lifts remain available
@@ -274,85 +290,54 @@ def _flip_cols(
     return cols
 
 
-def _relative_gaps(theta: ReducedTheta, box: LatticeBox, blocks, sides) -> list:
-    """||lhs - rhs|| / ||lhs|| (absolute if lhs is 0) of each side, in one pass over blocks.
+def identity_gaps(k: NCKernel | KernelRows, pairs) -> tuple:
+    """(adjoint gap, [factorization gap per (a1, a2) in pairs]), in one pass over k.
 
-    blocks yields (rows, coefficient block) over _row_blocks of the box.
-    Each block's rows of kernel_matrix are built once, into k_rows, and
-    every side reads them.  A side is called as side(rows, block, k_rows,
-    lhs, rhs, scratch) with three buffers of the block's shape, and
-    returns its (lhs, rhs) blocks built in them; its lhs may be k_rows
-    itself, which no side writes.  The sides share the buffers, one after
-    another.
+    The adjoint gap is that of the flip-adjoint kernel's matrix A against
+    K^*; a factorization gap is that of B(a1) T_k = T_lift B(-a2), B(a) the
+    Bessel multiplier.  Each is ||lhs - rhs|| / ||lhs||, absolute if lhs
+    is 0.  Multipliers stay vectors: B on the left scales rows, on the
+    right columns, of row blocks built by the row forms of kernel_matrix
+    and sobolev_lift.  Each block's rows of kernel_matrix are built once
+    and every gap reads them; the gaps share three more block buffers, one
+    after another.
     """
-    n = box.cardinality
-    col_phases = diagonal_phases(theta, box)
+    n = k.box.cardinality
+    col_phases = diagonal_phases(k.theta, k.box)
+    star_phases = np.conj(col_phases)
+    weights = [
+        (bessel_weights(a1, k.box), bessel_weights(a2, k.box), bessel_weights(-a2, k.box))
+        for a1, a2 in pairs
+    ]
     k_buf, lhs_buf, rhs_buf, scratch_buf = (_block_buffer(n) for _ in range(4))
-    norm_sq = [0.0] * len(sides)
-    gap_sq = [0.0] * len(sides)
-    for rows, block in blocks:
+    norm_sq = [0.0] * (1 + len(weights))
+    gap_sq = [0.0] * (1 + len(weights))
+
+    def add(i: int, lhs: np.ndarray, rhs: np.ndarray) -> None:
+        norm_sq[i] += _sum_squares(lhs)
+        np.subtract(lhs, rhs, out=rhs)
+        gap_sq[i] += _sum_squares(rhs)
+
+    for rows, block in k.row_blocks():
         height = rows.stop - rows.start
         k_rows = _matrix_rows(block, col_phases, out=k_buf[:height])
-        for i, side in enumerate(sides):
-            buffers = lhs_buf[:height], rhs_buf[:height], scratch_buf[:height]
-            lhs, rhs = side(rows, block, k_rows, *buffers)
-            norm_sq[i] += _sum_squares(lhs)
-            np.subtract(lhs, rhs, out=rhs)
-            gap_sq[i] += _sum_squares(rhs)
-    gaps = [math.sqrt(g) for g in gap_sq]
-    return [g / math.sqrt(s) if s != 0.0 else g for g, s in zip(gaps, norm_sq)]
-
-
-def _factorization_side(theta: ReducedTheta, box: LatticeBox, a1: float, a2: float):
-    """The side of _relative_gaps for factorization_gap at orders (a1, a2)."""
-    col_phases = diagonal_phases(theta, box)
-    w1 = bessel_weights(a1, box)
-    w2 = bessel_weights(a2, box)
-    w2_inv = bessel_weights(-a2, box)
-
-    def side(rows, block, k_rows, lhs, rhs, scratch) -> tuple:
-        np.multiply(k_rows, w1[rows, None], out=lhs)
-        _matrix_rows(_lift_rows(block, w1[rows], w2, out=scratch), col_phases, out=rhs)
-        rhs *= w2_inv[None, :]
-        return lhs, rhs
-
-    return side
-
-
-def _adjoint_side(theta: ReducedTheta, box: LatticeBox):
-    """The side of _relative_gaps for adjoint_gap.
-
-    K's rows p are compared with the conjugate of A's columns p: column -p
-    of the flip-adjoint times sigma(p, -p), built from row p of the kernel.
-    """
-    col_phases = diagonal_phases(theta, box)
-    star_phases = np.conj(col_phases)
-
-    def side(rows, block, k_rows, lhs, rhs, scratch) -> tuple:
+        lhs, rhs, scratch = lhs_buf[:height], rhs_buf[:height], scratch_buf[:height]
+        # K's rows p against the conjugate of A's columns p: column -p of
+        # the flip-adjoint times sigma(p, -p), built from row p of the kernel
         a_cols = _flip_cols(
             block, star_phases, star_phases[::-1][rows], out=rhs.T, scratch=scratch.T
         )
         a_cols *= col_phases[None, rows]
         np.conjugate(a_cols, out=a_cols)
-        return k_rows, rhs
-
-    return side
-
-
-def factorization_gap(k: NCKernel, a1: float, a2: float) -> float:
-    """Relative gap of B(a1) T_k = T_lift B(-a2), B(a) the Bessel multiplier.
-
-    Multipliers stay vectors: B on the left scales rows, on the right columns,
-    of row blocks built by the row forms of kernel_matrix and sobolev_lift.
-    """
-    side = _factorization_side(k.theta, k.box, a1, a2)
-    return _relative_gaps(k.theta, k.box, k.row_blocks(), [side])[0]
-
-
-def adjoint_gap(k: NCKernel) -> float:
-    """Relative gap of the flip-adjoint kernel's matrix A against K^*."""
-    side = _adjoint_side(k.theta, k.box)
-    return _relative_gaps(k.theta, k.box, k.row_blocks(), [side])[0]
+        add(0, k_rows, rhs)
+        for i, (w1, w2, w2_inv) in enumerate(weights, 1):
+            np.multiply(k_rows, w1[rows, None], out=lhs)
+            _matrix_rows(_lift_rows(block, w1[rows], w2, out=scratch), col_phases, out=rhs)
+            rhs *= w2_inv[None, :]
+            add(i, lhs, rhs)
+    gaps = [math.sqrt(g) for g in gap_sq]
+    gaps = [g / math.sqrt(s) if s != 0.0 else g for g, s in zip(gaps, norm_sq)]
+    return gaps[0], gaps[1:]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -379,7 +364,7 @@ class SchwartzReport:
 
 
 def schwartz_coefficients(
-    h: NCKernel, alpha1: float, alpha2: float, s0: float
+    h: NCKernel | KernelRows, alpha1: float, alpha2: float, s0: float
 ) -> SchwartzReport:
     """Check |c_{m,n}| against the Cauchy-Schwarz envelope with constant 1.
 
@@ -392,16 +377,10 @@ def schwartz_coefficients(
     s0 must exceed the dimension so the envelope is summable over the full
     lattice.
     """
-    return _schwartz_report(h.box, h.row_blocks(), alpha1, alpha2, s0)
-
-
-def _schwartz_report(
-    box: LatticeBox, blocks, alpha1: float, alpha2: float, s0: float
-) -> SchwartzReport:
-    """schwartz_coefficients of a row stream over box x box."""
+    box = h.box
     if s0 <= box.d:
         raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {box.d}")
-    worst, flat, lifted_norm = _lifted_extremes(box, blocks, alpha1 + s0, alpha2 + s0)
+    worst, flat, lifted_norm = _lifted_extremes(box, h.row_blocks(), alpha1 + s0, alpha2 + s0)
     pts = box.enumerate()
     i, j = divmod(flat, box.cardinality)
     worst_index = (tuple(int(v) for v in pts[i]), tuple(int(v) for v in pts[j]))
@@ -424,25 +403,28 @@ def random_kernel(
     c_{m,n} = (1+|m|^2)^(-s1/2) (1+|n|^2)^(-s2/2) e^{2 pi i u} with u
     drawn uniformly from [0, 1) by a Philox counter generator keyed on the
     seed, consumed in row-major (linear index pair) order.  The matrix is
-    filled from the row stream of _random_rows, the one draw path.  The
+    filled from the KernelRows of _random_rows, the one draw path.  The
     envelope keeps the kernel in the mixed Sobolev space of orders below
     (s1 - d/2, s2 - d/2), which makes smoothness hypotheses checkable by
     construction.
     """
-    box, blocks = _random_rows(theta, radius, s1, s2, seed)
-    coeffs = np.empty((box.cardinality,) * 2, dtype=complex)
-    for rows, block in blocks:
+    draw = _random_rows(theta, radius, s1, s2, seed)
+    coeffs = np.empty((draw.box.cardinality,) * 2, dtype=complex)
+    for rows, block in draw.row_blocks():
         coeffs[rows] = block
-    return NCKernel(theta, box, coeffs)
+    return NCKernel(theta, draw.box, coeffs)
 
 
-def _random_rows(theta: ReducedTheta, radius: int, s1: float, s2: float, seed: int) -> tuple:
-    """(box, row stream) of random_kernel's draw, with its inputs checked before any draw."""
+def _random_rows(
+    theta: ReducedTheta, radius: int, s1: float, s2: float, seed: int
+) -> KernelRows:
+    """random_kernel's draw as a KernelRows, its inputs checked before any draw."""
     if s1 < 0 or s2 < 0:
         raise ValueError(f"envelope exponents must be nonnegative, got ({s1}, {s2})")
     _guard_box(theta.d, radius)
     box = LatticeBox(theta.d, radius)
-    return box, _draw_blocks(bessel_weights(-s1, box), bessel_weights(-s2, box), seed)
+    w1, w2 = bessel_weights(-s1, box), bessel_weights(-s2, box)
+    return KernelRows(theta, box, functools.partial(_draw_blocks, w1, w2, seed))
 
 
 def _draw_blocks(w1: np.ndarray, w2: np.ndarray, seed: int):

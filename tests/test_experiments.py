@@ -29,9 +29,8 @@ from nctorus.experiments import (
 from nctorus.kernels import (
     NCKernel,
     SchwartzReport,
-    adjoint_gap,
     bessel_kernel,
-    factorization_gap,
+    identity_gaps,
     kernel_matrix,
     mixed_sobolev_norm,
     random_kernel,
@@ -577,6 +576,24 @@ def test_scan_restores_the_blas_thread_count(monkeypatch):
     assert 3 in calls
 
 
+def test_scan_without_the_bundled_openblas(monkeypatch):
+    # where numpy has no bundled OpenBLAS to bind, the scan runs one grid
+    # point at a time through np.linalg.svd, on BLAS's own threads
+    cfg = ExperimentConfig(N_grid=(2, 3, 4), r_grid=(2.0, 1.0))
+    bundled = run_theorem_scan(cfg)
+    before = _blas_threads()
+    with monkeypatch.context() as patch:
+        patch.setattr(schatten, "_openblas", lambda: None)
+        fallback = run_theorem_scan(cfg)
+    assert _blas_threads() == before
+    assert [(r.N, r.r, r.sobolev_norm) for r in fallback] == [
+        (r.N, r.r, r.sobolev_norm) for r in bundled
+    ]
+    for got, want in zip(fallback, bundled):
+        assert got.s_r_norm == pytest.approx(want.s_r_norm, rel=1e-12)
+        assert got.weak_r_norm == pytest.approx(want.weak_r_norm, rel=1e-12)
+
+
 def test_scan_pool_runs_the_largest_box_first(monkeypatch):
     # the grid runs on the pool, largest N first; the records come out
     # sorted, and a pool one wide gives the same ones as two wide
@@ -818,11 +835,7 @@ def test_runners_read_the_kernel_source(monkeypatch):
     def bessel(config, radius):
         return bessel_kernel(alpha, LatticeBox(config.d, radius), config.reduced)
 
-    def bessel_source(config, radius):
-        k = bessel(config, radius)
-        return k.box, k.row_blocks()
-
-    monkeypatch.setattr(experiments, "kernel_source", bessel_source)
+    monkeypatch.setattr(experiments, "kernel_source", bessel)
     config = ExperimentConfig(N_grid=(2, 3), r_grid=(0.8, 2.0, 5.0))
     for rec in run_theorem_scan(config):
         k = bessel(config, rec.N)
@@ -831,9 +844,8 @@ def test_runners_read_the_kernel_source(monkeypatch):
         assert rec.s_r_norm == pytest.approx(expected, rel=1e-12)
         assert rec.sobolev_norm == mixed_sobolev_norm(k, config.alpha1, config.alpha2)
     for rec in run_factorization_check(config):
-        k = bessel(config, rec.N)
-        assert rec.adjoint_error == adjoint_gap(k)
-        assert rec.factor_error == factorization_gap(k, rec.alpha1, rec.alpha2)
+        adjoint, (factor,) = identity_gaps(bessel(config, rec.N), [(rec.alpha1, rec.alpha2)])
+        assert (rec.adjoint_error, rec.factor_error) == (adjoint, factor)
     expected = schwartz_coefficients(bessel(config, 3), 1.0, 1.0, 3.0)
     assert run_schwartz_bound(config) == expected
 
@@ -852,8 +864,8 @@ def test_streamed_runners_match_the_held_kernel(monkeypatch, d, radius):
     config = ExperimentConfig(d=d, N_grid=(radius,), seed=13, alpha1=0.7, alpha2=1.4)
     k = random_kernel(config.reduced, radius, *config.envelope_exponents(), config.seed)
     for rec in run_factorization_check(config):
-        assert rec.factor_error == factorization_gap(k, rec.alpha1, rec.alpha2)
-        assert rec.adjoint_error == adjoint_gap(k)
+        adjoint, (factor,) = identity_gaps(k, [(rec.alpha1, rec.alpha2)])
+        assert (rec.adjoint_error, rec.factor_error) == (adjoint, factor)
     assert run_schwartz_bound(config) == schwartz_coefficients(
         k, config.alpha1, config.alpha2, config.s0
     )

@@ -17,16 +17,17 @@ from nctorus.cocycle import ReducedTheta, phase_pairs, random_theta, reduce_thet
 from nctorus.experiments import ExperimentConfig, _factor_one
 from nctorus.kernels import (
     _BLOCK_ENTRIES,
+    KernelRows,
     NCKernel,
     _lift_rows,
     _lifted_extremes,
     _matrix_rows,
+    _random_rows,
     _row_blocks,
-    adjoint_gap,
     apply_kernel,
     bessel_kernel,
-    factorization_gap,
     flip_adjoint,
+    identity_gaps,
     kernel_matrix,
     mixed_sobolev_norm,
     op_multiply,
@@ -458,8 +459,7 @@ _STEP_PEAKS = {
     "mixed_sobolev_norm": (0, lambda k: mixed_sobolev_norm(k, 1.0, 1.0)),
     "schwartz_coefficients": (0, lambda k: schwartz_coefficients(k, 1.0, 1.0, 3.0)),
     "flip_adjoint": (16, lambda k: flip_adjoint(k)),
-    "factorization_gap": (0, lambda k: factorization_gap(k, 1.0, 1.0)),
-    "adjoint_gap": (0, lambda k: adjoint_gap(k)),
+    "identity_gaps": (0, lambda k: identity_gaps(k, [(1.0, 1.0)])),
     "_factor_one": (16, lambda k: _factor_one(ExperimentConfig(N_grid=(10,)), 10)),
 }
 
@@ -574,14 +574,42 @@ def test_row_forms_concatenate_to_matrix_and_lift(d, radius):
 @pytest.mark.parametrize("d, radius", _STREAM_BOXES)
 def test_streamed_reductions_match_full_matrix_forms(d, radius):
     _, k, _ = _stream_kernel(d, radius)
-    for a1, a2 in ((0.0, 0.0), (1.0, 1.0), (2.7, 0.3)):
+    pairs = ((0.0, 0.0), (1.0, 1.0), (2.7, 0.3))
+    adjoint, factor = identity_gaps(k, pairs)
+    for (a1, a2), gap in zip(pairs, factor, strict=True):
         top, where, norm = _lifted_extremes(k.box, k.row_blocks(), a1, a2)
         ref_top, ref_where, ref_norm = _lifted_reference(k, a1, a2)
         assert (top, where) == (ref_top, ref_where)
         assert norm == pytest.approx(ref_norm, rel=1e-13)
-        gap = factorization_gap(k, a1, a2)
         assert gap == pytest.approx(_factorization_gap_reference(k, a1, a2), rel=1e-13)
-    assert adjoint_gap(k) == pytest.approx(_adjoint_gap_reference(k), rel=1e-13)
+    assert adjoint == pytest.approx(_adjoint_gap_reference(k), rel=1e-13)
+    # one pass for several gaps reads as one pass for each
+    for pair, gap in zip(pairs, factor):
+        assert identity_gaps(k, [pair]) == (adjoint, [gap])
+    assert identity_gaps(k, []) == (adjoint, [])
+
+
+@pytest.mark.parametrize("d, radius", _STREAM_BOXES)
+def test_held_and_streamed_kernels_reduce_alike(d, radius):
+    # a KernelRows and the NCKernel drawn from it give every reducer the
+    # same rows, so the same numbers bit for bit
+    theta, k, _ = _stream_kernel(d, radius)
+    draw = _random_rows(theta, radius, 1.5, 2.0, 11)
+    assert isinstance(draw, KernelRows) and (draw.theta, draw.box) == (k.theta, k.box)
+    # the draw writes every block into one buffer, so keep copies
+    first = [(rows, block.copy()) for rows, block in draw.row_blocks()]
+    again = [(rows, block.copy()) for rows, block in draw.row_blocks()]
+    assert len(first) == len(again) > 2
+    for (rows, block), (rows_again, block_again) in zip(first, again):
+        assert rows == rows_again and np.array_equal(block, block_again)
+    for (rows, block), (held_rows, held_block) in zip(draw.row_blocks(), k.row_blocks()):
+        assert rows == held_rows and np.array_equal(block, held_block)
+    assert mixed_sobolev_norm(draw, 0.7, 1.4) == mixed_sobolev_norm(k, 0.7, 1.4)
+    assert schwartz_coefficients(draw, 0.7, 1.4, d + 1.0) == schwartz_coefficients(
+        k, 0.7, 1.4, d + 1.0
+    )
+    pairs = ((0.7, 1.4), (0.0, 0.0), (2.7, 0.3))
+    assert identity_gaps(draw, pairs) == identity_gaps(k, pairs)
 
 
 def test_lifted_extremes_keeps_the_first_of_tied_maxima(red2):
