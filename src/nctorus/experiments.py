@@ -43,6 +43,7 @@ from .cocycle import (
 )
 from .kernels import (
     KernelRows,
+    NCKernel,
     SchwartzReport,
     _assembling,
     _lifted_extremes,
@@ -449,6 +450,13 @@ def run_property_suite(seed: int, theta: ThetaMatrix) -> SuiteReport:
     ratio = float(np.max(lifted)) / norm
     err = max(abs(rep.lifted_norm - norm) / norm, abs(rep.worst_ratio - ratio) / ratio)
     record("schwartz-exact", err, 1e-12)
+
+    # a rank-one kernel a (x) b acts as x -> tau(x * b) a; the right side
+    # reads the product's phase table, not the kernel layer's sigma(p, -p)
+    a, b, x = (random_element(red, mbox, rng) for _ in range(3))
+    rank_one = NCKernel(red, mbox, np.outer(a.coeffs, b.coeffs))
+    err = _coeff_gap(apply_kernel(rank_one, x), trace(twisted_convolve(x, b)) * a)
+    record("kernel-rank-one", err, 1e-12)
 
     return SuiteReport(tuple(checks))
 

@@ -402,7 +402,8 @@ def test_outputs_do_not_depend_on_blas_threads():
     # OpenBLAS reads its thread count once, at import, so each count needs
     # a fresh interpreter.  The scan pins its SVDs to one BLAS thread
     # where numpy runs on its bundled OpenBLAS, so its whole output but
-    # wall_ms is compared.  Elsewhere the SVD's threaded blocking may round
+    # wall_ms is compared; N = 12 (n = 625) runs the two-stage SVD, the
+    # smaller radii zgesdd.  Elsewhere the SVD's threaded blocking may round
     # the last digit differently, and s_r_norm and weak_r_norm are
     # skipped.  The suite's SVDs are of 25 x 25 matrices, small enough
     # that its JSON is compared whole.  On a one-CPU host both runs use
@@ -415,7 +416,7 @@ def test_outputs_do_not_depend_on_blas_threads():
         "             ['schwartz', '--n', '20', '--seed', '7501', '--format', 'json'],\n"
         "             ['decay', '--n-grid', '10,20,40'],\n"
         "             ['suite', '--seed', '7', '--format', 'json'],\n"
-        "             ['scan', '--n-grid', '6,8,10', '--seed', '3']):\n"
+        "             ['scan', '--n-grid', '6,8,10,12', '--seed', '3']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        assert nctorus.cli.main(argv) == 0, argv\n"
         "    outs.append(out.getvalue())\n"
@@ -444,7 +445,7 @@ def test_outputs_do_not_depend_on_blas_threads():
         return [[row[i] for i in keep] for row in rows]
 
     assert compared(scan1) == compared(scan2)
-    assert len(compared(scan1)) == 10  # the header and 3 radii x 3 exponents
+    assert len(compared(scan1)) == 13  # the header and 4 radii x 3 exponents
 
 
 def test_factor_passes(capsys):
@@ -524,6 +525,7 @@ SUITE_CHECKS = [
     "op-multiply-reversal", "kernel-oracle", "kernel-hs-identity",
     "kernel-column-consistency", "bessel-kernel-diagonal", "schatten-exact",
     "factorization", "adjoint-identity", "kernel-linearity", "schwartz-exact",
+    "kernel-rank-one",
 ]
 
 SCAN_COLUMNS = ["N", "r", "r_star", "s_r_norm", "weak_r_norm", "sobolev_norm", "wall_ms"]

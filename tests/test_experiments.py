@@ -286,7 +286,7 @@ def test_default_theta_structure():
 def test_property_suite_passes_default():
     report = run_property_suite(seed=42, theta=default_theta(2))
     assert report.passed, report.failures
-    assert len(report.checks) == 22
+    assert len(report.checks) == 23
     names = [c.name for c in report.checks]
     assert len(names) == len(set(names))
 
@@ -354,13 +354,14 @@ SUITE_MUTATIONS = [
      lambda f: lambda a, b: f(b, a), {"commutation-relation", "mult-matrix-consistency"}),
     ("product phases folded", algebra, "_product_plan", _folded_plan,
      {"algebra-associativity", "commutation-relation", "involution-antihomomorphism",
-      "mult-matrix-consistency", "op-multiply-reversal", "plancherel-pairing"}),
+      "kernel-rank-one", "mult-matrix-consistency", "op-multiply-reversal",
+      "plancherel-pairing"}),
     ("product doubled", experiments, "twisted_convolve",
      lambda f: lambda a, b: 2.0 * f(a, b),
-     {"algebra-unit", "mult-matrix-consistency", "plancherel-pairing"}),
+     {"algebra-unit", "kernel-rank-one", "mult-matrix-consistency", "plancherel-pairing"}),
     ("trace reads the coefficient at (0, 1)", experiments, "trace",
      lambda f: lambda x: complex(x.coeffs[x.box.center_index() + 1]),
-     {"trace-property", "plancherel-pairing"}),
+     {"kernel-rank-one", "trace-property", "plancherel-pairing"}),
     ("involution drops sigma(m, -m)", algebra, "diagonal_phases",
      lambda f: lambda theta, box: np.ones(box.cardinality, dtype=complex),
      {"involution-antihomomorphism", "plancherel-pairing"}),
@@ -378,7 +379,7 @@ SUITE_MUTATIONS = [
     ("reversed product not reversed", experiments, "op_multiply",
      lambda f: twisted_convolve, {"op-multiply-reversal"}),
     ("sigma(p, -p) conjugated in the kernel layer", kernels, "diagonal_phases",
-     lambda f: lambda theta, box: np.conj(f(theta, box)), {"kernel-oracle"}),
+     lambda f: lambda theta, box: np.conj(f(theta, box)), {"kernel-oracle", "kernel-rank-one"}),
     ("Schatten norm without its 1/p root", experiments, "schatten_norm",
      lambda f: lambda s, p: f(s, p) ** p, {"kernel-hs-identity", "schatten-exact"}),
     ("Schatten norm is the operator norm", experiments, "schatten_norm",

@@ -69,6 +69,7 @@ def _matrices(seed: int):
 
 
 def test_singular_values_match_numpy_bit_for_bit():
+    # below the two-stage crossover (n = 512; every size here is <= 300)
     # the bundled LAPACKE zgesdd is numpy's own routine and workspace, at
     # the process's thread count; C and Fortran input give the same bits
     for c_order, f_order in _matrices(5):
@@ -82,6 +83,7 @@ def test_singular_values_match_numpy_bit_for_bit():
 
 
 def test_overwrite_spends_only_a_fortran_matrix():
+    # a 25 x 25 matrix, below the two-stage crossover, so numpy's bits
     c_order, f_order = list(_matrices(6))[2]
     spectrum = singular_values(f_order, overwrite=True)
     assert np.array_equal(spectrum.values, np.linalg.svd(c_order, compute_uv=False))
@@ -95,6 +97,53 @@ def test_overwrite_spends_only_a_fortran_matrix():
     frozen.flags.writeable = False
     assert np.array_equal(singular_values(frozen, overwrite=True).values, spectrum.values)
     assert np.array_equal(frozen, c_order)
+
+
+def _two_stage_cases(n: int):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    yield "random", a
+    yield "rank-deficient", a[:, : n // 3] @ a[: n // 3, :]
+    yield "complex diagonal", np.diag(a[0])
+    yield "zero", np.zeros((n, n), dtype=complex)
+
+
+@pytest.mark.parametrize("n", [512, 513, 530])
+def test_two_stage_matches_numpy(n):
+    # from n = 512 on, the bundled OpenBLAS runs the two-stage reduction in
+    # panels of 40 columns: 512 and 513 sit at the crossover, and 530 ends
+    # on a panel of 10.  It agrees with numpy's zgesdd to rounding error
+    assert schatten._TWO_STAGE_MIN == 512 and schatten._PANEL == 40
+    spectra = {}
+    for name, a in _two_stage_cases(n):
+        expected = np.linalg.svd(a, compute_uv=False)
+        spectra[name] = singular_values(a).values
+        assert spectra[name].shape == (n,)
+        assert np.max(np.abs(spectra[name] - expected)) <= 1e-13 * expected[0], name
+    # C order, Fortran order and a handed-over copy of the random matrix
+    # give the same bits; the input is untouched unless it is handed over
+    a, got = next(_two_stage_cases(n))[1], spectra["random"]
+    for b in (a, np.asfortranarray(a)):
+        kept = b.copy()
+        assert np.array_equal(singular_values(b).values, got)
+        assert np.array_equal(b, kept)
+    handed_over = np.array(a, order="F")
+    assert np.array_equal(singular_values(handed_over, overwrite=True).values, got)
+    if schatten._openblas() is not None:
+        assert not np.array_equal(handed_over, a)  # it was the workspace
+
+
+@pytest.mark.parametrize("routine, n", [
+    ("zgesdd", 25), ("zgeqrf", 512), ("zunmqr", 512), ("zgelqf", 512),
+    ("zunmlq", 512), ("zgbbrd", 512), ("dbdsqr", 512),
+])
+def test_a_failed_lapack_routine_is_named(monkeypatch, routine, n):
+    lib = schatten._openblas()
+    if lib is None:
+        pytest.skip("numpy does not run on its bundled OpenBLAS here")
+    monkeypatch.setattr(lib, f"scipy_LAPACKE_{routine}64_", lambda *args: -4)
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{routine} failed with info = -4$"):
+        singular_values(np.eye(n, dtype=complex))
 
 
 def test_fallback_is_numpy_svd(monkeypatch):
@@ -121,10 +170,10 @@ def test_one_blas_thread_pins_and_restores():
 
 
 def test_concurrent_svds_match_serial():
-    # the scan's pool runs zgesdd from two threads at once; with more
-    # threads than that and a short switch interval each matrix still gets
-    # its serial spectrum, bit for bit
-    matrices = [a for a, _ in _matrices(8)] * 4
+    # the scan's pool runs zgesdd and the two-stage reduction from two
+    # threads at once; with more threads than that and a short switch
+    # interval each matrix still gets its serial spectrum, bit for bit
+    matrices = [a for a, _ in _matrices(8)] * 4 + [next(_two_stage_cases(530))[1]] * 3
     with schatten._one_blas_thread():
         expected = [singular_values(a).values for a in matrices]
         interval = sys.getswitchinterval()
