@@ -253,193 +253,137 @@ def run_property_suite(seed: int, theta: ThetaMatrix) -> SuiteReport:
 
     Each check compares with an exact target, so each can fail; tier-1
     pairs every check name with a mutation of the code it checks that
-    makes it fail.
+    makes it fail.  A check's error is the largest it recorded, and a NaN
+    among them is its error, so a NaN fails the check.
     """
     d = theta.d
     red = reduce_theta(theta)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    checks = []
+    errors = {}  # name -> (tolerance, errors), in the order checks first report
 
     def draw_points(n: int) -> np.ndarray:
         return rng.integers(-5, 6, size=(n, d))
 
-    def record(name: str, err: float, tol: float) -> None:
-        checks.append(CheckResult(name, float(err), tol))
+    def record(name: str, tol: float, *errs: float) -> None:
+        errors.setdefault(name, (tol, []))[1].extend(errs)
 
     # cocycle: additivity in each slot, then the 2-cocycle identity
     def sig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return phase_pairs(red.entries, a, b)
 
     m, n, p = draw_points(20), draw_points(20), draw_points(20)
-    err = max(
-        float(np.max(np.abs(sig(m + n, p) - sig(m, p) * sig(n, p)))),
-        float(np.max(np.abs(sig(m, n + p) - sig(m, n) * sig(m, p)))),
-    )
-    record("cocycle-bicharacter", err, 1e-12)
+    left = np.max(np.abs(sig(m + n, p) - sig(m, p) * sig(n, p)))
+    right = np.max(np.abs(sig(m, n + p) - sig(m, n) * sig(m, p)))
+    record("cocycle-bicharacter", 1e-12, left, right)
     lhs = sig(m, n) * sig(m + n, p)
     rhs = sig(n, p) * sig(m, n + p)
-    record("cocycle-identity", float(np.max(np.abs(lhs - rhs))), 1e-12)
+    record("cocycle-identity", 1e-12, np.max(np.abs(lhs - rhs)))
 
     # commutation relation on basis monomials, via the full skew matrix
     box1 = LatticeBox(d, 1)
-    err = 0.0
     for _ in range(10):
         a, b = rng.integers(-1, 2, size=(2, d))
         ua, ub = monomial(red, a, box1), monomial(red, b, box1)
         lhs_el = twisted_convolve(ua, ub)
         phase = np.exp(2j * np.pi * float(a @ theta.entries @ b))
         rhs_el = phase * twisted_convolve(ub, ua)
-        err = max(err, _coeff_gap(lhs_el, rhs_el))
-    record("commutation-relation", err, 1e-10)
+        record("commutation-relation", 1e-10, _coeff_gap(lhs_el, rhs_el))
 
     # algebra axioms on random elements
     box = LatticeBox(d, 2)
-    err_assoc = err_unit = err_trace = err_star = err_invol = 0.0
-    err_plancherel = err_leibniz = 0.0
+    one = unit(red, LatticeBox(d, 0))
     for _ in range(8):
-        f = random_element(red, box, rng)
-        g = random_element(red, box, rng)
-        h = random_element(red, box, rng)
-        err_assoc = max(
-            err_assoc,
-            _coeff_gap(
-                twisted_convolve(twisted_convolve(f, g), h),
-                twisted_convolve(f, twisted_convolve(g, h)),
-            ),
-        )
-        one = unit(red, LatticeBox(d, 0))
-        err_unit = max(
-            err_unit,
-            _coeff_gap(twisted_convolve(f, one), f),
-            _coeff_gap(twisted_convolve(one, f), f),
-        )
+        f, g, h = (random_element(red, box, rng) for _ in range(3))
         fg, gf = twisted_convolve(f, g), twisted_convolve(g, f)
-        err_trace = max(err_trace, abs(trace(fg) - trace(gf)))
-        err_star = max(
-            err_star,
-            _coeff_gap(involution(fg), twisted_convolve(involution(g), involution(f))),
-        )
-        err_invol = max(err_invol, _coeff_gap(involution(involution(f)), f))
-        pairing = trace(twisted_convolve(involution(g), f))
-        err_plancherel = max(
-            err_plancherel,
-            abs(inner_product(f, g) - pairing),
-            abs(inner_product(f, f) - l2_norm(f) ** 2),
-        )
+        assoc = _coeff_gap(twisted_convolve(fg, h), twisted_convolve(f, twisted_convolve(g, h)))
+        record("algebra-associativity", 1e-10, assoc)
+        left, right = twisted_convolve(f, one), twisted_convolve(one, f)
+        record("algebra-unit", 1e-13, _coeff_gap(left, f), _coeff_gap(right, f))
+        record("trace-property", 1e-10, abs(trace(fg) - trace(gf)))
+        star = _coeff_gap(involution(fg), twisted_convolve(involution(g), involution(f)))
+        record("involution-antihomomorphism", 1e-10, star)
+        record("involution-involutive", 1e-13, _coeff_gap(involution(involution(f)), f))
+        pairing = abs(inner_product(f, g) - trace(twisted_convolve(involution(g), f)))
+        record("plancherel-pairing", 1e-10, pairing, abs(inner_product(f, f) - l2_norm(f) ** 2))
         j = int(rng.integers(1, d + 1))
-        err_leibniz = max(
-            err_leibniz,
-            _coeff_gap(
-                partial_derivative(fg, j),
-                twisted_convolve(partial_derivative(f, j), g)
-                + twisted_convolve(f, partial_derivative(g, j)),
-            ),
-        )
-    record("algebra-associativity", err_assoc, 1e-10)
-    record("algebra-unit", err_unit, 1e-13)
-    record("trace-property", err_trace, 1e-10)
-    record("involution-antihomomorphism", err_star, 1e-10)
-    record("involution-involutive", err_invol, 1e-13)
-    record("plancherel-pairing", err_plancherel, 1e-10)
-    record("derivation-leibniz", err_leibniz, 1e-10)
+        df, dg = partial_derivative(f, j), partial_derivative(g, j)
+        rule = twisted_convolve(df, g) + twisted_convolve(f, dg)
+        record("derivation-leibniz", 1e-10, _coeff_gap(partial_derivative(fg, j), rule))
 
     # multiplier algebra: inverse pair and the Laplacian symbol
     x = random_element(red, box, rng)
     roundtrip = apply_multiplier(
         bessel_weights(-1.3, box), apply_multiplier(bessel_weights(1.3, box), x)
     )
-    err = _coeff_gap(roundtrip, x)
     lap = laplacian(x)
     via_riesz = (-4.0 * math.pi**2) * apply_multiplier(riesz_weights(2.0, box), x)
-    err = max(err, _coeff_gap(lap, via_riesz))
-    record("multiplier-algebra", err, 1e-10)
+    record("multiplier-algebra", 1e-10, _coeff_gap(roundtrip, x), _coeff_gap(lap, via_riesz))
 
     # left-multiplication matrix agrees with the convolution, truncated
     y = random_element(red, box, rng)
     mat = mult_matrix(x, box)
-    err = float(np.max(np.abs(mat @ y.coeffs - restricted(twisted_convolve(x, y), box).coeffs)))
-    record("mult-matrix-consistency", err, 1e-10)
+    err = np.max(np.abs(mat @ y.coeffs - restricted(twisted_convolve(x, y), box).coeffs))
+    record("mult-matrix-consistency", 1e-10, err)
 
     # reversed product: compare against convolution with the transposed
     # reduction (a presentation of the negated twist), entry by entry
     small = LatticeBox(d, 1)
-    err = 0.0
     for _ in range(4):
         a = random_element(red, small, rng)
         b = random_element(red, small, rng)
         prod = op_multiply(a, b)
-        _, ref = convolve_coefficients(
-            red.entries.T, small, a.coeffs, small, b.coeffs
-        )
-        err = max(err, float(np.max(np.abs(prod.coeffs - ref))))
-    record("op-multiply-reversal", err, 1e-12)
+        _, ref = convolve_coefficients(red.entries.T, small, a.coeffs, small, b.coeffs)
+        record("op-multiply-reversal", 1e-12, np.max(np.abs(prod.coeffs - ref)))
 
     # kernel action: closed form vs the definitional partial trace
     kbox = LatticeBox(d, 1)
-    err = 0.0
     for _ in range(4):
         k = random_kernel(red, 1, 0.5, 0.5, int(rng.integers(0, 2**31)))
         xk = random_element(red, kbox, rng)
-        err = max(err, _coeff_gap(apply_kernel(k, xk), apply_kernel_definitional(k, xk)))
-    record("kernel-oracle", err, 1e-11)
+        err = _coeff_gap(apply_kernel(k, xk), apply_kernel_definitional(k, xk))
+        record("kernel-oracle", 1e-11, err)
 
     # kernel matrix identities; S_2 through the SVD is the Frobenius norm
     mbox = LatticeBox(d, 2)
     k = random_kernel(red, 2, 1.0, 1.0, (seed + 1) % 2**128)
     mat = kernel_matrix(k)
     hs = schatten_norm(singular_values(mat), 2.0)
-    record("kernel-hs-identity", abs(hs - k.l2_norm()) / max(k.l2_norm(), 1e-300), 1e-12)
+    record("kernel-hs-identity", 1e-12, abs(hs - k.l2_norm()) / max(k.l2_norm(), 1e-300))
 
-    err = 0.0
     for p_idx in (0, mbox.cardinality // 3, mbox.cardinality - 1):
         mono = monomial(red, mbox.enumerate()[p_idx], mbox)
         col = apply_kernel(k, mono).coeffs
-        err = max(err, float(np.max(np.abs(mat[:, p_idx] - col))))
-    record("kernel-column-consistency", err, 1e-12)
+        record("kernel-column-consistency", 1e-12, np.max(np.abs(mat[:, p_idx] - col)))
 
     # the Bessel kernel's matrix is diag(w), so its spectrum is w sorted:
     # exact targets for the Schatten and weak norms
-    err_diag = err_exact = 0.0
     ranks = np.arange(1, mbox.cardinality + 1)
     for alpha in (0.0, 0.5, 1.7):
         w = bessel_weights(-alpha, mbox)
         gap = kernel_matrix(bessel_kernel(alpha, mbox, red))
         spectrum = singular_values(gap)
         gap[np.diag_indices_from(gap)] -= w
-        err_diag = max(err_diag, float(np.max(np.abs(gap))))
+        record("bessel-kernel-diagonal", 1e-13, np.max(np.abs(gap)))
         for t in (0.7, 1.0, 2.0):
             exact = float(np.sum(w**t) ** (1.0 / t))
             weak = float(np.max(ranks ** (1.0 / t) * np.sort(w)[::-1]))
-            err_exact = max(
-                err_exact,
-                abs(schatten_norm(spectrum, t) - exact) / exact,
-                abs(weak_norm(spectrum, t) - weak) / weak,
-            )
-    record("bessel-kernel-diagonal", err_diag, 1e-13)
-    record("schatten-exact", err_exact, 1e-12)
+            strong = abs(schatten_norm(spectrum, t) - exact) / exact
+            record("schatten-exact", 1e-12, strong, abs(weak_norm(spectrum, t) - weak) / weak)
 
     drawn = (float(rng.uniform(0, 3)), float(rng.uniform(0, 3)))
-    adjoint_err, factor_errs = identity_gaps(k, ((0.0, 0.0), (1.0, 1.0), (1.5, 0.7), drawn))
-    record("factorization", max(0.0, *factor_errs), 1e-12)
-    record("adjoint-identity", adjoint_err, 1e-12)
+    adjoint_err, factor_errs = identity_gaps(k, ((1.0, 1.0), (1.5, 0.7), drawn))
+    record("factorization", 1e-12, *factor_errs)
+    record("adjoint-identity", 1e-12, adjoint_err)
 
     # linearity of the kernel action in both arguments
     k2 = random_kernel(red, 2, 1.0, 1.0, (seed + 2) % 2**128)
     xa = random_element(red, mbox, rng)
     xb = random_element(red, mbox, rng)
     c1, c2 = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-    err = _coeff_gap(
-        apply_kernel(k + c1 * k2, xa),
-        apply_kernel(k, xa) + c1 * apply_kernel(k2, xa),
-    )
-    err = max(
-        err,
-        _coeff_gap(
-            apply_kernel(k, c2 * xa + xb),
-            c2 * apply_kernel(k, xa) + apply_kernel(k, xb),
-        ),
-    )
-    record("kernel-linearity", err, 1e-11)
+    kx = apply_kernel(k, xa)
+    in_kernel = _coeff_gap(apply_kernel(k + c1 * k2, xa), kx + c1 * apply_kernel(k2, xa))
+    in_element = _coeff_gap(apply_kernel(k, c2 * xa + xb), c2 * kx + apply_kernel(k, xb))
+    record("kernel-linearity", 1e-11, in_kernel, in_element)
 
     # Schwartz envelope of the Bessel kernel of order beta: its lifted
     # moduli are (1+|n|^2)^(e/2) on the antidiagonal, e = 2 + 2 s0 - beta
@@ -448,17 +392,19 @@ def run_property_suite(seed: int, theta: ThetaMatrix) -> SuiteReport:
     lifted = (1.0 + np.sum(mbox.enumerate() ** 2, axis=1)) ** ((2.0 + 2.0 * s0 - beta) / 2.0)
     norm = math.sqrt(float(np.sum(lifted**2)))
     ratio = float(np.max(lifted)) / norm
-    err = max(abs(rep.lifted_norm - norm) / norm, abs(rep.worst_ratio - ratio) / ratio)
-    record("schwartz-exact", err, 1e-12)
+    err = abs(rep.lifted_norm - norm) / norm
+    record("schwartz-exact", 1e-12, err, abs(rep.worst_ratio - ratio) / ratio)
 
     # a rank-one kernel a (x) b acts as x -> tau(x * b) a; the right side
     # reads the product's phase table, not the kernel layer's sigma(p, -p)
     a, b, x = (random_element(red, mbox, rng) for _ in range(3))
     rank_one = NCKernel(red, mbox, np.outer(a.coeffs, b.coeffs))
     err = _coeff_gap(apply_kernel(rank_one, x), trace(twisted_convolve(x, b)) * a)
-    record("kernel-rank-one", err, 1e-12)
+    record("kernel-rank-one", 1e-12, err)
 
-    return SuiteReport(tuple(checks))
+    return SuiteReport(
+        tuple(CheckResult(name, float(np.max(errs)), tol) for name, (tol, errs) in errors.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +483,10 @@ def run_theorem_scan(config: ExperimentConfig) -> list:
     with schatten._one_blas_thread() as threads:
         width = 1 if threads is None else min(threads, len(config.N_grid), _SCAN_WIDTH)
         with ThreadPoolExecutor(width) as pool:
-            tasks = [pool.submit(_scan_one, config, radius) for radius in reversed(config.N_grid)]
-            try:
-                records = [rec for task in tasks for rec in task.result()]
-            except BaseException:  # after a failure or an interrupt, start no more
-                pool.shutdown(cancel_futures=True)
-                raise
+            # map cancels the grid points not yet started when one fails
+            # or the wait is interrupted
+            points = pool.map(lambda radius: _scan_one(config, radius), reversed(config.N_grid))
+            records = [rec for point in points for rec in point]
     records.sort(key=lambda rec: (rec.N, rec.r))
     return records
 
@@ -631,7 +575,7 @@ FACTOR_TOLERANCE = 1e-12
 def _factor_one(config: ExperimentConfig, radius: int) -> list:
     k = kernel_source(config, radius)
     rng = np.random.Generator(np.random.Philox(key=(config.seed + radius) % 2**128))
-    pairs = [(config.alpha1, config.alpha2), (0.0, 0.0)]
+    pairs = [(config.alpha1, config.alpha2)]
     pairs += [(float(rng.uniform(0, 3)), float(rng.uniform(0, 3))) for _ in range(3)]
     adj_err, factor_errs = identity_gaps(k, pairs)
     return [
@@ -652,7 +596,7 @@ def run_factorization_check(config: ExperimentConfig) -> list:
     For each N the identity (Bessel multiplier) . (kernel operator) =
     (lifted-kernel operator) . (inverse Bessel multiplier) is assembled
     both ways, together with the adjoint-kernel/conjugate-transpose gap:
-    the adjoint gap and the five factorization gaps reduce one pass over
+    the adjoint gap and the four factorization gaps reduce one pass over
     the kernel's row stream.
     """
     _guard_box(config.d, config.N_grid[-1])
@@ -662,10 +606,8 @@ def run_factorization_check(config: ExperimentConfig) -> list:
 
 
 def max_factor_error(records) -> float:
-    return max(
-        max(rec.factor_error for rec in records),
-        max(rec.adjoint_error for rec in records),
-    )
+    """The largest gap of the records, NaN if any gap is NaN."""
+    return float(np.max([(rec.factor_error, rec.adjoint_error) for rec in records]))
 
 
 # ---------------------------------------------------------------------------

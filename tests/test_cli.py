@@ -452,9 +452,24 @@ def test_factor_passes(capsys):
     assert main(["factor", "--n-grid", "3"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "N,alpha1,alpha2,factor_error,adjoint_error"
-    assert len(lines) == 6  # five exponent pairs for the single radius
+    assert len(lines) == 5  # four exponent pairs for the single radius
     worst = max(float(line.split(",")[3]) for line in lines[1:])
     assert worst <= 1e-12
+
+
+def test_factor_fails_on_a_nan_gap(capsys, monkeypatch):
+    # a NaN gap on any pair fails the check, not only on the first
+    gaps = nctorus.experiments.identity_gaps
+
+    def nan_second(k, pairs):
+        adjoint, factor = gaps(k, pairs)
+        factor[1] = float("nan")
+        return adjoint, factor
+
+    monkeypatch.setattr("nctorus.experiments.identity_gaps", nan_second)
+    code, out, err = _run(capsys, ["factor", "--n-grid", "3"])
+    assert code == 1 and out.count("\n") == 5
+    assert err == "factorization gap nan exceeds tolerance 1.0e-12\n"
 
 
 def test_factor_json(capsys):
@@ -639,7 +654,7 @@ def test_factor_layout_both_formats(capsys):
     header, rows, doc = _csv_and_json(capsys, ["factor", "--n-grid", "3,4"])
     assert header == FACTOR_COLUMNS
     keys = [(int(row["N"]), float(row["alpha1"]), float(row["alpha2"])) for row in rows]
-    assert len(keys) == 10 and keys == sorted(keys)
+    assert len(keys) == 8 and keys == sorted(keys)
     assert set(doc) == {"records", "max_error", "tolerance", "passed"}
     assert doc["tolerance"] == 1e-12 and doc["passed"] is True
     worst = max(max(r["factor_error"], r["adjoint_error"]) for r in doc["records"])

@@ -444,6 +444,25 @@ def test_every_suite_check_fails_under_a_mutation(monkeypatch):
     assert wrong == []
 
 
+# the checks whose errors are aligned-coefficient gaps
+COEFF_GAP_CHECKS = {
+    "commutation-relation", "algebra-associativity", "algebra-unit",
+    "involution-antihomomorphism", "involution-involutive", "derivation-leibniz",
+    "multiplier-algebra", "kernel-oracle", "kernel-linearity", "kernel-rank-one",
+}
+
+
+def test_suite_nan_error_fails_its_check(monkeypatch):
+    # a NaN among a check's errors is its error, wherever it is recorded
+    monkeypatch.setattr(experiments, "_coeff_gap", lambda x, y: math.nan)
+    report = run_property_suite(seed=7, theta=default_theta(2))
+    assert not report.passed
+    assert set(report.failures) == COEFF_GAP_CHECKS
+    for check in report.checks:
+        assert math.isnan(check.max_error) == (check.name in COEFF_GAP_CHECKS)
+        assert check.line().startswith("FAIL") == (check.name in COEFF_GAP_CHECKS)
+
+
 def test_suite_report_json_shape():
     report = run_property_suite(seed=1, theta=default_theta(2))
     doc = json.loads(to_json(report))
@@ -748,10 +767,23 @@ def test_factorization_errors_tiny():
     cfg = ExperimentConfig(N_grid=(3, 4))
     records = run_factorization_check(cfg)
     assert max_factor_error(records) <= 1e-12
-    # two fixed pairs plus three random ones, per box size
-    assert len(records) == 10
+    # the config's pair plus three random ones, per box size
+    assert len(records) == 8
     assert {rec.N for rec in records} == {3, 4}
-    assert any(rec.alpha1 == 0.0 and rec.alpha2 == 0.0 for rec in records)
+    assert sum((rec.alpha1, rec.alpha2) == (1.0, 1.0) for rec in records) == 2
+
+
+def test_max_factor_error_propagates_nan():
+    def rec(factor, adjoint):
+        return FactorizationRecord(N=2, alpha1=1.0, alpha2=1.0, factor_error=factor,
+                                   adjoint_error=adjoint)
+
+    assert max_factor_error([rec(1e-17, 2e-17), rec(3e-17, 1e-17)]) == 3e-17
+    for where in range(4):
+        gaps = [1e-17, 2e-17, 3e-17, 1e-17]
+        gaps[where] = math.nan
+        records = [rec(*gaps[:2]), rec(*gaps[2:])]
+        assert math.isnan(max_factor_error(records))
 
 
 def test_factorization_sorted_and_csv():
