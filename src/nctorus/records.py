@@ -4,13 +4,16 @@ A record is a dataclass and its columns are its `dataclasses.fields` in
 declaration order.  Field metadata JSON_ONLY keeps a field out of CSV rows.
 CSV cells print floats with %.17g so they round-trip exactly, integers
 as integers and booleans as true/false; JSON keeps the values as they
-are, with records nested wherever a document holds them.
+are, with records nested wherever a document holds them, except that a
+NaN or infinite float becomes its CSV cell, the string "nan", "inf" or
+"-inf", so that strict JSON parsers load every document.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 
 __all__ = ["JSON_ONLY", "to_csv", "to_json"]
@@ -39,12 +42,19 @@ def to_csv(cls, records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_dict(obj) -> dict:
-    # json.dumps calls this for objects it cannot write; dataclasses.fields
-    # raises the TypeError json expects for anything but a record
-    return {name: getattr(obj, name) for name in _columns(type(obj), "json")}
+def _plain(value):
+    """value with records as dicts of their JSON columns and non-finite floats as cells."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _cell(value)
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {name: _plain(getattr(value, name)) for name in _columns(type(value), "json")}
+    return value
 
 
 def to_json(doc) -> str:
-    """Indented JSON of doc; records anywhere inside become objects."""
-    return json.dumps(doc, indent=2, default=_record_dict) + "\n"
+    """Indented strict JSON of doc; records anywhere inside become objects."""
+    return json.dumps(_plain(doc), indent=2, allow_nan=False) + "\n"

@@ -8,14 +8,14 @@ neither underflow nor drown the sum.
 
 Where numpy runs on its bundled 64-bit-integer OpenBLAS, the SVD calls
 that library's LAPACKE through ctypes, on a Fortran-ordered matrix it
-may overwrite.  Below n = 512 it calls zgesdd, the routine and workspace
+may overwrite.  Below n = 400 it calls zgesdd, the routine and workspace
 numpy's own svd uses, so the values agree with numpy bit for bit at a
-given thread count.  From n = 512 on it runs a two-stage reduction
-(QR/LQ panels to band form, then zgbbrd and dbdsqr), which does the
-same backward-stable work mostly in BLAS-3 and agrees with numpy to
-rounding error, not bit for bit.  The same binding lets the scan pin
-BLAS to one thread.  Any other numpy build goes through np.linalg.svd
-at every size.
+given thread count.  From n = 400 on it runs a two-stage reduction (QR/LQ
+panels to band form, each panel applied as one compact-WY block, then
+zgbbrd and dbdsqr), which does the same backward-stable work mostly in
+BLAS-3 and agrees with numpy to rounding error, not bit for bit.  The
+same binding lets the scan pin BLAS to one thread.  Any other numpy
+build goes through np.linalg.svd at every size.
 """
 
 from __future__ import annotations
@@ -70,12 +70,13 @@ def _openblas():
 
     Resolved on first use.  RTLD_NOLOAD only finds a library already in
     the process, so the handle is numpy's own and shares its thread
-    setting.  Binds the thread setters, LAPACKE zgesdd for n < 512 and
-    the six LAPACKE routines of the two-stage SVD for n >= 512 (zgeqrf,
-    zunmqr, zgelqf, zunmlq, zgbbrd, dbdsqr).  None when numpy bundles no
-    scipy-openblas64 (MKL, conda or macOS builds, numpy 1.x), when the
-    build does not take int64 sizes, or when any of these symbols is
-    missing.
+    setting.  Binds the thread setters, LAPACKE zgesdd below the
+    two-stage crossover, and from it on the `_work` variants of the six
+    routines of the two-stage SVD (zgeqrf, zgelqf, zlarft, zlarfb,
+    zgbbrd, dbdsqr), which take caller-held workspace and skip LAPACKE's
+    NaN scan of their input.  None when numpy bundles no scipy-openblas64
+    (MKL, conda or macOS builds, numpy 1.x), when the build does not take
+    int64 sizes, or when any of these symbols is missing.
     """
     import glob  # here, so that importing the package does not pay for it
 
@@ -89,10 +90,11 @@ def _openblas():
         get_threads = lib.scipy_openblas_get_num_threads64_
         set_threads = lib.scipy_openblas_set_num_threads64_
         gesdd = lib.scipy_LAPACKE_zgesdd64_
-        factors = [lib.scipy_LAPACKE_zgeqrf64_, lib.scipy_LAPACKE_zgelqf64_]
-        applies = [lib.scipy_LAPACKE_zunmqr64_, lib.scipy_LAPACKE_zunmlq64_]
-        gbbrd = lib.scipy_LAPACKE_zgbbrd64_
-        bdsqr = lib.scipy_LAPACKE_dbdsqr64_
+        factors = [lib.scipy_LAPACKE_zgeqrf_work64_, lib.scipy_LAPACKE_zgelqf_work64_]
+        larft = lib.scipy_LAPACKE_zlarft_work64_
+        larfb = lib.scipy_LAPACKE_zlarfb_work64_
+        gbbrd = lib.scipy_LAPACKE_zgbbrd_work64_
+        bdsqr = lib.scipy_LAPACKE_dbdsqr_work64_
     except (OSError, AttributeError):
         return None
     config.argtypes, config.restype = [], ctypes.c_char_p
@@ -103,15 +105,19 @@ def _openblas():
     layout, char, size, ptr = ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p
     # (layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt)
     gesdd.argtypes = [layout, char, size, size, ptr, size, ptr, ptr, size, ptr, size]
-    for factor in factors:  # (layout, m, n, a, lda, tau)
-        factor.argtypes = [layout, size, size, ptr, size, ptr]
-    for apply in applies:  # (layout, side, trans, m, n, k, a, lda, tau, c, ldc)
-        apply.argtypes = [layout, char, char, size, size, size, ptr, size, ptr, ptr, size]
-    # (layout, vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq, pt, ldpt, c, ldc)
-    gbbrd.argtypes = [layout, char] + [size] * 5 + [ptr, size, ptr, ptr] + [ptr, size] * 3
-    # (layout, uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc)
-    bdsqr.argtypes = [layout, char] + [size] * 4 + [ptr, ptr] + [ptr, size] * 3
-    for routine in [gesdd, *factors, *applies, gbbrd, bdsqr]:
+    for factor in factors:  # (layout, m, n, a, lda, tau, work, lwork)
+        factor.argtypes = [layout, size, size, ptr, size, ptr, ptr, size]
+    # (layout, direct, storev, n, k, v, ldv, tau, t, ldt)
+    larft.argtypes = [layout, char, char, size, size, ptr, size, ptr, ptr, size]
+    # (layout, side, trans, direct, storev, m, n, k, v, ldv, t, ldt, c, ldc, work, ldwork)
+    larfb.argtypes = [layout] + [char] * 4 + [size] * 3 + [ptr, size] * 4
+    # (layout, vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq, pt, ldpt, c, ldc, work, rwork)
+    gbbrd.argtypes = (
+        [layout, char] + [size] * 5 + [ptr, size, ptr, ptr] + [ptr, size] * 3 + [ptr, ptr]
+    )
+    # (layout, uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work)
+    bdsqr.argtypes = [layout, char] + [size] * 4 + [ptr, ptr] + [ptr, size] * 3 + [ptr]
+    for routine in [gesdd, *factors, larft, larfb, gbbrd, bdsqr]:
         routine.restype = size
     return lib
 
@@ -144,8 +150,8 @@ def _one_blas_thread():
 def singular_values(matrix: np.ndarray, overwrite: bool = False) -> SingularSpectrum:
     """Singular values of a square matrix, sorted nonincreasing.
 
-    On the bundled OpenBLAS an n x n matrix with n < 512 goes through
-    zgesdd and matches np.linalg.svd bit for bit; from n = 512 on it goes
+    On the bundled OpenBLAS an n x n matrix with n < 400 goes through
+    zgesdd and matches np.linalg.svd bit for bit; from n = 400 on it goes
     through the two-stage reduction and matches it to rounding error.
     Without that OpenBLAS every size goes through np.linalg.svd.  With
     overwrite, a writeable Fortran-ordered complex matrix is the SVD's
@@ -177,24 +183,30 @@ def singular_values(matrix: np.ndarray, overwrite: bool = False) -> SingularSpec
 # One-stage zgesdd spends half its bidiagonalization flops in BLAS-2
 # sweeps; from n = _TWO_STAGE_MIN on, QR/LQ panels of _PANEL columns cut
 # the matrix to band form in BLAS-3 first.  Values only, one BLAS thread,
-# min of 2-3 runs on a shared 2-vCPU Intel Xeon with numpy 2.4's bundled
-# OpenBLAS 0.3.31:
+# min of 5 runs (3 from n = 841, 1 at 2,401) on a shared 2-vCPU Intel
+# Xeon with numpy 2.4's bundled OpenBLAS 0.3.31:
 #
 #   n       zgesdd   two-stage
-#   441     36 ms    40 ms
-#   529     66 ms    61 ms
-#   625     111 ms   93 ms
-#   841     279 ms   193 ms
-#   1,089   606 ms   353 ms
-#   1,369   1.15 s   0.63 s
-#   2,401   5.9 s    2.7 s
+#   361     17 ms    19 ms
+#   380     20 ms    21 ms
+#   400     24 ms    24 ms
+#   441     35 ms    30 ms
+#   529     66 ms    46 ms
+#   625     111 ms   68 ms
+#   841     278 ms   141 ms
+#   1,089   595 ms   272 ms
+#   1,369   1.16 s   0.49 s
+#   2,401   5.9 s    2.2 s
 #
-# The panel must be wider than 32: OpenBLAS's zunmqr and zunmlq block at
-# NB = 32 and run unblocked BLAS-2 code for k <= 32 reflectors.  At
-# n = 1,369 stage one took 1.9 s at 32 columns and 0.40 s at 40; widths
-# 33-44 were within 2% of each other.
-_TWO_STAGE_MIN = 512
-_PANEL = 40
+# Applied as compact-WY blocks, the panels are BLAS-3 at any width, and
+# zgbbrd's Givens sweeps cost n^2 times the band width, so the band is
+# narrow.  The four SVDs of a scan (n = 625, 841, 1,089, 1,369) took,
+# min of 3 each:
+#
+#   _PANEL   16       20       24       28       32
+#   total    973 ms   973 ms   988 ms   1.04 s   1.06 s
+_TWO_STAGE_MIN = 400
+_PANEL = 20
 
 
 def _check(routine: str, info: int) -> None:
@@ -209,13 +221,22 @@ def _two_stage_values(lib, a: np.ndarray) -> np.ndarray:
     Stage one overwrites a: each panel of _PANEL columns is QR-factored
     and its Q^H applied to the columns right of it, then the panel's rows
     right of it are LQ-factored and that Q^H applied to the rows below.
-    This leaves a upper triangular with _PANEL superdiagonals, and the
-    reflectors where the zeros were.  Stage two copies that band into
-    LAPACK band storage, zgbbrd reduces it to a real bidiagonal, and
-    dbdsqr takes that bidiagonal's values without vectors.
+    Each panel's reflectors reach the trailing matrix as one compact-WY
+    block (zlarft builds its triangular factor T, zlarfb applies it), so
+    the update is BLAS-3 at any panel width.  This leaves a upper
+    triangular with _PANEL superdiagonals, and the reflectors where the
+    zeros were.  Stage two copies that band into LAPACK band storage,
+    zgbbrd reduces it to a real bidiagonal, and dbdsqr takes that
+    bidiagonal's values without vectors.  Every call is a LAPACKE `_work`
+    variant on the buffers allocated here: an n x _PANEL complex work
+    array, the _PANEL x _PANEL T and a real array of 4n.
     """
     n, b = a.shape[0], _PANEL
     tau = np.empty(b, dtype=complex)
+    t = np.empty((b, b), dtype=complex, order="F")
+    work = np.empty(n * b, dtype=complex)
+    rwork = np.empty(4 * n)
+    tau_p, t_p, work_p = tau.ctypes.data, t.ctypes.data, work.ctypes.data
 
     def at(i: int, j: int) -> int:  # address of a[i, j]
         return a.ctypes.data + (i + j * n) * a.itemsize
@@ -223,28 +244,35 @@ def _two_stage_values(lib, a: np.ndarray) -> np.ndarray:
     for i in range(0, n, b):
         width = min(b, n - i)
         rest = n - i - width
-        _check("zgeqrf", lib.scipy_LAPACKE_zgeqrf64_(
-            _LAPACK_COL_MAJOR, n - i, width, at(i, i), n, tau.ctypes.data))
+        _check("zgeqrf", lib.scipy_LAPACKE_zgeqrf_work64_(
+            _LAPACK_COL_MAJOR, n - i, width, at(i, i), n, tau_p, work_p, work.size))
         if rest == 0:
             break
-        _check("zunmqr", lib.scipy_LAPACKE_zunmqr64_(
-            _LAPACK_COL_MAJOR, b"L", b"C", n - i, rest, b, at(i, i), n,
-            tau.ctypes.data, at(i, i + b), n))
-        _check("zgelqf", lib.scipy_LAPACKE_zgelqf64_(
-            _LAPACK_COL_MAJOR, b, rest, at(i, i + b), n, tau.ctypes.data))
-        _check("zunmlq", lib.scipy_LAPACKE_zunmlq64_(
-            _LAPACK_COL_MAJOR, b"R", b"C", rest, rest, min(b, rest), at(i, i + b), n,
-            tau.ctypes.data, at(i + b, i + b), n))
+        # Q^H from the left: H(1)...H(k) is I - V T V^H, applied as 'C'
+        _check("zlarft", lib.scipy_LAPACKE_zlarft_work64_(
+            _LAPACK_COL_MAJOR, b"F", b"C", n - i, b, at(i, i), n, tau_p, t_p, b))
+        _check("zlarfb", lib.scipy_LAPACKE_zlarfb_work64_(
+            _LAPACK_COL_MAJOR, b"L", b"C", b"F", b"C", n - i, rest, b, at(i, i), n,
+            t_p, b, at(i, i + b), n, work_p, rest))
+        k = min(b, rest)
+        _check("zgelqf", lib.scipy_LAPACKE_zgelqf_work64_(
+            _LAPACK_COL_MAJOR, b, rest, at(i, i + b), n, tau_p, work_p, work.size))
+        # zgelqf's Q is H(k)^H...H(1)^H, so Q^H = H(1)...H(k): trans 'N'
+        _check("zlarft", lib.scipy_LAPACKE_zlarft_work64_(
+            _LAPACK_COL_MAJOR, b"F", b"R", rest, k, at(i, i + b), n, tau_p, t_p, b))
+        _check("zlarfb", lib.scipy_LAPACKE_zlarfb_work64_(
+            _LAPACK_COL_MAJOR, b"R", b"N", b"F", b"R", rest, rest, k, at(i, i + b), n,
+            t_p, b, at(i + b, i + b), n, work_p, rest))
     band = np.zeros((b + 1, n), dtype=complex, order="F")
     for k in range(b + 1):  # band[b - k, j] = a[j - k, j]
         band[b - k, k:] = np.diagonal(a, k)
     d, e = np.empty(n), np.empty(n - 1)
-    _check("zgbbrd", lib.scipy_LAPACKE_zgbbrd64_(
+    _check("zgbbrd", lib.scipy_LAPACKE_zgbbrd_work64_(
         _LAPACK_COL_MAJOR, b"N", n, n, 0, 0, b, band.ctypes.data, b + 1,
-        d.ctypes.data, e.ctypes.data, None, 1, None, 1, None, 1))
-    _check("dbdsqr", lib.scipy_LAPACKE_dbdsqr64_(
+        d.ctypes.data, e.ctypes.data, None, 1, None, 1, None, 1, work_p, rwork.ctypes.data))
+    _check("dbdsqr", lib.scipy_LAPACKE_dbdsqr_work64_(
         _LAPACK_COL_MAJOR, b"U", n, 0, 0, 0, d.ctypes.data, e.ctypes.data,
-        None, 1, None, 1, None, 1))
+        None, 1, None, 1, None, 1, rwork.ctypes.data))
     return d
 
 

@@ -402,12 +402,12 @@ def test_outputs_do_not_depend_on_blas_threads():
     # OpenBLAS reads its thread count once, at import, so each count needs
     # a fresh interpreter.  The scan pins its SVDs to one BLAS thread
     # where numpy runs on its bundled OpenBLAS, so its whole output but
-    # wall_ms is compared; N = 12 (n = 625) runs the two-stage SVD, the
-    # smaller radii zgesdd.  Elsewhere the SVD's threaded blocking may round
-    # the last digit differently, and s_r_norm and weak_r_norm are
-    # skipped.  The suite's SVDs are of 25 x 25 matrices, small enough
-    # that its JSON is compared whole.  On a one-CPU host both runs use
-    # one thread.
+    # wall_ms is compared; N = 10 and 12 (n = 441 and 625) run the
+    # two-stage SVD, the smaller radii zgesdd.  Elsewhere the SVD's
+    # threaded blocking may round the last digit differently, and s_r_norm
+    # and weak_r_norm are skipped.  The suite's SVDs are of 25 x 25
+    # matrices, small enough that its JSON is compared whole.  On a
+    # one-CPU host both runs use one thread.
     code = (
         "import contextlib, io, json\n"
         "import nctorus.cli\n"
@@ -470,6 +470,26 @@ def test_factor_fails_on_a_nan_gap(capsys, monkeypatch):
     code, out, err = _run(capsys, ["factor", "--n-grid", "3"])
     assert code == 1 and out.count("\n") == 5
     assert err == "factorization gap nan exceeds tolerance 1.0e-12\n"
+
+
+def test_factor_json_stays_strict_with_a_nan_gap(capsys, monkeypatch):
+    # a NaN gap is written as the CSV's cell "nan", never as the bare
+    # token NaN that strict JSON parsers reject
+    gaps = nctorus.experiments.identity_gaps
+
+    def nan_second(k, pairs):
+        adjoint, factor = gaps(k, pairs)
+        factor[1] = float("nan")
+        return adjoint, factor
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setattr("nctorus.experiments.identity_gaps", nan_second)
+    code, out, _ = _run(capsys, ["factor", "--n-grid", "3", "--format", "json"])
+    doc = json.loads(out, parse_constant=refuse)
+    assert code == 1 and doc["passed"] is False
+    assert doc["max_error"] == "nan" and doc["records"][1]["factor_error"] == "nan"
 
 
 def test_factor_json(capsys):

@@ -1,6 +1,7 @@
 import glob
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -69,7 +70,7 @@ def _matrices(seed: int):
 
 
 def test_singular_values_match_numpy_bit_for_bit():
-    # below the two-stage crossover (n = 512; every size here is <= 300)
+    # below the two-stage crossover (n = 400; every size here is <= 300)
     # the bundled LAPACKE zgesdd is numpy's own routine and workspace, at
     # the process's thread count; C and Fortran input give the same bits
     for c_order, f_order in _matrices(5):
@@ -108,12 +109,13 @@ def _two_stage_cases(n: int):
     yield "zero", np.zeros((n, n), dtype=complex)
 
 
-@pytest.mark.parametrize("n", [512, 513, 530])
+@pytest.mark.parametrize("n", [400, 401, 512, 513, 530])
 def test_two_stage_matches_numpy(n):
-    # from n = 512 on, the bundled OpenBLAS runs the two-stage reduction in
-    # panels of 40 columns: 512 and 513 sit at the crossover, and 530 ends
-    # on a panel of 10.  It agrees with numpy's zgesdd to rounding error
-    assert schatten._TWO_STAGE_MIN == 512 and schatten._PANEL == 40
+    # from n = 400 on, the bundled OpenBLAS runs the two-stage reduction in
+    # panels of 20 columns: 400 sits at the crossover and is 20 panels,
+    # and the last LQ step has fewer than 20 reflectors at 401 (one), 512,
+    # 513 and 530 (10).  It agrees with numpy's zgesdd to rounding error
+    assert schatten._TWO_STAGE_MIN == 400 and schatten._PANEL == 20
     spectra = {}
     for name, a in _two_stage_cases(n):
         expected = np.linalg.svd(a, compute_uv=False)
@@ -133,15 +135,36 @@ def test_two_stage_matches_numpy(n):
         assert not np.array_equal(handed_over, a)  # it was the workspace
 
 
+def test_two_stage_allocates_only_the_band_and_its_workspace():
+    # handed a Fortran matrix, the two-stage SVD allocates the (b+1) x n
+    # band and the n x b work array, 16 B per entry each, and under 64 KiB
+    # of small arrays (T, tau, d, e, the 4n real work array and the
+    # spectrum's checks); a copy of the 625 x 625 matrix would be 6.25 MB
+    if schatten._openblas() is None:
+        pytest.skip("numpy does not run on its bundled OpenBLAS here")
+    n, b = 625, schatten._PANEL
+    a = np.asfortranarray(next(_two_stage_cases(n))[1])
+    tracemalloc.start()
+    try:
+        singular_values(a, overwrite=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (2 * b + 1) * n + 2**16, peak
+
+
 @pytest.mark.parametrize("routine, n", [
-    ("zgesdd", 25), ("zgeqrf", 512), ("zunmqr", 512), ("zgelqf", 512),
-    ("zunmlq", 512), ("zgbbrd", 512), ("dbdsqr", 512),
+    ("zgesdd", 25), ("zgeqrf", 512), ("zlarft", 512), ("zlarfb", 512), ("zgelqf", 512),
+    ("zgbbrd", 512), ("dbdsqr", 512),
 ])
 def test_a_failed_lapack_routine_is_named(monkeypatch, routine, n):
+    # zgesdd is the high-level LAPACKE call; the two-stage path calls the
+    # `_work` variants, which take the caller's workspace
     lib = schatten._openblas()
     if lib is None:
         pytest.skip("numpy does not run on its bundled OpenBLAS here")
-    monkeypatch.setattr(lib, f"scipy_LAPACKE_{routine}64_", lambda *args: -4)
+    variant = "_work" if n >= schatten._TWO_STAGE_MIN else ""
+    monkeypatch.setattr(lib, f"scipy_LAPACKE_{routine}{variant}64_", lambda *args: -4)
     with pytest.raises(np.linalg.LinAlgError, match=f"^{routine} failed with info = -4$"):
         singular_values(np.eye(n, dtype=complex))
 
