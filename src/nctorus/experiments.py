@@ -439,6 +439,7 @@ _SCAN_WIDTH = 2  # grid points in flight, so at most two n x n matrices
 def _scan_one(config: ExperimentConfig, radius: int) -> list:
     t0 = time.perf_counter()
     k = kernel_source(config, radius)
+    # the transpose of the kernel matrix: same spectrum, contiguous writes
     k_mat = np.empty((k.box.cardinality,) * 2, dtype=complex, order="F")
     sob = _lifted_extremes(k.box, _assembling(k, k_mat), config.alpha1, config.alpha2)[2]
     spectrum = singular_values(k_mat, overwrite=True)

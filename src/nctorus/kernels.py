@@ -189,10 +189,15 @@ def _matrix_rows(coeff_rows: np.ndarray, col_phases: np.ndarray, out=None) -> np
 
 
 def _assembling(k: NCKernel | KernelRows, matrix: np.ndarray):
-    """Pass k's row stream on, first writing each block's rows of kernel_matrix into matrix."""
+    """Pass k's row stream on, first writing each block into matrix as kernel_matrix(k).T.
+
+    A block's rows of kernel_matrix(k) go to the same columns of matrix.
+    The transpose has the same singular values, and in a Fortran-ordered
+    matrix each block's columns are one contiguous run of memory.
+    """
     col_phases = diagonal_phases(k.theta, k.box)
     for rows, block in k.row_blocks():
-        _matrix_rows(block, col_phases, out=matrix[rows])
+        _matrix_rows(block, col_phases, out=matrix[:, rows].T)
         yield rows, block
 
 

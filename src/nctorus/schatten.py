@@ -11,7 +11,8 @@ that library's LAPACKE through ctypes, on a Fortran-ordered matrix it
 may overwrite.  Below n = 400 it calls zgesdd, the routine and workspace
 numpy's own svd uses, so the values agree with numpy bit for bit at a
 given thread count.  From n = 400 on it runs a two-stage reduction (QR/LQ
-panels to band form, each panel applied as one compact-WY block, then
+panels to band form, each LQ panel factored as the QR of its contiguous
+conjugate transpose and each panel applied as one compact-WY block, then
 zgbbrd and dbdsqr), which does the same backward-stable work mostly in
 BLAS-3 and agrees with numpy to rounding error, not bit for bit.  The
 same binding lets the scan pin BLAS to one thread.  Any other numpy
@@ -46,12 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Nonincreasing nonnegative singular values."""
+    """Finite, nonnegative, nonincreasing singular values."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=float).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"singular values must be finite, got {arr[bad[0]]} at index {bad[0]}")
         if arr.size and (np.any(arr < 0) or np.any(np.diff(arr) > 0)):
             raise ValueError("singular values must be nonnegative and nonincreasing")
         arr.flags.writeable = False
@@ -71,10 +75,10 @@ def _openblas():
     Resolved on first use.  RTLD_NOLOAD only finds a library already in
     the process, so the handle is numpy's own and shares its thread
     setting.  Binds the thread setters, LAPACKE zgesdd below the
-    two-stage crossover, and from it on the `_work` variants of the six
-    routines of the two-stage SVD (zgeqrf, zgelqf, zlarft, zlarfb,
-    zgbbrd, dbdsqr), which take caller-held workspace and skip LAPACKE's
-    NaN scan of their input.  None when numpy bundles no scipy-openblas64
+    two-stage crossover, and from it on the `_work` variants of the five
+    routines of the two-stage SVD (zgeqrf, zlarft, zlarfb, zgbbrd,
+    dbdsqr), which take caller-held workspace and skip LAPACKE's NaN
+    scan of their input.  None when numpy bundles no scipy-openblas64
     (MKL, conda or macOS builds, numpy 1.x), when the build does not take
     int64 sizes, or when any of these symbols is missing.
     """
@@ -90,7 +94,7 @@ def _openblas():
         get_threads = lib.scipy_openblas_get_num_threads64_
         set_threads = lib.scipy_openblas_set_num_threads64_
         gesdd = lib.scipy_LAPACKE_zgesdd64_
-        factors = [lib.scipy_LAPACKE_zgeqrf_work64_, lib.scipy_LAPACKE_zgelqf_work64_]
+        geqrf = lib.scipy_LAPACKE_zgeqrf_work64_
         larft = lib.scipy_LAPACKE_zlarft_work64_
         larfb = lib.scipy_LAPACKE_zlarfb_work64_
         gbbrd = lib.scipy_LAPACKE_zgbbrd_work64_
@@ -105,8 +109,8 @@ def _openblas():
     layout, char, size, ptr = ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p
     # (layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt)
     gesdd.argtypes = [layout, char, size, size, ptr, size, ptr, ptr, size, ptr, size]
-    for factor in factors:  # (layout, m, n, a, lda, tau, work, lwork)
-        factor.argtypes = [layout, size, size, ptr, size, ptr, ptr, size]
+    # (layout, m, n, a, lda, tau, work, lwork)
+    geqrf.argtypes = [layout, size, size, ptr, size, ptr, ptr, size]
     # (layout, direct, storev, n, k, v, ldv, tau, t, ldt)
     larft.argtypes = [layout, char, char, size, size, ptr, size, ptr, ptr, size]
     # (layout, side, trans, direct, storev, m, n, k, v, ldv, t, ldt, c, ldc, work, ldwork)
@@ -117,7 +121,7 @@ def _openblas():
     )
     # (layout, uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work)
     bdsqr.argtypes = [layout, char] + [size] * 4 + [ptr, ptr] + [ptr, size] * 3 + [ptr]
-    for routine in [gesdd, *factors, larft, larfb, gbbrd, bdsqr]:
+    for routine in [gesdd, geqrf, larft, larfb, gbbrd, bdsqr]:
         routine.restype = size
     return lib
 
@@ -187,16 +191,16 @@ def singular_values(matrix: np.ndarray, overwrite: bool = False) -> SingularSpec
 # Xeon with numpy 2.4's bundled OpenBLAS 0.3.31:
 #
 #   n       zgesdd   two-stage
-#   361     17 ms    19 ms
-#   380     20 ms    21 ms
-#   400     24 ms    24 ms
-#   441     35 ms    30 ms
-#   529     66 ms    46 ms
-#   625     111 ms   68 ms
-#   841     278 ms   141 ms
-#   1,089   595 ms   272 ms
-#   1,369   1.16 s   0.49 s
-#   2,401   5.9 s    2.2 s
+#   361     17 ms    18 ms
+#   380     21 ms    20 ms
+#   400     25 ms    23 ms
+#   441     36 ms    29 ms
+#   529     67 ms    44 ms
+#   625     114 ms   66 ms
+#   841     277 ms   137 ms
+#   1,089   596 ms   265 ms
+#   1,369   1.16 s   0.48 s
+#   2,401   6.0 s    2.2 s
 #
 # Applied as compact-WY blocks, the panels are BLAS-3 at any width, and
 # zgbbrd's Givens sweeps cost n^2 times the band width, so the band is
@@ -204,7 +208,7 @@ def singular_values(matrix: np.ndarray, overwrite: bool = False) -> SingularSpec
 # min of 3 each:
 #
 #   _PANEL   16       20       24       28       32
-#   total    973 ms   973 ms   988 ms   1.04 s   1.06 s
+#   total    951 ms   950 ms   965 ms   1.01 s   1.03 s
 _TWO_STAGE_MIN = 400
 _PANEL = 20
 
@@ -220,22 +224,30 @@ def _two_stage_values(lib, a: np.ndarray) -> np.ndarray:
 
     Stage one overwrites a: each panel of _PANEL columns is QR-factored
     and its Q^H applied to the columns right of it, then the panel's rows
-    right of it are LQ-factored and that Q^H applied to the rows below.
-    Each panel's reflectors reach the trailing matrix as one compact-WY
-    block (zlarft builds its triangular factor T, zlarfb applies it), so
-    the update is BLAS-3 at any panel width.  This leaves a upper
-    triangular with _PANEL superdiagonals, and the reflectors where the
-    zeros were.  Stage two copies that band into LAPACK band storage,
-    zgbbrd reduces it to a real bidiagonal, and dbdsqr takes that
-    bidiagonal's values without vectors.  Every call is a LAPACKE `_work`
-    variant on the buffers allocated here: an n x _PANEL complex work
-    array, the _PANEL x _PANEL T and a real array of 4n.
+    right of it are LQ-factored and that Q applied to the rows below.
+    The rows are strided in a, so their LQ is the QR of their conjugate
+    transpose, copied into a contiguous buffer; L, that R's conjugate
+    transpose, goes back into a's band.  Each panel's reflectors reach
+    the trailing matrix as one compact-WY block (zlarft builds its
+    triangular factor T, zlarfb applies it), so the update is BLAS-3 at
+    any panel width.  This leaves in a's diagonal and its _PANEL
+    superdiagonals the band of an upper triangular matrix with a's
+    singular values; the entries outside it are leftovers.  Stage two
+    copies that band into LAPACK band storage, zgbbrd reduces it to
+    a real bidiagonal, and dbdsqr takes that bidiagonal's values without
+    vectors.  Every call is a LAPACKE `_work` variant on the buffers
+    allocated here: the (_PANEL + 1) x n band, whose storage first holds
+    each row panel's buffer, an n x _PANEL complex work array, the
+    _PANEL x _PANEL T and a real array of 4n.
     """
     n, b = a.shape[0], _PANEL
     tau = np.empty(b, dtype=complex)
     t = np.empty((b, b), dtype=complex, order="F")
     work = np.empty(n * b, dtype=complex)
     rwork = np.empty(4 * n)
+    # the row panels' buffers and, after stage one, the band: (b + 1) n
+    # entries hold any (n - b) x b panel
+    store = np.empty((b + 1) * n, dtype=complex)
     tau_p, t_p, work_p = tau.ctypes.data, t.ctypes.data, work.ctypes.data
 
     def at(i: int, j: int) -> int:  # address of a[i, j]
@@ -254,16 +266,26 @@ def _two_stage_values(lib, a: np.ndarray) -> np.ndarray:
         _check("zlarfb", lib.scipy_LAPACKE_zlarfb_work64_(
             _LAPACK_COL_MAJOR, b"L", b"C", b"F", b"C", n - i, rest, b, at(i, i), n,
             t_p, b, at(i, i + b), n, work_p, rest))
+        # the row panel P = a[i:i+b, i+b:] as the QR of its contiguous
+        # conjugate transpose: P^H = Q R gives P Q = [R^H 0], so the rows
+        # below take Q from the right, trans 'N'
         k = min(b, rest)
-        _check("zgelqf", lib.scipy_LAPACKE_zgelqf_work64_(
-            _LAPACK_COL_MAJOR, b, rest, at(i, i + b), n, tau_p, work_p, work.size))
-        # zgelqf's Q is H(k)^H...H(1)^H, so Q^H = H(1)...H(k): trans 'N'
+        panel = store[: rest * b].reshape((rest, b), order="F")
+        panel[...] = a[i : i + b, i + b :].T  # np.conjugate across layouts would buffer
+        np.conjugate(panel, out=panel)
+        _check("zgeqrf", lib.scipy_LAPACKE_zgeqrf_work64_(
+            _LAPACK_COL_MAJOR, rest, b, panel.ctypes.data, rest, tau_p, work_p, work.size))
         _check("zlarft", lib.scipy_LAPACKE_zlarft_work64_(
-            _LAPACK_COL_MAJOR, b"F", b"R", rest, k, at(i, i + b), n, tau_p, t_p, b))
+            _LAPACK_COL_MAJOR, b"F", b"C", rest, k, panel.ctypes.data, rest, tau_p, t_p, b))
         _check("zlarfb", lib.scipy_LAPACKE_zlarfb_work64_(
-            _LAPACK_COL_MAJOR, b"R", b"N", b"F", b"R", rest, rest, k, at(i, i + b), n,
-            t_p, b, at(i + b, i + b), n, work_p, rest))
-    band = np.zeros((b + 1, n), dtype=complex, order="F")
+            _LAPACK_COL_MAJOR, b"R", b"N", b"F", b"C", rest, rest, k, panel.ctypes.data,
+            rest, t_p, b, at(i + b, i + b), n, work_p, rest))
+        # R^H is lower triangular; the band reads only its triangle
+        triangle = a[i : i + b, i + b : i + b + k]
+        triangle[...] = panel[:k].T
+        np.conjugate(triangle, out=triangle)
+    band = store.reshape((b + 1, n), order="F")
+    band.fill(0)
     for k in range(b + 1):  # band[b - k, j] = a[j - k, j]
         band[b - k, k:] = np.diagonal(a, k)
     d, e = np.empty(n), np.empty(n - 1)

@@ -911,14 +911,36 @@ def test_streamed_runners_match_the_held_kernel(monkeypatch, d, radius):
     monkeypatch.setattr(experiments, "singular_values", kept)
     records = run_theorem_scan(config)
     (matrix,) = matrices
-    assert np.array_equal(matrix, kernel_matrix(k))
+    assert np.array_equal(matrix, kernel_matrix(k).T)  # the scan's SVD takes the transpose
     # the scan takes its SVDs at one BLAS thread where it can pin one
     with schatten._one_blas_thread():
-        spectrum = singular_values(kernel_matrix(k))
+        spectrum = singular_values(kernel_matrix(k).T)
     for rec in records:
         assert rec.sobolev_norm == mixed_sobolev_norm(k, config.alpha1, config.alpha2)
         assert rec.s_r_norm == schatten_norm(spectrum, rec.r)
         assert rec.weak_r_norm == weak_norm(spectrum, rec.r)
+
+
+def test_scan_spectrum_matches_the_kernel_matrix(monkeypatch):
+    # the scan takes the SVD of kernel_matrix(k).T, which has the same
+    # values to rounding: through zgesdd at n = 361 and through the
+    # two-stage reduction at n = 441
+    config = ExperimentConfig(d=2, N_grid=(9, 10), seed=5)
+    spectra = {}
+
+    def kept(matrix, overwrite=False):
+        spectrum = singular_values(matrix, overwrite)
+        spectra[matrix.shape[0]] = spectrum.values
+        return spectrum
+
+    monkeypatch.setattr(experiments, "singular_values", kept)
+    run_theorem_scan(config)
+    assert sorted(spectra) == [361, 441] and 361 < schatten._TWO_STAGE_MIN <= 441
+    for radius in config.N_grid:
+        k = random_kernel(config.reduced, radius, *config.envelope_exponents(), config.seed)
+        expected = singular_values(kernel_matrix(k)).values
+        got = spectra[k.box.cardinality]
+        assert np.max(np.abs(got - expected)) <= 1e-13 * expected[0]
 
 
 def _traced_peak(run) -> int:

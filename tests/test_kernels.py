@@ -19,6 +19,7 @@ from nctorus.kernels import (
     _BLOCK_ENTRIES,
     KernelRows,
     NCKernel,
+    _assembling,
     _lift_rows,
     _lifted_extremes,
     _matrix_rows,
@@ -610,6 +611,22 @@ def test_held_and_streamed_kernels_reduce_alike(d, radius):
     )
     pairs = ((0.7, 1.4), (0.0, 0.0), (2.7, 0.3))
     assert identity_gaps(draw, pairs) == identity_gaps(k, pairs)
+
+
+@pytest.mark.parametrize("d, radius", _STREAM_BOXES)
+def test_assembling_writes_the_transposed_matrix(d, radius):
+    # held or streamed, the scan's assembly passes every block on as it
+    # came and leaves kernel_matrix(k).T in a Fortran matrix, bit for bit
+    theta, k, blocks = _stream_kernel(d, radius)
+    n = k.box.cardinality
+    for source in (k, _random_rows(theta, radius, 1.5, 2.0, 11)):
+        matrix = np.full((n, n), np.nan, dtype=complex, order="F")
+        passed = []
+        for rows, block in _assembling(source, matrix):
+            assert np.array_equal(block, k.coeffs[rows])
+            passed.append(rows)
+        assert passed == blocks
+        assert np.array_equal(matrix, kernel_matrix(k).T)
 
 
 def test_lifted_extremes_keeps_the_first_of_tied_maxima(red2):

@@ -137,7 +137,8 @@ def test_two_stage_matches_numpy(n):
 
 def test_two_stage_allocates_only_the_band_and_its_workspace():
     # handed a Fortran matrix, the two-stage SVD allocates the (b+1) x n
-    # band and the n x b work array, 16 B per entry each, and under 64 KiB
+    # band, whose storage first holds the row panels' buffers, and the n x b
+    # work array, 16 B per entry each, and under 64 KiB
     # of small arrays (T, tau, d, e, the 4n real work array and the
     # spectrum's checks); a copy of the 625 x 625 matrix would be 6.25 MB
     if schatten._openblas() is None:
@@ -154,8 +155,8 @@ def test_two_stage_allocates_only_the_band_and_its_workspace():
 
 
 @pytest.mark.parametrize("routine, n", [
-    ("zgesdd", 25), ("zgeqrf", 512), ("zlarft", 512), ("zlarfb", 512), ("zgelqf", 512),
-    ("zgbbrd", 512), ("dbdsqr", 512),
+    ("zgesdd", 25), ("zgeqrf", 512), ("zlarft", 512), ("zlarfb", 512), ("zgbbrd", 512),
+    ("dbdsqr", 512),
 ])
 def test_a_failed_lapack_routine_is_named(monkeypatch, routine, n):
     # zgesdd is the high-level LAPACKE call; the two-stage path calls the
@@ -232,6 +233,14 @@ def test_spectrum_type_validation():
         SingularSpectrum(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="nonincreasing"):
         SingularSpectrum(np.array([1.0, -0.5]))
+    # a NaN compares false both ways, so only a finite check catches it
+    with pytest.raises(ValueError, match=r"^singular values must be finite, got nan at index 0$"):
+        SingularSpectrum([np.nan, 2.0, 1.0])
+    with pytest.raises(ValueError, match=r"^singular values must be finite, got inf at index 0$"):
+        SingularSpectrum([np.inf, 1.0])
+    with pytest.raises(ValueError, match=r"^singular values must be finite, got -inf at index 2$"):
+        SingularSpectrum([2.0, 1.0, -np.inf])
+    assert len(SingularSpectrum([])) == 0
 
 
 def test_schatten_norm_basics():
