@@ -10,6 +10,7 @@ flags override.  Exit status is 0 exactly when every assertion passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -64,7 +65,13 @@ _NUMERIC_FLAGS = {
     "--s-margin": (_number, "envelope margin above alpha_i + d/2"),
 }
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    Parsing leaves it as it was, so every main call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="nctorus",
         description="Twisted-torus kernel experiments: property suite, "

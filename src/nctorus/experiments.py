@@ -441,7 +441,7 @@ def _scan_one(config: ExperimentConfig, radius: int) -> list:
     k = kernel_source(config, radius)
     # the transpose of the kernel matrix: same spectrum, contiguous writes
     k_mat = np.empty((k.box.cardinality,) * 2, dtype=complex, order="F")
-    sob = _lifted_extremes(k.box, _assembling(k, k_mat), config.alpha1, config.alpha2)[2]
+    sob = _lifted_extremes(_assembling(k, k_mat), config.alpha1, config.alpha2)[2]
     spectrum = singular_values(k_mat, overwrite=True)
     r_star = config.r_star
     records = []

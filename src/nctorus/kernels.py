@@ -14,15 +14,20 @@ plus a diagonal phase, which keeps Frobenius norms equal to kernel L2
 norms exactly.
 
 Every dense step works in row blocks of _BLOCK_ENTRIES entries.  A kernel
-here is anything with theta, box and row_blocks(), a stream of (rows,
-coefficient block) pairs: a held NCKernel streams its coeffs[rows], and
+here is anything with theta, box and row_blocks(part), a stream of (rows,
+coefficient block) pairs over the blocks part picks, all by default: a
+held NCKernel streams its coeffs[rows], and
 a KernelRows streams a draw as it is made (random_kernel fills its
 matrix from one).  Every reducer takes either: mixed_sobolev_norm and
 schwartz_coefficients (through _lifted_extremes) and identity_gaps (the
 adjoint gap and any number of factorization gaps, in one pass reading
 one block of kernel-matrix rows).  So the runners reduce a draw as it is
-made and never hold its n x n coefficients.  Each reducer allocates its
-block buffers once per call and writes into them with out=; the row
+made and never hold its n x n coefficients.  A reducer turns each block
+into a partial result and combines the partials in block order; through
+_folded it may reduce the two halves of the blocks on two threads at
+once, each half drawn from the same Philox stream by row_blocks(part),
+and the result is the same at either width.  Each reducer allocates its
+block buffers once per stream and writes into them with out=; the row
 forms _matrix_rows and _lift_rows and the column form _flip_cols take
 that out and are the bodies of kernel_matrix, sobolev_lift and
 flip_adjoint, so a block of any is bit for bit those rows or columns of
@@ -34,8 +39,10 @@ does not depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -44,8 +51,9 @@ import numpy as np
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, diagonal_phases
 from .lattice import LatticeBox, _guard_box, _sum_squares
-from .multipliers import _scaled_extremes, bessel_weights
+from .multipliers import _block_extremes, _scaled_extremes, bessel_weights
 from .records import JSON_ONLY
+from .schatten import _openblas
 
 __all__ = [
     "NCKernel",
@@ -67,14 +75,65 @@ __all__ = [
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _row_blocks(n: int):
+def _row_blocks(n: int, part: slice = slice(None)):
     """Slices covering range(n), each at most _BLOCK_ENTRIES // n rows of n.
 
-    A block has at least one row.
+    A block has at least one row.  part picks a run of the blocks by their
+    index, all of them by default.
     """
     rows = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
+    for start in range(0, n, rows)[part]:
         yield slice(start, min(start + rows, n))
+
+
+def _halves(n: int) -> tuple:
+    """The two parts of _row_blocks(n) that _folded reduces apart; the first may be empty."""
+    split = len(range(0, n, max(1, _BLOCK_ENTRIES // n))) // 2
+    return slice(0, split), slice(split, None)
+
+
+def _fold_width() -> int:
+    """Halves of a row stream _folded runs at once: the scan's rule for its pool.
+
+    Two where the bundled OpenBLAS reports two threads or more, else one.
+    Inside the scan, which pins BLAS to one thread, it is one, so the
+    scan's folds never start threads of their own.
+    """
+    lib = _openblas()
+    return 1 if lib is None else min(2, lib.scipy_openblas_get_num_threads64_())
+
+
+def _folded(k: NCKernel | KernelRows, fold: Callable) -> list:
+    """fold's per-block partials over all of k's row blocks, in block order.
+
+    fold takes a row stream, k.row_blocks(part), allocates its own block
+    buffers and returns a list with one partial per block.  At width two,
+    on two blocks or more, the first half of the blocks is folded on a
+    second thread, in the caller's context (numpy's error state included),
+    while the calling thread folds the second half.  A block's partial
+    does not depend on which thread made it, so the list is the same at
+    either width.
+    """
+    first, second = _halves(k.box.cardinality)
+    if _fold_width() < 2 or first.stop == 0:
+        return fold(k.row_blocks())
+    head = []
+
+    def run_first() -> None:
+        try:
+            head.append(fold(k.row_blocks(first)))
+        except BaseException as exc:  # re-raised in the calling thread
+            head.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_first,))
+    worker.start()
+    try:
+        tail = fold(k.row_blocks(second))
+    finally:
+        worker.join()
+    if isinstance(head[0], BaseException):
+        raise head[0]
+    return head[0] + tail
 
 
 def _block_buffer(n: int, dtype=complex) -> np.ndarray:
@@ -110,9 +169,9 @@ class NCKernel:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
-    def row_blocks(self):
+    def row_blocks(self, part: slice = slice(None)):
         """The coefficients as a row stream: (rows, coeffs[rows]) over _row_blocks."""
-        for rows in _row_blocks(self.box.cardinality):
+        for rows in _row_blocks(self.box.cardinality, part):
             yield rows, self.coeffs[rows]
 
     def l2_norm(self) -> float:
@@ -139,9 +198,10 @@ class NCKernel:
 class KernelRows(NamedTuple):
     """A kernel given by its row stream alone.
 
-    row_blocks() yields (rows, coefficient block) over _row_blocks of the
-    box, as NCKernel.row_blocks does; each block is valid until the next,
-    and each call streams the same rows afresh.
+    row_blocks(part) yields (rows, coefficient block) over _row_blocks of
+    the box, as NCKernel.row_blocks does; each block is valid until the
+    next, and each call streams the same rows afresh, into buffers of its
+    own, so two calls may stream at once.
     """
 
     theta: ReducedTheta
@@ -188,17 +248,21 @@ def _matrix_rows(coeff_rows: np.ndarray, col_phases: np.ndarray, out=None) -> np
     return np.multiply(coeff_rows[:, ::-1], col_phases[None, :], out=out)
 
 
-def _assembling(k: NCKernel | KernelRows, matrix: np.ndarray):
-    """Pass k's row stream on, first writing each block into matrix as kernel_matrix(k).T.
+def _assembling(k: NCKernel | KernelRows, matrix: np.ndarray) -> KernelRows:
+    """k's row stream, passing each block on after writing it into matrix as kernel_matrix(k).T.
 
     A block's rows of kernel_matrix(k) go to the same columns of matrix.
     The transpose has the same singular values, and in a Fortran-ordered
     matrix each block's columns are one contiguous run of memory.
     """
     col_phases = diagonal_phases(k.theta, k.box)
-    for rows, block in k.row_blocks():
-        _matrix_rows(block, col_phases, out=matrix[:, rows].T)
-        yield rows, block
+
+    def row_blocks(part: slice = slice(None)):
+        for rows, block in k.row_blocks(part):
+            _matrix_rows(block, col_phases, out=matrix[:, rows].T)
+            yield rows, block
+
+    return KernelRows(k.theta, k.box, row_blocks)
 
 
 def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKernel:
@@ -232,24 +296,28 @@ def _lift_rows(
     return lifted
 
 
-def _lifted_extremes(box: LatticeBox, blocks, alpha1: float, alpha2: float) -> tuple:
-    """(max, flat index of the first max, L2 norm) of the lifted moduli of a row stream.
+def _lifted_extremes(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -> tuple:
+    """(max, flat index of the first max, L2 norm) of the lifted moduli of k.
 
-    blocks yields (rows, coefficient block) over _row_blocks of the box;
-    the orders are checked before the first block is read.
+    The orders are checked before the first block is read.  Each block
+    gives its _block_extremes part, and the parts combine in block order.
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
-    w1 = bessel_weights(alpha1, box)
-    w2 = bessel_weights(alpha2, box)
-    buf = _block_buffer(box.cardinality, float)
+    n = k.box.cardinality
+    w1 = bessel_weights(alpha1, k.box)
+    w2 = bessel_weights(alpha2, k.box)
 
-    def lifted():
+    def fold(blocks) -> list:
+        buf = _block_buffer(n, float)
+        parts = []
         for rows, block in blocks:
             moduli = np.abs(block, out=buf[: rows.stop - rows.start])
-            yield _lift_rows(moduli, w1[rows], w2, out=moduli)
+            lifted = _lift_rows(moduli, w1[rows], w2, out=moduli)
+            parts.append(_block_extremes(lifted, rows.start * n))
+        return parts
 
-    return _scaled_extremes(lifted())
+    return _scaled_extremes(_folded(k, fold))
 
 
 def mixed_sobolev_norm(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -> float:
@@ -259,7 +327,7 @@ def mixed_sobolev_norm(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -
     through sobolev_lift directly.  The norm is finite wherever the largest
     lifted modulus is, and NaN or inf with it.
     """
-    return _lifted_extremes(k.box, k.row_blocks(), alpha1, alpha2)[2]
+    return _lifted_extremes(k, alpha1, alpha2)[2]
 
 
 def flip_adjoint(k: NCKernel) -> NCKernel:
@@ -304,8 +372,10 @@ def identity_gaps(k: NCKernel | KernelRows, pairs) -> tuple:
     is 0.  Multipliers stay vectors: B on the left scales rows, on the
     right columns, of row blocks built by the row forms of kernel_matrix
     and sobolev_lift.  Each block's rows of kernel_matrix are built once
-    and every gap reads them; the gaps share three more block buffers, one
-    after another.
+    and every gap reads them; the gaps share two more block buffers, the
+    scratch one holding the lifted rows and then the left side.  Each block
+    gives its squared norms of lhs and lhs - rhs per gap, and these are
+    added up in block order.
     """
     n = k.box.cardinality
     col_phases = diagonal_phases(k.theta, k.box)
@@ -314,32 +384,42 @@ def identity_gaps(k: NCKernel | KernelRows, pairs) -> tuple:
         (bessel_weights(a1, k.box), bessel_weights(a2, k.box), bessel_weights(-a2, k.box))
         for a1, a2 in pairs
     ]
-    k_buf, lhs_buf, rhs_buf, scratch_buf = (_block_buffer(n) for _ in range(4))
+
+    def sums(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+        """(||lhs||^2, ||lhs - rhs||^2) of one block; rhs becomes lhs - rhs."""
+        lhs_sq = _sum_squares(lhs)
+        np.subtract(lhs, rhs, out=rhs)
+        return lhs_sq, _sum_squares(rhs)
+
+    def fold(blocks) -> list:
+        k_buf, rhs_buf, scratch_buf = (_block_buffer(n) for _ in range(3))
+        parts = []
+        for rows, block in blocks:
+            height = rows.stop - rows.start
+            k_rows = _matrix_rows(block, col_phases, out=k_buf[:height])
+            rhs, scratch = rhs_buf[:height], scratch_buf[:height]
+            # K's rows p against the conjugate of A's columns p: column -p of
+            # the flip-adjoint times sigma(p, -p), built from row p of the kernel
+            a_cols = _flip_cols(
+                block, star_phases, star_phases[::-1][rows], out=rhs.T, scratch=scratch.T
+            )
+            a_cols *= col_phases[None, rows]
+            np.conjugate(a_cols, out=a_cols)
+            part = [sums(k_rows, rhs)]
+            for w1, w2, w2_inv in weights:
+                _matrix_rows(_lift_rows(block, w1[rows], w2, out=scratch), col_phases, out=rhs)
+                rhs *= w2_inv[None, :]
+                lhs = np.multiply(k_rows, w1[rows, None], out=scratch)
+                part.append(sums(lhs, rhs))
+            parts.append(part)
+        return parts
+
     norm_sq = [0.0] * (1 + len(weights))
     gap_sq = [0.0] * (1 + len(weights))
-
-    def add(i: int, lhs: np.ndarray, rhs: np.ndarray) -> None:
-        norm_sq[i] += _sum_squares(lhs)
-        np.subtract(lhs, rhs, out=rhs)
-        gap_sq[i] += _sum_squares(rhs)
-
-    for rows, block in k.row_blocks():
-        height = rows.stop - rows.start
-        k_rows = _matrix_rows(block, col_phases, out=k_buf[:height])
-        lhs, rhs, scratch = lhs_buf[:height], rhs_buf[:height], scratch_buf[:height]
-        # K's rows p against the conjugate of A's columns p: column -p of
-        # the flip-adjoint times sigma(p, -p), built from row p of the kernel
-        a_cols = _flip_cols(
-            block, star_phases, star_phases[::-1][rows], out=rhs.T, scratch=scratch.T
-        )
-        a_cols *= col_phases[None, rows]
-        np.conjugate(a_cols, out=a_cols)
-        add(0, k_rows, rhs)
-        for i, (w1, w2, w2_inv) in enumerate(weights, 1):
-            np.multiply(k_rows, w1[rows, None], out=lhs)
-            _matrix_rows(_lift_rows(block, w1[rows], w2, out=scratch), col_phases, out=rhs)
-            rhs *= w2_inv[None, :]
-            add(i, lhs, rhs)
+    for part in _folded(k, fold):
+        for i, (lhs_sq, diff_sq) in enumerate(part):
+            norm_sq[i] += lhs_sq
+            gap_sq[i] += diff_sq
     gaps = [math.sqrt(g) for g in gap_sq]
     gaps = [g / math.sqrt(s) if s != 0.0 else g for g, s in zip(gaps, norm_sq)]
     return gaps[0], gaps[1:]
@@ -385,7 +465,7 @@ def schwartz_coefficients(
     box = h.box
     if s0 <= box.d:
         raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {box.d}")
-    worst, flat, lifted_norm = _lifted_extremes(box, h.row_blocks(), alpha1 + s0, alpha2 + s0)
+    worst, flat, lifted_norm = _lifted_extremes(h, alpha1 + s0, alpha2 + s0)
     pts = box.enumerate()
     i, j = divmod(flat, box.cardinality)
     worst_index = (tuple(int(v) for v in pts[i]), tuple(int(v) for v in pts[j]))
@@ -432,13 +512,17 @@ def _random_rows(
     return KernelRows(theta, box, functools.partial(_draw_blocks, w1, w2, seed))
 
 
-def _draw_blocks(w1: np.ndarray, w2: np.ndarray, seed: int):
+def _draw_blocks(w1: np.ndarray, w2: np.ndarray, seed: int, part: slice = slice(None)):
     """Yield (rows, block) of the random kernel with envelope weights w1 x w2.
 
-    The uniforms are drawn one row block at a time; the generator continues
-    its stream from block to block, so the blocks are those of a single
-    n x n draw.  Each block is written into one buffer, valid until the
-    next block is drawn.  The phase is evaluated in the tangent form
+    The uniforms are drawn one row block at a time, over the blocks part
+    picks; the generator starts at the first block's first entry and
+    continues its stream from block to block, so the blocks are those of
+    a single n x n draw.  Philox makes four doubles per counter step: the
+    start is reached by advancing the counter start // 4 steps and
+    discarding start % 4 doubles.  Each block is written into one buffer
+    of this call's own, valid until the next block is drawn.  The phase is
+    evaluated in the tangent form
     e^{2 pi i u} = ((1 - t^2) + 2it)/(1 + t^2) with t = tan(pi u), one
     vectorised tan per entry and no complex exp; t stays finite because
     pi * u rounds below pi/2 at u = 1/2, and t^2 stays below 3e32.  The
@@ -446,10 +530,15 @@ def _draw_blocks(w1: np.ndarray, w2: np.ndarray, seed: int):
     build may round the last digit differently.
     """
     n = w2.size
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    blocks = list(_row_blocks(n, part))
+    if not blocks:
+        return
+    start = blocks[0].start * n
+    rng = np.random.Generator(np.random.Philox(key=seed).advance(start // 4))
+    rng.random(start % 4)
     t_buf = _block_buffer(n, float)
     block_buf = _block_buffer(n)
-    for rows in _row_blocks(n):
+    for rows in blocks:
         height = rows.stop - rows.start
         t, block = t_buf[:height], block_buf[:height]
         rng.random(out=t)

@@ -90,27 +90,44 @@ def apply_multiplier(weights: np.ndarray, x: TorusElement) -> TorusElement:
     return TorusElement(x.theta, x.box, x.coeffs * weights)
 
 
-def _scaled_extremes(blocks) -> tuple:
-    """(max, flat index of its first occurrence, L2 norm) of blocks of nonnegative reals.
+def _block_extremes(block: np.ndarray, offset: int) -> tuple:
+    """(peak, flat index of its first occurrence, scaled sum of squares) of one block.
 
-    The blocks, read in order as one flat array, are each divided in place
-    by the largest entry so far before they are squared, so the norm is
-    finite wherever the max is.  A NaN makes both NaN, else an inf both inf.
+    The block holds nonnegative reals and starts at flat index offset of
+    the whole.  The sum is that of the block divided, in place, by its own
+    peak, so it is finite wherever the peak is; it is 0 where the peak is
+    0, NaN or inf, which _scaled_extremes then reports as it is.
     """
-    top, where, sumsq, offset = 0.0, 0, 0.0, 0
-    for block in blocks:
-        i = int(np.argmax(block))  # the first NaN, if the block holds one
-        peak = float(block.flat[i])
+    i = int(np.argmax(block))  # the first NaN, if the block holds one
+    peak = float(block.flat[i])
+    if not 0.0 < peak < math.inf:
+        return peak, offset + i, 0.0
+    block /= peak
+    return peak, offset + i, _sum_squares(block)
+
+
+def _scaled_extremes(parts) -> tuple:
+    """(max, flat index of its first occurrence, L2 norm) from _block_extremes parts.
+
+    The parts come in block order, so the first of tied maxima is the
+    first met, and a NaN wins over any number, inf included.  Each block's
+    scaled sum is rescaled by (peak / max)^2 as it is added, so the norm is
+    finite wherever the max is; a NaN max makes the norm NaN, else an inf
+    one inf.  The sums are added in block order, whichever thread made them.
+    """
+    top, where = 0.0, 0
+    for peak, i, _ in parts:
         if peak > top or (math.isnan(peak) and not math.isnan(top)):
-            sumsq *= (top / peak) ** 2
-            top, where = peak, offset + i
-        offset += block.size
-        if 0.0 < top < math.inf:
-            block /= top
-            sumsq += _sum_squares(block)
-    return top, where, (top * math.sqrt(sumsq) if top < math.inf else top)
+            top, where = peak, i
+    if not 0.0 < top < math.inf:
+        return top, where, top
+    sumsq = 0.0
+    for peak, _, part_sumsq in parts:
+        sumsq += part_sumsq * (peak / top) ** 2
+    return top, where, top * math.sqrt(sumsq)
 
 
 def sobolev_norm(x: TorusElement, alpha: float) -> float:
     """The order-alpha Sobolev norm: L2 norm after the Bessel multiplier."""
-    return _scaled_extremes([np.abs(x.coeffs) * bessel_weights(alpha, x.box)])[2]
+    moduli = np.abs(x.coeffs) * bessel_weights(alpha, x.box)
+    return _scaled_extremes([_block_extremes(moduli, 0)])[2]

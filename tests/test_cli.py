@@ -536,6 +536,31 @@ def test_cli_rejects_malformed_grid():
         main(["scan", "--n-grid", "3,x"])
 
 
+def test_calls_in_one_process_write_what_separate_runs_write(tmp_path):
+    # the parser is built once per process: a call after others, with
+    # another subcommand or without the flags a former call gave, writes
+    # the bytes a fresh interpreter writes
+    calls = (
+        ["decay", "--alpha", "3", "--n-grid", "5,10"],
+        ["schwartz", "--n", "3", "--s0", "4.5", "--format", "json"],
+        ["factor", "--n-grid", "2,3", "--seed", "5"],
+        ["decay", "--n-grid", "5,10"],
+        ["schwartz", "--n", "3"],
+    )
+    assert build_parser() is build_parser()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nctorus.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for i, argv in enumerate(calls):
+        shared, fresh = tmp_path / f"shared-{i}", tmp_path / f"fresh-{i}"
+        assert main(argv + ["--out", str(shared)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "nctorus.cli", *argv, "--out", str(fresh)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert shared.read_bytes() == fresh.read_bytes(), argv
+
+
 def test_parser_metadata():
     parser = build_parser()
     assert parser.prog == "nctorus"

@@ -1,8 +1,12 @@
+import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from nctorus import kernels
 from nctorus.algebra import (
     TorusElement,
     involution,
@@ -20,6 +24,7 @@ from nctorus.kernels import (
     KernelRows,
     NCKernel,
     _assembling,
+    _halves,
     _lift_rows,
     _lifted_extremes,
     _matrix_rows,
@@ -320,11 +325,11 @@ def test_lifted_norms_carry_nan_and_inf(red2):
     coeffs = k.coeffs.copy()
     coeffs[2, 7], coeffs[n - 3, 1], coeffs[n - 1, 0] = np.inf, np.nan, np.nan
     k_bad = NCKernel(red2, k.box, coeffs.copy())
-    top, where, norm = _lifted_extremes(k.box, k_bad.row_blocks(), 0.5, 0.5)
+    top, where, norm = _lifted_extremes(k_bad, 0.5, 0.5)
     assert np.isnan(top) and np.isnan(norm) and where == (n - 3) * n + 1
     coeffs[n - 3, 1] = coeffs[n - 1, 0] = 0.0
     k_bad = NCKernel(red2, k.box, coeffs)
-    top, where, norm = _lifted_extremes(k.box, k_bad.row_blocks(), 0.5, 0.5)
+    top, where, norm = _lifted_extremes(k_bad, 0.5, 0.5)
     assert (top, where, norm) == (np.inf, 2 * n + 7, np.inf)
     # the element norm shares the reduction
     x = random_element(red2, LatticeBox(2, 2), np.random.default_rng(31))
@@ -453,7 +458,9 @@ def test_random_kernel_envelope_exact(red2):
 
 # Traced peak of each dense step at radius 10 (441 points): the n x n
 # arrays it holds, in bytes per entry, plus an allowance of four complex
-# row blocks and 2 B per entry for phase tables and weight vectors.
+# row blocks for each of the two halves a reduction may run at once, and
+# 2 B per entry for phase tables and weight vectors.  The allowance stays
+# below one n x n complex array (8 x 256 KiB against 3.0 MiB).
 _STEP_PEAKS = {
     "random_kernel": (16, lambda k: random_kernel(k.theta, 10, 1.0, 1.0, 5)),
     "sobolev_lift": (16, lambda k: sobolev_lift(k, 1.0, 1.0)),
@@ -469,7 +476,7 @@ def test_random_kernel_peak_memory(red2):
     box = LatticeBox(2, 10)
     k = random_kernel(red2, 10, 2.5, 2.5, 5)
     entries = box.cardinality**2
-    allowance = 4 * 16 * _BLOCK_ENTRIES + 2 * entries
+    allowance = 2 * 4 * 16 * _BLOCK_ENTRIES + 2 * entries
     peaks = {}
     for step, (_, run) in _STEP_PEAKS.items():
         tracemalloc.start()
@@ -578,7 +585,7 @@ def test_streamed_reductions_match_full_matrix_forms(d, radius):
     pairs = ((0.0, 0.0), (1.0, 1.0), (2.7, 0.3))
     adjoint, factor = identity_gaps(k, pairs)
     for (a1, a2), gap in zip(pairs, factor, strict=True):
-        top, where, norm = _lifted_extremes(k.box, k.row_blocks(), a1, a2)
+        top, where, norm = _lifted_extremes(k, a1, a2)
         ref_top, ref_where, ref_norm = _lifted_reference(k, a1, a2)
         assert (top, where) == (ref_top, ref_where)
         assert norm == pytest.approx(ref_norm, rel=1e-13)
@@ -622,7 +629,7 @@ def test_assembling_writes_the_transposed_matrix(d, radius):
     for source in (k, _random_rows(theta, radius, 1.5, 2.0, 11)):
         matrix = np.full((n, n), np.nan, dtype=complex, order="F")
         passed = []
-        for rows, block in _assembling(source, matrix):
+        for rows, block in _assembling(source, matrix).row_blocks():
             assert np.array_equal(block, k.coeffs[rows])
             passed.append(rows)
         assert passed == blocks
@@ -633,9 +640,127 @@ def test_lifted_extremes_keeps_the_first_of_tied_maxima(red2):
     # equal moduli everywhere: the first entry of the first block wins
     box = LatticeBox(2, 10)
     k = NCKernel(red2, box, np.full((box.cardinality,) * 2, 1j))
-    top, where, norm = _lifted_extremes(box, k.row_blocks(), 0.0, 0.0)
+    top, where, norm = _lifted_extremes(k, 0.0, 0.0)
     assert (top, where) == (1.0, 0)
     assert norm == pytest.approx(box.cardinality, rel=1e-13)
+
+
+# Ranged draws and the two halves.  At d = 2, N = 10 a block holds
+# 37 x 441 = 16,317 entries, so block b starts b mod 4 entries past a
+# multiple of four, at every offset into a Philox counter step; the last
+# block is ragged.  At N = 2 the box is one block, and the first half is empty.
+_RANGE_BOXES = ((2, 10), (3, 3), (2, 2))
+
+
+@pytest.mark.parametrize("d, radius", _RANGE_BOXES)
+def test_ranged_draw_is_those_blocks_of_the_whole_draw(d, radius):
+    theta = reduce_theta(random_theta(d, np.random.default_rng(d)))
+    draw = _random_rows(theta, radius, 1.5, 2.0, 11)
+    whole = [(rows, block.copy()) for rows, block in draw.row_blocks()]
+    count = len(whole)
+    for start in range(count + 1):
+        for stop in range(start, count + 1):
+            part = [(rows, block.copy()) for rows, block in draw.row_blocks(slice(start, stop))]
+            assert [rows for rows, _ in part] == [rows for rows, _ in whole[start:stop]]
+            for (_, block), (_, expected) in zip(part, whole[start:stop]):
+                assert np.array_equal(block, expected)
+    first, second = _halves(draw.box.cardinality)
+    halves = [rows for part in (first, second) for rows, _ in draw.row_blocks(part)]
+    assert halves == [rows for rows, _ in whole]
+    assert (first.stop == 0) == (count == 1)
+
+
+def _at_width(monkeypatch, width: int, reduce):
+    """reduce() with _folded running width halves at once."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_fold_width", lambda: width)
+        return reduce()
+
+
+@pytest.mark.parametrize("d, radius", _STREAM_BOXES)
+def test_reductions_do_not_depend_on_the_width(monkeypatch, d, radius):
+    # held or streamed, every reducer returns the same floats at width one
+    # and two, and at two the first half of the blocks is read on a thread
+    # of its own while the calling thread reads the second
+    theta, k, _ = _stream_kernel(d, radius)
+    pairs = ((0.7, 1.4), (0.0, 0.0), (2.7, 0.3))
+    for source in (k, _random_rows(theta, radius, 1.5, 2.0, 11)):
+        reads = []
+
+        def row_blocks(part=slice(None), source=source):
+            reads.append(((part.start, part.stop), threading.get_ident()))
+            return source.row_blocks(part)
+
+        watched = KernelRows(source.theta, source.box, row_blocks)
+
+        def reduce():
+            return (
+                identity_gaps(watched, pairs),
+                mixed_sobolev_norm(watched, 0.7, 1.4),
+                schwartz_coefficients(watched, 0.7, 1.4, d + 1.0),
+            )
+
+        serial = _at_width(monkeypatch, 1, reduce)
+        assert reads == [((None, None), threading.get_ident())] * 3
+        reads.clear()
+        assert _at_width(monkeypatch, 2, reduce) == serial
+        first, second = _halves(k.box.cardinality)
+        threads = {part: thread for part, thread in reads}
+        assert len(reads) == 6 and set(threads) == {(0, first.stop), (second.start, None)}
+        assert threads[(second.start, None)] == threading.get_ident()
+        assert threads[(0, first.stop)] != threading.get_ident()
+
+
+def test_concurrent_reductions_keep_their_own_buffers(monkeypatch):
+    # four callers at width two run eight halves at once, switching
+    # threads every microsecond: a buffer shared between two streams would
+    # mix their blocks and move the results
+    theta, _, _ = _stream_kernel(2, 10)
+    draw = _random_rows(theta, 10, 1.5, 2.0, 11)
+
+    def reduce():
+        return identity_gaps(draw, [(0.7, 1.4)]), mixed_sobolev_norm(draw, 0.7, 1.4)
+
+    expected = _at_width(monkeypatch, 1, reduce)
+    monkeypatch.setattr(kernels, "_fold_width", lambda: 2)
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(reduce())) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+
+
+def test_lifted_extremes_across_the_halves(monkeypatch, red2):
+    # at either width the first of tied maxima is the one met first, and
+    # a NaN wins over an inf, whichever half holds either
+    box = LatticeBox(2, 10)
+    n = box.cardinality
+    boundary = next(_row_blocks(n, _halves(n)[1])).start  # first row of the second half
+    base = np.full((n, n), 0.5 + 0j)
+    base[3, 8] = base[boundary, 0] = base[n - 1, 2] = 2.0
+    cases = [
+        ({}, 2.0, 3 * n + 8, math.sqrt((n * n - 3) * 0.25 + 3 * 4.0)),
+        ({(5, 1): np.inf, (n - 3, 1): np.nan}, np.nan, (n - 3) * n + 1, np.nan),
+        ({(5, 1): np.nan, (n - 3, 1): np.inf}, np.nan, 5 * n + 1, np.nan),
+        ({(n - 3, 1): np.inf}, np.inf, (n - 3) * n + 1, np.inf),
+    ]
+    for bad, top, where, norm in cases:
+        coeffs = base.copy()
+        for index, value in bad.items():
+            coeffs[index] = value
+        k = NCKernel(red2, box, coeffs)
+        for width in (1, 2):
+            got = _at_width(monkeypatch, width, lambda: _lifted_extremes(k, 0.0, 0.0))
+            assert got[1] == where, (bad, width)
+            assert (got[0], got[2]) == pytest.approx((top, norm), rel=1e-13, nan_ok=True)
 
 
 def test_kernel_constructors_refuse_boxes_above_the_guard(red2):
