@@ -367,21 +367,30 @@ def identity_gaps(k: NCKernel | KernelRows, pairs) -> tuple:
     """(adjoint gap, [factorization gap per (a1, a2) in pairs]), in one pass over k.
 
     The adjoint gap is that of the flip-adjoint kernel's matrix A against
-    K^*; a factorization gap is that of B(a1) T_k = T_lift B(-a2), B(a) the
-    Bessel multiplier.  Each is ||lhs - rhs|| / ||lhs||, absolute if lhs
-    is 0.  Multipliers stay vectors: B on the left scales rows, on the
-    right columns, of row blocks built by the row forms of kernel_matrix
-    and sobolev_lift.  Each block's rows of kernel_matrix are built once
-    and every gap reads them; the gaps share two more block buffers, the
-    scratch one holding the lifted rows and then the left side.  Each block
-    gives its squared norms of lhs and lhs - rhs per gap, and these are
-    added up in block order.
+    K^*; a factorization gap is that of B(a1) T_k = T_lift R(-a2), B(a) the
+    Bessel multiplier and R(a) its reflection, which scales column p by
+    the weight at -p: the lift scales coefficient (m, n) by the weights
+    at m and n, and column p of the kernel matrix holds n = -p.  Each is
+    ||lhs - rhs|| / ||lhs||, absolute if lhs is 0.  Multipliers stay
+    vectors: B on the left scales rows, R on the right columns, of row
+    blocks built by the row forms of kernel_matrix and sobolev_lift.
+    Each block's rows of kernel_matrix are built once and every gap reads
+    them; the gaps share two more block buffers, the scratch one holding
+    the lifted rows and then the left side.  Each block gives its squared
+    norms of lhs and lhs - rhs per gap, and these are added up in block
+    order.
     """
     n = k.box.cardinality
     col_phases = diagonal_phases(k.theta, k.box)
     star_phases = np.conj(col_phases)
+    # canonical order lists -p at the reversed index; R(-a2) is copied so
+    # no block multiply iterates a negative stride
     weights = [
-        (bessel_weights(a1, k.box), bessel_weights(a2, k.box), bessel_weights(-a2, k.box))
+        (
+            bessel_weights(a1, k.box),
+            bessel_weights(a2, k.box),
+            bessel_weights(-a2, k.box)[::-1].copy(),
+        )
         for a1, a2 in pairs
     ]
 

@@ -6,17 +6,15 @@ spectrum from the sorted Bessel symbol values.  Quasinorms with p < 1
 accumulate in log space so tiny singular values raised to small powers
 neither underflow nor drown the sum.
 
-Where numpy runs on its bundled 64-bit-integer OpenBLAS, the SVD calls
-that library's LAPACKE through ctypes, on a Fortran-ordered matrix it
-may overwrite.  Below n = 400 it calls zgesdd, the routine and workspace
-numpy's own svd uses, so the values agree with numpy bit for bit at a
-given thread count.  From n = 400 on it runs a two-stage reduction (QR/LQ
-panels to band form, each LQ panel factored as the QR of its contiguous
-conjugate transpose and each panel applied as one compact-WY block, then
-zgbbrd and dbdsqr), which does the same backward-stable work mostly in
-BLAS-3 and agrees with numpy to rounding error, not bit for bit.  The
-same binding lets the scan pin BLAS to one thread.  Any other numpy
-build goes through np.linalg.svd at every size.
+Below n = 400 the SVD is np.linalg.svd.  From n = 400 on, where numpy
+runs on its bundled 64-bit-integer OpenBLAS, it calls that library's
+LAPACKE through ctypes, on a Fortran-ordered matrix it may overwrite: a
+two-stage reduction (QR/LQ panels to band form, each LQ panel factored
+as the QR of its contiguous conjugate transpose and each panel applied
+as one compact-WY block, then zgbbrd and dbdsqr), which does the same
+backward-stable work as numpy mostly in BLAS-3 and agrees with it to
+rounding error, not bit for bit.  The same binding lets the scan pin BLAS to one
+thread.  Any other numpy build goes through np.linalg.svd at every size.
 """
 
 from __future__ import annotations
@@ -74,11 +72,10 @@ def _openblas():
 
     Resolved on first use.  RTLD_NOLOAD only finds a library already in
     the process, so the handle is numpy's own and shares its thread
-    setting.  Binds the thread setters, LAPACKE zgesdd below the
-    two-stage crossover, and from it on the `_work` variants of the five
-    routines of the two-stage SVD (zgeqrf, zlarft, zlarfb, zgbbrd,
-    dbdsqr), which take caller-held workspace and skip LAPACKE's NaN
-    scan of their input.  None when numpy bundles no scipy-openblas64
+    setting.  Binds the thread setters and the LAPACKE `_work` variants
+    of the five routines of the two-stage SVD (zgeqrf, zlarft, zlarfb,
+    zgbbrd, dbdsqr), which take caller-held workspace and skip LAPACKE's
+    NaN scan of their input.  None when numpy bundles no scipy-openblas64
     (MKL, conda or macOS builds, numpy 1.x), when the build does not take
     int64 sizes, or when any of these symbols is missing.
     """
@@ -93,7 +90,6 @@ def _openblas():
         config = lib.scipy_openblas_get_config64_
         get_threads = lib.scipy_openblas_get_num_threads64_
         set_threads = lib.scipy_openblas_set_num_threads64_
-        gesdd = lib.scipy_LAPACKE_zgesdd64_
         geqrf = lib.scipy_LAPACKE_zgeqrf_work64_
         larft = lib.scipy_LAPACKE_zlarft_work64_
         larfb = lib.scipy_LAPACKE_zlarfb_work64_
@@ -107,8 +103,6 @@ def _openblas():
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     layout, char, size, ptr = ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p
-    # (layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt)
-    gesdd.argtypes = [layout, char, size, size, ptr, size, ptr, ptr, size, ptr, size]
     # (layout, m, n, a, lda, tau, work, lwork)
     geqrf.argtypes = [layout, size, size, ptr, size, ptr, ptr, size]
     # (layout, direct, storev, n, k, v, ldv, tau, t, ldt)
@@ -121,7 +115,7 @@ def _openblas():
     )
     # (layout, uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work)
     bdsqr.argtypes = [layout, char] + [size] * 4 + [ptr, ptr] + [ptr, size] * 3 + [ptr]
-    for routine in [gesdd, geqrf, larft, larfb, gbbrd, bdsqr]:
+    for routine in [geqrf, larft, larfb, gbbrd, bdsqr]:
         routine.restype = size
     return lib
 
@@ -154,34 +148,26 @@ def _one_blas_thread():
 def singular_values(matrix: np.ndarray, overwrite: bool = False) -> SingularSpectrum:
     """Singular values of a square matrix, sorted nonincreasing.
 
-    On the bundled OpenBLAS an n x n matrix with n < 400 goes through
-    zgesdd and matches np.linalg.svd bit for bit; from n = 400 on it goes
-    through the two-stage reduction and matches it to rounding error.
-    Without that OpenBLAS every size goes through np.linalg.svd.  With
-    overwrite, a writeable Fortran-ordered complex matrix is the SVD's
-    workspace and its entries are lost; any other matrix is copied.
+    An n x n matrix with n < 400, or any matrix without the bundled
+    OpenBLAS, goes through np.linalg.svd.  From n = 400 on that OpenBLAS
+    runs the two-stage reduction, which matches np.linalg.svd to rounding
+    error.  Overwrite takes effect only there: a writeable
+    Fortran-ordered complex matrix is the reduction's workspace and its
+    entries are lost; any other matrix is copied.
     """
     entries = np.asarray(matrix, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     if not np.all(np.isfinite(entries)):
         raise ValueError("matrix has non-finite entries")
-    lib = _openblas()
+    lib = _openblas() if entries.shape[0] >= _TWO_STAGE_MIN else None
     if lib is None:
         return SingularSpectrum(np.linalg.svd(entries, compute_uv=False))
     if overwrite:
         entries = np.require(entries, requirements="FAW")
     else:
         entries = np.array(entries, order="F")
-    n = entries.shape[0]
-    if n >= _TWO_STAGE_MIN:
-        return SingularSpectrum(_two_stage_values(lib, entries))
-    values = np.empty(n)
-    _check("zgesdd", lib.scipy_LAPACKE_zgesdd64_(
-        _LAPACK_COL_MAJOR, b"N", n, n, entries.ctypes.data, max(1, n),
-        values.ctypes.data, None, 1, None, 1,
-    ))
-    return SingularSpectrum(values)
+    return SingularSpectrum(_two_stage_values(lib, entries))
 
 
 # One-stage zgesdd spends half its bidiagonalization flops in BLAS-2

@@ -403,7 +403,7 @@ def test_outputs_do_not_depend_on_blas_threads():
     # a fresh interpreter.  The scan pins its SVDs to one BLAS thread
     # where numpy runs on its bundled OpenBLAS, so its whole output but
     # wall_ms is compared; N = 10 and 12 (n = 441 and 625) run the
-    # two-stage SVD, the smaller radii zgesdd.  Elsewhere the SVD's
+    # two-stage SVD, the smaller radii np.linalg.svd.  Elsewhere the SVD's
     # threaded blocking may round the last digit differently, and s_r_norm
     # and weak_r_norm are skipped.  The suite's SVDs are of 25 x 25
     # matrices, small enough that its JSON is compared whole.  On a

@@ -923,8 +923,8 @@ def test_streamed_runners_match_the_held_kernel(monkeypatch, d, radius):
 
 def test_scan_spectrum_matches_the_kernel_matrix(monkeypatch):
     # the scan takes the SVD of kernel_matrix(k).T, which has the same
-    # values to rounding: through zgesdd at n = 361 and through the
-    # two-stage reduction at n = 441
+    # values to rounding: through np.linalg.svd at n = 361 and through
+    # the two-stage reduction at n = 441
     config = ExperimentConfig(d=2, N_grid=(9, 10), seed=5)
     spectra = {}
 

@@ -537,7 +537,7 @@ def _rel_frobenius_reference(a, b):
 
 def _factorization_gap_reference(k, a1, a2):
     box = k.box
-    rhs = kernel_matrix(sobolev_lift(k, a1, a2)) * bessel_weights(-a2, box)[None, :]
+    rhs = kernel_matrix(sobolev_lift(k, a1, a2)) * bessel_weights(-a2, box)[None, ::-1]
     lhs = bessel_weights(a1, box)[:, None] * kernel_matrix(k)
     return _rel_frobenius_reference(lhs, rhs)
 
@@ -595,6 +595,23 @@ def test_streamed_reductions_match_full_matrix_forms(d, radius):
     for pair, gap in zip(pairs, factor):
         assert identity_gaps(k, [pair]) == (adjoint, [gap])
     assert identity_gaps(k, []) == (adjoint, [])
+
+
+def test_factorization_gap_reads_the_second_weight_at_minus_p(monkeypatch):
+    # Bessel symbols are even, so b(p) and b(-p) agree; a shifted symbol
+    # (1 + |n - v|^2)^(a/2) is not, and the identity B(a1) T_k = T_lift M^-1
+    # holds only with M scaling column p by the second weight at -p
+    shift = np.array([0.7, -0.3])
+
+    def shifted(alpha, box):
+        nsq = np.sum((box.enumerate() - shift) ** 2, axis=1)
+        return (1.0 + nsq) ** (alpha / 2.0)
+
+    monkeypatch.setattr(kernels, "bessel_weights", shifted)
+    theta = reduce_theta(random_theta(2, np.random.default_rng(2)))
+    k = random_kernel(theta, 4, 1.5, 2.0, 11)
+    _, factor = identity_gaps(k, ((1.0, 1.0), (2.7, 0.3)))
+    assert max(factor) <= 1e-14, factor
 
 
 @pytest.mark.parametrize("d, radius", _STREAM_BOXES)

@@ -64,15 +64,20 @@ def test_singular_values_validation():
 
 def _matrices(seed: int):
     rng = np.random.default_rng(seed)
-    for n in (1, 2, 25, 300):
+    for n in (1, 2, 25, 300, 399):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         yield a, np.asfortranarray(a)
 
 
-def test_singular_values_match_numpy_bit_for_bit():
-    # below the two-stage crossover (n = 400; every size here is <= 300)
-    # the bundled LAPACKE zgesdd is numpy's own routine and workspace, at
-    # the process's thread count; C and Fortran input give the same bits
+@pytest.mark.parametrize("bundled", [True, False], ids=["bundled", "fallback"])
+def test_singular_values_match_numpy_bit_for_bit(monkeypatch, bundled):
+    # below the two-stage crossover (n = 400; every size here is <= 399)
+    # the SVD is np.linalg.svd, with or without the bundled OpenBLAS; C
+    # and Fortran input give the same bits
+    if not bundled:
+        monkeypatch.setattr(schatten, "_openblas", lambda: None)
+        with schatten._one_blas_thread() as threads:
+            assert threads is None
     for c_order, f_order in _matrices(5):
         expected = np.linalg.svd(c_order, compute_uv=False)
         for a in (c_order, f_order):
@@ -81,23 +86,6 @@ def test_singular_values_match_numpy_bit_for_bit():
             assert np.array_equal(a, kept)  # not handed over, so untouched
             handed_over = singular_values(a.copy(order="K"), overwrite=True)
             assert np.array_equal(handed_over.values, expected)
-
-
-def test_overwrite_spends_only_a_fortran_matrix():
-    # a 25 x 25 matrix, below the two-stage crossover, so numpy's bits
-    c_order, f_order = list(_matrices(6))[2]
-    spectrum = singular_values(f_order, overwrite=True)
-    assert np.array_equal(spectrum.values, np.linalg.svd(c_order, compute_uv=False))
-    if schatten._openblas() is not None:
-        assert not np.array_equal(f_order, c_order)  # it was the workspace
-    # a C-ordered or read-only matrix is copied even when handed over
-    kept = c_order.copy()
-    singular_values(c_order, overwrite=True)
-    assert np.array_equal(c_order, kept)
-    frozen = np.asfortranarray(kept)
-    frozen.flags.writeable = False
-    assert np.array_equal(singular_values(frozen, overwrite=True).values, spectrum.values)
-    assert np.array_equal(frozen, c_order)
 
 
 def _two_stage_cases(n: int):
@@ -114,7 +102,7 @@ def test_two_stage_matches_numpy(n):
     # from n = 400 on, the bundled OpenBLAS runs the two-stage reduction in
     # panels of 20 columns: 400 sits at the crossover and is 20 panels,
     # and the last LQ step has fewer than 20 reflectors at 401 (one), 512,
-    # 513 and 530 (10).  It agrees with numpy's zgesdd to rounding error
+    # 513 and 530 (10).  It agrees with numpy's svd to rounding error
     assert schatten._TWO_STAGE_MIN == 400 and schatten._PANEL == 20
     spectra = {}
     for name, a in _two_stage_cases(n):
@@ -133,6 +121,24 @@ def test_two_stage_matches_numpy(n):
     assert np.array_equal(singular_values(handed_over, overwrite=True).values, got)
     if schatten._openblas() is not None:
         assert not np.array_equal(handed_over, a)  # it was the workspace
+
+
+def test_overwrite_spends_only_a_fortran_matrix():
+    # a 401 x 401 matrix: overwrite acts only from the two-stage crossover on
+    c_order = next(_two_stage_cases(401))[1]
+    f_order = np.asfortranarray(c_order)
+    spectrum = singular_values(f_order, overwrite=True)
+    assert np.array_equal(spectrum.values, singular_values(c_order).values)
+    if schatten._openblas() is not None:
+        assert not np.array_equal(f_order, c_order)  # it was the workspace
+    # a C-ordered or read-only matrix is copied even when handed over
+    kept = c_order.copy()
+    singular_values(c_order, overwrite=True)
+    assert np.array_equal(c_order, kept)
+    frozen = np.asfortranarray(kept)
+    frozen.flags.writeable = False
+    assert np.array_equal(singular_values(frozen, overwrite=True).values, spectrum.values)
+    assert np.array_equal(frozen, c_order)
 
 
 def test_two_stage_allocates_only_the_band_and_its_workspace():
@@ -155,29 +161,17 @@ def test_two_stage_allocates_only_the_band_and_its_workspace():
 
 
 @pytest.mark.parametrize("routine, n", [
-    ("zgesdd", 25), ("zgeqrf", 512), ("zlarft", 512), ("zlarfb", 512), ("zgbbrd", 512),
-    ("dbdsqr", 512),
+    ("zgeqrf", 512), ("zlarft", 512), ("zlarfb", 512), ("zgbbrd", 512), ("dbdsqr", 512),
 ])
 def test_a_failed_lapack_routine_is_named(monkeypatch, routine, n):
-    # zgesdd is the high-level LAPACKE call; the two-stage path calls the
-    # `_work` variants, which take the caller's workspace
+    # the two-stage path calls the `_work` variants, which take the
+    # caller's workspace
     lib = schatten._openblas()
     if lib is None:
         pytest.skip("numpy does not run on its bundled OpenBLAS here")
-    variant = "_work" if n >= schatten._TWO_STAGE_MIN else ""
-    monkeypatch.setattr(lib, f"scipy_LAPACKE_{routine}{variant}64_", lambda *args: -4)
+    monkeypatch.setattr(lib, f"scipy_LAPACKE_{routine}_work64_", lambda *args: -4)
     with pytest.raises(np.linalg.LinAlgError, match=f"^{routine} failed with info = -4$"):
         singular_values(np.eye(n, dtype=complex))
-
-
-def test_fallback_is_numpy_svd(monkeypatch):
-    monkeypatch.setattr(schatten, "_openblas", lambda: None)
-    with schatten._one_blas_thread() as threads:
-        assert threads is None
-    for c_order, f_order in _matrices(7):
-        expected = np.linalg.svd(c_order, compute_uv=False)
-        for a in (c_order, f_order):
-            assert np.array_equal(singular_values(a, overwrite=True).values, expected)
 
 
 def test_one_blas_thread_pins_and_restores():
@@ -194,8 +188,8 @@ def test_one_blas_thread_pins_and_restores():
 
 
 def test_concurrent_svds_match_serial():
-    # the scan's pool runs zgesdd and the two-stage reduction from two
-    # threads at once; with more threads than that and a short switch
+    # the scan's pool runs np.linalg.svd and the two-stage reduction from
+    # two threads at once; with more threads than that and a short switch
     # interval each matrix still gets its serial spectrum, bit for bit
     matrices = [a for a, _ in _matrices(8)] * 4 + [next(_two_stage_cases(530))[1]] * 3
     with schatten._one_blas_thread():
