@@ -137,18 +137,9 @@ def random_theta(d: int, rng: np.random.Generator, scale: float = 0.5) -> ThetaM
     return ThetaMatrix(a - a.T)
 
 
-def _mod_one(args: np.ndarray) -> np.ndarray:
-    """np.mod(args, 1.0) bit for bit, finite args, at a fraction of its cost.
-
-    Both round the same exact difference args - floor(args) once, and
-    both turn -0.0 into +0.0.
-    """
-    return args - np.floor(args)
-
-
 def _unit_phases(args: np.ndarray) -> np.ndarray:
     # reduce mod 1 before scaling by 2 pi: keeps unit modulus for large indices
-    return np.exp(2j * np.pi * _mod_one(args))
+    return np.exp(2j * np.pi * np.mod(args, 1.0))
 
 
 def phase_pairs(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ every module's invariants on seeded random data, a Schatten-norm scan of
 random smooth kernels across box sizes, a potential-decay fit for the
 diagonal Bessel spectra, a factorization and adjoint identity check, and
 the Schwartz coefficient-bound sweep.  All runners are deterministic
-given (config, seed); the scan's grid points may run two at a time, and
-records are sorted so user-given grids come out in a fixed order.  Each
-record type is a dataclass written by the shared emitter in `records`.
+given (config, seed).  The scan's grid points, and the halves of each
+kernel fold, may run two at a time on schatten._in_lanes; records are
+sorted so user-given grids come out in a fixed order.  Each record type
+is a dataclass written by the shared emitter in `records`.
 """
 
 from __future__ import annotations
@@ -433,9 +434,6 @@ class ScanRecord:
     at_threshold: bool = field(default=False, metadata=JSON_ONLY)
 
 
-_SCAN_WIDTH = 2  # grid points in flight, so at most two n x n matrices
-
-
 def _scan_one(config: ExperimentConfig, radius: int) -> list:
     t0 = time.perf_counter()
     k = kernel_source(config, radius)
@@ -468,26 +466,18 @@ def run_theorem_scan(config: ExperimentConfig) -> list:
     (alpha1, alpha2) by construction, so the scan watches the truncated
     S_r norms stabilize as the box grows.
 
-    The grid points run on a pool of threads, largest N first.  On the
-    bundled OpenBLAS, BLAS is pinned to one thread for the whole process
-    while the scan runs, and the pool is min(t, len(N_grid), _SCAN_WIDTH)
-    wide, where t is the thread count BLAS had: at most two cores, since
+    The grid points run through schatten._in_lanes, largest N first, in
+    the caller's context (numpy's error state included).  On the bundled
+    OpenBLAS, BLAS is pinned to one thread for the whole process while the
+    scan runs, on the _lanes() read before the pin: at most two cores, as
     each running grid point holds one n x n matrix.  One BLAS thread per
     SVD makes the spectra the same at every thread count.  Without that
-    binding the pool is one wide and each SVD keeps BLAS's own threads.
+    binding the grid points run one at a time on BLAS's own threads.
     """
     _guard_box(config.d, config.N_grid[-1])
-    # imported here: concurrent.futures loads logging, which would add
-    # about 6 ms to every command's start
-    from concurrent.futures import ThreadPoolExecutor
-
-    with schatten._one_blas_thread() as threads:
-        width = 1 if threads is None else min(threads, len(config.N_grid), _SCAN_WIDTH)
-        with ThreadPoolExecutor(width) as pool:
-            # map cancels the grid points not yet started when one fails
-            # or the wait is interrupted
-            points = pool.map(lambda radius: _scan_one(config, radius), reversed(config.N_grid))
-            records = [rec for point in points for rec in point]
+    with schatten._one_blas_thread() as lanes:
+        points = schatten._in_lanes(lambda N: _scan_one(config, N), config.N_grid[::-1], lanes)
+    records = [rec for point in points for rec in point]
     records.sort(key=lambda rec: (rec.N, rec.r))
     return records
 

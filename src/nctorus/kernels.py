@@ -23,10 +23,10 @@ schwartz_coefficients (through _lifted_extremes) and identity_gaps (the
 adjoint gap and any number of factorization gaps, in one pass reading
 one block of kernel-matrix rows).  So the runners reduce a draw as it is
 made and never hold its n x n coefficients.  A reducer turns each block
-into a partial result and combines the partials in block order; through
-_folded it may reduce the two halves of the blocks on two threads at
-once, each half drawn from the same Philox stream by row_blocks(part),
-and the result is the same at either width.  Each reducer allocates its
+into a partial result and combines the partials in block order; _folded
+hands the two halves of the blocks, each drawn from the same Philox
+stream by row_blocks(part), to schatten._in_lanes, which runs them at
+once where BLAS reports two threads.  Each reducer allocates its
 block buffers once per stream and writes into them with out=; the row
 forms _matrix_rows and _lift_rows and the column form _flip_cols take
 that out and are the bodies of kernel_matrix, sobolev_lift and
@@ -39,10 +39,8 @@ does not depend on the BLAS thread count.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -53,7 +51,7 @@ from .cocycle import ReducedTheta, diagonal_phases
 from .lattice import LatticeBox, _guard_box, _sum_squares
 from .multipliers import _block_extremes, _scaled_extremes, bessel_weights
 from .records import JSON_ONLY
-from .schatten import _openblas
+from .schatten import _in_lanes, _lanes
 
 __all__ = [
     "NCKernel",
@@ -87,53 +85,23 @@ def _row_blocks(n: int, part: slice = slice(None)):
 
 
 def _halves(n: int) -> tuple:
-    """The two parts of _row_blocks(n) that _folded reduces apart; the first may be empty."""
-    split = len(range(0, n, max(1, _BLOCK_ENTRIES // n))) // 2
-    return slice(0, split), slice(split, None)
-
-
-def _fold_width() -> int:
-    """Halves of a row stream _folded runs at once: the scan's rule for its pool.
-
-    Two where the bundled OpenBLAS reports two threads or more, else one.
-    Inside the scan, which pins BLAS to one thread, it is one, so the
-    scan's folds never start threads of their own.
-    """
-    lib = _openblas()
-    return 1 if lib is None else min(2, lib.scipy_openblas_get_num_threads64_())
+    """The parts of _row_blocks(n) that _folded reduces apart: its two halves, or one block."""
+    count = len(range(0, n, max(1, _BLOCK_ENTRIES // n)))
+    return (slice(None),) if count < 2 else (slice(0, count // 2), slice(count // 2, None))
 
 
 def _folded(k: NCKernel | KernelRows, fold: Callable) -> list:
     """fold's per-block partials over all of k's row blocks, in block order.
 
     fold takes a row stream, k.row_blocks(part), allocates its own block
-    buffers and returns a list with one partial per block.  At width two,
-    on two blocks or more, the first half of the blocks is folded on a
-    second thread, in the caller's context (numpy's error state included),
-    while the calling thread folds the second half.  A block's partial
-    does not depend on which thread made it, so the list is the same at
-    either width.
+    buffers and returns a list with one partial per block.  The _halves
+    run through _in_lanes at _lanes() width: on two threads where BLAS
+    reports two, else one after the other on the calling thread.  A
+    block's partial does not depend on which thread made it, so the list
+    is the same at either width.
     """
-    first, second = _halves(k.box.cardinality)
-    if _fold_width() < 2 or first.stop == 0:
-        return fold(k.row_blocks())
-    head = []
-
-    def run_first() -> None:
-        try:
-            head.append(fold(k.row_blocks(first)))
-        except BaseException as exc:  # re-raised in the calling thread
-            head.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_first,))
-    worker.start()
-    try:
-        tail = fold(k.row_blocks(second))
-    finally:
-        worker.join()
-    if isinstance(head[0], BaseException):
-        raise head[0]
-    return head[0] + tail
+    parts = _in_lanes(lambda part: fold(k.row_blocks(part)), _halves(k.box.cardinality), _lanes())
+    return [partial for part in parts for partial in part]
 
 
 def _block_buffer(n: int, dtype=complex) -> np.ndarray:

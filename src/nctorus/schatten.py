@@ -13,19 +13,23 @@ two-stage reduction (QR/LQ panels to band form, each LQ panel factored
 as the QR of its contiguous conjugate transpose and each panel applied
 as one compact-WY block, then zgbbrd and dbdsqr), which does the same
 backward-stable work as numpy mostly in BLAS-3 and agrees with it to
-rounding error, not bit for bit.  The same binding lets the scan pin BLAS to one
-thread.  Any other numpy build goes through np.linalg.svd at every size.
+rounding error, not bit for bit.  The same binding pins BLAS to one thread
+for the scan and sizes _in_lanes, the thread runner of the scan's grid
+points and the kernel folds.  Any other numpy build goes through
+np.linalg.svd at every size and runs one lane.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import math
 import os
 import threading
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,24 +127,69 @@ def _openblas():
 _PIN = threading.RLock()  # one pin at a time, so restores cannot interleave
 
 
+def _lanes() -> int:
+    """Threads _in_lanes may use: min(2, BLAS threads) on the bundled OpenBLAS, else 1.
+
+    So the scan holds at most two n x n matrices; inside _one_blas_thread
+    it is 1, and work run from the scan's lanes starts no lanes of its own.
+    """
+    lib = _openblas()
+    return 1 if lib is None else min(2, lib.scipy_openblas_get_num_threads64_())
+
+
+def _in_lanes(fn: Callable, items: Sequence, width: int) -> list:
+    """[fn(item) for item in items], on up to width threads, the calling one among them.
+
+    Items start in order, each on the next free lane; the other lanes run
+    in copies of the caller's context, numpy's error state included.  No
+    item starts after one has failed or the caller has left its lane, and
+    the first failure is raised here once every lane has stopped.
+    """
+    results, failures = [None] * len(items), []
+    pending = iter(range(len(items)))  # next() on a range iterator is atomic in CPython
+
+    def lane() -> None:
+        for i in pending:
+            if failures:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised in the caller
+                failures.append(exc)
+
+    others = []
+    for _ in range(min(width, len(items)) - 1):
+        others.append(threading.Thread(target=contextvars.copy_context().run, args=(lane,)))
+        others[-1].start()
+    try:
+        lane()
+    finally:
+        list(pending)  # what is left never starts
+        for thread in others:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body on one BLAS thread; yields the thread count it had.
+    """Run the body on one BLAS thread; yields the _lanes() it read before pinning.
 
-    Yields None, and pins nothing, without the bundled OpenBLAS.  The
+    Yields 1, and pins nothing, without the bundled OpenBLAS.  The
     setting is process-wide: every thread's BLAS calls run on one thread
     until the body ends.  Pins from other threads wait for it, so each
     restores the count it read.
     """
     lib = _openblas()
     if lib is None:
-        yield None
+        yield 1
         return
     with _PIN:
-        threads = lib.scipy_openblas_get_num_threads64_()
+        lanes, threads = _lanes(), lib.scipy_openblas_get_num_threads64_()
         lib.scipy_openblas_set_num_threads64_(1)
         try:
-            yield threads
+            yield lanes
         finally:
             lib.scipy_openblas_set_num_threads64_(threads)
 

@@ -167,6 +167,8 @@ def test_embedded_restricted_roundtrip(red2, rng):
     assert l2_norm(big) == pytest.approx(l2_norm(f))
     back = restricted(big, LatticeBox(2, 1))
     assert np.array_equal(back.coeffs, f.coeffs)
+    onto_larger = restricted(f, LatticeBox(2, 3))  # restricting onto a larger box embeds
+    assert onto_larger.box == big.box and np.array_equal(onto_larger.coeffs, big.coeffs)
     with pytest.raises(ValueError, match="smaller"):
         embedded(f, LatticeBox(2, 0))
 

@@ -615,8 +615,9 @@ def test_scan_without_the_bundled_openblas(monkeypatch):
 
 
 def test_scan_pool_runs_the_largest_box_first(monkeypatch):
-    # the grid runs on the pool, largest N first; the records come out
-    # sorted, and a pool one wide gives the same ones as two wide
+    # the grid runs in two lanes, largest N first, so the two largest N
+    # start first; the records come out sorted, and one lane gives the
+    # same ones as two
     cfg = ExperimentConfig(N_grid=(2, 3, 4), r_grid=(2.0, 1.0))
     calls = []
     scan_one = experiments._scan_one
@@ -628,7 +629,7 @@ def test_scan_pool_runs_the_largest_box_first(monkeypatch):
     monkeypatch.setattr(experiments, "_scan_one", recorded)
     with _scan_reads_threads(2):
         pooled = run_theorem_scan(cfg)
-    assert calls[0] == 4 and sorted(calls) == [2, 3, 4]
+    assert sorted(calls[:2]) == [3, 4] and sorted(calls) == [2, 3, 4]
     assert [(rec.N, rec.r) for rec in pooled] == [(n, r) for n in (2, 3, 4) for r in (1.0, 2.0)]
     with _scan_reads_threads(1):
         serial = run_theorem_scan(cfg)
@@ -655,8 +656,8 @@ def test_concurrent_scans_restore_the_blas_thread_count():
 
 
 def test_scan_failure_cancels_the_queued_grid_points(monkeypatch):
-    # N=5 fails at once; N=4 holds one worker and N=3 the other, so N=2
-    # is still queued when the failure surfaces, and never starts
+    # N=5 fails at once in one lane while N=4 holds the other, so neither
+    # N=3 nor N=2 ever starts
     calls = []
 
     def failing(config, radius):
@@ -669,7 +670,19 @@ def test_scan_failure_cancels_the_queued_grid_points(monkeypatch):
     monkeypatch.setattr(experiments, "_scan_one", failing)
     with _scan_reads_threads(2), pytest.raises(RuntimeError, match="grid point failed"):
         run_theorem_scan(ExperimentConfig(N_grid=(2, 3, 4, 5), r_grid=(1.0,)))
-    assert 2 not in calls
+    assert set(calls) <= {4, 5}
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_scan_keeps_the_callers_error_state(width):
+    # every lane runs in the caller's context: the draw underflows at these
+    # orders, and under np.errstate(under="raise") the scan raises as factor does
+    cfg = ExperimentConfig(alpha1=150.0, alpha2=150.0, N_grid=(6, 8))
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError, match="underflow"):
+            run_factorization_check(cfg)
+        with _scan_reads_threads(width), pytest.raises(FloatingPointError, match="underflow"):
+            run_theorem_scan(cfg)
 
 
 def test_scan_csv_layout():

@@ -681,31 +681,34 @@ def test_ranged_draw_is_those_blocks_of_the_whole_draw(d, radius):
             assert [rows for rows, _ in part] == [rows for rows, _ in whole[start:stop]]
             for (_, block), (_, expected) in zip(part, whole[start:stop]):
                 assert np.array_equal(block, expected)
-    first, second = _halves(draw.box.cardinality)
-    halves = [rows for part in (first, second) for rows, _ in draw.row_blocks(part)]
+    parts = _halves(draw.box.cardinality)
+    halves = [rows for part in parts for rows, _ in draw.row_blocks(part)]
     assert halves == [rows for rows, _ in whole]
-    assert (first.stop == 0) == (count == 1)
+    assert len(parts) == min(2, count)
 
 
 def _at_width(monkeypatch, width: int, reduce):
     """reduce() with _folded running width halves at once."""
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "_fold_width", lambda: width)
+        patch.setattr(kernels, "_lanes", lambda: width)
         return reduce()
 
 
 @pytest.mark.parametrize("d, radius", _STREAM_BOXES)
 def test_reductions_do_not_depend_on_the_width(monkeypatch, d, radius):
     # held or streamed, every reducer returns the same floats at width one
-    # and two, and at two the first half of the blocks is read on a thread
-    # of its own while the calling thread reads the second
+    # and two; at one both halves are read on the calling thread, at two
+    # they are read at once, one on the calling thread and one on another
     theta, k, _ = _stream_kernel(d, radius)
     pairs = ((0.7, 1.4), (0.0, 0.0), (2.7, 0.3))
+    parts = [(part.start, part.stop) for part in _halves(k.box.cardinality)]
     for source in (k, _random_rows(theta, radius, 1.5, 2.0, 11)):
-        reads = []
+        reads, together = [], []
 
         def row_blocks(part=slice(None), source=source):
             reads.append(((part.start, part.stop), threading.get_ident()))
+            for barrier in together:  # both halves must be in flight to pass
+                barrier.wait(timeout=60)
             return source.row_blocks(part)
 
         watched = KernelRows(source.theta, source.box, row_blocks)
@@ -718,14 +721,36 @@ def test_reductions_do_not_depend_on_the_width(monkeypatch, d, radius):
             )
 
         serial = _at_width(monkeypatch, 1, reduce)
-        assert reads == [((None, None), threading.get_ident())] * 3
+        assert reads == [(part, threading.get_ident()) for part in parts] * 3
         reads.clear()
+        together.append(threading.Barrier(2))
         assert _at_width(monkeypatch, 2, reduce) == serial
-        first, second = _halves(k.box.cardinality)
-        threads = {part: thread for part, thread in reads}
-        assert len(reads) == 6 and set(threads) == {(0, first.stop), (second.start, None)}
-        assert threads[(second.start, None)] == threading.get_ident()
-        assert threads[(0, first.stop)] != threading.get_ident()
+        for call in (reads[0:2], reads[2:4], reads[4:6]):
+            assert sorted(part for part, _ in call) == parts
+            threads = {thread for _, thread in call}
+            assert len(threads) == 2 and threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["first-half", "second-half"])
+def test_a_failing_half_raises_in_the_caller(monkeypatch, failing):
+    # at width two the half on the other thread fails as loudly as the
+    # calling thread's own: identity_gaps and _lifted_extremes raise it
+    _, k, _ = _stream_kernel(2, 10)
+    broken_part = _halves(k.box.cardinality)[failing]
+
+    def row_blocks(part=slice(None)):
+        for rows, block in k.row_blocks(part):
+            yield rows, block
+            if part == broken_part:
+                raise RuntimeError("half failed")
+
+    broken = KernelRows(k.theta, k.box, row_blocks)
+    for reduce in (
+        lambda: identity_gaps(broken, [(0.7, 1.4)]),
+        lambda: _lifted_extremes(broken, 0.7, 1.4),
+    ):
+        with pytest.raises(RuntimeError, match="^half failed$"):
+            _at_width(monkeypatch, 2, reduce)
 
 
 def test_concurrent_reductions_keep_their_own_buffers(monkeypatch):
@@ -739,7 +764,7 @@ def test_concurrent_reductions_keep_their_own_buffers(monkeypatch):
         return identity_gaps(draw, [(0.7, 1.4)]), mixed_sobolev_norm(draw, 0.7, 1.4)
 
     expected = _at_width(monkeypatch, 1, reduce)
-    monkeypatch.setattr(kernels, "_fold_width", lambda: 2)
+    monkeypatch.setattr(kernels, "_lanes", lambda: 2)
     results = []
     threads = [threading.Thread(target=lambda: results.append(reduce())) for _ in range(4)]
     interval = sys.getswitchinterval()

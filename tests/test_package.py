@@ -2,6 +2,7 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nctorus
@@ -34,6 +35,65 @@ workloads = _load_workloads()
 
 # inner_product pairs two suite-sized vectors; it is not a sum of squares
 _BLAS_REDUCTIONS_KEPT = {"algebra.py": ["return complex(np.vdot(ys.coeffs, xs.coeffs))"]}
+
+
+def _refusals() -> dict:
+    """case -> (call, error, message) for inputs each module refuses where it takes them."""
+    red2 = cocycle.reduce_theta(experiments.default_theta(2))
+    box1, box3 = lattice.LatticeBox(2, 1), lattice.LatticeBox(3, 1)
+    x = algebra.TorusElement(red2, box1, np.arange(9))
+    k = kernels.NCKernel(red2, box1, np.eye(9))
+    other_theta = kernels.NCKernel(cocycle.zero_theta(2), box1, np.eye(9))
+    smaller = kernels.NCKernel(red2, lattice.LatticeBox(2, 0), np.eye(1))
+    dims = "^target box dimension 3 does not match element d=2$"
+    operands = "^(unsupported operand type|can't multiply sequence)"
+    return {
+        "embedded-other-dimension": (lambda: algebra.embedded(x, box3), ValueError, dims),
+        "restricted-other-dimension": (lambda: algebra.restricted(x, box3), ValueError, dims),
+        "mult-matrix-other-dimension": (
+            lambda: algebra.mult_matrix(x, box3),
+            ValueError,
+            "^box dimension 3 does not match element d=2$",
+        ),
+        "multi-index-2d": (
+            lambda: lattice.as_multi_index([[1, 2]]),
+            ValueError,
+            r"^multi-index must be one-dimensional, got shape \(1, 2\)$",
+        ),
+        "theta-json-not-an-object": (
+            lambda: cocycle.theta_from_json([[0.0]]),
+            ValueError,
+            "^theta document must be a JSON object, got list$",
+        ),
+        "config-r-grid-scalar": (
+            lambda: experiments.ExperimentConfig(r_grid=3.0),
+            ValueError,
+            "^r_grid must be a list of numbers, got 3.0$",
+        ),
+        "kernel-box-and-theta-dimensions": (
+            lambda: kernels.NCKernel(cocycle.zero_theta(3), box1, np.eye(9)),
+            ValueError,
+            "^kernel box has dimension 2; theta has dimension 3$",
+        ),
+        "kernel-sum-across-thetas": (
+            lambda: k + other_theta,
+            ValueError,
+            "^kernels live over different deformation matrices$",
+        ),
+        "kernel-sum-across-boxes": (lambda: k + smaller, ValueError, "^kernel boxes differ$"),
+        "kernel-plus-element": (lambda: k + x, TypeError, operands),
+        "kernel-times-string": (lambda: k * "2", TypeError, operands),
+        "element-times-kernel": (lambda: x * k, TypeError, operands),
+        "element-minus-kernel": (lambda: x - k, TypeError, operands),
+        "element-plus-number": (lambda: x + 1, TypeError, operands),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusals()))
+def test_malformed_inputs_are_refused(case):
+    call, error, message = _refusals()[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("module", (algebra, multipliers, kernels, experiments))

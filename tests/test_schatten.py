@@ -1,6 +1,8 @@
 import glob
 import os
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -76,8 +78,8 @@ def test_singular_values_match_numpy_bit_for_bit(monkeypatch, bundled):
     # and Fortran input give the same bits
     if not bundled:
         monkeypatch.setattr(schatten, "_openblas", lambda: None)
-        with schatten._one_blas_thread() as threads:
-            assert threads is None
+        with schatten._one_blas_thread() as lanes:
+            assert lanes == 1
     for c_order, f_order in _matrices(5):
         expected = np.linalg.svd(c_order, compute_uv=False)
         for a in (c_order, f_order):
@@ -180,15 +182,56 @@ def test_one_blas_thread_pins_and_restores():
         pytest.skip("numpy does not run on its bundled OpenBLAS here")
     before = lib.scipy_openblas_get_num_threads64_()
     with pytest.raises(RuntimeError):
-        with schatten._one_blas_thread() as threads:
-            assert threads == before
+        with schatten._one_blas_thread() as lanes:
+            assert lanes == min(2, before)
             assert lib.scipy_openblas_get_num_threads64_() == 1
             raise RuntimeError
     assert lib.scipy_openblas_get_num_threads64_() == before
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_in_lanes_maps_in_order_in_the_callers_context(width):
+    # results come back in item order; the first width items run at once
+    # (each waits for the others at a barrier), so every lane runs one,
+    # the calling thread among them, and every lane sees the caller's
+    # numpy error state
+    together = threading.Barrier(width)
+    seen = []
+
+    def square(i: int) -> int:
+        if i < width:
+            together.wait(timeout=60)
+        seen.append((threading.get_ident(), np.geterr()["under"]))
+        return i * i
+
+    with np.errstate(under="raise"):
+        assert schatten._in_lanes(square, range(7), width) == [i * i for i in range(7)]
+        assert schatten._in_lanes(square, [], width) == []
+    threads = {thread for thread, _ in seen}
+    assert threading.get_ident() in threads and len(threads) == width
+    assert {under for _, under in seen} == {"raise"}
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_in_lanes_starts_no_item_after_a_failure(width):
+    # item 1 fails at once while item 0 holds the other lane: items 2 and 3
+    # never start, and the failure is raised in the caller
+    started = []
+
+    def run(i: int) -> int:
+        started.append(i)
+        if i == 1:
+            raise RuntimeError("item failed")
+        time.sleep(0.3)
+        return i
+
+    with pytest.raises(RuntimeError, match="^item failed$"):
+        schatten._in_lanes(run, range(4), width)
+    assert sorted(started) == [0, 1]
+
+
 def test_concurrent_svds_match_serial():
-    # the scan's pool runs np.linalg.svd and the two-stage reduction from
+    # the scan's lanes run np.linalg.svd and the two-stage reduction from
     # two threads at once; with more threads than that and a short switch
     # interval each matrix still gets its serial spectrum, bit for bit
     matrices = [a for a, _ in _matrices(8)] * 4 + [next(_two_stage_cases(530))[1]] * 3
