@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import ReducedTheta, diagonal_phases, phase_pairs, phase_table
-from .lattice import LatticeBox, _guard_box, _sum_squares, as_multi_index
+from .lattice import LatticeBox, _guard_box, _integer, _sum_squares, as_multi_index
 
 __all__ = [
     "TorusElement",
@@ -251,6 +251,7 @@ def mult_matrix(x: TorusElement, box: LatticeBox) -> np.ndarray:
 
 def partial_derivative(x: TorusElement, j: int) -> TorusElement:
     """The j-th derivation (1-based): coefficient scaling by 2 pi i n_j."""
+    j = _integer("derivation index", j)
     if not 1 <= j <= x.box.d:
         raise ValueError(f"derivation index {j} out of range 1..{x.box.d}")
     factors = 2j * np.pi * x.box.enumerate()[:, j - 1]

@@ -5,10 +5,10 @@ every module's invariants on seeded random data, a Schatten-norm scan of
 random smooth kernels across box sizes, a potential-decay fit for the
 diagonal Bessel spectra, a factorization and adjoint identity check, and
 the Schwartz coefficient-bound sweep.  All runners are deterministic
-given (config, seed).  The scan's grid points, and the halves of each
-kernel fold, may run two at a time on schatten._in_lanes; records are
-sorted so user-given grids come out in a fixed order.  Each record type
-is a dataclass written by the shared emitter in `records`.
+given (config, seed).  The scan's grid points, and the two row halves
+of each kernel reduction, may run two at a time on schatten._in_lanes;
+records are sorted so user-given grids come out in a fixed order.  Each
+record type is a dataclass written by the shared emitter in `records`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .kernels import (
     schwartz_coefficients,
 )
 from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _finite, _guard_box, _integer
-from .lattice import _positive, _shown, _torus_dimension
+from .lattice import _positive, _seed, _shown, _torus_dimension
 from .multipliers import apply_multiplier, bessel_weights, riesz_weights
 from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
@@ -144,9 +144,7 @@ class ExperimentConfig:
         for name in ("alpha1", "alpha2", "s_margin"):
             store(name, _finite(name, getattr(self, name)))
         store("s0", float(self.d + 1) if self.s0 is None else _finite("s0", self.s0))
-        store("seed", _integer("seed", self.seed))
-        if not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must be in [0, 2**128), got {_shown(self.seed)}")
+        store("seed", _seed(self.seed))
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError(
                 f"smoothness orders must be nonnegative, got ({self.alpha1}, {self.alpha2})"
@@ -257,7 +255,7 @@ def run_property_suite(seed: int, theta: ThetaMatrix) -> SuiteReport:
     makes it fail.  A check's error is the largest it recorded, and a NaN
     among them is its error, so a NaN fails the check.
     """
-    d = theta.d
+    seed, d = _seed(seed), theta.d
     red = reduce_theta(theta)
     rng = np.random.Generator(np.random.Philox(key=seed))
     errors = {}  # name -> (tolerance, errors), in the order checks first report
@@ -533,6 +531,7 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     never exits 1: tier-1 acceptance criterion 7 and the benchmark's
     output check test the weak norm and the slope.
     """
+    d = _torus_dimension("d", d)
     if _finite("alpha", alpha) <= 0:
         raise ValueError(f"potential order must be positive, got {alpha}")
     grid = [_integer("N_grid entry", n) for n in N_grid]

@@ -14,22 +14,21 @@ plus a diagonal phase, which keeps Frobenius norms equal to kernel L2
 norms exactly.
 
 Every dense step works in row blocks of _BLOCK_ENTRIES entries.  A kernel
-here is anything with theta, box and row_blocks(part), a stream of (rows,
-coefficient block) pairs over the blocks part picks, all by default: a
-held NCKernel streams its coeffs[rows], and
-a KernelRows streams a draw as it is made (random_kernel fills its
-matrix from one).  Every reducer takes either: mixed_sobolev_norm and
-schwartz_coefficients (through _lifted_extremes) and identity_gaps (the
-adjoint gap and any number of factorization gaps, in one pass reading
-one block of kernel-matrix rows).  So the runners reduce a draw as it is
-made and never hold its n x n coefficients.  A reducer turns each block
-into a partial result and combines the partials in block order; _folded
-hands the two halves of the blocks, each drawn from the same Philox
-stream by row_blocks(part), to schatten._in_lanes, which runs them at
-once where BLAS reports two threads.  Each reducer allocates its
-block buffers once per stream and writes into them with out=; the row
-forms _matrix_rows and _lift_rows and the column form _flip_cols take
-that out and are the bodies of kernel_matrix, sobolev_lift and
+here is anything with theta, box and row_blocks(span), a stream of (rows,
+coefficient block) pairs over the row range span, all rows by default: a
+held NCKernel streams its coeffs[rows], and a KernelRows streams a draw
+as it is made (random_kernel fills its matrix from one).  Every reducer
+takes either: mixed_sobolev_norm and schwartz_coefficients (through
+_lifted_extremes) and identity_gaps (the adjoint gap and any number of
+factorization gaps, in one pass reading one block of kernel-matrix
+rows).  So the runners reduce a draw as it is made and never hold its
+n x n coefficients.  A reducer is a per-block step, and _folded is the
+one walker: it splits the rows into two halves of whole blocks, streams
+each half into block buffers of its own, applies the step to every
+block and returns the partials in block order; the halves run through
+schatten._in_lanes, at once where BLAS reports two threads.  The row
+forms _matrix_rows and _lift_rows and the column form _flip_cols write
+into a given out= and are the bodies of kernel_matrix, sobolev_lift and
 flip_adjoint, so a block of any is bit for bit those rows or columns of
 the whole.  No step holds an n x n temporary beside the arrays it
 returns.  Every sum of squares here, in the gaps, the lifted norms and
@@ -48,7 +47,7 @@ import numpy as np
 
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, diagonal_phases
-from .lattice import LatticeBox, _guard_box, _sum_squares
+from .lattice import LatticeBox, _guard_box, _seed, _sum_squares
 from .multipliers import _block_extremes, _scaled_extremes, bessel_weights
 from .records import JSON_ONLY
 from .schatten import _in_lanes, _lanes
@@ -73,35 +72,39 @@ __all__ = [
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _row_blocks(n: int, part: slice = slice(None)):
-    """Slices covering range(n), each at most _BLOCK_ENTRIES // n rows of n.
+def _row_blocks(n: int, span: range | None = None):
+    """Slices covering span, all of range(n) by default, of _BLOCK_ENTRIES // n rows of n.
 
-    A block has at least one row.  part picks a run of the blocks by their
-    index, all of them by default.
+    A block has at least one row; the blocks start at span.start, and the
+    last may be shorter.
     """
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, rows)[part]:
-        yield slice(start, min(start + rows, n))
+    span = range(n) if span is None else span
+    height = max(1, _BLOCK_ENTRIES // n)
+    for start in range(span.start, span.stop, height):
+        yield slice(start, min(start + height, span.stop))
 
 
-def _halves(n: int) -> tuple:
-    """The parts of _row_blocks(n) that _folded reduces apart: its two halves, or one block."""
-    count = len(range(0, n, max(1, _BLOCK_ENTRIES // n)))
-    return (slice(None),) if count < 2 else (slice(0, count // 2), slice(count // 2, None))
+def _folded(k: NCKernel | KernelRows, step: Callable, *dtypes) -> list:
+    """[step(rows, block, *buffers) for each (rows, block) of k's stream], in block order.
 
-
-def _folded(k: NCKernel | KernelRows, fold: Callable) -> list:
-    """fold's per-block partials over all of k's row blocks, in block order.
-
-    fold takes a row stream, k.row_blocks(part), allocates its own block
-    buffers and returns a list with one partial per block.  The _halves
-    run through _in_lanes at _lanes() width: on two threads where BLAS
-    reports two, else one after the other on the calling thread.  A
-    block's partial does not depend on which thread made it, so the list
-    is the same at either width.
+    The rows split into two ranges of whole blocks, or one range for a
+    one-block box.  Each range is streamed by k.row_blocks(span) and given
+    one _block_buffer per dtype, which step slices to its block's height.
+    The ranges run through _in_lanes at _lanes() width: on two threads
+    where BLAS reports two, else one after the other on the calling
+    thread.  A block's partial does not depend on which thread made it,
+    so the list is the same at either width.
     """
-    parts = _in_lanes(lambda part: fold(k.row_blocks(part)), _halves(k.box.cardinality), _lanes())
-    return [partial for part in parts for partial in part]
+    n = k.box.cardinality
+    blocks = list(_row_blocks(n))
+    mid = blocks[len(blocks) // 2].start
+    spans = (range(mid), range(mid, n)) if mid else (range(n),)
+
+    def walk(span: range) -> list:
+        buffers = [_block_buffer(n, dtype) for dtype in dtypes]
+        return [step(rows, block, *buffers) for rows, block in k.row_blocks(span)]
+
+    return [partial for half in _in_lanes(walk, spans, _lanes()) for partial in half]
 
 
 def _block_buffer(n: int, dtype=complex) -> np.ndarray:
@@ -137,9 +140,9 @@ class NCKernel:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
-    def row_blocks(self, part: slice = slice(None)):
+    def row_blocks(self, span: range | None = None):
         """The coefficients as a row stream: (rows, coeffs[rows]) over _row_blocks."""
-        for rows in _row_blocks(self.box.cardinality, part):
+        for rows in _row_blocks(self.box.cardinality, span):
             yield rows, self.coeffs[rows]
 
     def l2_norm(self) -> float:
@@ -166,10 +169,10 @@ class NCKernel:
 class KernelRows(NamedTuple):
     """A kernel given by its row stream alone.
 
-    row_blocks(part) yields (rows, coefficient block) over _row_blocks of
-    the box, as NCKernel.row_blocks does; each block is valid until the
-    next, and each call streams the same rows afresh, into buffers of its
-    own, so two calls may stream at once.
+    row_blocks(span) yields (rows, coefficient block) over _row_blocks of
+    the row range span, all rows by default, as NCKernel.row_blocks does;
+    each block is valid until the next, and each call streams the same
+    rows afresh, into buffers of its own, so two calls may stream at once.
     """
 
     theta: ReducedTheta
@@ -225,8 +228,8 @@ def _assembling(k: NCKernel | KernelRows, matrix: np.ndarray) -> KernelRows:
     """
     col_phases = diagonal_phases(k.theta, k.box)
 
-    def row_blocks(part: slice = slice(None)):
-        for rows, block in k.row_blocks(part):
+    def row_blocks(span: range | None = None):
+        for rows, block in k.row_blocks(span):
             _matrix_rows(block, col_phases, out=matrix[:, rows].T)
             yield rows, block
 
@@ -268,7 +271,7 @@ def _lifted_extremes(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -> 
     """(max, flat index of the first max, L2 norm) of the lifted moduli of k.
 
     The orders are checked before the first block is read.  Each block
-    gives its _block_extremes part, and the parts combine in block order.
+    gives its _block_extremes partial, and the partials combine in block order.
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
@@ -276,16 +279,11 @@ def _lifted_extremes(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -> 
     w1 = bessel_weights(alpha1, k.box)
     w2 = bessel_weights(alpha2, k.box)
 
-    def fold(blocks) -> list:
-        buf = _block_buffer(n, float)
-        parts = []
-        for rows, block in blocks:
-            moduli = np.abs(block, out=buf[: rows.stop - rows.start])
-            lifted = _lift_rows(moduli, w1[rows], w2, out=moduli)
-            parts.append(_block_extremes(lifted, rows.start * n))
-        return parts
+    def step(rows: slice, block: np.ndarray, buf: np.ndarray) -> tuple:
+        moduli = np.abs(block, out=buf[: rows.stop - rows.start])
+        return _block_extremes(_lift_rows(moduli, w1[rows], w2, out=moduli), rows.start * n)
 
-    return _scaled_extremes(_folded(k, fold))
+    return _scaled_extremes(_folded(k, step, float))
 
 
 def mixed_sobolev_norm(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -> float:
@@ -348,7 +346,6 @@ def identity_gaps(k: NCKernel | KernelRows, pairs) -> tuple:
     norms of lhs and lhs - rhs per gap, and these are added up in block
     order.
     """
-    n = k.box.cardinality
     col_phases = diagonal_phases(k.theta, k.box)
     star_phases = np.conj(col_phases)
     # canonical order lists -p at the reversed index; R(-a2) is copied so
@@ -368,33 +365,29 @@ def identity_gaps(k: NCKernel | KernelRows, pairs) -> tuple:
         np.subtract(lhs, rhs, out=rhs)
         return lhs_sq, _sum_squares(rhs)
 
-    def fold(blocks) -> list:
-        k_buf, rhs_buf, scratch_buf = (_block_buffer(n) for _ in range(3))
-        parts = []
-        for rows, block in blocks:
-            height = rows.stop - rows.start
-            k_rows = _matrix_rows(block, col_phases, out=k_buf[:height])
-            rhs, scratch = rhs_buf[:height], scratch_buf[:height]
-            # K's rows p against the conjugate of A's columns p: column -p of
-            # the flip-adjoint times sigma(p, -p), built from row p of the kernel
-            a_cols = _flip_cols(
-                block, star_phases, star_phases[::-1][rows], out=rhs.T, scratch=scratch.T
-            )
-            a_cols *= col_phases[None, rows]
-            np.conjugate(a_cols, out=a_cols)
-            part = [sums(k_rows, rhs)]
-            for w1, w2, w2_inv in weights:
-                _matrix_rows(_lift_rows(block, w1[rows], w2, out=scratch), col_phases, out=rhs)
-                rhs *= w2_inv[None, :]
-                lhs = np.multiply(k_rows, w1[rows, None], out=scratch)
-                part.append(sums(lhs, rhs))
-            parts.append(part)
-        return parts
+    def step(rows: slice, block: np.ndarray, k_buf, rhs_buf, scratch_buf) -> list:
+        height = rows.stop - rows.start
+        k_rows = _matrix_rows(block, col_phases, out=k_buf[:height])
+        rhs, scratch = rhs_buf[:height], scratch_buf[:height]
+        # K's rows p against the conjugate of A's columns p: column -p of
+        # the flip-adjoint times sigma(p, -p), built from row p of the kernel
+        a_cols = _flip_cols(
+            block, star_phases, star_phases[::-1][rows], out=rhs.T, scratch=scratch.T
+        )
+        a_cols *= col_phases[None, rows]
+        np.conjugate(a_cols, out=a_cols)
+        partial = [sums(k_rows, rhs)]
+        for w1, w2, w2_inv in weights:
+            _matrix_rows(_lift_rows(block, w1[rows], w2, out=scratch), col_phases, out=rhs)
+            rhs *= w2_inv[None, :]
+            lhs = np.multiply(k_rows, w1[rows, None], out=scratch)
+            partial.append(sums(lhs, rhs))
+        return partial
 
     norm_sq = [0.0] * (1 + len(weights))
     gap_sq = [0.0] * (1 + len(weights))
-    for part in _folded(k, fold):
-        for i, (lhs_sq, diff_sq) in enumerate(part):
+    for partial in _folded(k, step, complex, complex, complex):
+        for i, (lhs_sq, diff_sq) in enumerate(partial):
             norm_sq[i] += lhs_sq
             gap_sq[i] += diff_sq
     gaps = [math.sqrt(g) for g in gap_sq]
@@ -483,23 +476,24 @@ def _random_rows(
     """random_kernel's draw as a KernelRows, its inputs checked before any draw."""
     if s1 < 0 or s2 < 0:
         raise ValueError(f"envelope exponents must be nonnegative, got ({s1}, {s2})")
+    seed = _seed(seed)
     _guard_box(theta.d, radius)
     box = LatticeBox(theta.d, radius)
     w1, w2 = bessel_weights(-s1, box), bessel_weights(-s2, box)
     return KernelRows(theta, box, functools.partial(_draw_blocks, w1, w2, seed))
 
 
-def _draw_blocks(w1: np.ndarray, w2: np.ndarray, seed: int, part: slice = slice(None)):
+def _draw_blocks(w1: np.ndarray, w2: np.ndarray, seed: int, span: range | None = None):
     """Yield (rows, block) of the random kernel with envelope weights w1 x w2.
 
-    The uniforms are drawn one row block at a time, over the blocks part
-    picks; the generator starts at the first block's first entry and
-    continues its stream from block to block, so the blocks are those of
-    a single n x n draw.  Philox makes four doubles per counter step: the
-    start is reached by advancing the counter start // 4 steps and
-    discarding start % 4 doubles.  Each block is written into one buffer
-    of this call's own, valid until the next block is drawn.  The phase is
-    evaluated in the tangent form
+    The uniforms are drawn one row block at a time, over the row range
+    span, all rows by default; the generator starts at the span's first
+    entry and continues its stream from block to block, so the blocks are
+    those rows of a single n x n draw.  Philox makes four doubles per
+    counter step: the start is reached by advancing the counter start // 4
+    steps and discarding start % 4 doubles.  Each block is written into
+    one buffer of this call's own, valid until the next block is drawn.
+    The phase is evaluated in the tangent form
     e^{2 pi i u} = ((1 - t^2) + 2it)/(1 + t^2) with t = tan(pi u), one
     vectorised tan per entry and no complex exp; t stays finite because
     pi * u rounds below pi/2 at u = 1/2, and t^2 stays below 3e32.  The
@@ -507,15 +501,13 @@ def _draw_blocks(w1: np.ndarray, w2: np.ndarray, seed: int, part: slice = slice(
     build may round the last digit differently.
     """
     n = w2.size
-    blocks = list(_row_blocks(n, part))
-    if not blocks:
-        return
-    start = blocks[0].start * n
+    span = range(n) if span is None else span
+    start = span.start * n
     rng = np.random.Generator(np.random.Philox(key=seed).advance(start // 4))
     rng.random(start % 4)
     t_buf = _block_buffer(n, float)
     block_buf = _block_buffer(n)
-    for rows in blocks:
+    for rows in _row_blocks(n, span):
         height = rows.stop - rows.start
         t, block = t_buf[:height], block_buf[:height]
         rng.random(out=t)

@@ -95,14 +95,22 @@ def _finite(name: str, value) -> float:
     raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
 
 
-def _positive(name: str, value) -> float:
-    """value as a float > 0; inf passes, NaN, bools and non-numbers do not."""
+def _positive(name: str, value, kind: str = "a positive number") -> float:
+    """value as a float > 0 (inf too), else "{name} must be {kind}"; NaN and bools fail."""
     try:
         if not isinstance(value, bool) and isinstance(value, numbers.Real) and value > 0:
             return float(value)
     except OverflowError:  # an int beyond the float range
         pass
-    raise ValueError(f"{name} must be a positive number, got {_shown(value)}")
+    raise ValueError(f"{name} must be {kind}, got {_shown(value)}")
+
+
+def _seed(value) -> int:
+    """value as a Philox key: an integer by _integer, in [0, 2**128)."""
+    seed = _integer("seed", value)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {_shown(seed)}")
+    return seed
 
 
 def as_multi_index(m: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import _finite, _shown, _torus_dimension
+from .lattice import _finite, _integer, _positive, _torus_dimension
 
 __all__ = [
     "SingularSpectrum",
@@ -343,8 +343,7 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
     and zeroed in place, not dropped, so the sum keeps numpy's pairwise
     order and matches the scipy.special.logsumexp algorithm bit for bit.
     """
-    if not (p > 0):
-        raise ValueError(f"Schatten exponent must be positive, got {_shown(p)}")
+    p = _positive("Schatten exponent", p, "positive")
     vals = spectrum.values
     if vals.size == 0 or vals[0] == 0.0:
         return 0.0
@@ -367,8 +366,7 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
 
 def weak_norm(spectrum: SingularSpectrum, p: float) -> float:
     """The weak quasinorm sup_k (k+1)^(1/p) mu(k)."""
-    if not (p > 0):
-        raise ValueError(f"weak exponent must be positive, got {_shown(p)}")
+    p = _positive("weak exponent", p, "positive")
     positive = spectrum.values[spectrum.values > 0]
     if positive.size == 0:
         return 0.0
@@ -395,6 +393,7 @@ def default_decay_window(length: int) -> tuple:
 def decay_exponent(spectrum: SingularSpectrum, k_min: int, k_max: int) -> DecayFit:
     """Fit mu(k) ~ (k+1)^slope over k_min <= k <= k_max (inclusive)."""
     n = len(spectrum)
+    k_min, k_max = _integer("k_min", k_min), _integer("k_max", k_max)
     if not (1 <= k_min < k_max < n):
         raise ValueError(
             f"window [{k_min}, {k_max}] invalid for a spectrum of length {n}"

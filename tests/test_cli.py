@@ -19,14 +19,7 @@ import nctorus
 from nctorus import schatten
 from nctorus.cli import build_parser, main
 from nctorus.experiments import ExperimentConfig
-
-
-def _strip_wall(text: str) -> list:
-    """The lines of a CSV, its last column dropped from the rows if it is wall_ms."""
-    lines = text.strip().split("\n")
-    if not lines[0].endswith(",wall_ms"):
-        return lines
-    return [lines[0]] + [line.rsplit(",", 1)[0] for line in lines[1:]]
+from test_golden import _without_wall_ms
 
 
 def test_suite_passes(capsys):
@@ -85,7 +78,7 @@ def test_scan_deterministic_modulo_walltime(tmp_path):
     argv = ["scan", "--n-grid", "3,4", "--r-grid", "1.0,2.0"]
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
-    assert _strip_wall(a.read_text()) == _strip_wall(b.read_text())
+    assert _without_wall_ms(a.read_text(), "csv") == _without_wall_ms(b.read_text(), "csv")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -98,7 +91,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert main(["scan", "--config", str(config), "--seed", "9"]) == 0
     overridden = capsys.readouterr().out
     # a different seed draws a different kernel, all else equal
-    assert _strip_wall(base) != _strip_wall(overridden)
+    assert _without_wall_ms(base, "csv") != _without_wall_ms(overridden, "csv")
     assert base.split("\n")[0] == overridden.split("\n")[0]
 
 
@@ -148,7 +141,7 @@ def test_flags_override_config_values_unread(tmp_path, capsys):
         config.write_text(json.dumps(doc))
         code, out, err = _run(capsys, argv + ["--config", str(config)])
         assert (code, err) == (0, "")
-        assert _strip_wall(out) == _strip_wall(_run(capsys, argv)[1])
+        assert _without_wall_ms(out, "csv") == _without_wall_ms(_run(capsys, argv)[1], "csv")
 
 
 def test_config_theta_against_flags(tmp_path, capsys):
@@ -276,7 +269,8 @@ def test_flags_read_numerals_as_config_values(capsys):
         code, out, err = _run(capsys, ints)
         assert (code, err) == (0, "")
         f_code, f_out, f_err = _run(capsys, floats)
-        assert (f_code, _strip_wall(f_out), f_err) == (code, _strip_wall(out), err)
+        assert f_code == code and f_err == err
+        assert _without_wall_ms(f_out, "csv") == _without_wall_ms(out, "csv")
     # a non-integral value meets the config's rule, by the field's name
     assert _run(capsys, ["scan", "--d", "2.5", "--n-grid", "3"]) == (
         2, "", "error: d must be an integer, got 2.5\n"
@@ -821,7 +815,7 @@ def _outcome(argv) -> tuple:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, _strip_wall(out.getvalue()), err.getvalue()
+    return code, _without_wall_ms(out.getvalue(), "csv"), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)

@@ -50,13 +50,14 @@ _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity|nan
 
 
 def _without_wall_ms(text: str, fmt: str) -> str:
+    """text with the scan's wall_ms timings dropped; other text passes unchanged."""
     if fmt == "json":
         doc = json.loads(text)
         for rec in doc.get("records", []):
             rec.pop("wall_ms", None)
         return json.dumps(doc, indent=2) + "\n"
     rows = [line.split(",") for line in text.splitlines()]
-    if "wall_ms" not in rows[0]:
+    if not rows or "wall_ms" not in rows[0]:
         return text
     drop = rows[0].index("wall_ms")
     return "".join(",".join(row[:drop] + row[drop + 1:]) + "\n" for row in rows)

@@ -24,7 +24,6 @@ from nctorus.kernels import (
     KernelRows,
     NCKernel,
     _assembling,
-    _halves,
     _lift_rows,
     _lifted_extremes,
     _matrix_rows,
@@ -665,26 +664,8 @@ def test_lifted_extremes_keeps_the_first_of_tied_maxima(red2):
 # Ranged draws and the two halves.  At d = 2, N = 10 a block holds
 # 37 x 441 = 16,317 entries, so block b starts b mod 4 entries past a
 # multiple of four, at every offset into a Philox counter step; the last
-# block is ragged.  At N = 2 the box is one block, and the first half is empty.
+# block is ragged.  At N = 2 the box is one block, which is one half.
 _RANGE_BOXES = ((2, 10), (3, 3), (2, 2))
-
-
-@pytest.mark.parametrize("d, radius", _RANGE_BOXES)
-def test_ranged_draw_is_those_blocks_of_the_whole_draw(d, radius):
-    theta = reduce_theta(random_theta(d, np.random.default_rng(d)))
-    draw = _random_rows(theta, radius, 1.5, 2.0, 11)
-    whole = [(rows, block.copy()) for rows, block in draw.row_blocks()]
-    count = len(whole)
-    for start in range(count + 1):
-        for stop in range(start, count + 1):
-            part = [(rows, block.copy()) for rows, block in draw.row_blocks(slice(start, stop))]
-            assert [rows for rows, _ in part] == [rows for rows, _ in whole[start:stop]]
-            for (_, block), (_, expected) in zip(part, whole[start:stop]):
-                assert np.array_equal(block, expected)
-    parts = _halves(draw.box.cardinality)
-    halves = [rows for part in parts for rows, _ in draw.row_blocks(part)]
-    assert halves == [rows for rows, _ in whole]
-    assert len(parts) == min(2, count)
 
 
 def _at_width(monkeypatch, width: int, reduce):
@@ -694,22 +675,63 @@ def _at_width(monkeypatch, width: int, reduce):
         return reduce()
 
 
+def _folded_spans(monkeypatch, k) -> list:
+    """The row ranges _folded passes to k.row_blocks, in order, read off a watching stream."""
+    spans = []
+
+    def row_blocks(span=None):
+        spans.append(span)
+        return k.row_blocks(span)
+
+    watched = KernelRows(k.theta, k.box, row_blocks)
+    _at_width(monkeypatch, 1, lambda: _lifted_extremes(watched, 0.0, 0.0))
+    return spans
+
+
+@pytest.mark.parametrize("d, radius", _RANGE_BOXES)
+def test_ranged_draw_is_those_blocks_of_the_whole_draw(monkeypatch, d, radius):
+    theta = reduce_theta(random_theta(d, np.random.default_rng(d)))
+    draw = _random_rows(theta, radius, 1.5, 2.0, 11)
+    n = draw.box.cardinality
+    whole = [(rows, block.copy()) for rows, block in draw.row_blocks()]
+    count = len(whole)
+    bounds = [rows.start for rows, _ in whole] + [n]
+    for start in range(count + 1):
+        for stop in range(start, count + 1):
+            span = range(bounds[start], bounds[stop])
+            part = [(rows, block.copy()) for rows, block in draw.row_blocks(span)]
+            assert [rows for rows, _ in part] == [rows for rows, _ in whole[start:stop]]
+            for (_, block), (_, expected) in zip(part, whole[start:stop]):
+                assert np.array_equal(block, expected)
+    # a range that starts inside a block streams those rows of the draw too
+    coeffs = np.concatenate([block for _, block in whole])
+    for span in (range(1, n), range(5, n - 3), range(n - 1, n)):
+        part = [(rows, block.copy()) for rows, block in draw.row_blocks(span)]
+        assert part[0][0].start == span.start and part[-1][0].stop == span.stop
+        got = np.concatenate([block for _, block in part])
+        assert np.array_equal(got, coeffs[span.start : span.stop])
+    spans = _folded_spans(monkeypatch, draw)
+    halves = [rows for span in spans for rows, _ in draw.row_blocks(span)]
+    assert halves == [rows for rows, _ in whole]
+    assert len(spans) == min(2, count)
+
+
 @pytest.mark.parametrize("d, radius", _STREAM_BOXES)
 def test_reductions_do_not_depend_on_the_width(monkeypatch, d, radius):
     # held or streamed, every reducer returns the same floats at width one
     # and two; at one both halves are read on the calling thread, at two
     # they are read at once, one on the calling thread and one on another
-    theta, k, _ = _stream_kernel(d, radius)
+    theta, k, blocks = _stream_kernel(d, radius)
+    n = k.box.cardinality
     pairs = ((0.7, 1.4), (0.0, 0.0), (2.7, 0.3))
-    parts = [(part.start, part.stop) for part in _halves(k.box.cardinality)]
     for source in (k, _random_rows(theta, radius, 1.5, 2.0, 11)):
         reads, together = [], []
 
-        def row_blocks(part=slice(None), source=source):
-            reads.append(((part.start, part.stop), threading.get_ident()))
+        def row_blocks(span=None, source=source):
+            reads.append(((span.start, span.stop), threading.get_ident()))
             for barrier in together:  # both halves must be in flight to pass
                 barrier.wait(timeout=60)
-            return source.row_blocks(part)
+            return source.row_blocks(span)
 
         watched = KernelRows(source.theta, source.box, row_blocks)
 
@@ -721,6 +743,11 @@ def test_reductions_do_not_depend_on_the_width(monkeypatch, d, radius):
             )
 
         serial = _at_width(monkeypatch, 1, reduce)
+        # two halves of whole blocks, covering the rows in order
+        parts = [part for part, _ in reads[:2]]
+        (_, mid), (mid_again, end) = parts
+        assert parts[0][0] == 0 and mid == mid_again and end == n
+        assert mid in {rows.start for rows in blocks[1:]}
         assert reads == [(part, threading.get_ident()) for part in parts] * 3
         reads.clear()
         together.append(threading.Barrier(2))
@@ -736,12 +763,12 @@ def test_a_failing_half_raises_in_the_caller(monkeypatch, failing):
     # at width two the half on the other thread fails as loudly as the
     # calling thread's own: identity_gaps and _lifted_extremes raise it
     _, k, _ = _stream_kernel(2, 10)
-    broken_part = _halves(k.box.cardinality)[failing]
+    broken_span = _folded_spans(monkeypatch, k)[failing]
 
-    def row_blocks(part=slice(None)):
-        for rows, block in k.row_blocks(part):
+    def row_blocks(span=None):
+        for rows, block in k.row_blocks(span):
             yield rows, block
-            if part == broken_part:
+            if span == broken_span:
                 raise RuntimeError("half failed")
 
     broken = KernelRows(k.theta, k.box, row_blocks)
@@ -785,7 +812,8 @@ def test_lifted_extremes_across_the_halves(monkeypatch, red2):
     # a NaN wins over an inf, whichever half holds either
     box = LatticeBox(2, 10)
     n = box.cardinality
-    boundary = next(_row_blocks(n, _halves(n)[1])).start  # first row of the second half
+    zero = NCKernel(red2, box, np.zeros((n, n)))
+    boundary = _folded_spans(monkeypatch, zero)[1].start  # first row of the second half
     base = np.full((n, n), 0.5 + 0j)
     base[3, 8] = base[boundary, 0] = base[n - 1, 2] = 2.0
     cases = [
@@ -859,6 +887,8 @@ def test_random_kernel_determinism_and_seeds(red2):
     assert np.array_equal(a.coeffs, b.coeffs)
     assert not np.allclose(a.coeffs, c.coeffs)
     assert np.allclose(np.abs(a.coeffs), np.abs(c.coeffs), rtol=1e-13)
+    # an integral float is that integer, as in ExperimentConfig
+    assert np.array_equal(random_kernel(red2, 2, 1.0, 1.0, 7.0).coeffs, a.coeffs)
 
 
 def test_random_kernel_rejects_negative_exponents(red2):

@@ -45,9 +45,50 @@ def _refusals() -> dict:
     k = kernels.NCKernel(red2, box1, np.eye(9))
     other_theta = kernels.NCKernel(cocycle.zero_theta(2), box1, np.eye(9))
     smaller = kernels.NCKernel(red2, lattice.LatticeBox(2, 0), np.eye(1))
+    spectrum = schatten.SingularSpectrum(np.array([3.0, 2.0, 1.0, 0.5, 0.2, 0.1]))
     dims = "^target box dimension 3 does not match element d=2$"
     operands = "^(unsupported operand type|can't multiply sequence)"
+    seeds = {
+        "bool": (True, "^seed must be an integer, got True$"),
+        "fraction": (2.5, "^seed must be an integer, got 2.5$"),
+        "negative": (-1, r"^seed must be in \[0, 2\*\*128\), got -1$"),
+        "past-2**128": (2**128, rf"^seed must be in \[0, 2\*\*128\), got {2**128}$"),
+    }
+    draws = {
+        "random-kernel": lambda seed: kernels.random_kernel(red2, 2, 1.0, 1.0, seed),
+        "suite": lambda seed: experiments.run_property_suite(seed, experiments.default_theta(2)),
+    }
     return {
+        **{
+            f"{entry}-seed-{case}": (lambda draw=draw, seed=seed: draw(seed), ValueError, message)
+            for entry, draw in draws.items()
+            for case, (seed, message) in seeds.items()
+        },
+        "decay-dimension-one": (
+            lambda: experiments.run_potential_decay(1, 2.0, [10]),
+            ValueError,
+            "^dimension must be at least 2, got 1$",
+        ),
+        "schatten-norm-string-exponent": (
+            lambda: schatten.schatten_norm(spectrum, "x"),
+            ValueError,
+            "^Schatten exponent must be positive, got 'x'$",
+        ),
+        "weak-norm-string-exponent": (
+            lambda: schatten.weak_norm(spectrum, "x"),
+            ValueError,
+            "^weak exponent must be positive, got 'x'$",
+        ),
+        "decay-window-fraction": (
+            lambda: schatten.decay_exponent(spectrum, 1.5, 4),
+            ValueError,
+            "^k_min must be an integer, got 1.5$",
+        ),
+        "derivation-index-fraction": (
+            lambda: algebra.partial_derivative(x, 1.5),
+            ValueError,
+            "^derivation index must be an integer, got 1.5$",
+        ),
         "embedded-other-dimension": (lambda: algebra.embedded(x, box3), ValueError, dims),
         "restricted-other-dimension": (lambda: algebra.restricted(x, box3), ValueError, dims),
         "mult-matrix-other-dimension": (
