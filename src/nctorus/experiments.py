@@ -47,12 +47,12 @@ from .kernels import (
     NCKernel,
     SchwartzReport,
     _assembling,
-    _lifted_extremes,
     _random_rows,
     apply_kernel,
     bessel_kernel,
     identity_gaps,
     kernel_matrix,
+    mixed_sobolev_norm,
     op_multiply,
     random_kernel,
     schwartz_coefficients,
@@ -145,12 +145,9 @@ class ExperimentConfig:
             store(name, _finite(name, getattr(self, name)))
         store("s0", float(self.d + 1) if self.s0 is None else _finite("s0", self.s0))
         store("seed", _seed(self.seed))
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError(
-                f"smoothness orders must be nonnegative, got ({self.alpha1}, {self.alpha2})"
-            )
+        r_star = self.r_star  # refuses negative orders
         if self.r_grid is None:
-            store("r_grid", (self.r_star * 1.1, 1.0, 2.0))
+            store("r_grid", (r_star * 1.1, 1.0, 2.0))
         elif not isinstance(self.r_grid, (list, tuple)):
             raise ValueError(f"r_grid must be a list of numbers, got {self.r_grid!r}")
         else:
@@ -435,10 +432,11 @@ class ScanRecord:
 def _scan_one(config: ExperimentConfig, radius: int) -> list:
     t0 = time.perf_counter()
     k = kernel_source(config, radius)
-    # the transpose of the kernel matrix: same spectrum, contiguous writes
-    k_mat = np.empty((k.box.cardinality,) * 2, dtype=complex, order="F")
-    sob = _lifted_extremes(_assembling(k, k_mat), config.alpha1, config.alpha2)[2]
-    spectrum = singular_values(k_mat, overwrite=True)
+    k_mat = np.empty((k.box.cardinality,) * 2, dtype=complex)
+    sob = mixed_sobolev_norm(_assembling(k, k_mat), config.alpha1, config.alpha2)
+    # the transpose has the same spectrum and is the Fortran-ordered
+    # workspace the SVD may overwrite, so nothing is copied
+    spectrum = singular_values(k_mat.T, overwrite=True)
     r_star = config.r_star
     records = []
     for r in config.r_grid:
@@ -468,11 +466,12 @@ def run_theorem_scan(config: ExperimentConfig) -> list:
     the caller's context (numpy's error state included).  On the bundled
     OpenBLAS, BLAS is pinned to one thread for the whole process while the
     scan runs, on the _lanes() read before the pin: at most two cores, as
-    each running grid point holds one n x n matrix.  One BLAS thread per
-    SVD makes the spectra the same at every thread count.  Without that
-    binding the grid points run one at a time on BLAS's own threads.
+    each running grid point holds its kernel_matrix(k), whose transpose
+    is its SVD's workspace.  One BLAS thread per SVD makes the spectra the
+    same at every thread count.  Without that binding the grid points run
+    one at a time on BLAS's own threads.
     """
-    _guard_box(config.d, config.N_grid[-1])
+    _guard_box(config.d, config.N_grid[-1])  # before a smaller N runs
     with schatten._one_blas_thread() as lanes:
         points = schatten._in_lanes(lambda N: _scan_one(config, N), config.N_grid[::-1], lanes)
     records = [rec for point in points for rec in point]
@@ -589,7 +588,7 @@ def run_factorization_check(config: ExperimentConfig) -> list:
     the adjoint gap and the four factorization gaps reduce one pass over
     the kernel's row stream.
     """
-    _guard_box(config.d, config.N_grid[-1])
+    _guard_box(config.d, config.N_grid[-1])  # before a smaller N runs
     records = [rec for radius in config.N_grid for rec in _factor_one(config, radius)]
     records.sort(key=lambda rec: (rec.N, rec.alpha1, rec.alpha2))
     return records
@@ -610,7 +609,5 @@ def run_schwartz_bound(config: ExperimentConfig) -> SchwartzReport:
     The decay margin s0 must exceed the dimension; the value used is
     recorded in the report so output metadata pins the choice.
     """
-    radius = config.N_grid[-1]
-    _guard_box(config.d, radius)
-    k = kernel_source(config, radius)
+    k = kernel_source(config, config.N_grid[-1])
     return schwartz_coefficients(k, config.alpha1, config.alpha2, config.s0)

@@ -22,15 +22,14 @@ takes either: mixed_sobolev_norm and schwartz_coefficients (through
 _lifted_extremes) and identity_gaps (the adjoint gap and any number of
 factorization gaps, in one pass reading one block of kernel-matrix
 rows).  So the runners reduce a draw as it is made and never hold its
-n x n coefficients.  A reducer is a per-block step, and _folded is the
-one walker: it splits the rows into two halves of whole blocks, streams
-each half into block buffers of its own, applies the step to every
-block and returns the partials in block order; the halves run through
-schatten._in_lanes, at once where BLAS reports two threads.  The row
-forms _matrix_rows and _lift_rows and the column form _flip_cols write
-into a given out= and are the bodies of kernel_matrix, sobolev_lift and
-flip_adjoint, so a block of any is bit for bit those rows or columns of
-the whole.  No step holds an n x n temporary beside the arrays it
+n x n coefficients; the scan's stream, through _assembling, also writes
+each block's rows of kernel_matrix(k) into the one matrix the scan
+holds.  A reducer is a per-block step, and _folded, the one walker,
+applies it over two halves of the rows, at once where BLAS reports two
+threads.  The row forms _matrix_rows and _lift_rows and the column form
+_flip_cols write into a given out= and are the bodies of kernel_matrix,
+sobolev_lift and flip_adjoint, so a block of any is bit for bit those
+rows or columns of the whole.  No step holds an n x n temporary beside the arrays it
 returns.  Every sum of squares here, in the gaps, the lifted norms and
 l2_norm, is lattice._sum_squares, which never calls BLAS: its result
 does not depend on the BLAS thread count.
@@ -108,8 +107,8 @@ def _folded(k: NCKernel | KernelRows, step: Callable, *dtypes) -> list:
 
 
 def _block_buffer(n: int, dtype=complex) -> np.ndarray:
-    """A buffer for the tallest row block of n columns; slice it to each block's height."""
-    return np.empty((min(n, max(1, _BLOCK_ENTRIES // n)), n), dtype=dtype)
+    """A buffer for the first, tallest, row block of n columns; slice it to each block's height."""
+    return np.empty((next(_row_blocks(n)).stop, n), dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,17 +219,12 @@ def _matrix_rows(coeff_rows: np.ndarray, col_phases: np.ndarray, out=None) -> np
 
 
 def _assembling(k: NCKernel | KernelRows, matrix: np.ndarray) -> KernelRows:
-    """k's row stream, passing each block on after writing it into matrix as kernel_matrix(k).T.
-
-    A block's rows of kernel_matrix(k) go to the same columns of matrix.
-    The transpose has the same singular values, and in a Fortran-ordered
-    matrix each block's columns are one contiguous run of memory.
-    """
+    """k's row stream, each block passed on after its rows of kernel_matrix(k) go into matrix."""
     col_phases = diagonal_phases(k.theta, k.box)
 
     def row_blocks(span: range | None = None):
         for rows, block in k.row_blocks(span):
-            _matrix_rows(block, col_phases, out=matrix[:, rows].T)
+            _matrix_rows(block, col_phases, out=matrix[rows])
             yield rows, block
 
     return KernelRows(k.theta, k.box, row_blocks)
@@ -315,14 +309,14 @@ def flip_adjoint(k: NCKernel) -> NCKernel:
 
 
 def _flip_cols(
-    coeff_rows: np.ndarray, star: np.ndarray, star_cols: np.ndarray, out=None, scratch=None
+    coeff_rows: np.ndarray, star: np.ndarray, star_cols: np.ndarray, out, scratch
 ) -> np.ndarray:
     """Columns q of flip_adjoint from rows -q of the coefficients, column-major.
 
     star is conj(sigma(p,-p)) and star_cols its entries at those q.  The
-    columns go into out and the phase product into scratch, each fresh if
-    None.  The phase product keeps the order star[p] * star[q], which a
-    fused multiply-add need not round the same way as star[q] * star[p].
+    columns go into out and the phase product into scratch.  The phase
+    product keeps the order star[p] * star[q], which a fused multiply-add
+    need not round the same way as star[q] * star[p].
     """
     cols = np.conjugate(coeff_rows[:, ::-1].T, out=out)
     cols *= np.multiply(star[:, None], star_cols[None, :], out=scratch, order="F")

@@ -86,22 +86,26 @@ def _integer_array(name: str, value) -> np.ndarray:
 
 
 def _finite(name: str, value) -> float:
-    """value as a finite float; NaN, inf, bools and non-numbers do not pass."""
+    """value as a finite float; NaN, inf, bools, non-numbers and ints beyond floats do not pass."""
+    kind = "a finite number"
     try:
         if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
             return float(value)
     except OverflowError:  # an int beyond the float range
-        pass
-    raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
+        kind += " within the float range"
+    raise ValueError(f"{name} must be {kind}, got {_shown(value)}")
 
 
 def _positive(name: str, value, kind: str = "a positive number") -> float:
-    """value as a float > 0 (inf too), else "{name} must be {kind}"; NaN and bools fail."""
+    """value as a float > 0 (inf too), else "{name} must be {kind}"; NaN and bools fail.
+
+    A positive int beyond the float range is refused by naming that range instead.
+    """
     try:
         if not isinstance(value, bool) and isinstance(value, numbers.Real) and value > 0:
             return float(value)
-    except OverflowError:  # an int beyond the float range
-        pass
+    except OverflowError:
+        kind = "a positive number within the float range"
     raise ValueError(f"{name} must be {kind}, got {_shown(value)}")
 
 

@@ -109,16 +109,14 @@ def _block_extremes(block: np.ndarray, offset: int) -> tuple:
 def _scaled_extremes(parts) -> tuple:
     """(max, flat index of its first occurrence, L2 norm) from _block_extremes parts.
 
-    The parts come in block order, so the first of tied maxima is the
-    first met, and a NaN wins over any number, inf included.  Each block's
-    scaled sum is rescaled by (peak / max)^2 as it is added, so the norm is
-    finite wherever the max is; a NaN max makes the norm NaN, else an inf
-    one inf.  The sums are added in block order, whichever thread made them.
+    The parts come in block order, and np.argmax takes the first NaN, else
+    the first of tied maxima, so the flat index is the first occurrence in
+    the whole.  Each block's scaled sum is rescaled by (peak / max)^2 as it
+    is added, so the norm is finite wherever the max is; a NaN max makes
+    the norm NaN, else an inf one inf.  The sums are added in block order,
+    whichever thread made them.
     """
-    top, where = 0.0, 0
-    for peak, i, _ in parts:
-        if peak > top or (math.isnan(peak) and not math.isnan(top)):
-            top, where = peak, i
+    top, where, _ = parts[int(np.argmax([peak for peak, _, _ in parts]))]
     if not 0.0 < top < math.inf:
         return top, where, top
     sumsq = 0.0

@@ -135,9 +135,12 @@ def test_config_validation(tmp_path, capsys):
         ExperimentConfig(alpha1=-1.0)
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(r_grid=(1.0, 0.0))
-    for bad in ({"a": 1}, "2", True, None, float("nan"), -1.0, float("-inf"), 10**400):
+    for bad in ({"a": 1}, "2", True, None, float("nan"), -1.0, float("-inf")):
         with pytest.raises(ValueError, match=r"r_grid entry must be a positive number, got "):
             ExperimentConfig(r_grid=(2.0, bad))
+    in_range = "r_grid entry must be a positive number within the float range, got 10{400}$"
+    with pytest.raises(ValueError, match=in_range):
+        ExperimentConfig(r_grid=(2.0, 10**400))
     # inf is the operator norm; integers pass as floats
     cfg = ExperimentConfig(r_grid=[float("inf"), 2])
     assert cfg.r_grid == (float("inf"), 2.0)
@@ -165,12 +168,14 @@ def test_config_validation(tmp_path, capsys):
         with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*128\), got {bad}"):
             ExperimentConfig(seed=bad)
     assert ExperimentConfig(seed=2**128 - 1).seed == 2**128 - 1
-    # an int too long to print is named by its bit length, not by a failed conversion
+    # an int too long to print is named by its bit length, not by a failed
+    # conversion; one beyond the float range is refused as such
     huge = 10**5000
     for kw, rule in (
-        ({"alpha1": huge}, "alpha1 must be a finite number"),
-        ({"s0": huge}, "s0 must be a finite number"),
-        ({"r_grid": (huge,)}, "r_grid entry must be a positive number"),
+        ({"alpha1": huge}, "alpha1 must be a finite number within the float range"),
+        ({"alpha2": -huge}, "alpha2 must be a finite number within the float range"),
+        ({"s0": huge}, "s0 must be a finite number within the float range"),
+        ({"r_grid": (huge,)}, "r_grid entry must be a positive number within the float range"),
         ({"seed": huge}, r"seed must be in \[0, 2\*\*128\)"),
         ({"seed": -huge}, r"seed must be in \[0, 2\*\*128\)"),
         ({"d": huge}, f"dimension must be at most {MAX_DIMENSION}"),
@@ -935,22 +940,37 @@ def test_streamed_runners_match_the_held_kernel(monkeypatch, d, radius):
 
 
 def test_scan_spectrum_matches_the_kernel_matrix(monkeypatch):
-    # the scan takes the SVD of kernel_matrix(k).T, which has the same
-    # values to rounding: through np.linalg.svd at n = 361 and through
-    # the two-stage reduction at n = 441
+    # the scan hands its matrix, kernel_matrix(k), to the SVD as its
+    # transpose: a writeable Fortran-ordered view the SVD may overwrite,
+    # so nothing is copied.  The spectrum matches kernel_matrix(k)'s to
+    # rounding: through np.linalg.svd at n = 361 and through the
+    # two-stage reduction at n = 441
     config = ExperimentConfig(d=2, N_grid=(9, 10), seed=5)
-    spectra = {}
+    held = {
+        LatticeBox(2, radius).cardinality: random_kernel(
+            config.reduced, radius, *config.envelope_exponents(), config.seed
+        )
+        for radius in config.N_grid
+    }
+    assembled, spectra = {}, {}
+
+    def assembling(k, matrix):
+        assembled[matrix.shape[0]] = matrix
+        return kernels._assembling(k, matrix)
 
     def kept(matrix, overwrite=False):
+        assert overwrite and matrix.base is assembled[matrix.shape[0]]
+        assert matrix.flags.writeable and matrix.flags.f_contiguous
+        assert np.array_equal(matrix.T, kernel_matrix(held[matrix.shape[0]]))
         spectrum = singular_values(matrix, overwrite)
         spectra[matrix.shape[0]] = spectrum.values
         return spectrum
 
+    monkeypatch.setattr(experiments, "_assembling", assembling)
     monkeypatch.setattr(experiments, "singular_values", kept)
     run_theorem_scan(config)
     assert sorted(spectra) == [361, 441] and 361 < schatten._TWO_STAGE_MIN <= 441
-    for radius in config.N_grid:
-        k = random_kernel(config.reduced, radius, *config.envelope_exponents(), config.seed)
+    for k in held.values():
         expected = singular_values(kernel_matrix(k)).values
         got = spectra[k.box.cardinality]
         assert np.max(np.abs(got - expected)) <= 1e-13 * expected[0]

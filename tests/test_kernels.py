@@ -637,19 +637,19 @@ def test_held_and_streamed_kernels_reduce_alike(d, radius):
 
 
 @pytest.mark.parametrize("d, radius", _STREAM_BOXES)
-def test_assembling_writes_the_transposed_matrix(d, radius):
+def test_assembling_writes_the_kernel_matrix(d, radius):
     # held or streamed, the scan's assembly passes every block on as it
-    # came and leaves kernel_matrix(k).T in a Fortran matrix, bit for bit
+    # came and leaves kernel_matrix(k) in the matrix, bit for bit
     theta, k, blocks = _stream_kernel(d, radius)
     n = k.box.cardinality
     for source in (k, _random_rows(theta, radius, 1.5, 2.0, 11)):
-        matrix = np.full((n, n), np.nan, dtype=complex, order="F")
+        matrix = np.full((n, n), np.nan, dtype=complex)
         passed = []
         for rows, block in _assembling(source, matrix).row_blocks():
             assert np.array_equal(block, k.coeffs[rows])
             passed.append(rows)
         assert passed == blocks
-        assert np.array_equal(matrix, kernel_matrix(k).T)
+        assert np.array_equal(matrix, kernel_matrix(k))
 
 
 def test_lifted_extremes_keeps_the_first_of_tied_maxima(red2):
@@ -809,7 +809,7 @@ def test_concurrent_reductions_keep_their_own_buffers(monkeypatch):
 
 def test_lifted_extremes_across_the_halves(monkeypatch, red2):
     # at either width the first of tied maxima is the one met first, and
-    # a NaN wins over an inf, whichever half holds either
+    # a NaN wins over an inf, whichever half or block holds either
     box = LatticeBox(2, 10)
     n = box.cardinality
     zero = NCKernel(red2, box, np.zeros((n, n)))
@@ -820,6 +820,8 @@ def test_lifted_extremes_across_the_halves(monkeypatch, red2):
         ({}, 2.0, 3 * n + 8, math.sqrt((n * n - 3) * 0.25 + 3 * 4.0)),
         ({(5, 1): np.inf, (n - 3, 1): np.nan}, np.nan, (n - 3) * n + 1, np.nan),
         ({(5, 1): np.nan, (n - 3, 1): np.inf}, np.nan, 5 * n + 1, np.nan),
+        # rows 5 and boundary - 1 lie in different blocks of the first half
+        ({(5, 1): np.inf, (boundary - 1, 1): np.nan}, np.nan, (boundary - 1) * n + 1, np.nan),
         ({(n - 3, 1): np.inf}, np.inf, (n - 3) * n + 1, np.inf),
     ]
     for bad, top, where, norm in cases:

@@ -79,6 +79,18 @@ def _refusals() -> dict:
             ValueError,
             "^weak exponent must be positive, got 'x'$",
         ),
+        "schatten-norm-huge-exponent": (
+            lambda: schatten.schatten_norm(spectrum, 10**5000),
+            ValueError,
+            "^Schatten exponent must be a positive number within the float range, "
+            "got an integer of 16610 bits$",
+        ),
+        "weak-norm-huge-exponent": (
+            lambda: schatten.weak_norm(spectrum, 10**5000),
+            ValueError,
+            "^weak exponent must be a positive number within the float range, "
+            "got an integer of 16610 bits$",
+        ),
         "decay-window-fraction": (
             lambda: schatten.decay_exponent(spectrum, 1.5, 4),
             ValueError,
