@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import ReducedTheta, diagonal_phases, phase_pairs, phase_table
-from .lattice import LatticeBox, _guard_box, _integer, _sum_squares, as_multi_index
+from .lattice import LatticeBox, _embedding, _guard_box, _integer, _sum_squares, as_multi_index
 
 __all__ = [
     "TorusElement",
@@ -129,7 +129,7 @@ def embedded(x: TorusElement, box: LatticeBox) -> TorusElement:
     if box.radius == x.box.radius:
         return x
     coeffs = np.zeros(box.cardinality, dtype=complex)
-    coeffs[box.linear_indices(x.box.enumerate())] = x.coeffs
+    coeffs[_embedding(box.d, x.box.radius, box.radius)] = x.coeffs
     return TorusElement(x.theta, box, coeffs)
 
 
@@ -139,7 +139,7 @@ def restricted(x: TorusElement, box: LatticeBox) -> TorusElement:
         raise ValueError(f"target box dimension {box.d} does not match element d={x.box.d}")
     if box.radius > x.box.radius:
         return embedded(x, box)
-    coeffs = x.coeffs[x.box.linear_indices(box.enumerate())]
+    coeffs = x.coeffs[_embedding(box.d, box.radius, x.box.radius)]
     return TorusElement(x.theta, box, coeffs)
 
 
@@ -189,8 +189,9 @@ def _build_plan(theta: ReducedTheta, box_f: LatticeBox, box_g: LatticeBox) -> tu
     pg = box_g.enumerate()
     phases = phase_table(theta.entries, pf, pg)
     # linear index of pf[i] + pg[j] in the sum box splits additively
-    left = (pf + box_f.radius) @ box._weights
-    right = (pg + box_g.radius) @ box._weights
+    weights = box._geometry[1]
+    left = (pf + box_f.radius) @ weights
+    right = (pg + box_g.radius) @ weights
     scatter = (left[:, None] + right[None, :]).ravel()
     phases.flags.writeable = False
     scatter.flags.writeable = False

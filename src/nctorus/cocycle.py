@@ -13,13 +13,14 @@ scaling by 2 pi so large indices do not lose accuracy.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeBox, _finite, _torus_dimension, as_multi_index
+from .lattice import MEMORY_GUARD_CARDINALITY, LatticeBox, _finite, _torus_dimension, as_multi_index
 
 __all__ = [
     "SKEW_TOLERANCE",
@@ -44,7 +45,8 @@ class _SquareMatrix:
     """Read-only finite real d x d matrix, d >= 2, equal only to its own type.
 
     Subclasses name themselves in messages through _label and add their
-    own structure check in _check.
+    own structure check in _check.  The hash is computed once, on
+    construction, since the matrix is a key of every phase memo.
     """
 
     entries: np.ndarray
@@ -63,6 +65,8 @@ class _SquareMatrix:
         self._check(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+        # equal floats hash alike (-0.0 and 0.0 too), and alike in every process
+        object.__setattr__(self, "_hash", hash((arr.shape, tuple(arr.ravel().tolist()))))
 
     def _check(self, arr: np.ndarray) -> None:
         pass
@@ -79,8 +83,7 @@ class _SquareMatrix:
         return np.array_equal(self.entries, other.entries)
 
     def __hash__(self) -> int:
-        # + 0.0 turns -0.0 into 0.0: matrices equal by __eq__ hash alike
-        return hash((self.entries.shape, (self.entries + 0.0).tobytes()))
+        return self._hash
 
 
 class ThetaMatrix(_SquareMatrix):
@@ -121,8 +124,13 @@ class ReducedTheta(_SquareMatrix):
             )
 
 
+@functools.lru_cache(maxsize=16)
 def reduce_theta(theta: ThetaMatrix) -> ReducedTheta:
-    """Keep the strictly lower triangle of theta, zero everything else."""
+    """Keep the strictly lower triangle of theta, zero everything else.
+
+    Equal thetas among the last 16 reduced get the same ReducedTheta
+    object, so the phase memos keyed by it find it by identity.
+    """
     return ReducedTheta(np.tril(theta.entries, k=-1))
 
 
@@ -159,9 +167,25 @@ def phase_table(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.n
 
 
 def diagonal_phases(theta: ReducedTheta, box: LatticeBox) -> np.ndarray:
-    """sigma(p, -p) at every point p of the box, in canonical order."""
-    pts = box.enumerate()
-    return phase_pairs(theta.entries, pts, -pts)
+    """sigma(p, -p) at every point p of the box, in canonical order, read-only.
+
+    Under the dense-matrix guard they come from _diagonal_memo: at most
+    16 complex tables of up to 80,000 bytes each.
+    """
+    if box.cardinality <= MEMORY_GUARD_CARDINALITY:
+        return _diagonal_memo(theta, box.d, box.radius)
+    return _build_diagonal(theta, box.d, box.radius)
+
+
+def _build_diagonal(theta: ReducedTheta, d: int, radius: int) -> np.ndarray:
+    """diagonal_phases on LatticeBox(d, radius), built afresh."""
+    pts = LatticeBox(d, radius).enumerate()
+    phases = phase_pairs(theta.entries, pts, -pts)
+    phases.flags.writeable = False
+    return phases
+
+
+_diagonal_memo = functools.lru_cache(maxsize=16)(_build_diagonal)
 
 
 def sigma(theta: ReducedTheta, m, n) -> complex:

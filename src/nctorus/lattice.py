@@ -9,6 +9,7 @@ and so does the one sum of squares every norm and gap reduces with.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -153,6 +154,23 @@ def _guard_box(
         )
 
 
+def _build_geometry(d: int, radius: int) -> tuple:
+    """Read-only points of LatticeBox(d, radius) and place values behind linear_indices."""
+    side = 2 * radius + 1
+    grid = np.indices((side,) * d, dtype=np.int64).reshape(d, -1)
+    points = np.ascontiguousarray(grid.T)
+    points -= radius
+    weights = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    return points, weights
+
+
+# Geometry of the 16 boxes under the dense-matrix guard used last: at most
+# 125,000 bytes of points each (d = 5, radius 2), 2 MB in all.
+_geometry_memo = functools.lru_cache(maxsize=16)(_build_geometry)
+
+
 @dataclass(frozen=True)
 class LatticeBox:
     """The cube Z^d ∩ [-radius, radius]^d with its canonical total order.
@@ -161,6 +179,10 @@ class LatticeBox:
     enumeration starts at (-radius, ..., -radius) and ends at
     (radius, ..., radius).  Dimension d >= 1 is accepted here; torus-level
     constructions impose d >= 2 themselves.
+
+    A box reads its points and place values once.  Under the dense-matrix
+    guard every box of the same (d, radius) shares one read-only copy from
+    _geometry_memo; a larger box, such as the decay fit's, builds its own.
     """
 
     d: int
@@ -184,27 +206,25 @@ class LatticeBox:
         return self.side**self.d
 
     @cached_property
-    def _weights(self) -> np.ndarray:
-        # place values of the mixed-radix expansion behind linear_indices
-        w = self.side ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        w.flags.writeable = False
-        return w
-
-    @cached_property
-    def _points(self) -> np.ndarray:
-        grid = np.indices((self.side,) * self.d, dtype=np.int64).reshape(self.d, -1)
-        pts = np.ascontiguousarray(grid.T)
-        pts -= self.radius
-        pts.flags.writeable = False
-        return pts
+    def _geometry(self) -> tuple:
+        """(points, place values), as _build_geometry makes them."""
+        if self.cardinality <= MEMORY_GUARD_CARDINALITY:
+            return _geometry_memo(self.d, self.radius)
+        return _build_geometry(self.d, self.radius)
 
     def enumerate(self) -> np.ndarray:
-        """All points as a (cardinality, d) array in canonical order."""
-        return self._points
+        """All points as a read-only (cardinality, d) array in canonical order."""
+        return self._geometry[0]
 
     def contains(self, m: Sequence[int] | np.ndarray) -> bool:
+        """Whether the multi-index m lies in the box; one of another dimension is refused."""
         arr = as_multi_index(m)
-        return arr.shape[0] == self.d and bool(np.all(np.abs(arr) <= self.radius))
+        if arr.shape[0] != self.d:
+            raise ValueError(
+                f"lattice point {tuple(arr.tolist())} has dimension {arr.shape[0]}, "
+                f"box has d={self.d}"
+            )
+        return bool(np.all(np.abs(arr) <= self.radius))
 
     def linear_index(self, m: Sequence[int] | np.ndarray) -> int:
         """Position of m in enumerate(); the one-point case of linear_indices."""
@@ -224,8 +244,29 @@ class LatticeBox:
         if np.any(far):
             point = tuple(pts[far.any(axis=1)][0].tolist())
             raise IndexError(f"lattice point {point} outside box of radius {self.radius}")
-        return (pts + self.radius) @ self._weights
+        return (pts + self.radius) @ self._geometry[1]
 
     def center_index(self) -> int:
         """Linear index of the origin."""
         return (self.cardinality - 1) // 2
+
+
+def _embedding(d: int, small: int, big: int) -> np.ndarray:
+    """Read-only positions in LatticeBox(d, big) of the points of LatticeBox(d, small).
+
+    Under the dense-matrix guard they come from _embedding_memo: at most
+    16 int64 indices of up to 40,000 bytes each.
+    """
+    if (2 * big + 1) ** d <= MEMORY_GUARD_CARDINALITY:
+        return _embedding_memo(d, small, big)
+    return _build_embedding(d, small, big)
+
+
+def _build_embedding(d: int, small: int, big: int) -> np.ndarray:
+    """_embedding, built afresh."""
+    index = LatticeBox(d, big).linear_indices(LatticeBox(d, small).enumerate())
+    index.flags.writeable = False
+    return index
+
+
+_embedding_memo = functools.lru_cache(maxsize=16)(_build_embedding)

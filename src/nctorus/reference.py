@@ -1,7 +1,10 @@
 """Slow definitional reference paths used to cross-check the fast ones.
 
-Nothing here is optimized.  The tensor-product arithmetic spells out the
-product law ``(U^a (x) U^b)(U^c (x) U^e) = sigma(a,c) sigma(e,b)
+This module keeps no memo of its own, and it is optimized only as far
+as keeps the property suite affordable: the tensor product contracts
+whole phase tables, and the term-by-term convolution takes u . matrix
+once per point u.  The tensor-product arithmetic spells out the product
+law ``(U^a (x) U^b)(U^c (x) U^e) = sigma(a,c) sigma(e,b)
 U^{a+c} (x) U^{e+b}`` term by term (second leg reversed), the
 convolution helper accepts an arbitrary reduction matrix so alternative
 presentations of the twist can be compared, and the untwisted degenerate
@@ -49,8 +52,9 @@ def convolve_coefficients(
     for i, u in enumerate(pf):
         if f[i] == 0:
             continue
+        row = u @ matrix  # u @ matrix @ v groups as (u @ matrix) @ v
         for j, v in enumerate(pg):
-            phase = np.exp(2j * np.pi * float(u @ matrix @ v))
+            phase = np.exp(2j * np.pi * float(row @ v))
             out[sums[i, j]] += f[i] * g[j] * phase
     return out_box, out
 

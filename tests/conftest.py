@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from nctorus import algebra, cocycle, lattice
 from nctorus.cocycle import ReducedTheta, reduce_theta
 from nctorus.experiments import default_theta
 
@@ -32,3 +33,18 @@ def quarter():
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=2024))
+
+
+@pytest.fixture
+def memos():
+    """Every memo of per-box tables and thetas, by name, each cleared."""
+    found = {
+        "geometry": lattice._geometry_memo,
+        "diagonal": cocycle._diagonal_memo,
+        "theta": cocycle.reduce_theta,
+        "embedding": lattice._embedding_memo,
+        "plan": algebra._plan_memo,
+    }
+    for memo in found.values():
+        memo.cache_clear()
+    return found

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import algebra
+from nctorus import algebra, cocycle, experiments, lattice
 from nctorus.algebra import (
     TorusElement,
     embedded,
@@ -22,8 +22,8 @@ from nctorus.algebra import (
     twisted_convolve,
     unit,
 )
-from nctorus.cocycle import random_theta, reduce_theta, sigma, zero_theta
-from nctorus.experiments import run_property_suite
+from nctorus.cocycle import diagonal_phases, random_theta, reduce_theta, sigma, zero_theta
+from nctorus.experiments import run_potential_decay, run_property_suite
 from nctorus.lattice import LatticeBox
 from nctorus.reference import plain_convolution
 
@@ -262,6 +262,12 @@ def test_coefficient_outside_box_is_zero(red2):
     assert x.coefficient((5, 5)) == 0.0
 
 
+def test_coefficient_refuses_a_wrong_dimension(red2):
+    x = monomial(red2, (0, 0), LatticeBox(2, 1))
+    with pytest.raises(ValueError, match=r"^lattice point \(0, 0, 0\) has dimension 3, box has d=2$"):
+        x.coefficient((0, 0, 0))
+
+
 def test_dense_constructions_are_guarded(red2):
     # a radius-36 d=2 box has 73^2 = 5329 points, above the guard; the
     # refusal comes before the n x n x d difference table is allocated
@@ -307,20 +313,82 @@ def _suite_errors(seed, theta):
     return np.array([c.max_error for c in report.checks]).view(np.int64)
 
 
+def _bypass(patch) -> None:
+    """Point every memo's lookup at its builder, so each table is built afresh."""
+    patch.setattr(lattice, "_geometry_memo", lattice._build_geometry)
+    patch.setattr(cocycle, "_diagonal_memo", cocycle._build_diagonal)
+    patch.setattr(experiments, "reduce_theta", cocycle.reduce_theta.__wrapped__)
+    patch.setattr(lattice, "_embedding_memo", lattice._build_embedding)
+    patch.setattr(algebra, "_plan_memo", algebra._build_plan)
+
+
 @pytest.mark.parametrize("d", [2, 3])
-def test_plan_memo_changes_no_suite_bit(d, monkeypatch):
-    # the memo starting cleared, starting warm, or not consulted at all
-    # gives the same suite errors bit for bit
-    theta = random_theta(d, np.random.Generator(np.random.Philox(key=d)))
+def test_memos_change_no_suite_bit(d, memos, monkeypatch):
+    # every memo starting cleared, starting warm (last filled for another
+    # theta), or not consulted at all gives the same suite errors bit for bit
+    rng = np.random.Generator(np.random.Philox(key=d))
+    theta, other = random_theta(d, rng), random_theta(d, rng)
     for seed in (7, 8, 9):
-        algebra._plan_memo.cache_clear()
+        for memo in memos.values():
+            memo.cache_clear()
         cleared = _suite_errors(seed, theta)
+        _suite_errors(seed, other)
         warm = _suite_errors(seed, theta)
+        infos = [memo.cache_info() for memo in memos.values()]
         with monkeypatch.context() as patch:
-            patch.setattr(algebra, "_product_plan", algebra._build_plan)
+            _bypass(patch)
             unmemoised = _suite_errors(seed, theta)
+        assert [memo.cache_info() for memo in memos.values()] == infos
         assert np.array_equal(cleared, warm)
         assert np.array_equal(cleared, unmemoised)
+
+
+def test_memoised_tables_are_read_only(red2, memos):
+    box = LatticeBox(2, 2)
+    tables = (*box._geometry, diagonal_phases(red2, box), lattice._embedding(2, 1, 2))
+    assert [memo.cache_info().currsize for memo in memos.values()] == [2, 1, 0, 1, 0]
+    for arr in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_memo_sizes_are_pinned(memos):
+    sizes = {name: memo.cache_info().maxsize for name, memo in memos.items()}
+    assert sizes == {"geometry": 16, "diagonal": 16, "theta": 16, "embedding": 16, "plan": 16}
+
+
+def test_boxes_over_the_guard_enter_no_memo(red2, memos):
+    # decay's N = 40 box has 81^2 = 6,561 points, above the dense-matrix
+    # guard: its tables are built for it alone, and no memo keeps them
+    run_potential_decay(2, 2.0, (40,))
+    big = LatticeBox(2, 40)
+    assert big.enumerate() is big.enumerate()
+    assert big.enumerate() is not LatticeBox(2, 40).enumerate()
+    phases = diagonal_phases(red2, big)
+    index = lattice._embedding(2, 1, 40)
+    assert phases is not diagonal_phases(red2, big)
+    assert index is not lattice._embedding(2, 1, 40)
+    for arr in (*big._geometry, phases, index):
+        assert not arr.flags.writeable
+    # the one-point box behind the embedding is the only table kept
+    assert [memo.cache_info().currsize for memo in memos.values()] == [1, 0, 0, 0, 0]
+
+
+def test_memos_hold_little_after_a_warm_suite_seed(theta2, memos):
+    # after one d = 2 suite seed the memos hold every table the next seed
+    # reads: 6 product plans, 5 box geometries, 3 phase tables, 2
+    # embeddings and 1 reduced theta, about 134 kB in all
+    run_property_suite(7, theta2)
+    for memo in memos.values():
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        run_property_suite(8, theta2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [memo.cache_info().currsize for memo in memos.values()] == [5, 3, 1, 2, 6]
+    assert held < 1 << 18, held
 
 
 def test_memoised_plans_are_read_only(red2):

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nctorus
 from nctorus.cocycle import (
     SKEW_TOLERANCE,
     ReducedTheta,
@@ -279,3 +283,24 @@ def test_theta_equality_and_hash(theta2):
     plain = ReducedTheta(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert signed == plain and hash(signed) == hash(plain)
     assert signed == signed
+
+
+def test_reduce_theta_hands_equal_thetas_one_object(theta2):
+    # the phase memos keyed by a reduced theta then find it by identity
+    red = reduce_theta(theta2)
+    assert reduce_theta(ThetaMatrix(theta2.entries.copy())) is red
+    assert reduce_theta(ThetaMatrix(-theta2.entries)) is not red
+    assert reduce_theta(ThetaMatrix(-theta2.entries)) != red
+
+
+def test_theta_hash_is_the_same_in_every_process(theta2):
+    # the hash is taken once, on construction, so it must not depend on the
+    # per-process seed of str and bytes hashes: a pickled theta keeps it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nctorus.__file__)))
+    code = "from nctorus.experiments import default_theta; print(hash(default_theta(2)))"
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == hash(theta2)

@@ -102,6 +102,19 @@ def test_outputs_match_the_golden_set():
     assert differences(outputs(), GOLDEN_DIR, exact=False) == []
 
 
+def test_suite_twice_in_one_process_matches_the_golden_text(memos):
+    # the first call fills every memo, starting cleared; the second reads them
+    want = (GOLDEN_DIR / "suite-7.txt").read_text(encoding="utf-8")
+    runs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["suite", "--seed", "7"]) == 0
+        runs.append(buf.getvalue())
+    assert runs[0] == runs[1]
+    assert _close(runs[0], want)
+
+
 def test_golden_comparison_sees_a_changed_digit():
     want = "N,r\n4,1.2345678901234567\n"
     assert _close("N,r\n4,1.2345678901234569\n", want)

@@ -72,7 +72,8 @@ def test_contains():
     box = LatticeBox(2, 1)
     assert box.contains((1, -1))
     assert not box.contains((2, 0))
-    assert not box.contains((0, 0, 0))
+    with pytest.raises(ValueError, match=r"^lattice point \(0, 0, 0\) has dimension 3, box has d=2$"):
+        box.contains((0, 0, 0))
 
 
 def test_negation_permutation():
