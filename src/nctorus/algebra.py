@@ -13,14 +13,13 @@ an explicit, caller-side decision (`restricted`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cocycle import ReducedTheta, diagonal_phases, phase_pairs, phase_table
-from .lattice import LatticeBox, _embedding, _guard_box, _integer, _sum_squares, as_multi_index
+from .lattice import LatticeBox, _embedding, _guard_box, _integer, _memo, _sum_squares
 
 __all__ = [
     "TorusElement",
@@ -64,10 +63,9 @@ class TorusElement:
 
     def coefficient(self, m) -> complex:
         """The Fourier coefficient at index m (0 outside the box)."""
-        arr = as_multi_index(m)
-        if not self.box.contains(arr):
+        if not self.box.contains(m):
             return 0.0 + 0.0j
-        return complex(self.coeffs[self.box.linear_index(arr)])
+        return complex(self.coeffs[self.box.linear_index(m)])
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
         if not isinstance(other, TorusElement):
@@ -98,9 +96,8 @@ def _require_same_theta(f: TorusElement, g: TorusElement) -> None:
 
 def monomial(theta: ReducedTheta, m, box: LatticeBox) -> TorusElement:
     """The basis monomial with coefficient 1 at index m."""
-    arr = as_multi_index(m)
     coeffs = np.zeros(box.cardinality, dtype=complex)
-    coeffs[box.linear_index(arr)] = 1.0
+    coeffs[box.linear_index(m)] = 1.0
     return TorusElement(theta, box, coeffs)
 
 
@@ -166,24 +163,14 @@ def twisted_convolve(f: TorusElement, g: TorusElement) -> TorusElement:
 _PLAN_MEMO_ENTRIES = 1 << 14
 
 
+@_memo(lambda theta, box_f, box_g: box_f.cardinality * box_g.cardinality, _PLAN_MEMO_ENTRIES)
 def _product_plan(theta: ReducedTheta, box_f: LatticeBox, box_g: LatticeBox) -> tuple:
     """(sum box, flat scatter index, read-only phase table) of a product box_f x box_g.
 
     The phase table holds sigma(p, q) for p in box_f, q in box_g, and the
     scatter index the linear index of p + q in the sum box, flattened in
-    the table's order.  A plan whose table has at most _PLAN_MEMO_ENTRIES
-    entries comes from _plan_memo, an LRU of at most 16 plans: with its
-    int64 index, at most 384 KiB each and 6 MiB in all.  A larger plan is
-    built for each call.  Either way the plan is built by _build_plan, so
-    the memo changes no bit of a product.
+    the table's order.
     """
-    if box_f.cardinality * box_g.cardinality <= _PLAN_MEMO_ENTRIES:
-        return _plan_memo(theta, box_f, box_g)
-    return _build_plan(theta, box_f, box_g)
-
-
-def _build_plan(theta: ReducedTheta, box_f: LatticeBox, box_g: LatticeBox) -> tuple:
-    """_product_plan, built afresh."""
     box = LatticeBox(box_f.d, box_f.radius + box_g.radius)
     pf = box_f.enumerate()
     pg = box_g.enumerate()
@@ -192,13 +179,7 @@ def _build_plan(theta: ReducedTheta, box_f: LatticeBox, box_g: LatticeBox) -> tu
     weights = box._geometry[1]
     left = (pf + box_f.radius) @ weights
     right = (pg + box_g.radius) @ weights
-    scatter = (left[:, None] + right[None, :]).ravel()
-    phases.flags.writeable = False
-    scatter.flags.writeable = False
-    return box, scatter, phases
-
-
-_plan_memo = functools.lru_cache(maxsize=16)(_build_plan)
+    return box, (left[:, None] + right[None, :]).ravel(), phases
 
 
 def involution(f: TorusElement) -> TorusElement:

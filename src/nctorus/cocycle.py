@@ -13,14 +13,13 @@ scaling by 2 pi so large indices do not lose accuracy.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .lattice import MEMORY_GUARD_CARDINALITY, LatticeBox, _finite, _torus_dimension, as_multi_index
+from .lattice import LatticeBox, _finite, _memo, _torus_dimension, as_multi_index
 
 __all__ = [
     "SKEW_TOLERANCE",
@@ -124,7 +123,7 @@ class ReducedTheta(_SquareMatrix):
             )
 
 
-@functools.lru_cache(maxsize=16)
+@_memo()
 def reduce_theta(theta: ThetaMatrix) -> ReducedTheta:
     """Keep the strictly lower triangle of theta, zero everything else.
 
@@ -166,26 +165,11 @@ def phase_table(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.n
     return _unit_phases(args)
 
 
+@_memo(lambda theta, box: box.cardinality)
 def diagonal_phases(theta: ReducedTheta, box: LatticeBox) -> np.ndarray:
-    """sigma(p, -p) at every point p of the box, in canonical order, read-only.
-
-    Under the dense-matrix guard they come from _diagonal_memo: at most
-    16 complex tables of up to 80,000 bytes each.
-    """
-    if box.cardinality <= MEMORY_GUARD_CARDINALITY:
-        return _diagonal_memo(theta, box.d, box.radius)
-    return _build_diagonal(theta, box.d, box.radius)
-
-
-def _build_diagonal(theta: ReducedTheta, d: int, radius: int) -> np.ndarray:
-    """diagonal_phases on LatticeBox(d, radius), built afresh."""
-    pts = LatticeBox(d, radius).enumerate()
-    phases = phase_pairs(theta.entries, pts, -pts)
-    phases.flags.writeable = False
-    return phases
-
-
-_diagonal_memo = functools.lru_cache(maxsize=16)(_build_diagonal)
+    """sigma(p, -p) at every point p of the box, in canonical order, read-only."""
+    pts = box.enumerate()
+    return phase_pairs(theta.entries, pts, -pts)
 
 
 def sigma(theta: ReducedTheta, m, n) -> complex:

@@ -4,7 +4,8 @@ Every matrix and coefficient vector in this package is indexed by the
 points of such a box, enumerated in a single canonical order, so the
 index bijections here are the ground truth for everything built on top.
 The number rules every module checks its inputs by live here as well,
-and so does the one sum of squares every norm and gap reduces with.
+and so do the one sum of squares every norm and gap reduces with and
+the one rule (_memo) by which every module keeps its per-box tables.
 """
 
 from __future__ import annotations
@@ -154,21 +155,49 @@ def _guard_box(
         )
 
 
-def _build_geometry(d: int, radius: int) -> tuple:
-    """Read-only points of LatticeBox(d, radius) and place values behind linear_indices."""
+# Every memo of tables, by qualified name: an LRU whose __wrapped__ is its
+# builder.  Lookups read the LRU from here, so a test may swap in the
+# builder to bypass the memo.
+_MEMOS: dict = {}
+
+
+def _memo(size=lambda *key: 0, limit: int = MEMORY_GUARD_CARDINALITY):
+    """Decorator: keep build(*key) in an LRU of 16 when size(*key) <= limit.
+
+    A larger table is built afresh on every call; without a size rule
+    every key is kept.  Either way every ndarray the builder returns,
+    alone or in a tuple, is made read-only, and the memo changes no bit
+    of any output.
+    """
+
+    def decorate(build):
+        def fresh(*key):
+            table = build(*key)
+            for part in table if isinstance(table, tuple) else (table,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            return table
+
+        name = f"{build.__module__}.{build.__name__}"
+        _MEMOS[name] = functools.lru_cache(maxsize=16)(fresh)
+
+        @functools.wraps(build)
+        def lookup(*key):
+            return _MEMOS[name](*key) if size(*key) <= limit else fresh(*key)
+
+        return lookup
+
+    return decorate
+
+
+@_memo(lambda d, radius: (2 * radius + 1) ** d)
+def _box_geometry(d: int, radius: int) -> tuple:
+    """Points of LatticeBox(d, radius) and place values behind linear_indices."""
     side = 2 * radius + 1
     grid = np.indices((side,) * d, dtype=np.int64).reshape(d, -1)
     points = np.ascontiguousarray(grid.T)
     points -= radius
-    weights = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    points.flags.writeable = False
-    weights.flags.writeable = False
-    return points, weights
-
-
-# Geometry of the 16 boxes under the dense-matrix guard used last: at most
-# 125,000 bytes of points each (d = 5, radius 2), 2 MB in all.
-_geometry_memo = functools.lru_cache(maxsize=16)(_build_geometry)
+    return points, side ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -180,9 +209,8 @@ class LatticeBox:
     (radius, ..., radius).  Dimension d >= 1 is accepted here; torus-level
     constructions impose d >= 2 themselves.
 
-    A box reads its points and place values once.  Under the dense-matrix
-    guard every box of the same (d, radius) shares one read-only copy from
-    _geometry_memo; a larger box, such as the decay fit's, builds its own.
+    A box reads its points and place values once; under the dense-matrix
+    guard, boxes of one (d, radius) share them.
     """
 
     d: int
@@ -201,16 +229,14 @@ class LatticeBox:
     def side(self) -> int:
         return 2 * self.radius + 1
 
-    @property
+    @cached_property
     def cardinality(self) -> int:
         return self.side**self.d
 
     @cached_property
     def _geometry(self) -> tuple:
-        """(points, place values), as _build_geometry makes them."""
-        if self.cardinality <= MEMORY_GUARD_CARDINALITY:
-            return _geometry_memo(self.d, self.radius)
-        return _build_geometry(self.d, self.radius)
+        """(points, place values), as _box_geometry makes them."""
+        return _box_geometry(self.d, self.radius)
 
     def enumerate(self) -> np.ndarray:
         """All points as a read-only (cardinality, d) array in canonical order."""
@@ -251,22 +277,7 @@ class LatticeBox:
         return (self.cardinality - 1) // 2
 
 
+@_memo(lambda d, small, big: (2 * big + 1) ** d)
 def _embedding(d: int, small: int, big: int) -> np.ndarray:
-    """Read-only positions in LatticeBox(d, big) of the points of LatticeBox(d, small).
-
-    Under the dense-matrix guard they come from _embedding_memo: at most
-    16 int64 indices of up to 40,000 bytes each.
-    """
-    if (2 * big + 1) ** d <= MEMORY_GUARD_CARDINALITY:
-        return _embedding_memo(d, small, big)
-    return _build_embedding(d, small, big)
-
-
-def _build_embedding(d: int, small: int, big: int) -> np.ndarray:
-    """_embedding, built afresh."""
-    index = LatticeBox(d, big).linear_indices(LatticeBox(d, small).enumerate())
-    index.flags.writeable = False
-    return index
-
-
-_embedding_memo = functools.lru_cache(maxsize=16)(_build_embedding)
+    """Positions in LatticeBox(d, big) of the points of LatticeBox(d, small)."""
+    return LatticeBox(d, big).linear_indices(LatticeBox(d, small).enumerate())

@@ -49,12 +49,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Finite, nonnegative, nonincreasing singular values."""
+    """Finite, nonnegative, nonincreasing singular values, from a 1-D real sequence."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float).reshape(-1)
+        arr = np.asarray(self.values)
+        if arr.ndim != 1:
+            raise ValueError(f"singular values must be one-dimensional, got shape {arr.shape}")
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"singular values must be real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(float)  # a copy the spectrum owns
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise ValueError(f"singular values must be finite, got {arr[bad[0]]} at index {bad[0]}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nctorus import algebra, cocycle, lattice
+from nctorus import lattice
 from nctorus.cocycle import ReducedTheta, reduce_theta
 from nctorus.experiments import default_theta
 
@@ -37,14 +37,7 @@ def rng():
 
 @pytest.fixture
 def memos():
-    """Every memo of per-box tables and thetas, by name, each cleared."""
-    found = {
-        "geometry": lattice._geometry_memo,
-        "diagonal": cocycle._diagonal_memo,
-        "theta": cocycle.reduce_theta,
-        "embedding": lattice._embedding_memo,
-        "plan": algebra._plan_memo,
-    }
-    for memo in found.values():
-        memo.cache_clear()
-    return found
+    """The registry of memos, each cleared: an LRU by qualified name."""
+    for lru in lattice._MEMOS.values():
+        lru.cache_clear()
+    return lattice._MEMOS

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import algebra, cocycle, experiments, lattice
+from nctorus import algebra, lattice
 from nctorus.algebra import (
     TorusElement,
     embedded,
@@ -313,13 +313,18 @@ def _suite_errors(seed, theta):
     return np.array([c.max_error for c in report.checks]).view(np.int64)
 
 
+PLAN = "nctorus.algebra._product_plan"
+
+
 def _bypass(patch) -> None:
-    """Point every memo's lookup at its builder, so each table is built afresh."""
-    patch.setattr(lattice, "_geometry_memo", lattice._build_geometry)
-    patch.setattr(cocycle, "_diagonal_memo", cocycle._build_diagonal)
-    patch.setattr(experiments, "reduce_theta", cocycle.reduce_theta.__wrapped__)
-    patch.setattr(lattice, "_embedding_memo", lattice._build_embedding)
-    patch.setattr(algebra, "_plan_memo", algebra._build_plan)
+    """Put every memo's builder in its LRU's place, so each table is built afresh."""
+    for name, lru in list(lattice._MEMOS.items()):
+        patch.setitem(lattice._MEMOS, name, lru.__wrapped__)
+
+
+def _held(memos) -> dict:
+    """Entries each memo holds, by the memoised function's own name."""
+    return {name.rpartition(".")[2]: lru.cache_info().currsize for name, lru in memos.items()}
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -343,18 +348,29 @@ def test_memos_change_no_suite_bit(d, memos, monkeypatch):
         assert np.array_equal(cleared, unmemoised)
 
 
-def test_memoised_tables_are_read_only(red2, memos):
-    box = LatticeBox(2, 2)
-    tables = (*box._geometry, diagonal_phases(red2, box), lattice._embedding(2, 1, 2))
-    assert [memo.cache_info().currsize for memo in memos.values()] == [2, 1, 0, 1, 0]
-    for arr in tables:
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
+@pytest.mark.parametrize("name", list(lattice._MEMOS))
+def test_memoised_tables_are_read_only(name, theta2, memos, monkeypatch):
+    # one suite seed consults every memo, and no array a memo hands out,
+    # alone or in a tuple, can be written through
+    lru, tables = memos[name], []
+
+    def spy(*key):
+        tables.append(lru(*key))
+        return tables[-1]
+
+    monkeypatch.setitem(memos, name, spy)
+    run_property_suite(7, theta2)
+    assert tables
+    for table in tables:
+        for part in table if isinstance(table, tuple) else (table,):
+            if isinstance(part, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    part.flat[0] = 0
 
 
-def test_memo_sizes_are_pinned(memos):
-    sizes = {name: memo.cache_info().maxsize for name, memo in memos.items()}
-    assert sizes == {"geometry": 16, "diagonal": 16, "theta": 16, "embedding": 16, "plan": 16}
+@pytest.mark.parametrize("name", list(lattice._MEMOS))
+def test_memo_sizes_are_pinned(name, memos):
+    assert memos[name].cache_info().maxsize == 16
 
 
 def test_boxes_over_the_guard_enter_no_memo(red2, memos):
@@ -371,7 +387,13 @@ def test_boxes_over_the_guard_enter_no_memo(red2, memos):
     for arr in (*big._geometry, phases, index):
         assert not arr.flags.writeable
     # the one-point box behind the embedding is the only table kept
-    assert [memo.cache_info().currsize for memo in memos.values()] == [1, 0, 0, 0, 0]
+    assert _held(memos) == {
+        "_box_geometry": 1,
+        "_embedding": 0,
+        "reduce_theta": 0,
+        "diagonal_phases": 0,
+        "_product_plan": 0,
+    }
 
 
 def test_memos_hold_little_after_a_warm_suite_seed(theta2, memos):
@@ -387,36 +409,32 @@ def test_memos_hold_little_after_a_warm_suite_seed(theta2, memos):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert [memo.cache_info().currsize for memo in memos.values()] == [5, 3, 1, 2, 6]
+    assert _held(memos) == {
+        "_box_geometry": 5,
+        "_embedding": 2,
+        "reduce_theta": 1,
+        "diagonal_phases": 3,
+        "_product_plan": 6,
+    }
     assert held < 1 << 18, held
 
 
-def test_memoised_plans_are_read_only(red2):
-    algebra._plan_memo.cache_clear()
-    box, scatter, phases = algebra._product_plan(red2, LatticeBox(2, 2), LatticeBox(2, 1))
-    assert algebra._plan_memo.cache_info().currsize == 1
-    assert box == LatticeBox(2, 3)
-    for arr in (scatter, phases):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
-
-
-def test_plan_memo_skips_products_over_its_bound():
+def test_plan_memo_skips_products_over_its_bound(memos):
     red3 = reduce_theta(random_theta(3, np.random.default_rng(3)))
     rng = np.random.Generator(np.random.Philox(key=4))
     f = random_element(red3, LatticeBox(3, 4), rng)
     g = random_element(red3, LatticeBox(3, 2), rng)
     assert algebra._PLAN_MEMO_ENTRIES == 1 << 14
     assert f.box.cardinality * g.box.cardinality > algebra._PLAN_MEMO_ENTRIES
-    algebra._plan_memo.cache_clear()
+    memos[PLAN].cache_clear()
     twisted_convolve(f, g)
-    assert algebra._plan_memo.cache_info().currsize == 0
+    assert memos[PLAN].cache_info().currsize == 0
     # 125 x 125 = 15,625 entries is within the bound
     twisted_convolve(g, g)
-    assert algebra._plan_memo.cache_info().currsize == 1
+    assert memos[PLAN].cache_info().currsize == 1
 
 
-def test_plan_memo_holds_at_most_16_plans(monkeypatch):
+def test_plan_memo_holds_at_most_16_plans(memos, monkeypatch):
     # twenty thetas over one box pair: twenty plans, of which the memo
     # keeps the last 16, and every product is the one built without it
     rng = np.random.Generator(np.random.Philox(key=5))
@@ -425,11 +443,11 @@ def test_plan_memo_holds_at_most_16_plans(monkeypatch):
     for _ in range(20):
         theta = reduce_theta(random_theta(2, rng))
         elements.append(random_element(theta, box, rng))
-    algebra._plan_memo.cache_clear()
+    memos[PLAN].cache_clear()
     memoised = [twisted_convolve(x, x).coeffs for x in elements + elements[:2]]
-    info = algebra._plan_memo.cache_info()
+    info = memos[PLAN].cache_info()
     assert info.maxsize == 16
     assert info.misses == 22 and info.currsize == 16
-    monkeypatch.setattr(algebra, "_product_plan", algebra._build_plan)
+    _bypass(monkeypatch)
     for x, coeffs in zip(elements + elements[:2], memoised):
         assert np.array_equal(twisted_convolve(x, x).coeffs, coeffs)

@@ -1,3 +1,4 @@
+import ctypes
 import glob
 import os
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctorus.algebra import l2_norm, random_element
+from nctorus.experiments import ExperimentConfig
 from nctorus.kernels import NCKernel, kernel_matrix, random_kernel
 from nctorus.lattice import LatticeBox
 from nctorus import schatten
@@ -265,6 +267,61 @@ def test_bundled_openblas_is_bound():
     assert schatten._openblas() is not None
 
 
+def _jacobi_values(lib, matrix: np.ndarray) -> np.ndarray:
+    """Singular values by preconditioned one-sided Jacobi, LAPACK's zgejsv.
+
+    JOBA = 'F' and JOBR = 'R', no singular vectors.  Jacobi computes the
+    singular values of D1 C D2, with D1 and D2 diagonal, to about eps
+    kappa(C) relative accuracy, however D1 and D2 are scaled (Demmel et
+    al., Linear Algebra Appl. 299, 1999), so it is an oracle for the small
+    values that the normwise-accurate SVDs only bound by eps kappa.
+    """
+    jsv = getattr(lib, "scipy_LAPACKE_zgejsv64_", None)
+    if jsv is None:
+        pytest.skip("this OpenBLAS exports no LAPACKE zgejsv")
+    size, char, ptr = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p
+    # (layout, joba, jobu, jobv, jobr, jobt, jobp, m, n, a, lda, sva, u, ldu, v, ldv, stat, istat)
+    jsv.argtypes = (
+        [ctypes.c_int] + [char] * 6 + [size, size, ptr, size, ptr] + [ptr, size] * 2 + [ptr, ptr]
+    )
+    jsv.restype = size
+    n = matrix.shape[0]
+    a = np.array(matrix, dtype=complex, order="F")
+    sva, stat, istat = np.empty(n), np.empty(7), np.empty(3, dtype=np.int64)
+    unused = np.empty(1, dtype=complex)  # U and V, not referenced with JOBU = JOBV = 'N'
+    info = jsv(
+        102, b"F", b"N", b"N", b"R", b"N", b"N", n, n, a.ctypes.data, n, sva.ctypes.data,
+        unused.ctypes.data, 1, unused.ctypes.data, 1, stat.ctypes.data, istat.ctypes.data,
+    )
+    assert info == 0
+    return sva * (stat[1] / stat[0])  # the singular values are STAT(2)/STAT(1) times SVA
+
+
+def test_scan_svd_against_the_jacobi_oracle():
+    # the scan's first two-stage size: n = 441 at d = 2, N = 10, where the
+    # default kernel has kappa = 2.9e6, so normwise error bounds leave its
+    # smallest values only about eps kappa = 6e-10 relative accuracy
+    lib = schatten._openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no ILP64 OpenBLAS here")
+    config = ExperimentConfig(d=2, N_grid=(10,), seed=42)
+    k = random_kernel(config.reduced, 10, *config.envelope_exponents(), config.seed)
+    matrix = kernel_matrix(k)
+    assert matrix.shape[0] >= schatten._TWO_STAGE_MIN
+    with schatten._one_blas_thread():  # as in the scan
+        jacobi = _jacobi_values(lib, matrix)
+        ours = singular_values(matrix.T).values
+    assert 1e6 < jacobi[0] / jacobi[-1] < 1e7
+    # measured: 1.0e-12 here at one BLAS thread (1.4e-12 at two), and
+    # 5.0e-12 for np.linalg.svd; the band is ten times the first
+    assert np.max(np.abs(ours - jacobi) / jacobi) <= 1e-11
+    # the norms agree to 1.3e-15 at every default r
+    for r in config.r_grid:
+        for norm in (schatten_norm, weak_norm):
+            want = norm(SingularSpectrum(jacobi), r)
+            assert norm(SingularSpectrum(ours), r) == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_spectrum_type_validation():
     with pytest.raises(ValueError, match="nonincreasing"):
         SingularSpectrum(np.array([1.0, 2.0]))
@@ -278,6 +335,15 @@ def test_spectrum_type_validation():
     with pytest.raises(ValueError, match=r"^singular values must be finite, got -inf at index 2$"):
         SingularSpectrum([2.0, 1.0, -np.inf])
     assert len(SingularSpectrum([])) == 0
+    # a matrix, a scalar or complex values are refused, never reshaped or cast
+    with pytest.raises(ValueError, match=r"must be one-dimensional, got shape \(2, 2\)$"):
+        SingularSpectrum(np.array([[3.0, 2.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"must be one-dimensional, got shape \(\)$"):
+        SingularSpectrum(5.0)
+    with pytest.raises(ValueError, match="must be real numbers, got dtype complex128$"):
+        SingularSpectrum(np.array([2 + 5j, 1 + 0j]))
+    with pytest.raises(ValueError, match="must be real numbers, got dtype complex128$"):
+        SingularSpectrum([2 + 5j, 1 + 0j])
 
 
 def test_schatten_norm_basics():
