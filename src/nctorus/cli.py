@@ -4,7 +4,9 @@ Subcommands: suite (property checks), scan (Schatten-norm grid), decay
 (potential spectra), factor (factorization identity), schwartz
 (coefficient bound).  Every subcommand accepts --theta-file, --seed,
 --out and --format; a JSON config file supplies defaults that explicit
-flags override.  Exit status is 0 exactly when every assertion passed.
+flags override.  A JSON document opens with its command and resolved
+config, which reruns it as --config.  Exit status is 0 exactly when every
+assertion passed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .experiments import (
     run_theorem_scan,
 )
 from .kernels import SchwartzReport
-from .records import to_csv, to_json
+from .records import json_fields, to_csv, to_json
 
 __all__ = ["main"]
 
@@ -114,7 +116,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_json(doc, **flags)
 
 
-# Each command returns (CSV or text table, JSON document, failure note or None).
+# Each command returns (CSV or text table, JSON body under main's header, failure note or None).
 
 
 def _cmd_suite(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
@@ -123,50 +125,33 @@ def _cmd_suite(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     lines = [check.line() for check in report.checks]
     lines.append("all checks passed" if report.passed else "FAILED checks: " + failed)
     failure = None if report.passed else "failing checks: " + failed
-    return "\n".join(lines) + "\n", report, failure
+    return "\n".join(lines) + "\n", json_fields(report), failure
 
 
 def _cmd_scan(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     records = run_theorem_scan(config)
     for rec in records:
-        if rec.at_threshold:
-            print(
-                f"note: N={rec.N} r={rec.r:.17g} sits at the critical exponent; "
-                "recorded, not asserted",
-                file=sys.stderr,
-            )
-    doc = {
-        "d": config.d,
-        "alpha1": config.alpha1,
-        "alpha2": config.alpha2,
-        "s_margin": config.s_margin,
-        "seed": config.seed,
-        "records": records,
-    }
-    return to_csv(ScanRecord, records), doc, None
+        if rec.r == rec.r_star:
+            note = f"note: N={rec.N} r={rec.r:.17g} sits at the critical exponent"
+            print(note + "; recorded, not asserted", file=sys.stderr)
+    return to_csv(ScanRecord, records), {"records": records}, None
 
 
 def _cmd_decay(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     records = run_potential_decay(config.d, args.alpha, config.N_grid)
     # run_potential_decay has refused an alpha that is not a finite number
-    doc = {"d": config.d, "alpha": float(args.alpha), "records": records}
-    return to_csv(DecayRecord, records), doc, None
+    return to_csv(DecayRecord, records), {"alpha": float(args.alpha), "records": records}, None
 
 
 def _cmd_factor(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     records = run_factorization_check(config)
     worst = max_factor_error(records)
     passed = worst <= FACTOR_TOLERANCE
-    doc = {
-        "records": records,
-        "max_error": worst,
-        "tolerance": FACTOR_TOLERANCE,
-        "passed": passed,
-    }
+    body = {"records": records, "max_error": worst, "tolerance": FACTOR_TOLERANCE, "passed": passed}
     failure = None if passed else (
         f"factorization gap {worst:.3e} exceeds tolerance {FACTOR_TOLERANCE:.1e}"
     )
-    return to_csv(FactorizationRecord, records), doc, failure
+    return to_csv(FactorizationRecord, records), body, failure
 
 
 def _cmd_schwartz(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
@@ -175,7 +160,7 @@ def _cmd_schwartz(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
         f"worst ratio {report.worst_ratio:.12f} exceeds 1 + {report.tolerance:.1e} "
         f"at index {report.worst_index}"
     )
-    return to_csv(SchwartzReport, [report]), report, failure
+    return to_csv(SchwartzReport, [report]), json_fields(report), failure
 
 
 _SUBCOMMANDS = {  # name: (help, its numeric flags in help order, command)
@@ -195,8 +180,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        table, doc, failure = _SUBCOMMANDS[args.command][2](args, config)
-        text = to_json(doc) if config.format == "json" else table
+        table, body, failure = _SUBCOMMANDS[args.command][2](args, config)
+        header = {"command": args.command, "config": config.to_json()}
+        text = to_json({**header, **body}) if config.format == "json" else table
         if config.out in (None, "-"):
             sys.stdout.write(text)
         else:

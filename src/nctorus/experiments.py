@@ -60,7 +60,6 @@ from .kernels import (
 from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _finite, _guard_box, _integer
 from .lattice import _positive, _seed, _shown, _torus_dimension
 from .multipliers import apply_multiplier, bessel_weights, riesz_weights
-from .records import JSON_ONLY
 from .reference import apply_kernel_definitional, convolve_coefficients
 from .schatten import (
     SingularSpectrum,
@@ -179,7 +178,8 @@ class ExperimentConfig:
 
         A key that overrides names is never read from doc.  theta comes as
         rows and takes its dimension from them; __post_init__ checks it
-        against d.  A null theta, r_grid or s0 takes its default.
+        against d.  A null theta, r_grid or s0 takes its default.  An
+        r_grid entry "inf" is the infinite r, written so by strict JSON.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
@@ -187,10 +187,16 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"config has unknown keys: {sorted(unknown)}")
         values = {key: value for key, value in doc.items() if key not in overrides}
+        if isinstance(values.get("r_grid"), list):
+            values["r_grid"] = [math.inf if r == "inf" else r for r in values["r_grid"]]
         if values.get("theta") is not None:
             theta = _theta_rows(values["theta"])
             values = {"d": theta.d, **values, "theta": theta}
         return ExperimentConfig(**{**values, **overrides})
+
+    def to_json(self) -> dict:
+        """The JSON object that from_json reads back as this config: its fields, theta as rows."""
+        return {**vars(self), "theta": self.theta.entries.tolist()}
 
 
 def kernel_source(config: ExperimentConfig, radius: int) -> KernelRows:
@@ -416,7 +422,6 @@ class ScanRecord:
     so a later r row of the same N includes the norms of the rows before
     it.  When two grid points run at once, it includes time shared with
     the other.
-    at_threshold marks r == r_star and appears in JSON only.
     """
 
     N: int
@@ -426,7 +431,6 @@ class ScanRecord:
     weak_r_norm: float
     sobolev_norm: float
     wall_ms: float
-    at_threshold: bool = field(default=False, metadata=JSON_ONLY)
 
 
 def _scan_one(config: ExperimentConfig, radius: int) -> list:
@@ -449,7 +453,6 @@ def _scan_one(config: ExperimentConfig, radius: int) -> list:
                 weak_r_norm=weak_norm(spectrum, r),
                 sobolev_norm=sob,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
-                at_threshold=(r == r_star),
             )
         )
     return records

@@ -46,7 +46,7 @@ import numpy as np
 
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, diagonal_phases
-from .lattice import LatticeBox, _guard_box, _seed, _sum_squares
+from .lattice import LatticeBox, _finite, _guard_box, _seed, _sum_squares
 from .multipliers import _block_extremes, _scaled_extremes, bessel_weights
 from .records import JSON_ONLY
 from .schatten import _in_lanes, _lanes
@@ -237,7 +237,7 @@ def bessel_kernel(alpha2: float, box: LatticeBox, theta: ReducedTheta) -> NCKern
     coefficient (n, -n) with the conjugate phase attached.
     """
     _guard_box(box.d, box.radius)
-    weights = bessel_weights(-alpha2, box) * np.conj(diagonal_phases(theta, box))
+    weights = bessel_weights(-_finite("alpha2", alpha2), box) * np.conj(diagonal_phases(theta, box))
     coeffs = np.zeros((box.cardinality, box.cardinality), dtype=complex)
     np.fill_diagonal(coeffs[:, ::-1], weights)
     return NCKernel(theta, box, coeffs)
@@ -267,6 +267,7 @@ def _lifted_extremes(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -> 
     The orders are checked before the first block is read.  Each block
     gives its _block_extremes partial, and the partials combine in block order.
     """
+    alpha1, alpha2 = _finite("alpha1", alpha1), _finite("alpha2", alpha2)
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
     n = k.box.cardinality
@@ -426,7 +427,8 @@ def schwartz_coefficients(
     s0 must exceed the dimension so the envelope is summable over the full
     lattice.
     """
-    box = h.box
+    box, s0 = h.box, _finite("s0", s0)
+    alpha1, alpha2 = _finite("alpha1", alpha1), _finite("alpha2", alpha2)
     if s0 <= box.d:
         raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {box.d}")
     worst, flat, lifted_norm = _lifted_extremes(h, alpha1 + s0, alpha2 + s0)
@@ -468,6 +470,7 @@ def _random_rows(
     theta: ReducedTheta, radius: int, s1: float, s2: float, seed: int
 ) -> KernelRows:
     """random_kernel's draw as a KernelRows, its inputs checked before any draw."""
+    s1, s2 = _finite("s1", s1), _finite("s2", s2)
     if s1 < 0 or s2 < 0:
         raise ValueError(f"envelope exponents must be nonnegative, got ({s1}, {s2})")
     seed = _seed(seed)

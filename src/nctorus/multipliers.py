@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .algebra import TorusElement
-from .lattice import LatticeBox, _sum_squares
+from .lattice import LatticeBox, _finite, _sum_squares
 
 __all__ = [
     "bessel_weights",
@@ -70,6 +70,7 @@ def bessel_weights(alpha: float, box: LatticeBox) -> np.ndarray:
     ``w[:, None] * A`` is the multiplier composed after A, ``A * w[None, :]``
     before it.
     """
+    alpha = _finite("Bessel order", alpha)
     base = _squared_norms(box)
     base += 1.0
     weights = _stable_power(base, alpha / 2.0)
@@ -78,6 +79,7 @@ def bessel_weights(alpha: float, box: LatticeBox) -> np.ndarray:
 
 def riesz_weights(alpha: float, box: LatticeBox) -> np.ndarray:
     """The homogeneous weights |n|^alpha on the box, 0 at the origin."""
+    alpha = _finite("Riesz order", alpha)
     nsq = _squared_norms(box)
     weights = np.zeros(len(nsq))
     nz = nsq > 0

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 
-__all__ = ["JSON_ONLY", "to_csv", "to_json"]
+__all__ = ["JSON_ONLY", "json_fields", "to_csv", "to_json"]
 
 JSON_ONLY = {"emit": "json"}
 
@@ -42,6 +42,11 @@ def to_csv(cls, records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_fields(record) -> dict:
+    """Name -> value of the JSON columns of one record, in declaration order."""
+    return {name: getattr(record, name) for name in _columns(type(record), "json")}
+
+
 def _plain(value):
     """value with records as dicts of their JSON columns and non-finite floats as cells."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -51,7 +56,7 @@ def _plain(value):
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {name: _plain(getattr(value, name)) for name in _columns(type(value), "json")}
+        return _plain(json_fields(value))
     return value
 
 

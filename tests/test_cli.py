@@ -68,7 +68,7 @@ def test_scan_out_file(tmp_path, capsys):
 def test_scan_json_format(capsys):
     assert main(["scan", "--n-grid", "3", "--r-grid", "1.0", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["seed"] == 42
+    assert doc["config"]["seed"] == 42
     assert len(doc["records"]) == 1
     assert doc["records"][0]["N"] == 3
 
@@ -158,7 +158,7 @@ def test_config_theta_against_flags(tmp_path, capsys):
     config.write_text(json.dumps({"d": 3}))
     argv = ["--theta-file", str(theta), "--n-grid", "1", "--r-grid", "1", "--format", "json"]
     code, out, err = _run(capsys, ["scan", "--config", str(config), *argv])
-    assert (code, err) == (0, "") and json.loads(out)["d"] == 2
+    assert (code, err) == (0, "") and json.loads(out)["config"]["d"] == 2
 
 
 def test_one_config_construction_per_run(tmp_path, monkeypatch, capsys):
@@ -530,10 +530,12 @@ def test_cli_rejects_malformed_grid():
         main(["scan", "--n-grid", "3,x"])
 
 
-def test_calls_in_one_process_write_what_separate_runs_write(tmp_path):
+def test_calls_in_one_process_write_what_separate_runs_write(tmp_path, monkeypatch):
     # the parser is built once per process: a call after others, with
     # another subcommand or without the flags a former call gave, writes
-    # the bytes a fresh interpreter writes
+    # the bytes a fresh interpreter writes.  Both write to the same
+    # relative --out, each from its own directory, as a JSON document
+    # records that path in its config
     calls = (
         ["decay", "--alpha", "3", "--n-grid", "5,10"],
         ["schwartz", "--n", "3", "--s0", "4.5", "--format", "json"],
@@ -544,15 +546,19 @@ def test_calls_in_one_process_write_what_separate_runs_write(tmp_path):
     assert build_parser() is build_parser()
     src = os.path.dirname(os.path.dirname(os.path.abspath(nctorus.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(shared)
     for i, argv in enumerate(calls):
-        shared, fresh = tmp_path / f"shared-{i}", tmp_path / f"fresh-{i}"
-        assert main(argv + ["--out", str(shared)]) == 0
+        out = f"out-{i}"
+        assert main(argv + ["--out", out]) == 0
         proc = subprocess.run(
-            [sys.executable, "-m", "nctorus.cli", *argv, "--out", str(fresh)],
+            [sys.executable, "-m", "nctorus.cli", *argv, "--out", out], cwd=fresh,
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert shared.read_bytes() == fresh.read_bytes(), argv
+        assert (shared / out).read_bytes() == (fresh / out).read_bytes(), argv
 
 
 def test_parser_metadata():
@@ -636,7 +642,7 @@ def test_suite_layout_both_formats(capsys):
     code, text, err = _run(capsys, ["suite", "--seed", "7", "--format", "json"])
     assert (code, err) == (0, "")
     doc = json.loads(text)
-    assert set(doc) == {"passed", "checks"} and doc["passed"] is True
+    assert set(doc) == {"command", "config", "passed", "checks"} and doc["passed"] is True
     assert [check["name"] for check in doc["checks"]] == SUITE_CHECKS
     for check, line in zip(doc["checks"], lines):
         assert set(check) == {"name", "max_error", "tolerance", "passed"}
@@ -654,14 +660,13 @@ def test_scan_layout_both_formats_unsorted_r_grid(capsys):
         ("3", "0.80000000000000004"), ("3", "1"), ("3", "2"),
         ("4", "0.80000000000000004"), ("4", "1"), ("4", "2"),
     ]
-    assert set(doc) == {"d", "alpha1", "alpha2", "s_margin", "seed", "records"}
-    assert (doc["d"], doc["alpha1"], doc["alpha2"], doc["s_margin"], doc["seed"]) == (
-        2, 1.0, 1.0, 0.5, 42,
-    )
+    assert set(doc) == {"command", "config", "records"}
+    config = doc["config"]
+    assert (config["d"], config["alpha1"], config["alpha2"]) == (2, 1.0, 1.0)
+    assert (config["s_margin"], config["seed"], config["r_grid"]) == (0.5, 42, [2.0, 1.0, 0.8])
     assert len(doc["records"]) == len(rows)
     for row, rec in zip(rows, doc["records"]):
-        assert set(rec) == set(SCAN_COLUMNS) | {"at_threshold"}
-        assert rec["at_threshold"] is False
+        assert set(rec) == set(SCAN_COLUMNS)
         assert rec["wall_ms"] >= 0 and float(row["wall_ms"]) >= 0
         _assert_cells_match(row, rec)
 
@@ -670,8 +675,8 @@ def test_decay_layout_both_formats(capsys):
     header, rows, doc = _csv_and_json(capsys, ["decay", "--n-grid", "10,20"])
     assert header == DECAY_COLUMNS
     assert [row["N"] for row in rows] == ["10", "20"]
-    assert set(doc) == {"d", "alpha", "records"}
-    assert (doc["d"], doc["alpha"]) == (2, 2.0)
+    assert set(doc) == {"command", "config", "alpha", "records"}
+    assert (doc["config"]["d"], doc["alpha"]) == (2, 2.0)
     for row, rec in zip(rows, doc["records"]):
         assert set(rec) == set(DECAY_COLUMNS)
         _assert_cells_match(row, rec)
@@ -694,7 +699,7 @@ def test_factor_layout_both_formats(capsys):
     assert header == FACTOR_COLUMNS
     keys = [(int(row["N"]), float(row["alpha1"]), float(row["alpha2"])) for row in rows]
     assert len(keys) == 8 and keys == sorted(keys)
-    assert set(doc) == {"records", "max_error", "tolerance", "passed"}
+    assert set(doc) == {"command", "config", "records", "max_error", "tolerance", "passed"}
     assert doc["tolerance"] == 1e-12 and doc["passed"] is True
     worst = max(max(r["factor_error"], r["adjoint_error"]) for r in doc["records"])
     assert doc["max_error"] == worst
@@ -707,11 +712,40 @@ def test_schwartz_layout_both_formats(capsys):
     header, rows, doc = _csv_and_json(capsys, ["schwartz", "--n", "4"])
     assert header == SCHWARTZ_COLUMNS
     (row,) = rows
-    assert set(doc) == set(SCHWARTZ_COLUMNS) | {"worst_index", "tolerance"}
+    assert set(doc) == set(SCHWARTZ_COLUMNS) | {"command", "config", "worst_index", "tolerance"}
     assert (doc["radius"], doc["s0"], doc["tolerance"], doc["passed"]) == (4, 3.0, 1e-10, True)
     assert [len(leg) for leg in doc["worst_index"]] == [2, 2]
     assert all(type(v) is int for leg in doc["worst_index"] for v in leg)
     _assert_cells_match(row, doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "--seed", "7"],
+        ["scan", "--n-grid", "2,3", "--r-grid", "1,inf"],
+        ["scan", "--d", "3", "--n-grid", "2,3"],
+        ["decay", "--n-grid", "8,16", "--alpha", "1.5"],
+        ["factor", "--n-grid", "2,3", "--seed", "5"],
+        ["schwartz", "--n", "3", "--s0", "4.5"],
+    ],
+    ids=["suite", "scan-inf", "scan-d3", "decay", "factor", "schwartz"],
+)
+def test_every_document_reruns_from_its_config(tmp_path, capsys, argv):
+    # the header's config, given back as --config, writes the same document
+    # (decay's order is no config field and comes back as its flag); an
+    # infinite r sits in r_grid as the cell "inf"
+    code, out, err = _run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["command"] == argv[0]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc["config"]))
+    again = [argv[0], "--config", str(config), "--format", "json"]
+    again += ["--alpha", repr(doc["alpha"])] if argv[0] == "decay" else []
+    code, rerun, err = _run(capsys, again)
+    assert (code, err) == (0, "")
+    assert _without_wall_ms(rerun, "json") == _without_wall_ms(out, "json")
 
 
 def test_failed_assertion_output(capsys, monkeypatch):

@@ -82,23 +82,6 @@ _config_docs = st.fixed_dictionaries(
 )
 
 
-def _config_doc(cfg: ExperimentConfig) -> dict:
-    """The JSON document a config would be written as."""
-    return {
-        "d": cfg.d,
-        "N_grid": list(cfg.N_grid),
-        "alpha1": cfg.alpha1,
-        "alpha2": cfg.alpha2,
-        "s_margin": cfg.s_margin,
-        "seed": cfg.seed,
-        "s0": cfg.s0,
-        "out": cfg.out,
-        "format": cfg.format,
-        "theta": cfg.theta.entries.tolist(),
-        "r_grid": list(cfg.r_grid),
-    }
-
-
 @given(doc=_config_docs | _json_values)
 @example(doc={"theta": [[0, 10**400], [-(10**400), 0]]})
 @example(doc=[])
@@ -107,7 +90,8 @@ def test_config_document_roundtrips_or_names_the_error(doc):
         cfg = ExperimentConfig.from_json(doc)
     except ValueError:
         return
-    again = ExperimentConfig.from_json(json.loads(json.dumps(_config_doc(cfg))))
+    # the strict JSON text the CLI writes: an infinite r entry is the cell "inf"
+    again = ExperimentConfig.from_json(json.loads(to_json(cfg.to_json())))
     assert again == cfg
 
 
@@ -532,15 +516,15 @@ def test_scan_alpha_zero_schatten2_equals_l2():
     s1, s2 = cfg.envelope_exponents()
     k = random_kernel(cfg.reduced, 4, s1, s2, cfg.seed)
     assert rec.s_r_norm == pytest.approx(k.l2_norm(), rel=1e-12)
-    assert rec.at_threshold is True
+    assert rec.r == rec.r_star
 
 
-def test_scan_at_threshold_flag():
+def test_scan_record_at_the_threshold_holds_r_star_exactly():
+    # the CLI's note at the critical exponent reads rec.r == rec.r_star
     cfg = ExperimentConfig(N_grid=(3,), r_grid=(1.0, critical_exponent(2, 1.0, 1.0)))
     records = run_theorem_scan(cfg)
-    flags = {rec.r: rec.at_threshold for rec in records}
-    assert flags[1.0] is False
-    assert flags[cfg.r_star] is True
+    at = {rec.r: rec.r == rec.r_star for rec in records}
+    assert at == {1.0: False, cfg.r_star: True}
 
 
 def test_scan_memory_guard():
@@ -707,13 +691,11 @@ def test_scan_csv_layout():
 def test_scan_json_layout():
     cfg = ExperimentConfig(N_grid=(3,), r_grid=(1.0, cfg_r_star := critical_exponent(2, 1.0, 1.0)))
     records = run_theorem_scan(cfg)
-    doc = json.loads(to_json({"d": cfg.d, "seed": cfg.seed, "records": records}))
-    assert doc["d"] == 2 and doc["seed"] == 42
+    doc = json.loads(to_json({"records": records}))
     assert len(doc["records"]) == 2
-    assert doc["records"][0]["r"] == pytest.approx(cfg_r_star)
-    assert doc["records"][0]["at_threshold"] is True
-    # at_threshold is a JSON-only field
-    assert "at_threshold" not in to_csv(ScanRecord, records)
+    assert doc["records"][0]["r"] == doc["records"][0]["r_star"] == cfg_r_star
+    # a scan record has no JSON-only field: its JSON keys are its CSV columns
+    assert ",".join(doc["records"][0]) == to_csv(ScanRecord, records).split("\n")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from nctorus.kernels import (
     sobolev_lift,
 )
 from nctorus.lattice import LatticeBox
-from nctorus.multipliers import apply_multiplier, bessel_weights, sobolev_norm
+from nctorus.multipliers import apply_multiplier, bessel_weights, riesz_weights, sobolev_norm
 from nctorus.reference import apply_kernel_definitional, convolve_coefficients, tensor_multiply
 
 
@@ -264,11 +265,11 @@ def test_bessel_kernel_l2_norm(red2):
 
 
 def test_bessel_kernel_refuses_non_finite_weights():
-    # the weights come from bessel_weights, which names the first bad point
+    # the weights come from bessel_weights, which names the first bad point;
+    # a NaN order is refused by name (test_orders_must_be_finite_numbers)
     box = LatticeBox(2, 3)
-    for alpha2, order in ((np.nan, "nan"), (-2000.0, "2000")):
-        with pytest.raises(ValueError, match=rf"'bessel\({order}\)' is not finite .* \(-3, -3\)"):
-            bessel_kernel(alpha2, box, zero_theta(2))
+    with pytest.raises(ValueError, match=r"'bessel\(2000\)' is not finite .* \(-3, -3\)"):
+        bessel_kernel(-2000.0, box, zero_theta(2))
 
 
 def test_sobolev_lift_identity_and_inverse(red2):
@@ -896,6 +897,32 @@ def test_random_kernel_determinism_and_seeds(red2):
 def test_random_kernel_rejects_negative_exponents(red2):
     with pytest.raises(ValueError, match="nonnegative"):
         random_kernel(red2, 1, -1.0, 0.0, 1)
+
+
+_ORDER_ENTRY_POINTS = {  # name: (call with the bad order, the argument the error names)
+    "mixed_sobolev_norm": (lambda k, bad: mixed_sobolev_norm(k, bad, 1), "alpha1"),
+    "sobolev_lift": (lambda k, bad: sobolev_lift(k, 1, bad), "Bessel order"),
+    "identity_gaps": (lambda k, bad: identity_gaps(k, [(bad, 1)]), "Bessel order"),
+    "random_kernel": (lambda k, bad: random_kernel(k.theta, 2, bad, 1, 3), "s1"),
+    "schwartz_coefficients": (lambda k, bad: schwartz_coefficients(k, 1, 1, s0=bad), "s0"),
+    "bessel_kernel": (lambda k, bad: bessel_kernel(bad, k.box, k.theta), "alpha2"),
+    "bessel_weights": (lambda k, bad: bessel_weights(bad, k.box), "Bessel order"),
+    "riesz_weights": (lambda k, bad: riesz_weights(bad, k.box), "Riesz order"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "1"], ids=["nan", "inf", "str"])
+@pytest.mark.parametrize("entry", list(_ORDER_ENTRY_POINTS))
+def test_orders_must_be_finite_numbers(red2, entry, bad):
+    # refused by the order's name, not by a lattice point, a numpy warning
+    # (inf times log 1) or a TypeError from the sign check
+    call, name = _ORDER_ENTRY_POINTS[entry]
+    k = random_kernel(red2, 2, 1.0, 1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call(k, bad)
+    assert str(exc.value) == f"{name} must be a finite number, got {bad!r}"
 
 
 def test_kernel_sobolev_stability_with_margin(red2):
