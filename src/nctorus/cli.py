@@ -2,21 +2,23 @@
 
 Subcommands: suite (property checks), scan (Schatten-norm grid), decay
 (potential spectra), factor (factorization identity), schwartz
-(coefficient bound).  Every subcommand accepts --theta-file, --seed,
---out and --format; a JSON config file supplies defaults that explicit
-flags override.  A JSON document opens with its command and resolved
-config, which reruns it as --config.  Exit status is 0 exactly when every
-assertion passed.
+(coefficient bound).  Every subcommand accepts --config, --seed, --out
+and --format.  The JSON config file is the one input file: it may set
+every config field, theta included, and explicit flags override its
+values.  --out and --format say only where and how the output goes.  A
+JSON document opens with its command and resolved config, which reruns
+it as --config.  This module alone reads and writes files.  Exit status
+is 0 exactly when every assertion passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from dataclasses import fields
 
-from .cocycle import _read_json, load_theta
 from .experiments import (
     FACTOR_TOLERANCE,
     DecayRecord,
@@ -82,11 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (summary, flags, _) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=summary)
-        sub.add_argument("--config", help="JSON config file; flags override its values")
-        sub.add_argument("--theta-file", help="JSON file with the full skew matrix")
+        sub.add_argument("--config", help="JSON config file, theta included; flags override it")
         sub.add_argument("--seed", type=_number, help="PRNG seed (default 42)")
         sub.add_argument("--out", help="output path (default stdout)")
-        sub.add_argument("--format", choices=("csv", "json"), help="output format")
+        sub.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="output format (default csv)")
         for flag in flags:
             kind, text = _NUMERIC_FLAGS[flag]
             sub.add_argument(flag, type=kind, help=text)
@@ -98,15 +100,21 @@ def build_parser() -> argparse.ArgumentParser:
 _DECAY_GRID = (10, 20)
 
 
+def _read_json(path: str):
+    """The JSON document in a file; every error json.load raises names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad syntax, bytes not UTF-8, an int too long to read
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's object with the flags laid over it, built once."""
     doc = _read_json(args.config) if args.config else {}
     if args.command == "decay" and isinstance(doc, dict):
         doc = {"N_grid": _DECAY_GRID, **doc}
     flags: dict = {}
-    if args.theta_file:
-        theta = load_theta(args.theta_file)
-        flags.update(theta=theta, d=theta.d)
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name.lower(), None)
         if value is not None:
@@ -182,11 +190,11 @@ def main(argv=None) -> int:
         config = _load_config(args)
         table, body, failure = _SUBCOMMANDS[args.command][2](args, config)
         header = {"command": args.command, "config": config.to_json()}
-        text = to_json({**header, **body}) if config.format == "json" else table
-        if config.out in (None, "-"):
+        text = to_json({**header, **body}) if args.format == "json" else table
+        if args.out in (None, "-"):
             sys.stdout.write(text)
         else:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,7 @@ scaling by 2 pi so large indices do not lose accuracy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "phase_pairs",
     "phase_table",
     "diagonal_phases",
-    "theta_from_json",
-    "load_theta",
     "zero_theta",
     "random_theta",
 ]
@@ -183,27 +179,11 @@ def sigma(theta: ReducedTheta, m, n) -> complex:
     return complex(phase_pairs(theta.entries, mm[None, :], nn[None, :])[0])
 
 
-def theta_from_json(doc: dict) -> ThetaMatrix:
-    """Build a ThetaMatrix from {"d": int, "theta": [[row], ...]}.
-
-    Validation errors name the offending entry.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"theta document must be a JSON object, got {type(doc).__name__}")
-    for key in ("d", "theta"):
-        if key not in doc:
-            raise ValueError(f"theta document missing key {key!r}")
-    return _theta_rows(doc["theta"], _torus_dimension("'d'", doc["d"]))
-
-
-def _theta_rows(rows, d: int | None = None) -> ThetaMatrix:
-    """A ThetaMatrix from JSON rows: d of them, or as many as there are."""
+def _theta_rows(rows) -> ThetaMatrix:
+    """A ThetaMatrix from JSON rows, one row per dimension."""
     if not isinstance(rows, list):
         raise ValueError(f"'theta' must be a list of rows, got {type(rows).__name__}")
-    if d is None:
-        d = _torus_dimension("'d'", len(rows))
-    if len(rows) != d:
-        raise ValueError(f"'theta' has {len(rows)} rows, expected {d}")
+    d = _torus_dimension("d", len(rows))
     for j, row in enumerate(rows):
         if not isinstance(row, list):
             raise ValueError(f"theta[{j}] must be a list of entries, got {type(row).__name__}")
@@ -214,15 +194,8 @@ def _theta_rows(rows, d: int | None = None) -> ThetaMatrix:
     return ThetaMatrix(np.array(rows, dtype=float))
 
 
-def _read_json(path: str | Path):
-    """The JSON document in a file; every error json.load raises names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # bad syntax, bytes not UTF-8, an int too long to read
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def load_theta(path: str | Path) -> ThetaMatrix:
-    """Read a theta JSON document from disk."""
-    return theta_from_json(_read_json(path))
+def _theta(value) -> ThetaMatrix:
+    """value itself when it is a ThetaMatrix; any other type is refused by name."""
+    if not isinstance(value, ThetaMatrix):
+        raise ValueError(f"theta must be a ThetaMatrix, got {type(value).__name__}")
+    return value

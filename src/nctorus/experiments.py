@@ -38,6 +38,7 @@ from .algebra import (
 from .cocycle import (
     ReducedTheta,
     ThetaMatrix,
+    _theta,
     _theta_rows,
     phase_pairs,
     reduce_theta,
@@ -98,9 +99,19 @@ def default_theta(d: int) -> ThetaMatrix:
     return ThetaMatrix(entries)
 
 
+def _radii(grid) -> tuple:
+    """An N grid's entries as ints, in its order: a nonempty list or tuple of integers >= 0."""
+    if not isinstance(grid, (list, tuple)):
+        raise ValueError(f"N_grid must be a list of integers, got {_shown(grid)}")
+    radii = tuple(_integer("N_grid entry", n) for n in grid)
+    if not radii or any(n < 0 for n in radii):
+        raise ValueError(f"N grid must be nonempty and nonnegative, got {_shown(radii)}")
+    return radii
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs for the runners, validated and resolved on construction.
+    """Every input that sets a run's numbers, validated and resolved on construction.
 
     theta, r_grid and s0 may be given as None.  Construction replaces
     them with their defaults: the irrational twist of default_theta for d,
@@ -118,8 +129,6 @@ class ExperimentConfig:
     s_margin: float = 0.5
     seed: int = 42
     s0: float | None = None
-    out: str | None = None
-    format: str = "csv"
 
     def __post_init__(self) -> None:
         def store(name: str, value) -> None:
@@ -128,15 +137,11 @@ class ExperimentConfig:
         store("d", _torus_dimension("d", self.d))
         if self.theta is None:
             store("theta", default_theta(self.d))
-        elif self.theta.d != self.d:
+        elif _theta(self.theta).d != self.d:
             raise ValueError(
                 f"theta has dimension {self.theta.d}, config says d={self.d}"
             )
-        if not isinstance(self.N_grid, (list, tuple)):
-            raise ValueError(f"N_grid must be a list of integers, got {self.N_grid!r}")
-        grid = tuple(_integer("N_grid entry", n) for n in self.N_grid)
-        if not grid or any(n < 0 for n in grid):
-            raise ValueError(f"N grid must be nonempty and nonnegative, got {_shown(grid)}")
+        grid = _radii(self.N_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"N grid must be strictly increasing, got {_shown(grid)}")
         store("N_grid", grid)
@@ -151,10 +156,6 @@ class ExperimentConfig:
             raise ValueError(f"r_grid must be a list of numbers, got {self.r_grid!r}")
         else:
             store("r_grid", tuple(_positive("r_grid entry", r) for r in self.r_grid))
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string, got {self.out!r}")
 
     @property
     def reduced(self) -> ReducedTheta:
@@ -258,7 +259,7 @@ def run_property_suite(seed: int, theta: ThetaMatrix) -> SuiteReport:
     makes it fail.  A check's error is the largest it recorded, and a NaN
     among them is its error, so a NaN fails the check.
     """
-    seed, d = _seed(seed), theta.d
+    seed, d = _seed(seed), _theta(theta).d
     red = reduce_theta(theta)
     rng = np.random.Generator(np.random.Philox(key=seed))
     errors = {}  # name -> (tolerance, errors), in the order checks first report
@@ -536,7 +537,7 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     d = _torus_dimension("d", d)
     if _finite("alpha", alpha) <= 0:
         raise ValueError(f"potential order must be positive, got {alpha}")
-    grid = [_integer("N_grid entry", n) for n in N_grid]
+    grid = _radii(N_grid)
     for radius in grid:
         if radius < 1:
             raise ValueError(

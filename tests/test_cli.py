@@ -95,24 +95,23 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert base.split("\n")[0] == overridden.split("\n")[0]
 
 
-def test_theta_file(tmp_path, capsys):
+def test_theta_comes_in_a_config_file(tmp_path, capsys):
     theta = tmp_path / "theta.json"
-    # "d": 2.0 is the integer 2, as it is in a config file
+    # a file of d and theta alone is a config file; "d": 2.0 is the integer 2
     for d in (2, 2.0):
         theta.write_text(json.dumps({"d": d, "theta": [[0.0, -0.25], [0.25, 0.0]]}))
-        argv = ["scan", "--theta-file", str(theta), "--n-grid", "3", "--r-grid", "1.0"]
+        argv = ["scan", "--config", str(theta), "--n-grid", "3", "--r-grid", "1.0"]
         assert main(argv) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2
 
 
-def test_bad_theta_file(tmp_path, capsys):
+def test_bad_theta_in_a_config_file(tmp_path, capsys):
     theta = tmp_path / "theta.json"
     theta.write_text(json.dumps({"d": 2, "theta": [[0.0, -0.25], [0.25, "x"]]}))
-    assert main(["scan", "--theta-file", str(theta)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "theta[1][1]" in err
+    assert _run(capsys, ["scan", "--config", str(theta)]) == (
+        2, "", "error: theta[1][1] must be a finite number, got 'x'\n"
+    )
 
 
 def test_missing_config_file(capsys):
@@ -152,13 +151,12 @@ def test_config_theta_against_flags(tmp_path, capsys):
     assert _run(capsys, ["scan", "--config", str(config), "--d", "3", "--n-grid", "1"]) == (
         2, "", "error: theta has dimension 2, config says d=3\n"
     )
-    # a 2x2 theta file replaces the file's d = 3 with its own dimension
-    theta = tmp_path / "theta.json"
-    theta.write_text(json.dumps({"d": 2, "theta": rows}))
-    config.write_text(json.dumps({"d": 3}))
-    argv = ["--theta-file", str(theta), "--n-grid", "1", "--r-grid", "1", "--format", "json"]
+    # and which --d 2 agrees with; the header holds the file's rows
+    argv = ["--d", "2", "--n-grid", "1", "--r-grid", "1", "--format", "json"]
     code, out, err = _run(capsys, ["scan", "--config", str(config), *argv])
-    assert (code, err) == (0, "") and json.loads(out)["config"]["d"] == 2
+    assert (code, err) == (0, "")
+    header = json.loads(out)["config"]
+    assert (header["d"], header["theta"]) == (2, rows)
 
 
 def test_one_config_construction_per_run(tmp_path, monkeypatch, capsys):
@@ -189,23 +187,28 @@ def test_one_config_construction_per_run(tmp_path, monkeypatch, capsys):
 def test_json_syntax_error_names_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d": 2,')
-    for flag in ("--config", "--theta-file"):
-        code, out, err = _run(capsys, ["scan", flag, str(bad)])
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {bad}: Expecting property name") and "Traceback" not in err
-        assert err.count("\n") == 1
+    code, out, err = _run(capsys, ["scan", "--config", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: Expecting property name") and "Traceback" not in err
+    assert err.count("\n") == 1
     assert _run(capsys, ["decay", "--config", os.devnull]) == (
         2, "", f"error: {os.devnull}: Expecting value: line 1 column 1 (char 0)\n"
     )
-    # bytes that are not UTF-8, and an integer literal too long to convert
+    # bytes that are not UTF-8, and an integer literal too long to convert,
+    # as a seed or as a theta entry
     binary, huge = tmp_path / "binary.json", tmp_path / "huge.json"
+    huge_theta = tmp_path / "huge-theta.json"
     binary.write_bytes(b"\xc3\x28{}")
     huge.write_text('{"seed": ' + "9" * 5000 + "}")
-    for path, words in ((binary, "'utf-8' codec can't decode"), (huge, "Exceeds the limit")):
-        for flag in ("--config", "--theta-file"):
-            code, out, err = _run(capsys, ["suite", flag, str(path)])
-            assert (code, out) == (2, "")
-            assert err.startswith(f"error: {path}: {words}") and err.count("\n") == 1
+    huge_theta.write_text('{"d": 2, "theta": [[0, ' + "9" * 5000 + "], [0, 0]]}")
+    for path, words in (
+        (binary, "'utf-8' codec can't decode"),
+        (huge, "Exceeds the limit"),
+        (huge_theta, "Exceeds the limit"),
+    ):
+        code, out, err = _run(capsys, ["suite", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {words}") and err.count("\n") == 1
 
 
 def test_memory_guard_exit(capsys):
@@ -240,7 +243,7 @@ def test_decay_grid_from_config_file(tmp_path, capsys):
 
 def test_every_config_field_has_a_flag():
     # a flag sets the field named by its destination, in lower case; theta
-    # alone comes in another way, through --theta-file
+    # alone comes only in the config file
     subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {action.dest for sub in subs.choices.values() for action in sub._actions}
     names = [f.name for f in fields(ExperimentConfig) if f.name != "theta"]
@@ -530,12 +533,10 @@ def test_cli_rejects_malformed_grid():
         main(["scan", "--n-grid", "3,x"])
 
 
-def test_calls_in_one_process_write_what_separate_runs_write(tmp_path, monkeypatch):
+def test_calls_in_one_process_write_what_separate_runs_write(tmp_path):
     # the parser is built once per process: a call after others, with
     # another subcommand or without the flags a former call gave, writes
-    # the bytes a fresh interpreter writes.  Both write to the same
-    # relative --out, each from its own directory, as a JSON document
-    # records that path in its config
+    # the bytes a fresh interpreter writes
     calls = (
         ["decay", "--alpha", "3", "--n-grid", "5,10"],
         ["schwartz", "--n", "3", "--s0", "4.5", "--format", "json"],
@@ -546,19 +547,15 @@ def test_calls_in_one_process_write_what_separate_runs_write(tmp_path, monkeypat
     assert build_parser() is build_parser()
     src = os.path.dirname(os.path.dirname(os.path.abspath(nctorus.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
-    shared.mkdir()
-    fresh.mkdir()
-    monkeypatch.chdir(shared)
     for i, argv in enumerate(calls):
-        out = f"out-{i}"
-        assert main(argv + ["--out", out]) == 0
+        shared, fresh = tmp_path / f"shared-{i}", tmp_path / f"fresh-{i}"
+        assert main(argv + ["--out", str(shared)]) == 0
         proc = subprocess.run(
-            [sys.executable, "-m", "nctorus.cli", *argv, "--out", out], cwd=fresh,
+            [sys.executable, "-m", "nctorus.cli", *argv, "--out", str(fresh)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (shared / out).read_bytes() == (fresh / out).read_bytes(), argv
+        assert shared.read_bytes() == fresh.read_bytes(), argv
 
 
 def test_parser_metadata():
@@ -748,6 +745,26 @@ def test_every_document_reruns_from_its_config(tmp_path, capsys, argv):
     assert _without_wall_ms(rerun, "json") == _without_wall_ms(out, "json")
 
 
+def test_a_rerun_writes_where_its_own_flags_say(tmp_path, monkeypatch, capsys):
+    # a document records no output path: rerun through --config without
+    # --out, it goes to stdout in CSV and leaves the document as it was
+    monkeypatch.chdir(tmp_path)
+    argv = ["schwartz", "--n", "2", "--format", "json", "--out", "doc.json"]
+    assert _run(capsys, argv) == (0, "", "")
+    first = (tmp_path / "doc.json").read_bytes()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.loads(first)["config"]))
+    code, out, err = _run(capsys, ["schwartz", "--config", str(config), "--n", "3"])
+    assert (code, err) == (0, "")
+    assert out.startswith(",".join(SCHWARTZ_COLUMNS) + "\n3,")
+    assert (tmp_path / "doc.json").read_bytes() == first
+    # a config that still holds out and format, as older documents do, is refused
+    config.write_text(json.dumps({**json.loads(first)["config"], "out": None, "format": "json"}))
+    assert _run(capsys, ["schwartz", "--config", str(config)]) == (
+        2, "", "error: config has unknown keys: ['format', 'out']\n"
+    )
+
+
 def test_failed_assertion_output(capsys, monkeypatch):
     # a failed identity still writes its output, then notes the failure on
     # stderr and exits 1
@@ -772,7 +789,6 @@ _COMMON_FLAGS = {
     "--seed": st.integers(-1, 2**130).map(str),
     "--format": st.sampled_from(["csv", "json", "xml"]),
     "--config": st.just("missing-config.json"),
-    "--theta-file": st.just("missing-theta.json"),
     "--out": st.just("-"),
 }
 _DENSE_FLAGS = {

@@ -9,19 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nctorus
+from nctorus.cli import _read_json
 from nctorus.cocycle import (
     SKEW_TOLERANCE,
     ReducedTheta,
     ThetaMatrix,
-    load_theta,
     phase_pairs,
     phase_table,
     random_theta,
     reduce_theta,
     sigma,
-    theta_from_json,
     zero_theta,
 )
+from nctorus.experiments import ExperimentConfig
 
 
 def test_theta_matrix_accepts_skew():
@@ -183,6 +183,8 @@ def test_random_theta_is_skew(rng):
     assert np.allclose(t.entries + t.entries.T, 0.0)
 
 
+# A theta file is a config file: {"d", "theta"} documents are read by ExperimentConfig.from_json.
+
 # JSON-like values: what json.load can return, plus nan and inf
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -190,6 +192,10 @@ _json_values = st.recursive(
     max_leaves=6,
 )
 _skew_rows = st.floats(-1, 1).map(lambda a: [[0.0, -a], [a, 0.0]])
+
+
+def _theta_of(doc) -> ThetaMatrix:
+    return ExperimentConfig.from_json(doc).theta
 
 
 @given(
@@ -204,69 +210,71 @@ _skew_rows = st.floats(-1, 1).map(lambda a: [[0.0, -a], [a, 0.0]])
 @example(doc={"d": 2, "theta": [[0, 10**400], [-(10**400), 0]]})
 def test_theta_document_roundtrips_or_names_the_error(doc):
     try:
-        theta = theta_from_json(doc)
+        theta = _theta_of(doc)
     except ValueError:
         return
-    again = theta_from_json(json.loads(json.dumps({"d": theta.d, "theta": theta.entries.tolist()})))
+    again = _theta_of(json.loads(json.dumps({"d": theta.d, "theta": theta.entries.tolist()})))
     assert again == theta
 
 
 def test_theta_from_json_valid():
-    t = theta_from_json({"d": 2, "theta": [[0.0, -0.5], [0.5, 0.0]]})
-    assert t.entries[1, 0] == 0.5
-
-
-def test_theta_from_json_missing_keys():
-    with pytest.raises(ValueError, match="missing key 'd'"):
-        theta_from_json({"theta": [[0.0]]})
-    with pytest.raises(ValueError, match="missing key 'theta'"):
-        theta_from_json({"d": 2})
+    # "d": 2.0 is the integer 2
+    for d in (2, 2.0):
+        cfg = ExperimentConfig.from_json({"d": d, "theta": [[0.0, -0.5], [0.5, 0.0]]})
+        assert cfg.d == 2 and cfg.theta.entries[1, 0] == 0.5
 
 
 def test_theta_from_json_row_count():
-    with pytest.raises(ValueError, match="has 1 rows, expected 2"):
-        theta_from_json({"d": 2, "theta": [[0.0, 0.0]]})
+    # one row is no torus, and d must match the rows' count
+    for doc, message in (
+        ({"d": 2, "theta": [[0.0, 0.0]]}, "dimension must be at least 2, got 1"),
+        ({"d": 3, "theta": [[0.0, -0.25], [0.25, 0.0]]}, "theta has dimension 2, config says d=3"),
+        ({"d": 2, "theta": [[0.0] * 3] * 3}, "theta has dimension 3, config says d=2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _theta_of(doc)
     # rows that are not a list name their type and claim no row count
-    for rows, kind in (("x", "str"), (5, "int"), (None, "NoneType"), ({}, "dict")):
+    for rows, kind in (("x", "str"), (5, "int"), ({}, "dict")):
         with pytest.raises(ValueError, match=f"^'theta' must be a list of rows, got {kind}$"):
-            theta_from_json({"d": 2, "theta": rows})
+            _theta_of({"d": 2, "theta": rows})
 
 
 def test_theta_from_json_entry_count():
-    with pytest.raises(ValueError, match=r"theta\[1\] has 1 entries, expected 2"):
-        theta_from_json({"d": 2, "theta": [[0.0, 0.0], [0.0]]})
+    with pytest.raises(ValueError, match=r"^theta\[1\] has 1 entries, expected 2$"):
+        _theta_of({"d": 2, "theta": [[0.0, 0.0], [0.0]]})
+    with pytest.raises(ValueError, match=r"^theta\[0\] has 2 entries, expected 3$"):
+        _theta_of({"theta": [[0.0] * 2] * 3})
     for rows, j, kind in (([1, 2], 0, "int"), ([[0.0, 0.0], "ab"], 1, "str")):
         with pytest.raises(ValueError, match=rf"^theta\[{j}\] must be a list of entries, got {kind}$"):
-            theta_from_json({"d": 2, "theta": rows})
+            _theta_of({"d": 2, "theta": rows})
 
 
 def test_theta_from_json_cites_bad_entry():
-    with pytest.raises(ValueError, match=r"theta\[0\]\[1\] must be a finite number, got 'x'"):
-        theta_from_json({"d": 2, "theta": [[0.0, "x"], [0.0, 0.0]]})
-    with pytest.raises(ValueError, match=r"theta\[0\]\[0\] must be a finite number, got True"):
-        theta_from_json({"d": 2, "theta": [[True, 0.0], [0.0, 0.0]]})
-    with pytest.raises(ValueError, match=r"theta\[1\]\[0\] must be a finite number, got nan"):
-        theta_from_json({"d": 2, "theta": [[0.0, 0.0], [float("nan"), 0.0]]})
+    with pytest.raises(ValueError, match=r"^theta\[0\]\[1\] must be a finite number, got 'x'$"):
+        _theta_of({"d": 2, "theta": [[0.0, "x"], [0.0, 0.0]]})
+    with pytest.raises(ValueError, match=r"^theta\[0\]\[0\] must be a finite number, got True$"):
+        _theta_of({"d": 2, "theta": [[True, 0.0], [0.0, 0.0]]})
+    with pytest.raises(ValueError, match=r"^theta\[1\]\[0\] must be a finite number, got nan$"):
+        _theta_of({"d": 2, "theta": [[0.0, 0.0], [float("nan"), 0.0]]})
 
 
 def test_theta_from_json_bad_d():
-    # one dimension rule for configs, theta files and critical_exponent
-    with pytest.raises(ValueError, match="^dimension must be at least 2, got 1$"):
-        theta_from_json({"d": 1, "theta": [[0.0]]})
-    with pytest.raises(ValueError, match="^dimension must be at most 12, got 13$"):
-        theta_from_json({"d": 13, "theta": [[0.0]]})
-    with pytest.raises(ValueError, match="'d' must be an integer, got True"):
-        theta_from_json({"d": True, "theta": [[0.0]]})
-    # an integral float is the integer
-    assert theta_from_json({"d": 2.0, "theta": [[0.0, -0.5], [0.5, 0.0]]}).d == 2
+    # one dimension rule for configs, theta rows and critical_exponent
+    for doc, message in (
+        ({"theta": [[0.0]]}, "dimension must be at least 2, got 1"),
+        ({"theta": []}, "dimension must be at least 2, got 0"),
+        ({"d": 13}, "dimension must be at most 12, got 13"),
+        ({"d": True}, "d must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _theta_of(doc)
 
 
 def test_load_theta_roundtrip(tmp_path, theta2):
     path = tmp_path / "theta.json"
     doc = {"d": 2, "theta": [[float(v) for v in row] for row in theta2.entries]}
     path.write_text(json.dumps(doc))
-    loaded = load_theta(path)
-    assert loaded == theta2
+    assert _theta_of(_read_json(str(path))) == theta2
 
 
 def test_theta_equality_and_hash(theta2):

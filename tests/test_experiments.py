@@ -63,12 +63,13 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4),
     max_leaves=6,
 )
+_skew_rows = st.floats(-1, 1).map(lambda a: [[0.0, -a], [a, 0.0]])
 # per key, a plausible value or any JSON-like value
 _config_docs = st.fixed_dictionaries(
     {},
     optional={
         "d": st.sampled_from([2, 3, 2.0]) | _json_values,
-        "theta": st.just([[0.0, -0.5], [0.5, 0.0]]) | _json_values,
+        "theta": _skew_rows | st.lists(st.lists(_json_values, max_size=3), max_size=3) | _json_values,
         "N_grid": st.lists(st.integers(0, 30), max_size=4) | _json_values,
         "alpha1": st.floats(0, 3) | _json_values,
         "alpha2": st.floats(0, 3) | _json_values,
@@ -76,8 +77,6 @@ _config_docs = st.fixed_dictionaries(
         "s_margin": st.floats(0, 2) | _json_values,
         "seed": st.integers(0, 2**40) | _json_values,
         "s0": st.floats(2, 6) | _json_values,
-        "out": st.just("rows.csv") | _json_values,
-        "format": st.sampled_from(["csv", "json"]) | _json_values,
     },
 )
 
@@ -129,8 +128,6 @@ def test_config_validation(tmp_path, capsys):
     cfg = ExperimentConfig(r_grid=[float("inf"), 2])
     assert cfg.r_grid == (float("inf"), 2.0)
     assert all(type(r) is float for r in cfg.r_grid)
-    with pytest.raises(ValueError, match="format"):
-        ExperimentConfig(format="xml")
     with pytest.raises(ValueError, match="dimension"):
         ExperimentConfig(d=3, theta=default_theta(2))
     with pytest.raises(ValueError, match="d must be an integer, got 2.7"):
@@ -170,8 +167,6 @@ def test_config_validation(tmp_path, capsys):
     for grid, rule in (((-huge,), "nonempty and nonnegative"), ((huge, 1), "strictly increasing")):
         with pytest.raises(ValueError, match=f"^N grid must be {rule}, got a tuple holding"):
             ExperimentConfig(N_grid=grid)
-    with pytest.raises(ValueError, match="out must be a path string"):
-        ExperimentConfig(out=7)
     for name in ("alpha1", "alpha2", "s_margin", "s0"):
         for bad in (float("nan"), float("inf"), float("-inf"), "1.0", None, 10**400):
             if name == "s0" and bad is None:
@@ -205,14 +200,12 @@ def test_config_from_json_roundtrip():
         "r_grid": [0.8, 1.6],
         "s_margin": 0.25,
         "seed": 7,
-        "format": "json",
     }
     cfg = ExperimentConfig.from_json(doc)
     assert cfg.alpha1 == 0.5 and cfg.alpha2 == 1.5
     assert cfg.N_grid == (3, 5)
     assert cfg.r_grid == (0.8, 1.6)
     assert cfg.seed == 7
-    assert cfg.format == "json"
 
 
 def test_config_from_json_rejects_unknown_keys():

@@ -58,6 +58,23 @@ def _refusals() -> dict:
         "random-kernel": lambda seed: kernels.random_kernel(red2, 2, 1.0, 1.0, seed),
         "suite": lambda seed: experiments.run_property_suite(seed, experiments.default_theta(2)),
     }
+    # a reduced theta is no deformation matrix: the suite's commutation
+    # check would fail on it, and a header holding it could not rerun
+    thetas = {
+        "reduced": (cocycle.ReducedTheta([[0.0, 0.0], [0.3, 0.0]]), "ReducedTheta"),
+        "rows": ([[0.0, -0.3], [0.3, 0.0]], "list"),
+        "none": (None, "NoneType"),
+    }
+    takes = {
+        "config": lambda theta: experiments.ExperimentConfig(theta=theta),
+        "suite": lambda theta: experiments.run_property_suite(7, theta),
+    }
+    # decay's grid meets the config's rule, in the config's words
+    decay_grids = {
+        "int": (10, "^N_grid must be a list of integers, got 10$"),
+        "string": ("12", "^N_grid must be a list of integers, got '12'$"),
+        "empty": ([], r"^N grid must be nonempty and nonnegative, got \(\)$"),
+    }
     return {
         **{
             f"{entry}-seed-{case}": (lambda draw=draw, seed=seed: draw(seed), ValueError, message)
@@ -113,11 +130,24 @@ def _refusals() -> dict:
             ValueError,
             r"^multi-index must be one-dimensional, got shape \(1, 2\)$",
         ),
-        "theta-json-not-an-object": (
-            lambda: cocycle.theta_from_json([[0.0]]),
+        "config-json-not-an-object": (
+            lambda: experiments.ExperimentConfig.from_json([[0.0]]),
             ValueError,
-            "^theta document must be a JSON object, got list$",
+            "^config must be a JSON object, got list$",
         ),
+        **{
+            f"{entry}-theta-{case}": (lambda take=take, theta=theta: take(theta), ValueError,
+                                      f"^theta must be a ThetaMatrix, got {kind}$")
+            for entry, take in takes.items()
+            for case, (theta, kind) in thetas.items()
+            if theta is not None or entry == "suite"  # a config's None is its default theta
+        },
+        **{
+            f"decay-grid-{case}": (
+                lambda grid=grid: experiments.run_potential_decay(2, 2.0, grid), ValueError, message
+            )
+            for case, (grid, message) in decay_grids.items()
+        },
         "config-r-grid-scalar": (
             lambda: experiments.ExperimentConfig(r_grid=3.0),
             ValueError,
