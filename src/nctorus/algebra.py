@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import ReducedTheta, diagonal_phases, phase_pairs, phase_table
-from .lattice import LatticeBox, _embedding, _guard_box, _integer, _memo, _sum_squares
+from .cocycle import ReducedTheta, _same_theta, diagonal_phases, phase_pairs, phase_table
+from .lattice import LatticeBox, _embedding, _guard_box, _integer, _memo, _same_dimension
+from .lattice import _sum_squares
 
 __all__ = [
     "TorusElement",
@@ -48,10 +49,7 @@ class TorusElement:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.box.d != self.theta.d:
-            raise ValueError(
-                f"box dimension {self.box.d} does not match theta dimension {self.theta.d}"
-            )
+        _same_dimension("box", self.box.d, "theta", self.theta.d)
         arr = np.array(self.coeffs, dtype=complex).reshape(-1)
         if arr.shape[0] != self.box.cardinality:
             raise ValueError(
@@ -70,7 +68,7 @@ class TorusElement:
     def __add__(self, other: "TorusElement") -> "TorusElement":
         if not isinstance(other, TorusElement):
             return NotImplemented
-        _require_same_theta(self, other)
+        _same_theta(self, other)
         box = self.box if self.box.radius >= other.box.radius else other.box
         return TorusElement(
             self.theta, box, embedded(self, box).coeffs + embedded(other, box).coeffs
@@ -87,11 +85,6 @@ class TorusElement:
         return TorusElement(self.theta, self.box, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
-
-
-def _require_same_theta(f: TorusElement, g: TorusElement) -> None:
-    if f.theta != g.theta:
-        raise ValueError("elements live over different deformation matrices")
 
 
 def monomial(theta: ReducedTheta, m, box: LatticeBox) -> TorusElement:
@@ -117,8 +110,7 @@ def random_element(
 
 def embedded(x: TorusElement, box: LatticeBox) -> TorusElement:
     """Zero-pad x onto a larger (or equal) box."""
-    if box.d != x.box.d:
-        raise ValueError(f"target box dimension {box.d} does not match element d={x.box.d}")
+    _same_dimension("target box", box.d, "element", x.box.d)
     if box.radius < x.box.radius:
         raise ValueError(
             f"target radius {box.radius} is smaller than the element radius {x.box.radius}"
@@ -132,8 +124,7 @@ def embedded(x: TorusElement, box: LatticeBox) -> TorusElement:
 
 def restricted(x: TorusElement, box: LatticeBox) -> TorusElement:
     """Truncate x to a smaller (or equal) box, discarding outside coefficients."""
-    if box.d != x.box.d:
-        raise ValueError(f"target box dimension {box.d} does not match element d={x.box.d}")
+    _same_dimension("target box", box.d, "element", x.box.d)
     if box.radius > x.box.radius:
         return embedded(x, box)
     coeffs = x.coeffs[_embedding(box.d, box.radius, x.box.radius)]
@@ -148,7 +139,7 @@ def twisted_convolve(f: TorusElement, g: TorusElement) -> TorusElement:
     |f| x |g| table of products is dense, so both boxes fall under the
     dense-matrix guard.
     """
-    _require_same_theta(f, g)
+    _same_theta(f, g)
     _guard_box(f.box.d, f.box.radius)
     _guard_box(g.box.d, g.box.radius)
     box, scatter, phases = _product_plan(f.theta, f.box, g.box)
@@ -195,7 +186,7 @@ def trace(x: TorusElement) -> complex:
 
 def inner_product(x: TorusElement, y: TorusElement) -> complex:
     """L2 pairing sum_n x(n) conj(y(n)), equal to trace(y# * x)."""
-    _require_same_theta(x, y)
+    _same_theta(x, y)
     r = min(x.box.radius, y.box.radius)
     small = LatticeBox(x.box.d, r)
     xs = restricted(x, small)
@@ -217,8 +208,7 @@ def mult_matrix(x: TorusElement, box: LatticeBox) -> np.ndarray:
     the dense-matrix guard, checked before the n x n x d difference table
     is built.
     """
-    if box.d != x.box.d:
-        raise ValueError(f"box dimension {box.d} does not match element d={x.box.d}")
+    _same_dimension("box", box.d, "element", x.box.d)
     _guard_box(box.d, box.radius)
     pts = box.enumerate()
     diff = pts[:, None, :] - pts[None, :, :]

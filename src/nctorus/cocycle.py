@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeBox, _finite, _memo, _torus_dimension, as_multi_index
+from .lattice import LatticeBox, _finite, _memo, _same_dimension, _torus_dimension
+from .lattice import as_multi_index
 
 __all__ = [
     "SKEW_TOLERANCE",
@@ -37,7 +38,7 @@ SKEW_TOLERANCE = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class _SquareMatrix:
-    """Read-only finite real d x d matrix, d >= 2, equal only to its own type.
+    """Read-only finite real d x d matrix, d a torus dimension, equal only to its own type.
 
     Subclasses name themselves in messages through _label and add their
     own structure check in _check.  The hash is computed once, on
@@ -52,8 +53,7 @@ class _SquareMatrix:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"{self._label} must be a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 2:
-            raise ValueError(f"{self._label} must have dimension >= 2, got d={arr.shape[0]}")
+        _torus_dimension(f"{self._label} row count", arr.shape[0])
         if not np.all(np.isfinite(arr)):
             j, k = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(f"{self._label}[{j}][{k}] = {arr[j, k]} is not finite")
@@ -164,6 +164,7 @@ def phase_table(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.n
 @_memo(lambda theta, box: box.cardinality)
 def diagonal_phases(theta: ReducedTheta, box: LatticeBox) -> np.ndarray:
     """sigma(p, -p) at every point p of the box, in canonical order, read-only."""
+    _same_dimension("box", box.d, "theta", theta.d)
     pts = box.enumerate()
     return phase_pairs(theta.entries, pts, -pts)
 
@@ -172,10 +173,8 @@ def sigma(theta: ReducedTheta, m, n) -> complex:
     """The cocycle phase exp(2 pi i m . theta_reduced . n) for a single pair."""
     mm = as_multi_index(m)
     nn = as_multi_index(n)
-    if mm.shape[0] != theta.d or nn.shape[0] != theta.d:
-        raise ValueError(
-            f"index dimensions ({mm.shape[0]}, {nn.shape[0]}) do not match theta d={theta.d}"
-        )
+    _same_dimension("index m", mm.shape[0], "theta", theta.d)
+    _same_dimension("index n", nn.shape[0], "theta", theta.d)
     return complex(phase_pairs(theta.entries, mm[None, :], nn[None, :])[0])
 
 
@@ -183,7 +182,7 @@ def _theta_rows(rows) -> ThetaMatrix:
     """A ThetaMatrix from JSON rows, one row per dimension."""
     if not isinstance(rows, list):
         raise ValueError(f"'theta' must be a list of rows, got {type(rows).__name__}")
-    d = _torus_dimension("d", len(rows))
+    d = _torus_dimension("theta row count", len(rows))
     for j, row in enumerate(rows):
         if not isinstance(row, list):
             raise ValueError(f"theta[{j}] must be a list of entries, got {type(row).__name__}")
@@ -192,6 +191,13 @@ def _theta_rows(rows) -> ThetaMatrix:
         for k, v in enumerate(row):
             _finite(f"theta[{j}][{k}]", v)
     return ThetaMatrix(np.array(rows, dtype=float))
+
+
+def _same_theta(a, b) -> None:
+    """Refuse two operands, kernels or elements, over different deformation matrices."""
+    if a.theta != b.theta:
+        kinds = f"{type(a).__name__} and {type(b).__name__}"
+        raise ValueError(f"{kinds} live over different deformation matrices")
 
 
 def _theta(value) -> ThetaMatrix:

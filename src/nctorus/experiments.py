@@ -59,7 +59,7 @@ from .kernels import (
     schwartz_coefficients,
 )
 from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _finite, _guard_box, _integer
-from .lattice import _positive, _seed, _shown, _torus_dimension
+from .lattice import _order, _positive, _same_dimension, _seed, _shown, _torus_dimension
 from .multipliers import apply_multiplier, bessel_weights, riesz_weights
 from .reference import apply_kernel_definitional, convolve_coefficients
 from .schatten import (
@@ -135,12 +135,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
 
         store("d", _torus_dimension("d", self.d))
-        if self.theta is None:
-            store("theta", default_theta(self.d))
-        elif _theta(self.theta).d != self.d:
-            raise ValueError(
-                f"theta has dimension {self.theta.d}, config says d={self.d}"
-            )
+        store("theta", default_theta(self.d) if self.theta is None else _theta(self.theta))
+        _same_dimension("theta", self.theta.d, "config", self.d)
         grid = _radii(self.N_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"N grid must be strictly increasing, got {_shown(grid)}")
@@ -150,6 +146,7 @@ class ExperimentConfig:
         store("s0", float(self.d + 1) if self.s0 is None else _finite("s0", self.s0))
         store("seed", _seed(self.seed))
         r_star = self.r_star  # refuses negative orders
+        _order("min(alpha1, alpha2) + d/2 + s_margin", min(self.envelope_exponents()))
         if self.r_grid is None:
             store("r_grid", (r_star * 1.1, 1.0, 2.0))
         elif not isinstance(self.r_grid, (list, tuple)):

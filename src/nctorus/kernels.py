@@ -45,8 +45,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import TorusElement, embedded, twisted_convolve
-from .cocycle import ReducedTheta, diagonal_phases
-from .lattice import LatticeBox, _finite, _guard_box, _seed, _sum_squares
+from .cocycle import ReducedTheta, _same_theta, diagonal_phases
+from .lattice import LatticeBox, _finite, _guard_box, _order, _same_dimension, _seed
+from .lattice import _sum_squares
 from .multipliers import _block_extremes, _scaled_extremes, bessel_weights
 from .records import JSON_ONLY
 from .schatten import _in_lanes, _lanes
@@ -126,10 +127,7 @@ class NCKernel:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.box.d != self.theta.d:
-            raise ValueError(
-                f"kernel box has dimension {self.box.d}; theta has dimension {self.theta.d}"
-            )
+        _same_dimension("kernel box", self.box.d, "theta", self.theta.d)
         arr = self.coeffs
         if not (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.flags.owndata):
             arr = np.array(arr, dtype=complex)
@@ -151,8 +149,7 @@ class NCKernel:
     def __add__(self, other: "NCKernel") -> "NCKernel":
         if not isinstance(other, NCKernel):
             return NotImplemented
-        if self.theta != other.theta:
-            raise ValueError("kernels live over different deformation matrices")
+        _same_theta(self, other)
         if self.box != other.box:
             raise ValueError("kernel boxes differ")
         return NCKernel(self.theta, self.box, self.coeffs + other.coeffs)
@@ -191,8 +188,7 @@ def apply_kernel(k: NCKernel, x: TorusElement) -> TorusElement:
     coefficient at m is sum_n c_{m,n} sigma(-n, n) x(-n).  x must be
     supported inside the kernel's box.
     """
-    if x.theta != k.theta:
-        raise ValueError("kernel and argument live over different deformation matrices")
+    _same_theta(k, x)
     if x.box.radius > k.box.radius:
         raise ValueError(
             f"argument radius {x.box.radius} exceeds the kernel's radius {k.box.radius}"
@@ -264,12 +260,9 @@ def _lift_rows(
 def _lifted_extremes(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -> tuple:
     """(max, flat index of the first max, L2 norm) of the lifted moduli of k.
 
-    The orders are checked before the first block is read.  Each block
+    Its callers check the orders before the first block is read.  Each block
     gives its _block_extremes partial, and the partials combine in block order.
     """
-    alpha1, alpha2 = _finite("alpha1", alpha1), _finite("alpha2", alpha2)
-    if alpha1 < 0 or alpha2 < 0:
-        raise ValueError(f"Sobolev orders must be nonnegative, got ({alpha1}, {alpha2})")
     n = k.box.cardinality
     w1 = bessel_weights(alpha1, k.box)
     w2 = bessel_weights(alpha2, k.box)
@@ -288,7 +281,7 @@ def mixed_sobolev_norm(k: NCKernel | KernelRows, alpha1: float, alpha2: float) -
     through sobolev_lift directly.  The norm is finite wherever the largest
     lifted modulus is, and NaN or inf with it.
     """
-    return _lifted_extremes(k, alpha1, alpha2)[2]
+    return _lifted_extremes(k, _order("alpha1", alpha1), _order("alpha2", alpha2))[2]
 
 
 def flip_adjoint(k: NCKernel) -> NCKernel:
@@ -431,7 +424,8 @@ def schwartz_coefficients(
     alpha1, alpha2 = _finite("alpha1", alpha1), _finite("alpha2", alpha2)
     if s0 <= box.d:
         raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {box.d}")
-    worst, flat, lifted_norm = _lifted_extremes(h, alpha1 + s0, alpha2 + s0)
+    lifted = _order("alpha1 + s0", alpha1 + s0), _order("alpha2 + s0", alpha2 + s0)
+    worst, flat, lifted_norm = _lifted_extremes(h, *lifted)
     pts = box.enumerate()
     i, j = divmod(flat, box.cardinality)
     worst_index = (tuple(int(v) for v in pts[i]), tuple(int(v) for v in pts[j]))
@@ -470,9 +464,7 @@ def _random_rows(
     theta: ReducedTheta, radius: int, s1: float, s2: float, seed: int
 ) -> KernelRows:
     """random_kernel's draw as a KernelRows, its inputs checked before any draw."""
-    s1, s2 = _finite("s1", s1), _finite("s2", s2)
-    if s1 < 0 or s2 < 0:
-        raise ValueError(f"envelope exponents must be nonnegative, got ({s1}, {s2})")
+    s1, s2 = _order("s1", s1), _order("s2", s2)
     seed = _seed(seed)
     _guard_box(theta.d, radius)
     box = LatticeBox(theta.d, radius)

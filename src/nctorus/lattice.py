@@ -3,9 +3,13 @@
 Every matrix and coefficient vector in this package is indexed by the
 points of such a box, enumerated in a single canonical order, so the
 index bijections here are the ground truth for everything built on top.
-The number rules every module checks its inputs by live here as well,
-and so do the one sum of squares every norm and gap reduces with and
-the one rule (_memo) by which every module keeps its per-box tables.
+Here too live the one sum of squares every norm and gap reduces with,
+the one rule (_memo) by which every module keeps its per-box tables,
+and the number rules every module checks its inputs by, three of them
+the refusals of the kernel criterion's inputs: a torus dimension
+(_torus_dimension), one dimension for a box and what it meets
+(_same_dimension) and a nonnegative order (_order).  The fourth, one
+theta for both operands, is cocycle._same_theta.
 """
 
 from __future__ import annotations
@@ -111,6 +115,14 @@ def _positive(name: str, value, kind: str = "a positive number") -> float:
     raise ValueError(f"{name} must be {kind}, got {_shown(value)}")
 
 
+def _order(name: str, value) -> float:
+    """value as a finite float >= 0: a Sobolev order or an envelope exponent."""
+    order = _finite(name, value)
+    if order < 0:
+        raise ValueError(f"{name} must be nonnegative, got {_shown(order)}")
+    return order
+
+
 def _seed(value) -> int:
     """value as a Philox key: an integer by _integer, in [0, 2**128)."""
     seed = _integer("seed", value)
@@ -127,26 +139,30 @@ def as_multi_index(m: Sequence[int] | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _guard_dimension(d: int) -> None:
-    """Refuse a dimension above MAX_DIMENSION before any power of it is taken."""
-    if d > MAX_DIMENSION:
-        raise ValueError(f"dimension must be at most {MAX_DIMENSION}, got {_shown(d)}")
-
-
 def _torus_dimension(name: str, value) -> int:
     """value as a torus dimension: an integer by _integer, from 2 to MAX_DIMENSION."""
     d = _integer(name, value)
     if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {_shown(d)}")
-    _guard_dimension(d)
+        raise ValueError(f"{name} must be at least 2, got {_shown(d)}")
+    if d > MAX_DIMENSION:
+        raise ValueError(f"{name} must be at most {MAX_DIMENSION}, got {_shown(d)}")
     return d
+
+
+def _same_dimension(name: str, d: int, other: str, other_d: int) -> None:
+    """Refuse a d that differs from other_d; the message is built only on refusal."""
+    if d != other_d:
+        raise ValueError(f"{name} has dimension {d}, {other} has d={other_d}")
 
 
 def _guard_box(
     d: int, radius: int, limit: int = MEMORY_GUARD_CARDINALITY, name: str = "dense-matrix"
 ) -> None:
-    """Refuse a box with more than limit points, by default the dense-matrix guard."""
-    _guard_dimension(d)
+    """Refuse a box with more than limit points, by default the dense-matrix guard.
+
+    Its dimension d must be a torus dimension, checked before (2N+1)^d is taken.
+    """
+    _torus_dimension("dimension", d)
     card = (2 * radius + 1) ** d
     if card > limit:
         raise ValueError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import TorusElement
-from .cocycle import ReducedTheta
+from .cocycle import ReducedTheta, _same_theta
 from .kernels import NCKernel
 from .lattice import LatticeBox
 
@@ -123,7 +123,6 @@ def partial_trace_second(theta: ReducedTheta, t: tuple) -> TorusElement:
 
 def apply_kernel_definitional(k: NCKernel, x: TorusElement) -> TorusElement:
     """The partial-trace definition of the kernel action, spelled out."""
-    if k.theta != x.theta:
-        raise ValueError("kernels live over different deformation matrices")
+    _same_theta(k, x)
     product = tensor_multiply(k.theta, (k.box, k.box, k.coeffs), one_tensor(x))
     return partial_trace_second(k.theta, product)

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import _finite, _integer, _positive, _torus_dimension
+from .lattice import _integer, _order, _positive, _torus_dimension
 
 __all__ = [
     "SingularSpectrum",
@@ -419,7 +419,5 @@ def decay_exponent(spectrum: SingularSpectrum, k_min: int, k_max: int) -> DecayF
 def critical_exponent(d: int, alpha1: float, alpha2: float) -> float:
     """The Schatten threshold 2d / (d + 2(alpha1 + alpha2))."""
     d = _torus_dimension("dimension", d)
-    alpha1, alpha2 = _finite("alpha1", alpha1), _finite("alpha2", alpha2)
-    if alpha1 < 0 or alpha2 < 0:
-        raise ValueError(f"smoothness orders must be nonnegative, got ({alpha1}, {alpha2})")
+    alpha1, alpha2 = _order("alpha1", alpha1), _order("alpha2", alpha2)
     return 2.0 * d / (d + 2.0 * (alpha1 + alpha2))

@@ -290,7 +290,7 @@ def test_dense_constructions_are_guarded(red2):
 def test_element_validation(red2):
     with pytest.raises(ValueError, match="length"):
         TorusElement(red2, LatticeBox(2, 1), np.ones(5))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match="^box has dimension 2, theta has d=3$"):
         TorusElement(reduce_theta(random_theta(3, np.random.default_rng(0))),
                      LatticeBox(2, 1), np.ones(9))
 

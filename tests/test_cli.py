@@ -149,7 +149,7 @@ def test_config_theta_against_flags(tmp_path, capsys):
     config.write_text(json.dumps({"theta": rows}))
     # the file's rows give d = 2, which --d 3 contradicts by name
     assert _run(capsys, ["scan", "--config", str(config), "--d", "3", "--n-grid", "1"]) == (
-        2, "", "error: theta has dimension 2, config says d=3\n"
+        2, "", "error: theta has dimension 2, config has d=3\n"
     )
     # and which --d 2 agrees with; the header holds the file's rows
     argv = ["--d", "2", "--n-grid", "1", "--r-grid", "1", "--format", "json"]
@@ -254,7 +254,7 @@ def test_huge_dimension_is_refused_by_name(capsys):
     # 2^70 as a decimal integer reaches the config check; the literal
     # "2**70" is not an integer and argparse refuses it
     assert main(["decay", "--d", str(2**70), "--n-grid", "1"]) == 2
-    assert capsys.readouterr().err == f"error: dimension must be at most 12, got {2**70}\n"
+    assert capsys.readouterr().err == f"error: d must be at most 12, got {2**70}\n"
     with pytest.raises(SystemExit) as exc:
         main(["decay", "--d", "2**70", "--n-grid", "1"])
     assert exc.value.code == 2

@@ -37,9 +37,9 @@ def test_theta_matrix_rejects_non_square():
 
 
 def test_theta_matrix_rejects_d1():
-    with pytest.raises(ValueError, match=">= 2"):
+    with pytest.raises(ValueError, match="^theta row count must be at least 2, got 1$"):
         ThetaMatrix(np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="reduced theta must have dimension >= 2"):
+    with pytest.raises(ValueError, match="^reduced theta row count must be at least 2, got 1$"):
         ReducedTheta(np.zeros((1, 1)))
 
 
@@ -113,8 +113,10 @@ def test_sigma_reproduces_full_commutation_phase(theta2):
 
 
 def test_sigma_dimension_mismatch(red2):
-    with pytest.raises(ValueError, match="do not match"):
+    with pytest.raises(ValueError, match="^index m has dimension 3, theta has d=2$"):
         sigma(red2, (1, 0, 0), (0, 1))
+    with pytest.raises(ValueError, match="^index n has dimension 1, theta has d=2$"):
+        sigma(red2, (1, 0), (1,))
 
 
 def test_phase_pairs_matches_sigma(red2):
@@ -227,9 +229,9 @@ def test_theta_from_json_valid():
 def test_theta_from_json_row_count():
     # one row is no torus, and d must match the rows' count
     for doc, message in (
-        ({"d": 2, "theta": [[0.0, 0.0]]}, "dimension must be at least 2, got 1"),
-        ({"d": 3, "theta": [[0.0, -0.25], [0.25, 0.0]]}, "theta has dimension 2, config says d=3"),
-        ({"d": 2, "theta": [[0.0] * 3] * 3}, "theta has dimension 3, config says d=2"),
+        ({"d": 2, "theta": [[0.0, 0.0]]}, "theta row count must be at least 2, got 1"),
+        ({"d": 3, "theta": [[0.0, -0.25], [0.25, 0.0]]}, "theta has dimension 2, config has d=3"),
+        ({"d": 2, "theta": [[0.0] * 3] * 3}, "theta has dimension 3, config has d=2"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             _theta_of(doc)
@@ -261,9 +263,10 @@ def test_theta_from_json_cites_bad_entry():
 def test_theta_from_json_bad_d():
     # one dimension rule for configs, theta rows and critical_exponent
     for doc, message in (
-        ({"theta": [[0.0]]}, "dimension must be at least 2, got 1"),
-        ({"theta": []}, "dimension must be at least 2, got 0"),
-        ({"d": 13}, "dimension must be at most 12, got 13"),
+        ({"theta": [[0.0]]}, "theta row count must be at least 2, got 1"),
+        ({"theta": []}, "theta row count must be at least 2, got 0"),
+        ({"theta": [[0.0] * 13] * 13}, "theta row count must be at most 12, got 13"),
+        ({"d": 13}, "d must be at most 12, got 13"),
         ({"d": True}, "d must be an integer, got True"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -114,7 +114,7 @@ def test_config_validation(tmp_path, capsys):
         ExperimentConfig(N_grid=(6, 4))
     with pytest.raises(ValueError, match="nonempty"):
         ExperimentConfig(N_grid=())
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^alpha1 must be nonnegative, got -1.0$"):
         ExperimentConfig(alpha1=-1.0)
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(r_grid=(1.0, 0.0))
@@ -135,7 +135,7 @@ def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError, match="d must be an integer, got True"):
         ExperimentConfig(d=True)
     # refused by name before any (2N+1)^d is taken
-    with pytest.raises(ValueError, match=f"dimension must be at most {MAX_DIMENSION}, got {2**70}"):
+    with pytest.raises(ValueError, match=f"^d must be at most {MAX_DIMENSION}, got {2**70}$"):
         ExperimentConfig(d=2**70)
     assert ExperimentConfig(d=MAX_DIMENSION).d == MAX_DIMENSION
     with pytest.raises(ValueError, match="N_grid entry must be an integer, got 4.5"):
@@ -159,8 +159,8 @@ def test_config_validation(tmp_path, capsys):
         ({"r_grid": (huge,)}, "r_grid entry must be a positive number within the float range"),
         ({"seed": huge}, r"seed must be in \[0, 2\*\*128\)"),
         ({"seed": -huge}, r"seed must be in \[0, 2\*\*128\)"),
-        ({"d": huge}, f"dimension must be at most {MAX_DIMENSION}"),
-        ({"d": -huge}, "dimension must be at least 2"),
+        ({"d": huge}, f"d must be at most {MAX_DIMENSION}"),
+        ({"d": -huge}, "d must be at least 2"),
     ):
         with pytest.raises(ValueError, match=f"^{rule}, got an integer of 16610 bits$"):
             ExperimentConfig(**kw)
@@ -222,7 +222,7 @@ def test_config_from_json_rejects_unknown_keys():
         ExperimentConfig.from_json({"s0": float("inf")})
     with pytest.raises(ValueError, match="alpha2 must be a finite number, got '1'"):
         ExperimentConfig.from_json({"alpha2": "1"})
-    with pytest.raises(ValueError, match="theta has dimension 2, config says d=3"):
+    with pytest.raises(ValueError, match="theta has dimension 2, config has d=3"):
         ExperimentConfig.from_json({"d": 3, "theta": [[0.0, -0.25], [0.25, 0.0]]})
 
 
@@ -237,7 +237,7 @@ def test_config_from_json_reads_theta():
     # rows that are not a list claim no dimension; too few rows meet the dimension rule
     with pytest.raises(ValueError, match="^'theta' must be a list of rows, got int$"):
         ExperimentConfig.from_json({"theta": 5})
-    with pytest.raises(ValueError, match="^dimension must be at least 2, got 1$"):
+    with pytest.raises(ValueError, match="^theta row count must be at least 2, got 1$"):
         ExperimentConfig.from_json({"theta": [[0.0]]})
 
 
@@ -248,7 +248,7 @@ def test_config_from_json_never_reads_an_overridden_key():
     assert (cfg.d, cfg.N_grid, cfg.alpha1, cfg.theta) == (2, (1,), 0.5, theta)
     # the rows give d unless an override does, and the config checks the two agree
     rows = {"theta": [[0.0, -0.25], [0.25, 0.0]]}
-    with pytest.raises(ValueError, match="^theta has dimension 2, config says d=3$"):
+    with pytest.raises(ValueError, match="^theta has dimension 2, config has d=3$"):
         ExperimentConfig.from_json(rows, d=3)
     assert ExperimentConfig.from_json({"d": 3}, theta=theta, d=2).d == 2
 
@@ -722,7 +722,7 @@ def test_decay_point_count_guard():
     assert (2 * 160 + 1) ** 2 <= DECAY_GUARD_CARDINALITY
     with pytest.raises(ValueError, match="exceeds the point-count guard"):
         run_potential_decay(3, 2.0, (1, 60))
-    with pytest.raises(ValueError, match="dimension must be at most"):
+    with pytest.raises(ValueError, match="^d must be at most 12, got "):
         run_potential_decay(2**70, 2.0, (1,))
 
 

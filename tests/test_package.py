@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import nctorus
-from nctorus import algebra, cocycle, experiments, kernels, lattice, multipliers, schatten
+from nctorus import algebra, cocycle, experiments, kernels, lattice, multipliers, reference
+from nctorus import schatten
 from nctorus.cli import main
 
 _LIBRARY = (lattice, cocycle, algebra, multipliers, kernels, schatten, experiments)
@@ -40,14 +41,91 @@ _BLAS_REDUCTIONS_KEPT = {"algebra.py": ["return complex(np.vdot(ys.coeffs, xs.co
 def _refusals() -> dict:
     """case -> (call, error, message) for inputs each module refuses where it takes them."""
     red2 = cocycle.reduce_theta(experiments.default_theta(2))
+    zero2, zero3 = cocycle.zero_theta(2), cocycle.zero_theta(3)
     box1, box3 = lattice.LatticeBox(2, 1), lattice.LatticeBox(3, 1)
     x = algebra.TorusElement(red2, box1, np.arange(9))
+    x_zero = algebra.TorusElement(zero2, box1, np.arange(9))
     k = kernels.NCKernel(red2, box1, np.eye(9))
-    other_theta = kernels.NCKernel(cocycle.zero_theta(2), box1, np.eye(9))
+    other_theta = kernels.NCKernel(zero2, box1, np.eye(9))
     smaller = kernels.NCKernel(red2, lattice.LatticeBox(2, 0), np.eye(1))
     spectrum = schatten.SingularSpectrum(np.array([3.0, 2.0, 1.0, 0.5, 0.2, 0.1]))
-    dims = "^target box dimension 3 does not match element d=2$"
+    dims = "^target box has dimension 3, element has d=2$"
     operands = "^(unsupported operand type|can't multiply sequence)"
+    across = " live over different deformation matrices$"
+    # the four rules of lattice and cocycle, at every entry that takes
+    # their inputs: rule -> case -> (call, message)
+    rules = {
+        "dimension": {
+            "element-box-and-theta": (
+                lambda: algebra.TorusElement(zero3, box1, np.arange(9)),
+                "^box has dimension 2, theta has d=3$",
+            ),
+            "diagonal-phases": (
+                lambda: cocycle.diagonal_phases(zero3, box1),
+                "^box has dimension 2, theta has d=3$",
+            ),
+            "bessel-kernel": (
+                lambda: kernels.bessel_kernel(1.0, box1, zero3),
+                "^box has dimension 2, theta has d=3$",
+            ),
+            "sigma-index": (
+                lambda: cocycle.sigma(red2, (1, 0, 0), (0, 1)),
+                "^index m has dimension 3, theta has d=2$",
+            ),
+            "config-theta-and-d": (
+                lambda: experiments.ExperimentConfig(d=3, theta=experiments.default_theta(2)),
+                "^theta has dimension 2, config has d=3$",
+            ),
+        },
+        "across-thetas": {
+            "element-sum": (lambda: x + x_zero, "^TorusElement and TorusElement" + across),
+            "element-product": (
+                lambda: algebra.twisted_convolve(x, x_zero),
+                "^TorusElement and TorusElement" + across,
+            ),
+            "kernel-action": (
+                lambda: kernels.apply_kernel(k, x_zero), "^NCKernel and TorusElement" + across
+            ),
+            "definitional-kernel-action": (
+                lambda: reference.apply_kernel_definitional(k, x_zero),
+                "^NCKernel and TorusElement" + across,
+            ),
+        },
+        "negative-order": {
+            "critical-exponent": (
+                lambda: schatten.critical_exponent(2, -1.0, 1.0),
+                "^alpha1 must be nonnegative, got -1.0$",
+            ),
+            "mixed-sobolev-norm": (
+                lambda: kernels.mixed_sobolev_norm(k, 1.0, -0.5),
+                "^alpha2 must be nonnegative, got -0.5$",
+            ),
+            "schwartz": (
+                lambda: kernels.schwartz_coefficients(k, -5.0, 1.0, 3.0),
+                r"^alpha1 \+ s0 must be nonnegative, got -2.0$",
+            ),
+            "random-kernel": (
+                lambda: kernels.random_kernel(red2, 1, 1.0, -2.0, 7),
+                "^s2 must be nonnegative, got -2.0$",
+            ),
+            # the draw's envelope is refused by the config fields that set it
+            "config-s-margin": (
+                lambda: experiments.ExperimentConfig(s_margin=-5.0),
+                r"^min\(alpha1, alpha2\) \+ d/2 \+ s_margin must be nonnegative, got -3.0$",
+            ),
+        },
+        "torus-dimension": {
+            "theta-13x13": (
+                lambda: cocycle.ThetaMatrix(np.zeros((13, 13))),
+                "^theta row count must be at most 12, got 13$",
+            ),
+            # the config's d is 2, so the rows are what is refused
+            "config-theta-one-row": (
+                lambda: experiments.ExperimentConfig.from_json({"d": 2, "theta": [[0.0, 0.0]]}),
+                "^theta row count must be at least 2, got 1$",
+            ),
+        },
+    }
     seeds = {
         "bool": (True, "^seed must be an integer, got True$"),
         "fraction": (2.5, "^seed must be an integer, got 2.5$"),
@@ -81,10 +159,15 @@ def _refusals() -> dict:
             for entry, draw in draws.items()
             for case, (seed, message) in seeds.items()
         },
+        **{
+            f"{case}-{rule}": (call, ValueError, message)
+            for rule, cases in rules.items()
+            for case, (call, message) in cases.items()
+        },
         "decay-dimension-one": (
             lambda: experiments.run_potential_decay(1, 2.0, [10]),
             ValueError,
-            "^dimension must be at least 2, got 1$",
+            "^d must be at least 2, got 1$",
         ),
         "schatten-norm-string-exponent": (
             lambda: schatten.schatten_norm(spectrum, "x"),
@@ -123,7 +206,7 @@ def _refusals() -> dict:
         "mult-matrix-other-dimension": (
             lambda: algebra.mult_matrix(x, box3),
             ValueError,
-            "^box dimension 3 does not match element d=2$",
+            "^box has dimension 3, element has d=2$",
         ),
         "multi-index-2d": (
             lambda: lattice.as_multi_index([[1, 2]]),
@@ -156,12 +239,12 @@ def _refusals() -> dict:
         "kernel-box-and-theta-dimensions": (
             lambda: kernels.NCKernel(cocycle.zero_theta(3), box1, np.eye(9)),
             ValueError,
-            "^kernel box has dimension 2; theta has dimension 3$",
+            "^kernel box has dimension 2, theta has d=3$",
         ),
         "kernel-sum-across-thetas": (
             lambda: k + other_theta,
             ValueError,
-            "^kernels live over different deformation matrices$",
+            "^NCKernel and NCKernel" + across,
         ),
         "kernel-sum-across-boxes": (lambda: k + smaller, ValueError, "^kernel boxes differ$"),
         "kernel-plus-element": (lambda: k + x, TypeError, operands),

@@ -1,4 +1,3 @@
-import ctypes
 import glob
 import os
 import sys
@@ -27,6 +26,8 @@ from nctorus.schatten import (
     singular_values,
     weak_norm,
 )
+
+from jacobi_oracle import jacobi_values
 
 
 def test_identity_spectrum():
@@ -267,40 +268,11 @@ def test_bundled_openblas_is_bound():
     assert schatten._openblas() is not None
 
 
-def _jacobi_values(lib, matrix: np.ndarray) -> np.ndarray:
-    """Singular values by preconditioned one-sided Jacobi, LAPACK's zgejsv.
-
-    JOBA = 'F' and JOBR = 'R', no singular vectors.  Jacobi computes the
-    singular values of D1 C D2, with D1 and D2 diagonal, to about eps
-    kappa(C) relative accuracy, however D1 and D2 are scaled (Demmel et
-    al., Linear Algebra Appl. 299, 1999), so it is an oracle for the small
-    values that the normwise-accurate SVDs only bound by eps kappa.
-    """
-    jsv = getattr(lib, "scipy_LAPACKE_zgejsv64_", None)
-    if jsv is None:
-        pytest.skip("this OpenBLAS exports no LAPACKE zgejsv")
-    size, char, ptr = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p
-    # (layout, joba, jobu, jobv, jobr, jobt, jobp, m, n, a, lda, sva, u, ldu, v, ldv, stat, istat)
-    jsv.argtypes = (
-        [ctypes.c_int] + [char] * 6 + [size, size, ptr, size, ptr] + [ptr, size] * 2 + [ptr, ptr]
-    )
-    jsv.restype = size
-    n = matrix.shape[0]
-    a = np.array(matrix, dtype=complex, order="F")
-    sva, stat, istat = np.empty(n), np.empty(7), np.empty(3, dtype=np.int64)
-    unused = np.empty(1, dtype=complex)  # U and V, not referenced with JOBU = JOBV = 'N'
-    info = jsv(
-        102, b"F", b"N", b"N", b"R", b"N", b"N", n, n, a.ctypes.data, n, sva.ctypes.data,
-        unused.ctypes.data, 1, unused.ctypes.data, 1, stat.ctypes.data, istat.ctypes.data,
-    )
-    assert info == 0
-    return sva * (stat[1] / stat[0])  # the singular values are STAT(2)/STAT(1) times SVA
-
-
 def test_scan_svd_against_the_jacobi_oracle():
     # the scan's first two-stage size: n = 441 at d = 2, N = 10, where the
     # default kernel has kappa = 2.9e6, so normwise error bounds leave its
-    # smallest values only about eps kappa = 6e-10 relative accuracy
+    # smallest values only about eps kappa = 6e-10 relative accuracy;
+    # tests/jacobi_oracle.py reports N = 12 and 18
     lib = schatten._openblas()
     if lib is None:
         pytest.skip("numpy bundles no ILP64 OpenBLAS here")
@@ -309,7 +281,9 @@ def test_scan_svd_against_the_jacobi_oracle():
     matrix = kernel_matrix(k)
     assert matrix.shape[0] >= schatten._TWO_STAGE_MIN
     with schatten._one_blas_thread():  # as in the scan
-        jacobi = _jacobi_values(lib, matrix)
+        jacobi = jacobi_values(lib, matrix)
+        if jacobi is None:
+            pytest.skip("this OpenBLAS exports no LAPACKE zgejsv")
         ours = singular_values(matrix.T).values
     assert 1e6 < jacobi[0] / jacobi[-1] < 1e7
     # measured: 1.0e-12 here at one BLAS thread (1.4e-12 at two), and
