@@ -60,7 +60,7 @@ from .kernels import (
 )
 from .lattice import DECAY_GUARD_CARDINALITY, LatticeBox, _finite, _guard_box, _integer
 from .lattice import _order, _positive, _same_dimension, _seed, _shown, _torus_dimension
-from .multipliers import apply_multiplier, bessel_weights, riesz_weights
+from .multipliers import _bessel, apply_multiplier, bessel_weights, riesz_weights
 from .reference import apply_kernel_definitional, convolve_coefficients
 from .schatten import (
     SingularSpectrum,
@@ -494,18 +494,25 @@ class DecayRecord:
     s_p_norm: float
 
 
+def _potential_spectrum(box: LatticeBox, alpha: float) -> SingularSpectrum:
+    """The box's weights (1 + |n|^2)^(-alpha/2), sorted, one per shell with its point count."""
+    norms, counts = box.shells()
+    weights = _bessel(norms.astype(float), -alpha)
+    order = np.argsort(weights)[::-1]
+    return SingularSpectrum(weights[order], counts[order])
+
+
 def _decay_one(d: int, alpha: float, radius: int) -> DecayRecord:
     box = LatticeBox(d, radius)
-    vals = bessel_weights(-alpha, box)
-    vals.sort()
-    spectrum = SingularSpectrum(vals[::-1])
-    vals = spectrum.values  # the spectrum's copy is the one kept
+    spectrum = _potential_spectrum(box, alpha)
     p = d / alpha
     k_min, k_max = default_decay_window(box.cardinality)
     where = f"decay at N={radius}, alpha={alpha:g}: the fit window [{k_min}, {k_max}]"
-    if vals[k_max] == 0.0:
+    # distinct shells can round to one weight, so the ranks' weights are compared
+    first, last = spectrum.window(k_min, k_min)[0], spectrum.window(k_max, k_max)[0]
+    if last == 0.0:
         raise ValueError(f"{where} holds weights that underflow to 0")
-    if vals[k_min] == vals[k_max]:
+    if first == last:
         raise ValueError(f"{where} holds equal weights only, so it shows no decay")
     fit = decay_exponent(spectrum, k_min, k_max)
     return DecayRecord(
@@ -522,8 +529,10 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     """Weak norm and fitted decay slope of the order -alpha Bessel spectra.
 
     Diagonal spectra need no SVD, so boxes far beyond the dense-matrix
-    guard are cheap; each box is held to DECAY_GUARD_CARDINALITY points
-    instead, checked for the whole grid first.  N = 0 leaves no fit window
+    guard are cheap: each box's spectrum is its distinct weights, one per
+    shell |n|^2, with the shells' point counts, and no per-point table is
+    built.  Each box is held to DECAY_GUARD_CARDINALITY points all the
+    same, checked for the whole grid first.  N = 0 leaves no fit window
     and is refused with the grid checks, and a window of equal weights (N =
     1 at d = 2) or of weights flushed to 0 before its fit.  The p-th power
     sum is emitted alongside as data (it diverges logarithmically at the

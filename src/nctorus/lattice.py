@@ -35,14 +35,17 @@ __all__ = [
 # beyond this a single complex matrix tops 0.4 GB and the SVD minutes.
 MEMORY_GUARD_CARDINALITY = 5000
 
-# Largest box a diagonal spectrum (the decay fit) will enumerate: its
-# points, weights and sorted spectrum take tens of bytes per point.
+# Largest box whose diagonal spectrum the decay fit reads.  It counts the
+# box's shells (LatticeBox.shells) and holds no per-point table, only the
+# fit window's three arrays over 45% of the points: a traced peak of about
+# 13 bytes per point at d = 2, N = 160 and 11 at d = 3, N = 20 (57 and 65
+# when it sorted one weight per point).
 DECAY_GUARD_CARDINALITY = 1 << 20
 
-# Largest dimension accepted anywhere: the largest in which a radius-1 box
-# (3^d points) passes the decay guard.  Beyond it only the one-point box
-# would, and refusing d first keeps (2N+1)^d from ever being computed as
-# an exact power with a huge exponent.
+# Largest dimension accepted anywhere, boxes included: the largest in
+# which a radius-1 box (3^d points) passes the decay guard.  Beyond it
+# only the one-point box would, and refusing d first keeps (2N+1)^d from
+# ever being computed as an exact power with a huge exponent.
 MAX_DIMENSION = 12
 
 
@@ -222,8 +225,8 @@ class LatticeBox:
 
     Points are ordered lexicographically, first coordinate slowest: the
     enumeration starts at (-radius, ..., -radius) and ends at
-    (radius, ..., radius).  Dimension d >= 1 is accepted here; torus-level
-    constructions impose d >= 2 themselves.
+    (radius, ..., radius).  Dimensions 1 to MAX_DIMENSION are accepted
+    here; torus-level constructions impose d >= 2 themselves.
 
     A box reads its points and place values once; under the dense-matrix
     guard, boxes of one (d, radius) share them.
@@ -238,6 +241,8 @@ class LatticeBox:
             object.__setattr__(self, "radius", _integer("radius", self.radius))
         if self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {_shown(self.d)}")
+        if self.d > MAX_DIMENSION:
+            raise ValueError(f"dimension must be at most {MAX_DIMENSION}, got {_shown(self.d)}")
         if self.radius < 0:
             raise ValueError(f"radius must be a nonnegative integer, got {_shown(self.radius)}")
 
@@ -257,6 +262,26 @@ class LatticeBox:
     def enumerate(self) -> np.ndarray:
         """All points as a read-only (cardinality, d) array in canonical order."""
         return self._geometry[0]
+
+    def shells(self) -> tuple:
+        """(s, r(s)): each squared norm s = |n|^2 in the box, increasing, and its point count.
+
+        One axis takes the square 0 once and k^2 twice for 0 < k <= radius.
+        d - 1 exact int64 convolutions with those counts, each over the
+        pairs of a shell held and a square, tally the box without any
+        per-point table; the counts sum to the cardinality.
+        """
+        squares = np.arange(self.radius + 1, dtype=np.int64) ** 2
+        norms, counts = squares, np.full(self.radius + 1, 2, dtype=np.int64)
+        counts[0] = 1
+        for _ in range(self.d - 1):
+            tally = np.zeros(norms[-1] + squares[-1] + 1, dtype=np.int64)
+            tally[norms] = counts  # the square 0
+            pairs = (norms[:, None] + squares[None, 1:]).ravel()
+            np.add.at(tally, pairs, np.repeat(2 * counts, self.radius))
+            norms = np.flatnonzero(tally)
+            counts = tally[norms]
+        return norms, counts
 
     def contains(self, m: Sequence[int] | np.ndarray) -> bool:
         """Whether the multi-index m lies in the box; one of another dimension is refused."""

@@ -71,10 +71,17 @@ def bessel_weights(alpha: float, box: LatticeBox) -> np.ndarray:
     before it.
     """
     alpha = _finite("Bessel order", alpha)
-    base = _squared_norms(box)
-    base += 1.0
-    weights = _stable_power(base, alpha / 2.0)
-    return _checked(f"bessel({alpha:g})", weights, box)
+    return _checked(f"bessel({alpha:g})", _bessel(_squared_norms(box), alpha), box)
+
+
+def _bessel(nsq: np.ndarray, alpha: float) -> np.ndarray:
+    """(1 + nsq)^(alpha/2) for a float array nsq of squared norms, which it overwrites.
+
+    The one rule of the Bessel weights, so a weight computed from a shell
+    |n|^2 = s has the bits of the weight of each point on that shell.
+    """
+    nsq += 1.0
+    return _stable_power(nsq, alpha / 2.0)
 
 
 def riesz_weights(alpha: float, box: LatticeBox) -> np.ndarray:

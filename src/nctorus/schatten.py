@@ -1,8 +1,11 @@
 """Singular values, Schatten (quasi)norms, weak quasinorms, decay fits.
 
-Everything here works on the sorted singular value sequence of a dense
-complex matrix; the potential-decay runner needs no SVD, it builds its
-spectrum from the sorted Bessel symbol values.  Quasinorms with p < 1
+Everything here works on a sorted singular value sequence, held as its
+values with their multiplicities: a dense matrix's SVD gives each value
+once, and the potential-decay runner, which needs no SVD, gives each
+distinct Bessel weight with the number of lattice points on its shell.
+The norms and the fit read the values with their multiplicities, so a
+spectrum of n points costs only its distinct values.  Quasinorms with p < 1
 accumulate in log space so tiny singular values raised to small powers
 neither underflow nor drown the sum.
 
@@ -29,11 +32,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import _integer, _order, _positive, _torus_dimension
+from .lattice import _integer, _integer_array, _order, _positive, _torus_dimension
 
 __all__ = [
     "SingularSpectrum",
@@ -49,9 +53,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Finite, nonnegative, nonincreasing singular values, from a 1-D real sequence."""
+    """Finite, nonnegative, nonincreasing singular values, from a 1-D real sequence.
+
+    multiplicities[i] >= 1 counts the ranks that take values[i], so
+    len(spectrum) is their sum; without them each value is taken once.
+    """
 
     values: np.ndarray
+    multiplicities: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values)
@@ -65,11 +74,36 @@ class SingularSpectrum:
             raise ValueError(f"singular values must be finite, got {arr[bad[0]]} at index {bad[0]}")
         if arr.size and (np.any(arr < 0) or np.any(np.diff(arr) > 0)):
             raise ValueError("singular values must be nonnegative and nonincreasing")
-        arr.flags.writeable = False
+        if self.multiplicities is None:
+            counts = np.ones(arr.size, dtype=np.int64)
+        else:  # a copy the spectrum owns
+            counts = np.array(_integer_array("multiplicity", self.multiplicities))
+        if counts.shape != arr.shape:
+            raise ValueError(
+                f"multiplicities must have the values' shape {arr.shape}, got {counts.shape}"
+            )
+        if counts.size and counts.min() < 1:
+            raise ValueError("multiplicities must be at least 1")
+        for part in (arr, counts):
+            part.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "multiplicities", counts)
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """One past the last rank of each value: the running sum of the multiplicities."""
+        return np.cumsum(self.multiplicities)
 
     def __len__(self) -> int:
-        return self.values.size
+        return int(self._ends[-1]) if self._ends.size else 0
+
+    def window(self, k_min: int, k_max: int) -> np.ndarray:
+        """A fresh array of mu(k) for 0 <= k_min <= k <= k_max < len(self)."""
+        first, last = np.searchsorted(self._ends, (k_min, k_max), side="right")
+        ends = self._ends[first : last + 1]
+        starts = ends - self.multiplicities[first : last + 1]
+        taken = np.minimum(ends, k_max + 1) - np.maximum(starts, k_min)
+        return np.repeat(self.values[first : last + 1], taken)
 
 
 _LAPACK_COL_MAJOR = 102
@@ -344,16 +378,19 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
     For p < 1 this is a quasinorm, still defined by the same power sum.
     Computed as exp((1/p) log sum mu^p) with the log-sum-exp reduction
     written out in numpy, so small p and tiny mu stay inside the
-    representable range.  The terms tying the largest p log mu are counted
-    and zeroed in place, not dropped, so the sum keeps numpy's pairwise
-    order and matches the scipy.special.logsumexp algorithm bit for bit.
+    representable range.  Each distinct value's term is weighted by its
+    multiplicity.  The terms tying the largest p log mu are counted and
+    zeroed in place, not dropped, so the sum keeps numpy's pairwise order
+    and, where every multiplicity is 1, matches the
+    scipy.special.logsumexp algorithm bit for bit.
     """
     p = _positive("Schatten exponent", p, "positive")
     vals = spectrum.values
     if vals.size == 0 or vals[0] == 0.0:
         return 0.0
-    positive = vals[vals > 0]
-    if p >= 2.0**54 * math.log(positive.size):
+    nonzero = vals > 0
+    positive, counts = vals[nonzero], spectrum.multiplicities[nonzero]
+    if p >= 2.0**54 * math.log(counts.sum()):
         # for m positive values the norm over the top one lies in
         # [1, m^(1/p)], within half an ulp of 1 here: this covers p = inf
         # and a single positive value, where p log mu may not round-trip
@@ -361,21 +398,27 @@ def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
     logs = p * np.log(positive)
     top = logs.max()
     ties = logs == top
-    count = np.count_nonzero(ties)
+    count = counts[ties].sum()
     terms = np.exp(logs - top)
     terms[ties] = 0.0
+    terms *= counts
     rest = terms.sum() / count
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         return float(np.exp((np.log1p(rest) + np.log(count) + top) / p))
 
 
 def weak_norm(spectrum: SingularSpectrum, p: float) -> float:
-    """The weak quasinorm sup_k (k+1)^(1/p) mu(k)."""
+    """The weak quasinorm sup_k (k+1)^(1/p) mu(k).
+
+    Over the ranks of one value the term grows with k, so the sup is read
+    at the last rank of each value.
+    """
     p = _positive("weak exponent", p, "positive")
-    positive = spectrum.values[spectrum.values > 0]
+    nonzero = spectrum.values > 0
+    positive = spectrum.values[nonzero]
     if positive.size == 0:
         return 0.0
-    ranks = np.arange(1, positive.size + 1, dtype=float)
+    ranks = spectrum._ends[nonzero].astype(float)
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         return float(np.max(ranks ** (1.0 / p) * positive))
 
@@ -396,24 +439,33 @@ def default_decay_window(length: int) -> tuple:
 
 
 def decay_exponent(spectrum: SingularSpectrum, k_min: int, k_max: int) -> DecayFit:
-    """Fit mu(k) ~ (k+1)^slope over k_min <= k <= k_max (inclusive)."""
+    """Fit mu(k) ~ (k+1)^slope over k_min <= k <= k_max (inclusive).
+
+    Least squares in closed form on the centred logs of the window alone:
+    three window-length arrays, whose sums are numpy's pairwise ones, not
+    BLAS's, so no thread count moves a bit.
+    """
     n = len(spectrum)
     k_min, k_max = _integer("k_min", k_min), _integer("k_max", k_max)
     if not (1 <= k_min < k_max < n):
         raise ValueError(
             f"window [{k_min}, {k_max}] invalid for a spectrum of length {n}"
         )
-    vals = spectrum.values[k_min : k_max + 1]
-    if np.any(vals == 0.0):
+    logy = spectrum.window(k_min, k_max)
+    if logy[-1] == 0.0:  # the smallest value of the window
         raise ValueError(
             "zero singular value inside the fit window; shrink the window"
         )
-    logx = np.log(np.arange(k_min + 1, k_max + 2, dtype=float))
-    logy = np.log(vals)
-    slope, intercept = np.polyfit(logx, logy, 1)
-    fitted = slope * logx + intercept
-    residual = float(np.sqrt(np.mean((logy - fitted) ** 2)))
-    return DecayFit(float(slope), residual)
+    np.log(logy, out=logy)
+    logx = np.arange(k_min + 1, k_max + 2, dtype=float)
+    np.log(logx, out=logx)
+    logx -= logx.mean()
+    logy -= logy.mean()
+    terms = logx * logy
+    covariance = terms.sum()
+    slope = float(covariance / np.square(logx, out=terms).sum())
+    logy -= np.multiply(logx, slope, out=terms)  # the residuals
+    return DecayFit(slope, float(np.sqrt(np.square(logy, out=terms).mean())))
 
 
 def critical_exponent(d: int, alpha1: float, alpha2: float) -> float:

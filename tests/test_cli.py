@@ -316,7 +316,9 @@ def test_decay_refuses_radius_zero(capsys):
 
 def test_decay_refuses_windows_without_decay(capsys):
     # a fit window of equal weights, or of weights flushed to 0, holds no
-    # decay to fit; the refusal names N and alpha
+    # decay to fit; the refusal names N and alpha.  At alpha = 1e-300 the
+    # window's ends lie on distinct shells whose weights both round to 1,
+    # so the refusal compares the weights at its ends, not their shells
     for argv, why in (
         (["--n-grid", "1"], "N=1, alpha=2: the fit window [1, 4] holds equal weights only"),
         (

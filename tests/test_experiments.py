@@ -41,6 +41,7 @@ from nctorus.lattice import (
     MAX_DIMENSION,
     MEMORY_GUARD_CARDINALITY,
     LatticeBox,
+    _sum_squares,
 )
 from nctorus.multipliers import bessel_weights
 from nctorus.records import to_csv, to_json
@@ -512,6 +513,23 @@ def test_scan_alpha_zero_schatten2_equals_l2():
     assert rec.r == rec.r_star
 
 
+def test_scan_hilbert_schmidt_row_is_the_envelope_norm():
+    # the drawn entries are unimodular times the envelope w1(m) w2(p), so
+    # the S_2 row is sqrt(sum w1^2 * sum w2^2) whatever the draw, and S_2 has
+    # no sampling spread.  The benchmark's Hilbert-Schmidt check reads the
+    # draw; this one does not, so random moduli in kernels._draw_blocks
+    # (say, block *= rng.random(block.shape)) fail it and pass that check
+    box = LatticeBox(2, 6)
+    for seed in range(1, 21):
+        cfg = ExperimentConfig(N_grid=(6,), seed=seed)
+        s1, s2 = cfg.envelope_exponents()
+        want = math.sqrt(
+            _sum_squares(bessel_weights(-s1, box)) * _sum_squares(bessel_weights(-s2, box))
+        )
+        (row,) = [rec for rec in run_theorem_scan(cfg) if rec.r == 2.0]
+        assert row.s_r_norm == pytest.approx(want, rel=1e-13, abs=0), seed
+
+
 def test_scan_record_at_the_threshold_holds_r_star_exactly():
     # the CLI's note at the critical exponent reads rec.r == rec.r_star
     cfg = ExperimentConfig(N_grid=(3,), r_grid=(1.0, critical_exponent(2, 1.0, 1.0)))
@@ -715,6 +733,16 @@ def test_decay_large_box_no_guard():
     records = run_potential_decay(2, 2.0, (40,))
     assert (2 * 40 + 1) ** 2 > MEMORY_GUARD_CARDINALITY
     assert records[0].N == 40
+
+
+def test_potential_spectrum_is_the_sorted_bessel_weights():
+    # a shell's weight has the bits of each of its points' weights
+    for d, radius, alpha in ((2, 7, 2.0), (3, 4, 1.3), (5, 2, 0.7), (2, 30, 700.0)):
+        box = LatticeBox(d, radius)
+        spectrum = experiments._potential_spectrum(box, alpha)
+        assert len(spectrum) == box.cardinality
+        expected = np.sort(bessel_weights(-alpha, box))[::-1]
+        assert np.array_equal(spectrum.window(0, box.cardinality - 1), expected)
 
 
 def test_decay_point_count_guard():
@@ -969,6 +997,16 @@ def test_streamed_runners_never_hold_the_coefficients():
     n = LatticeBox(2, 16).cardinality
     peak = _traced_peak(lambda: run_factorization_check(ExperimentConfig(N_grid=(12, 16))))
     assert peak < n * n * 16 / 2, f"factor peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_decay_holds_no_per_point_table():
+    # decay holds its box's shells and its fit window, 45% of the points;
+    # a weight per point and its sort peaked at 57 B per point at d = 2 and
+    # 65 at d = 3
+    for d, radius in ((2, 160), (3, 20)):
+        n = LatticeBox(d, radius).cardinality
+        peak = _traced_peak(lambda: run_potential_decay(d, 2.0, (radius,)))
+        assert peak < 24 * n, f"decay at d={d} peaked at {peak / n:.1f} B per point"
 
 
 def test_unitary_diagonal_is_exact_phase(rng):

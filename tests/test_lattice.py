@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus.lattice import LatticeBox, _guard_box, _sum_squares, as_multi_index
+from nctorus.lattice import MAX_DIMENSION, LatticeBox, _guard_box, _sum_squares, as_multi_index
 
 
 def test_enumerate_lex_order_d2_n1():
@@ -136,6 +137,33 @@ def test_invalid_box_parameters():
         as_multi_index([huge, 0])
     with pytest.raises(ValueError, match=r"\(2N\+1\)\^d = an integer of 33222 bits exceeds"):
         _guard_box(2, huge)
+
+
+def test_box_dimension_above_the_maximum_is_refused_at_once():
+    # a box of huge dimension used to be built, and its enumerate() spent
+    # seconds on (2N+1)^d before numpy refused more than 64 axes
+    assert LatticeBox(MAX_DIMENSION, 0).cardinality == 1
+    for d in (MAX_DIMENSION + 1, 10**7, 10**5000):
+        shown = "an integer of 16610 bits" if d == 10**5000 else str(d)
+        message = rf"^dimension must be at most {MAX_DIMENSION}, got {shown}$"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            LatticeBox(d, 1)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_shells_count_the_points_of_each_squared_norm():
+    radii = {1: (0, 3), 2: (0, 1, 3, 7), 3: (0, 1, 2, 4), 4: (1, 2, 3), 5: (1, 2)}
+    for d in radii:
+        for radius in radii[d]:
+            box = LatticeBox(d, radius)
+            pts = box.enumerate()
+            tally = np.bincount(np.einsum("ij,ij->i", pts, pts))
+            norms, counts = box.shells()
+            assert norms.dtype == counts.dtype == np.int64
+            assert np.array_equal(norms, np.flatnonzero(tally)), (d, radius)
+            assert np.array_equal(counts, tally[norms]), (d, radius)
+            assert counts.sum() == box.cardinality
 
 
 @settings(max_examples=60)

@@ -296,6 +296,38 @@ def test_scan_svd_against_the_jacobi_oracle():
             assert norm(SingularSpectrum(ours), r) == pytest.approx(want, rel=1e-14, abs=0)
 
 
+def test_spectrum_multiplicities():
+    spec = SingularSpectrum([3.0, 2.0, 0.0], [2, 1, 4])
+    assert len(spec) == 7 and spec.multiplicities.dtype == np.int64
+    assert not spec.multiplicities.flags.writeable
+    assert np.array_equal(SingularSpectrum([2.0, 1.0]).multiplicities, [1, 1])
+    assert np.array_equal(spec.window(0, 6), [3, 3, 2, 0, 0, 0, 0])
+    assert np.array_equal(spec.window(1, 3), [3, 2, 0])
+    assert np.array_equal(spec.window(2, 2), [2])
+    with pytest.raises(ValueError, match=r"must have the values' shape \(2,\), got \(3,\)$"):
+        SingularSpectrum([2.0, 1.0], [1, 1, 1])
+    with pytest.raises(ValueError, match="^multiplicities must be at least 1$"):
+        SingularSpectrum([2.0, 1.0], [1, 0])
+    with pytest.raises(ValueError, match="^multiplicity entries must be integers"):
+        SingularSpectrum([2.0, 1.0], [1, 1.5])
+
+
+def test_multiplicities_read_as_repeated_values():
+    # values with multiplicities and their expansion give the same weak norm
+    # and fit bit for bit, and the same power sum up to its order of summation
+    rng = np.random.default_rng(5)
+    values = np.sort(rng.random(40))[::-1]
+    values[-3:] = 0.0
+    counts = rng.integers(1, 6, 40)
+    counts[0] = 3  # ties at the top of the log-sum-exp
+    runs = SingularSpectrum(values, counts)
+    flat = SingularSpectrum(np.repeat(values, counts))
+    for p in (0.3, 1.0, 2.0, 7.0, np.inf):
+        assert weak_norm(runs, p) == weak_norm(flat, p)
+        assert schatten_norm(runs, p) == pytest.approx(schatten_norm(flat, p), rel=1e-14, abs=0)
+    assert decay_exponent(runs, 5, 60) == decay_exponent(flat, 5, 60)
+
+
 def test_spectrum_type_validation():
     with pytest.raises(ValueError, match="nonincreasing"):
         SingularSpectrum(np.array([1.0, 2.0]))
