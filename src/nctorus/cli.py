@@ -2,13 +2,14 @@
 
 Subcommands: suite (property checks), scan (Schatten-norm grid), decay
 (potential spectra), factor (factorization identity), schwartz
-(coefficient bound).  Every subcommand accepts --config, --seed, --out
-and --format.  The JSON config file is the one input file: it may set
-every config field, theta included, and explicit flags override its
-values.  --out and --format say only where and how the output goes.  A
-JSON document opens with its command and resolved config, which reruns
-it as --config.  This module alone reads and writes files.  Exit status
-is 0 exactly when every assertion passed.
+(coefficient bound).  Each takes --config, --out, --format and a flag per
+config field it reads (_SUBCOMMANDS): --seed for all but decay, --alpha for
+decay alone.  The JSON config file, the one input file, sets any field,
+theta included; flags override it, and every command validates all of it,
+decay's alpha too.  --out and --format say only where and how the output
+goes.  A JSON document opens with its command and resolved config, which
+reruns it as --config.  This module alone reads and writes files.  Exit
+status is 0 exactly when every assertion passed.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ def _numbers(text: str) -> tuple:
     return tuple(_number(part) for part in text.split(","))
 
 
-# Each numeric flag once: its type and help.  A flag's destination is the
-# lower-case name of the config field it sets; --alpha is decay's own
-# order and --n is schwartz's one-entry grid.
+# Each numeric flag once: its type and help.  A flag's destination is the lower-case
+# name of the config field it sets; --n is schwartz's one-entry grid.
 _NUMERIC_FLAGS = {
     "--d": (_number, "lattice dimension (default 2)"),
-    "--alpha": (_number, "potential order (default 2)"),
+    "--alpha": (_number, "decay's potential order (default 2)"),
     "--alpha1": (_number, "first smoothness order"),
     "--alpha2": (_number, "second smoothness order"),
     "--n": (_number, "box radius (default: largest grid entry)"),
@@ -67,6 +67,7 @@ _NUMERIC_FLAGS = {
     "--r-grid": (_numbers, "comma-separated Schatten exponents"),
     "--s0": (_number, "decay margin, must exceed d (default d+1)"),
     "--s-margin": (_number, "envelope margin above alpha_i + d/2"),
+    "--seed": (_number, "PRNG seed (default 42)"),
 }
 
 
@@ -85,14 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (summary, flags, _) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=summary)
         sub.add_argument("--config", help="JSON config file, theta included; flags override it")
-        sub.add_argument("--seed", type=_number, help="PRNG seed (default 42)")
         sub.add_argument("--out", help="output path (default stdout)")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="output format (default csv)")
         for flag in flags:
             kind, text = _NUMERIC_FLAGS[flag]
             sub.add_argument(flag, type=kind, help=text)
-    subs.choices["decay"].set_defaults(alpha=2.0)
     return parser
 
 
@@ -114,20 +113,16 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     doc = _read_json(args.config) if args.config else {}
     if args.command == "decay" and isinstance(doc, dict):
         doc = {"N_grid": _DECAY_GRID, **doc}
-    flags: dict = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name.lower(), None)
-        if value is not None:
-            flags[f.name] = value
+    flags = {f.name: getattr(args, f.name.lower(), None) for f in fields(ExperimentConfig)}
     if getattr(args, "n", None) is not None:
         flags["N_grid"] = (args.n,)
-    return ExperimentConfig.from_json(doc, **flags)
+    return ExperimentConfig.from_json(doc, **{k: v for k, v in flags.items() if v is not None})
 
 
-# Each command returns (CSV or text table, JSON body under main's header, failure note or None).
+# Each command takes the config alone: (CSV or text table, JSON body under the header, failure).
 
 
-def _cmd_suite(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
+def _cmd_suite(config: ExperimentConfig) -> tuple:
     report = run_property_suite(config.seed, config.theta)
     failed = ", ".join(report.failures)
     lines = [check.line() for check in report.checks]
@@ -136,7 +131,7 @@ def _cmd_suite(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     return "\n".join(lines) + "\n", json_fields(report), failure
 
 
-def _cmd_scan(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
+def _cmd_scan(config: ExperimentConfig) -> tuple:
     records = run_theorem_scan(config)
     for rec in records:
         if rec.r == rec.r_star:
@@ -145,13 +140,12 @@ def _cmd_scan(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     return to_csv(ScanRecord, records), {"records": records}, None
 
 
-def _cmd_decay(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
-    records = run_potential_decay(config.d, args.alpha, config.N_grid)
-    # run_potential_decay has refused an alpha that is not a finite number
-    return to_csv(DecayRecord, records), {"alpha": float(args.alpha), "records": records}, None
+def _cmd_decay(config: ExperimentConfig) -> tuple:
+    records = run_potential_decay(config.d, config.alpha, config.N_grid)
+    return to_csv(DecayRecord, records), {"records": records}, None
 
 
-def _cmd_factor(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
+def _cmd_factor(config: ExperimentConfig) -> tuple:
     records = run_factorization_check(config)
     worst = max_factor_error(records)
     passed = worst <= FACTOR_TOLERANCE
@@ -162,7 +156,7 @@ def _cmd_factor(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     return to_csv(FactorizationRecord, records), body, failure
 
 
-def _cmd_schwartz(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
+def _cmd_schwartz(config: ExperimentConfig) -> tuple:
     report = run_schwartz_bound(config)
     failure = None if report.passed else (
         f"worst ratio {report.worst_ratio:.12f} exceeds 1 + {report.tolerance:.1e} "
@@ -171,16 +165,17 @@ def _cmd_schwartz(args: argparse.Namespace, config: ExperimentConfig) -> tuple:
     return to_csv(SchwartzReport, [report]), json_fields(report), failure
 
 
-_SUBCOMMANDS = {  # name: (help, its numeric flags in help order, command)
-    "suite": ("run every module invariant on seeded data", (), _cmd_suite),
+_DENSE = ("--d", "--alpha1", "--alpha2")  # the kernel's dimension and smoothness orders
+_SUBCOMMANDS = {  # name: (help, the flags of the fields it reads, in help order, command)
+    "suite": ("run every module invariant on seeded data", ("--seed",), _cmd_suite),
     "scan": ("Schatten norms of random smooth kernels over an N grid",
-             ("--d", "--alpha1", "--alpha2", "--n-grid", "--r-grid", "--s-margin"), _cmd_scan),
+             (*_DENSE, "--n-grid", "--r-grid", "--s-margin", "--seed"), _cmd_scan),
     "decay": ("weak norms and decay slopes of potential spectra",
               ("--d", "--alpha", "--n-grid"), _cmd_decay),
     "factor": ("factorization and adjoint identity gaps",
-               ("--d", "--alpha1", "--alpha2", "--n-grid", "--s-margin"), _cmd_factor),
+               (*_DENSE, "--n-grid", "--s-margin", "--seed"), _cmd_factor),
     "schwartz": ("coefficient bound against the decay envelope",
-                 ("--d", "--alpha1", "--alpha2", "--n", "--s0", "--s-margin"), _cmd_schwartz),
+                 (*_DENSE, "--n", "--s0", "--s-margin", "--seed"), _cmd_schwartz),
 }
 
 
@@ -188,7 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        table, body, failure = _SUBCOMMANDS[args.command][2](args, config)
+        table, body, failure = _SUBCOMMANDS[args.command][2](config)
         header = {"command": args.command, "config": config.to_json()}
         text = to_json({**header, **body}) if args.format == "json" else table
         if args.out in (None, "-"):

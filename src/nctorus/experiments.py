@@ -109,6 +109,13 @@ def _radii(grid) -> tuple:
     return radii
 
 
+def _potential_order(alpha) -> float:
+    """alpha as decay's potential order: a finite float > 0."""
+    if _finite("alpha", alpha) <= 0:
+        raise ValueError(f"potential order must be positive, got {alpha}")
+    return float(alpha)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every input that sets a run's numbers, validated and resolved on construction.
@@ -129,6 +136,7 @@ class ExperimentConfig:
     s_margin: float = 0.5
     seed: int = 42
     s0: float | None = None
+    alpha: float = 2.0  # decay's potential order, > 0; every config checks it, decay reads it
 
     def __post_init__(self) -> None:
         def store(name: str, value) -> None:
@@ -143,6 +151,7 @@ class ExperimentConfig:
         store("N_grid", grid)
         for name in ("alpha1", "alpha2", "s_margin"):
             store(name, _finite(name, getattr(self, name)))
+        store("alpha", _potential_order(self.alpha))
         store("s0", float(self.d + 1) if self.s0 is None else _finite("s0", self.s0))
         store("seed", _seed(self.seed))
         r_star = self.r_star  # refuses negative orders
@@ -151,6 +160,8 @@ class ExperimentConfig:
             store("r_grid", (r_star * 1.1, 1.0, 2.0))
         elif not isinstance(self.r_grid, (list, tuple)):
             raise ValueError(f"r_grid must be a list of numbers, got {self.r_grid!r}")
+        elif not self.r_grid:
+            raise ValueError("r_grid must be nonempty, got ()")
         else:
             store("r_grid", tuple(_positive("r_grid entry", r) for r in self.r_grid))
 
@@ -541,8 +552,7 @@ def run_potential_decay(d: int, alpha: float, N_grid) -> list:
     output check test the weak norm and the slope.
     """
     d = _torus_dimension("d", d)
-    if _finite("alpha", alpha) <= 0:
-        raise ValueError(f"potential order must be positive, got {alpha}")
+    alpha = _potential_order(alpha)
     grid = _radii(N_grid)
     for radius in grid:
         if radius < 1:

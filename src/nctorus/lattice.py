@@ -286,11 +286,8 @@ class LatticeBox:
     def contains(self, m: Sequence[int] | np.ndarray) -> bool:
         """Whether the multi-index m lies in the box; one of another dimension is refused."""
         arr = as_multi_index(m)
-        if arr.shape[0] != self.d:
-            raise ValueError(
-                f"lattice point {tuple(arr.tolist())} has dimension {arr.shape[0]}, "
-                f"box has d={self.d}"
-            )
+        if arr.shape[0] != self.d:  # the point is printed only on refusal
+            _same_dimension(f"lattice point {tuple(arr.tolist())}", arr.shape[0], "box", self.d)
         return bool(np.all(np.abs(arr) <= self.radius))
 
     def linear_index(self, m: Sequence[int] | np.ndarray) -> int:

@@ -448,14 +448,10 @@ def decay_exponent(spectrum: SingularSpectrum, k_min: int, k_max: int) -> DecayF
     n = len(spectrum)
     k_min, k_max = _integer("k_min", k_min), _integer("k_max", k_max)
     if not (1 <= k_min < k_max < n):
-        raise ValueError(
-            f"window [{k_min}, {k_max}] invalid for a spectrum of length {n}"
-        )
+        raise ValueError(f"window [{k_min}, {k_max}] invalid for a spectrum of length {n}")
     logy = spectrum.window(k_min, k_max)
     if logy[-1] == 0.0:  # the smallest value of the window
-        raise ValueError(
-            "zero singular value inside the fit window; shrink the window"
-        )
+        raise ValueError("zero singular value inside the fit window; shrink the window")
     np.log(logy, out=logy)
     logx = np.arange(k_min + 1, k_max + 2, dtype=float)
     np.log(logx, out=logx)

@@ -250,6 +250,46 @@ def test_every_config_field_has_a_flag():
     assert [name for name in names if name.lower() not in dests] == []
 
 
+# two values of each numeric flag, and the small run of each subcommand
+# they are laid over (a later flag replaces an earlier one)
+_FLAG_VALUES = {
+    "--d": ("2", "3"),
+    "--alpha": ("1.5", "3"),
+    "--alpha1": ("0.5", "2"),
+    "--alpha2": ("0.5", "2"),
+    "--n": ("2", "3"),
+    "--n-grid": ("2", "3"),
+    "--r-grid": ("1", "2"),
+    "--s0": ("3.5", "5"),
+    "--s-margin": ("0.5", "1"),
+    "--seed": ("1", "2"),
+}
+_SMALL_RUNS = {
+    "suite": [],
+    "scan": ["--n-grid", "2"],
+    "decay": ["--n-grid", "4"],
+    "factor": ["--n-grid", "2"],
+    "schwartz": ["--n", "2"],
+}
+
+
+def test_every_numeric_flag_moves_the_numbers(capsys):
+    # a subcommand takes a flag only for a config field it reads, so two
+    # values of any numeric flag it accepts print different CSV bytes
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subs.choices) == sorted(_SMALL_RUNS)
+    plain = {"-h", "--help", "--config", "--out", "--format"}
+    for command, sub in subs.choices.items():
+        flags = [flag for a in sub._actions for flag in a.option_strings if flag not in plain]
+        for flag in flags:
+            outs = []
+            for value in _FLAG_VALUES[flag]:
+                code, out, err = _run(capsys, [command, *_SMALL_RUNS[command], flag, value])
+                assert (code, err) == (0, ""), (command, flag, value)
+                outs.append(_without_wall_ms(out, "csv"))
+            assert outs[0] != outs[1], f"{command} {flag} leaves the output as it is"
+
+
 def test_huge_dimension_is_refused_by_name(capsys):
     # 2^70 as a decimal integer reaches the config check; the literal
     # "2**70" is not an integer and argparse refuses it
@@ -278,15 +318,15 @@ def test_flags_read_numerals_as_config_values(capsys):
     assert _run(capsys, ["scan", "--d", "2.5", "--n-grid", "3"]) == (
         2, "", "error: d must be an integer, got 2.5\n"
     )
-    # decay reports its potential order as a float, however it was spelled
+    # decay's potential order is a config float, however it was spelled
     code, out, _ = _run(capsys, ["decay", "--alpha", "2", "--n-grid", "8", "--format", "json"])
-    assert code == 0 and '"alpha": 2.0' in out
+    assert code == 0 and repr(json.loads(out)["config"]["alpha"]) == "2.0"
 
 
 def test_decay_flags(capsys):
     assert main(["decay", "--alpha", "1.0", "--n-grid", "8", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["alpha"] == 1.0
+    assert doc["config"]["alpha"] == 1.0
     assert doc["records"][0]["N"] == 8
     assert doc["records"][0]["p"] == pytest.approx(2.0)
 
@@ -674,8 +714,8 @@ def test_decay_layout_both_formats(capsys):
     header, rows, doc = _csv_and_json(capsys, ["decay", "--n-grid", "10,20"])
     assert header == DECAY_COLUMNS
     assert [row["N"] for row in rows] == ["10", "20"]
-    assert set(doc) == {"command", "config", "alpha", "records"}
-    assert (doc["config"]["d"], doc["alpha"]) == (2, 2.0)
+    assert set(doc) == {"command", "config", "records"}
+    assert (doc["config"]["d"], doc["config"]["alpha"]) == (2, 2.0)
     for row, rec in zip(rows, doc["records"]):
         assert set(rec) == set(DECAY_COLUMNS)
         _assert_cells_match(row, rec)
@@ -731,8 +771,8 @@ def test_schwartz_layout_both_formats(capsys):
     ids=["suite", "scan-inf", "scan-d3", "decay", "factor", "schwartz"],
 )
 def test_every_document_reruns_from_its_config(tmp_path, capsys, argv):
-    # the header's config, given back as --config, writes the same document
-    # (decay's order is no config field and comes back as its flag); an
+    # the header's config, given back as --config with no other flag,
+    # writes the same document: decay's alpha comes back with it, and an
     # infinite r sits in r_grid as the cell "inf"
     code, out, err = _run(capsys, argv + ["--format", "json"])
     assert (code, err) == (0, "")
@@ -740,9 +780,7 @@ def test_every_document_reruns_from_its_config(tmp_path, capsys, argv):
     assert doc["command"] == argv[0]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc["config"]))
-    again = [argv[0], "--config", str(config), "--format", "json"]
-    again += ["--alpha", repr(doc["alpha"])] if argv[0] == "decay" else []
-    code, rerun, err = _run(capsys, again)
+    code, rerun, err = _run(capsys, [argv[0], "--config", str(config), "--format", "json"])
     assert (code, err) == (0, "")
     assert _without_wall_ms(rerun, "json") == _without_wall_ms(out, "json")
 
@@ -787,8 +825,8 @@ _ints = st.integers(-2, 3).map(str) | st.sampled_from(["x", "1.5"])
 _floats = st.floats(-1, 4).map(repr) | st.floats().map(repr) | st.sampled_from(["x", ""])
 _int_lists = st.lists(st.integers(-1, 3).map(str), max_size=3).map(",".join)
 _float_lists = st.lists(_floats, max_size=3).map(",".join)
+_seeds = st.integers(-1, 2**130).map(str)
 _COMMON_FLAGS = {
-    "--seed": st.integers(-1, 2**130).map(str),
     "--format": st.sampled_from(["csv", "json", "xml"]),
     "--config": st.just("missing-config.json"),
     "--out": st.just("-"),
@@ -798,9 +836,10 @@ _DENSE_FLAGS = {
     "--alpha1": _floats,
     "--alpha2": _floats,
     "--s-margin": _floats,
+    "--seed": _seeds,
 }
 _FLAGS = {
-    "suite": {},
+    "suite": {"--seed": _seeds},
     "scan": {**_DENSE_FLAGS, "--n-grid": _int_lists, "--r-grid": _float_lists},
     "decay": {"--d": _ints, "--alpha": _floats, "--n-grid": _int_lists},
     "factor": {**_DENSE_FLAGS, "--n-grid": _int_lists},
@@ -849,6 +888,7 @@ _FIELD_FLAGS = {  # field: (argv around it, its flag)
     "s_margin": (["scan", "--n-grid", "1"], "--s-margin"),
     "seed": (["scan", "--n-grid", "1"], "--seed"),
     "s0": (["schwartz", "--n", "1"], "--s0"),
+    "alpha": (["decay", "--n-grid", "2"], "--alpha"),
 }
 # ints, integral and other floats, negatives and zeros, inf and nan, and
 # integers past every guard; values stay small so each box stays tiny

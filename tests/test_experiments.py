@@ -119,6 +119,21 @@ def test_config_validation(tmp_path, capsys):
         ExperimentConfig(alpha1=-1.0)
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(r_grid=(1.0, 0.0))
+    # an empty r grid is refused as an empty N grid is, not run to a bare header
+    for empty in ((), []):
+        with pytest.raises(ValueError, match=r"^r_grid must be nonempty, got \(\)$"):
+            ExperimentConfig(r_grid=empty)
+    with pytest.raises(ValueError, match=r"^r_grid must be nonempty, got \(\)$"):
+        ExperimentConfig.from_json({"r_grid": []})
+    # decay's potential order is a config field every config checks, by
+    # the rule and the messages run_potential_decay keeps
+    assert ExperimentConfig().alpha == 2.0 and type(ExperimentConfig(alpha=3).alpha) is float
+    for bad in (0, -1.0, -0.0):
+        with pytest.raises(ValueError, match=f"^potential order must be positive, got {bad}$"):
+            ExperimentConfig(alpha=bad)
+    for bad in (float("nan"), float("inf"), "2", None, True):
+        with pytest.raises(ValueError, match="^alpha must be a finite number, got "):
+            ExperimentConfig(alpha=bad)
     for bad in ({"a": 1}, "2", True, None, float("nan"), -1.0, float("-inf")):
         with pytest.raises(ValueError, match=r"r_grid entry must be a positive number, got "):
             ExperimentConfig(r_grid=(2.0, bad))
