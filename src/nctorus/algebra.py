@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import ReducedTheta, _same_theta, diagonal_phases, phase_pairs, phase_table
-from .lattice import LatticeBox, _embedding, _guard_box, _integer, _memo, _same_dimension
-from .lattice import _sum_squares
+from .lattice import LatticeBox, _coefficients, _embedding, _guard_box, _integer, _memo
+from .lattice import _same_dimension, _sum_squares
 
 __all__ = [
     "TorusElement",
@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TorusElement:
-    """Fourier coefficients of a twisted-algebra element on a lattice box."""
+    """Fourier coefficients of a twisted-algebra element on a lattice box, copied read-only."""
 
     theta: ReducedTheta
     box: LatticeBox
@@ -50,20 +50,16 @@ class TorusElement:
 
     def __post_init__(self) -> None:
         _same_dimension("box", self.box.d, "theta", self.theta.d)
-        arr = np.array(self.coeffs, dtype=complex).reshape(-1)
-        if arr.shape[0] != self.box.cardinality:
-            raise ValueError(
-                f"coefficient vector has length {arr.shape[0]}, "
-                f"box cardinality is {self.box.cardinality}"
-            )
+        arr = np.array(_coefficients(self.coeffs, (self.box.cardinality,)), dtype=complex)
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     def coefficient(self, m) -> complex:
-        """The Fourier coefficient at index m (0 outside the box)."""
-        if not self.box.contains(m):
+        """The Fourier coefficient at the lattice point m (0 outside the box)."""
+        try:
+            return complex(self.coeffs[self.box.linear_index(m)])
+        except IndexError:  # m lies outside the box
             return 0.0 + 0.0j
-        return complex(self.coeffs[self.box.linear_index(m)])
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
         if not isinstance(other, TorusElement):
@@ -88,9 +84,12 @@ class TorusElement:
 
 
 def monomial(theta: ReducedTheta, m, box: LatticeBox) -> TorusElement:
-    """The basis monomial with coefficient 1 at index m."""
+    """The basis monomial with coefficient 1 at the lattice point m, which must lie in box."""
     coeffs = np.zeros(box.cardinality, dtype=complex)
-    coeffs[box.linear_index(m)] = 1.0
+    try:
+        coeffs[box.linear_index(m)] = 1.0
+    except IndexError as miss:  # a point outside the box is an input, not a lookup, here
+        raise ValueError(str(miss)) from None
     return TorusElement(theta, box, coeffs)
 
 

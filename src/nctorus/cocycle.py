@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeBox, _finite, _memo, _same_dimension, _torus_dimension
-from .lattice import as_multi_index
+from .lattice import LatticeBox, _finite, _memo, _points, _same_dimension, _torus_dimension
 
 __all__ = [
     "SKEW_TOLERANCE",
@@ -146,17 +145,17 @@ def _unit_phases(args: np.ndarray) -> np.ndarray:
 
 
 def phase_pairs(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Pairwise phases exp(2 pi i left[i] . matrix . right[i]), shape (n,)."""
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
+    """Pairwise phases exp(2 pi i left[i] . matrix . right[i]) of n pairs of lattice points."""
+    left, right = (_points(p, len(matrix), "theta") for p in (left, right))
+    if len(left) != len(right):
+        raise ValueError(f"left has {len(left)} points, right has {len(right)}; pairs need as many")
     args = np.einsum("id,de,ie->i", left, matrix, right)
     return _unit_phases(args)
 
 
 def phase_table(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Full table exp(2 pi i left[i] . matrix . right[j]), shape (n_left, n_right)."""
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
+    left, right = (_points(p, len(matrix), "theta") for p in (left, right))
     args = left @ matrix @ right.T
     return _unit_phases(args)
 
@@ -170,12 +169,9 @@ def diagonal_phases(theta: ReducedTheta, box: LatticeBox) -> np.ndarray:
 
 
 def sigma(theta: ReducedTheta, m, n) -> complex:
-    """The cocycle phase exp(2 pi i m . theta_reduced . n) for a single pair."""
-    mm = as_multi_index(m)
-    nn = as_multi_index(n)
-    _same_dimension("index m", mm.shape[0], "theta", theta.d)
-    _same_dimension("index n", nn.shape[0], "theta", theta.d)
-    return complex(phase_pairs(theta.entries, mm[None, :], nn[None, :])[0])
+    """The cocycle phase exp(2 pi i m . theta_reduced . n) for one pair of lattice points."""
+    mm, nn = (_points(p, theta.d, "theta", single=True) for p in (m, n))
+    return complex(phase_pairs(theta.entries, mm, nn)[0])
 
 
 def _theta_rows(rows) -> ThetaMatrix:

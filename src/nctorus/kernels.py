@@ -47,7 +47,7 @@ import numpy as np
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, _same_theta, diagonal_phases
 from .lattice import LatticeBox, _finite, _guard_box, _order, _same_dimension, _seed
-from .lattice import _sum_squares
+from .lattice import _coefficients, _sum_squares
 from .multipliers import _block_extremes, _scaled_extremes, bessel_weights
 from .records import JSON_ONLY
 from .schatten import _in_lanes, _lanes
@@ -128,12 +128,9 @@ class NCKernel:
 
     def __post_init__(self) -> None:
         _same_dimension("kernel box", self.box.d, "theta", self.theta.d)
-        arr = self.coeffs
-        if not (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.flags.owndata):
+        arr = _coefficients(self.coeffs, (self.box.cardinality,) * 2)
+        if not (arr.dtype == complex and arr.flags.owndata):
             arr = np.array(arr, dtype=complex)
-        want = (self.box.cardinality,) * 2
-        if arr.shape != want:
-            raise ValueError(f"coefficient matrix has shape {arr.shape}, expected {want}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 

@@ -5,11 +5,12 @@ points of such a box, enumerated in a single canonical order, so the
 index bijections here are the ground truth for everything built on top.
 Here too live the one sum of squares every norm and gap reduces with,
 the one rule (_memo) by which every module keeps its per-box tables,
-and the number rules every module checks its inputs by, three of them
-the refusals of the kernel criterion's inputs: a torus dimension
-(_torus_dimension), one dimension for a box and what it meets
-(_same_dimension) and a nonnegative order (_order).  The fourth, one
-theta for both operands, is cocycle._same_theta.
+and the rules every module checks its inputs by.  Among them: a torus
+dimension (_torus_dimension), one dimension for a box and what it meets
+(_same_dimension), a nonnegative order (_order), lattice points
+(_points: an (n, d) integer array, one point the case n = 1) and
+coefficients (_coefficients: numbers in exactly the box's shape).  One
+theta for both operands is cocycle._same_theta.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "MAX_DIMENSION",
     "MEMORY_GUARD_CARDINALITY",
     "DECAY_GUARD_CARDINALITY",
-    "as_multi_index",
 ]
 
 # Largest box cardinality (2N+1)^d a dense n x n construction will accept;
@@ -134,14 +134,6 @@ def _seed(value) -> int:
     return seed
 
 
-def as_multi_index(m: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Coerce a multi-index to a 1-d int64 array, rejecting non-integers."""
-    arr = _integer_array("multi-index", m)
-    if arr.ndim != 1:
-        raise ValueError(f"multi-index must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
 def _torus_dimension(name: str, value) -> int:
     """value as a torus dimension: an integer by _integer, from 2 to MAX_DIMENSION."""
     d = _integer(name, value)
@@ -156,6 +148,29 @@ def _same_dimension(name: str, d: int, other: str, other_d: int) -> None:
     """Refuse a d that differs from other_d; the message is built only on refusal."""
     if d != other_d:
         raise ValueError(f"{name} has dimension {d}, {other} has d={other_d}")
+
+
+def _points(value, d: int, meets: str = "box", single: bool = False) -> np.ndarray:
+    """value as (n, d) int64 points by _integer_array; a single point, shape (d,), is n = 1."""
+    pts = _integer_array("lattice point", value)
+    if single and pts.ndim == 1:
+        pts = pts[None]
+    elif single or pts.ndim != 2 or not len(pts) and pts.shape[1] != d:
+        want = f"({d},)" if single else f"(n, {d})"
+        raise ValueError(f"expected lattice points of shape {want}, got shape {pts.shape}")
+    if pts.shape[1] != d:  # the point is printed only on refusal
+        _same_dimension(f"lattice point {tuple(pts[0].tolist())}", pts.shape[1], meets, d)
+    return pts
+
+
+def _coefficients(value, shape: tuple) -> np.ndarray:
+    """value as an array, uncopied, of numbers (dtype kind i, u, f or c) in exactly shape."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iufc":
+        raise ValueError(f"coefficients must be numbers, got dtype {arr.dtype}")
+    if arr.shape != shape:
+        raise ValueError(f"coefficients have shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def _guard_box(
@@ -284,26 +299,19 @@ class LatticeBox:
         return norms, counts
 
     def contains(self, m: Sequence[int] | np.ndarray) -> bool:
-        """Whether the multi-index m lies in the box; one of another dimension is refused."""
-        arr = as_multi_index(m)
-        if arr.shape[0] != self.d:  # the point is printed only on refusal
-            _same_dimension(f"lattice point {tuple(arr.tolist())}", arr.shape[0], "box", self.d)
-        return bool(np.all(np.abs(arr) <= self.radius))
+        """Whether the lattice point m lies in the box."""
+        return bool(np.all(np.abs(_points(m, self.d, single=True)) <= self.radius))
 
     def linear_index(self, m: Sequence[int] | np.ndarray) -> int:
-        """Position of m in enumerate(); the one-point case of linear_indices."""
-        return int(self.linear_indices(as_multi_index(m)[None])[0])
+        """Position of the lattice point m in enumerate(); the one-point case of linear_indices."""
+        return int(self._positions(_points(m, self.d, single=True))[0])
 
     def linear_indices(self, pts: np.ndarray) -> np.ndarray:
         """Positions in enumerate() of an (n, d) array of in-box points."""
-        pts = _integer_array("lattice point", pts)
-        if pts.ndim != 2 or pts.shape[1] != self.d:
-            if pts.ndim == 2 and len(pts):
-                raise IndexError(
-                    f"lattice point {tuple(pts[0].tolist())} has dimension {pts.shape[1]}, "
-                    f"box has d={self.d}"
-                )
-            raise IndexError(f"expected an (n, {self.d}) array of points, got shape {pts.shape}")
+        return self._positions(_points(pts, self.d))
+
+    def _positions(self, pts: np.ndarray) -> np.ndarray:
+        """Positions of points that passed _points; one outside the box is an IndexError."""
         far = np.abs(pts) > self.radius
         if np.any(far):
             point = tuple(pts[far.any(axis=1)][0].tolist())

@@ -288,11 +288,25 @@ def test_dense_constructions_are_guarded(red2):
 
 
 def test_element_validation(red2):
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"^coefficients have shape \(5,\), expected \(9,\)$"):
         TorusElement(red2, LatticeBox(2, 1), np.ones(5))
     with pytest.raises(ValueError, match="^box has dimension 2, theta has d=3$"):
         TorusElement(reduce_theta(random_theta(3, np.random.default_rng(0))),
                      LatticeBox(2, 1), np.ones(9))
+    # coefficients are numbers in exactly the box's (n,) shape
+    box = LatticeBox(2, 2)  # 25 points
+    with pytest.raises(ValueError, match=r"^coefficients have shape \(5, 5\), expected \(25,\)$"):
+        TorusElement(red2, box, np.ones((5, 5)))
+    for bad, dtype in ((["1"] * 25, "<U1"), ([True] * 25, "bool"), (None, "object")):
+        with pytest.raises(ValueError, match=f"^coefficients must be numbers, got dtype {dtype}$"):
+            TorusElement(red2, box, bad)
+    # every kind of number passes, into a copy the caller's array never aliases
+    sources = [list(range(25)), np.arange(25, dtype=np.uint8), np.ones(25, dtype=np.float32),
+               [1j] * 25, np.full(25, 2 + 1j)]
+    for source in sources:
+        x = TorusElement(red2, box, source)
+        assert x.coeffs.dtype == complex and x.coeffs is not source
+        assert np.array_equal(x.coeffs, np.asarray(source))
 
 
 @settings(max_examples=25)

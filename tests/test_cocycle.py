@@ -113,9 +113,10 @@ def test_sigma_reproduces_full_commutation_phase(theta2):
 
 
 def test_sigma_dimension_mismatch(red2):
-    with pytest.raises(ValueError, match="^index m has dimension 3, theta has d=2$"):
+    three = r"^lattice point \(1, 0, 0\) has dimension 3, theta has d=2$"
+    with pytest.raises(ValueError, match=three):
         sigma(red2, (1, 0, 0), (0, 1))
-    with pytest.raises(ValueError, match="^index n has dimension 1, theta has d=2$"):
+    with pytest.raises(ValueError, match=r"^lattice point \(1,\) has dimension 1, theta has d=2$"):
         sigma(red2, (1, 0), (1,))
 
 
@@ -136,6 +137,26 @@ def test_phase_table_matches_pairs(red2):
     for i in range(5):
         row = phase_pairs(red2.entries, np.repeat(left[i][None], 7, axis=0), right)
         assert np.allclose(table[i], row, atol=1e-14)
+
+
+def test_phase_functions_refuse_what_is_no_lattice_point(red2):
+    origin = [[0, 0]]
+    no_integers = "^lattice point entries must be integers, got "
+    for phases in (phase_pairs, phase_table):
+        for bad in ([[0.5, 0.25]], [[np.nan, 0.0]], np.array([[True, False]])):
+            for left, right in ((bad, origin), (origin, bad)):
+                with pytest.raises(ValueError, match=no_integers):
+                    phases(red2.entries, left, right)
+        # integral floats are their integers, bit for bit
+        floats = phases(red2.entries, [[1.0, 0.0]], [[0.0, -3.0]])
+        assert np.array_equal(floats, phases(red2.entries, [[1, 0]], [[0, -3]]))
+    # pairs need as many right points as left: one point is not broadcast
+    two, one = [[0, 1], [1, 0]], [[1, 1]]
+    for left, right, counts in ((two, one, "2 points, right has 1"),
+                                (one, two, "1 points, right has 2")):
+        with pytest.raises(ValueError, match=f"^left has {counts}; pairs need as many$"):
+            phase_pairs(red2.entries, left, right)
+    assert phase_table(red2.entries, two, one).shape == (2, 1)
 
 
 def test_phases_unimodular_for_large_indices(red2):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -934,8 +935,15 @@ def test_kernel_sobolev_stability_with_margin(red2):
 
 
 def test_kernel_shape_validation(red2):
-    with pytest.raises(ValueError, match="shape"):
-        NCKernel(red2, LatticeBox(2, 1), np.zeros((9, 8)))
+    # coefficients are numbers in exactly the box's (n, n) shape
+    box = LatticeBox(2, 1)
+    for bad in (np.zeros((9, 8)), np.zeros((3, 3)), np.zeros(81), np.zeros((9, 9, 1))):
+        shape = re.escape(f"{bad.shape}, expected (9, 9)")
+        with pytest.raises(ValueError, match=f"^coefficients have shape {shape}$"):
+            NCKernel(red2, box, bad)
+    for bad, dtype in ((np.full((9, 9), "1"), "<U1"), ([["1"] * 9] * 9, "<U1"), (None, "object")):
+        with pytest.raises(ValueError, match=f"^coefficients must be numbers, got dtype {dtype}$"):
+            NCKernel(red2, box, bad)
 
 
 def test_kernel_linearity(red2, rng):

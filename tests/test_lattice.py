@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus.lattice import MAX_DIMENSION, LatticeBox, _guard_box, _sum_squares, as_multi_index
+from nctorus import lattice
+from nctorus.lattice import MAX_DIMENSION, LatticeBox, _guard_box, _sum_squares
 
 
 def test_enumerate_lex_order_d2_n1():
@@ -47,13 +48,15 @@ def test_linear_indices_vectorized_matches_scalar():
 
 
 def test_linear_index_outside_raises():
+    # a point outside the box is the one IndexError, a lookup miss; a point
+    # of another dimension is a ValueError, as at every point entry
     box = LatticeBox(2, 1)
     with pytest.raises(IndexError):
         box.linear_index((2, 0))
     with pytest.raises(IndexError):
-        box.linear_index((0, 0, 0))
-    with pytest.raises(IndexError):
         box.linear_indices(np.array([[0, 2]]))
+    with pytest.raises(ValueError):
+        box.linear_index((0, 0, 0))
 
 
 def test_index_errors_name_the_point():
@@ -63,10 +66,20 @@ def test_index_errors_name_the_point():
         with pytest.raises(IndexError, match=r"^lattice point \(0, 2\) outside box of radius 1$"):
             call()
     for call in (lambda: box.linear_index((0, 0, 1)), lambda: box.linear_indices([[0, 0, 1]])):
-        with pytest.raises(IndexError, match=r"^lattice point \(0, 0, 1\) has dimension 3, box has d=2$"):
+        three = r"^lattice point \(0, 0, 1\) has dimension 3, box has d=2$"
+        with pytest.raises(ValueError, match=three):
             call()
-    with pytest.raises(IndexError, match=r"^expected an \(n, 2\) array of points, got shape \(0, 3\)$"):
-        box.linear_indices(np.zeros((0, 3), dtype=np.int64))
+    # no point to name: the shape is named instead
+    empty = np.zeros((0, 3), dtype=np.int64)
+    for call, shape in (
+        (lambda: box.linear_indices(empty), r"\(n, 2\), got shape \(0, 3\)"),
+        (lambda: box.linear_indices([1, 0]), r"\(n, 2\), got shape \(2,\)"),
+        (lambda: box.linear_index([[1, 0]]), r"\(2,\), got shape \(1, 2\)"),
+        (lambda: box.contains(1), r"\(2,\), got shape \(\)"),
+    ):
+        with pytest.raises(ValueError, match=rf"^expected lattice points of shape {shape}$"):
+            call()
+    assert box.linear_indices(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
 
 
 def test_contains():
@@ -98,17 +111,18 @@ def test_enumeration_read_only():
         box.enumerate()[0, 0] = 5
 
 
-def test_as_multi_index_rejects_non_integers():
-    with pytest.raises((TypeError, ValueError)):
-        as_multi_index((0.5, 1.0))
-    assert np.array_equal(as_multi_index((1.0, -2.0)), np.array([1, -2]))
-    # bools are not integers; an int64 array passes as it is, uncopied
-    with pytest.raises(ValueError, match="multi-index entries must be integers"):
-        as_multi_index(np.array([True, False]))
-    arr = np.array([1, -2])
-    assert as_multi_index(arr) is arr
-    # the point array of linear_indices follows the same rule
+def test_points_reject_non_integers():
     box = LatticeBox(2, 1)
+    half = r"^lattice point entries must be integers, got \(0\.5, 1\.0\)$"
+    with pytest.raises(ValueError, match=half):
+        box.linear_index((0.5, 1.0))
+    assert box.linear_index((1.0, -1.0)) == box.linear_index((1, -1))
+    # bools are not integers; an int64 array passes as it is, uncopied
+    with pytest.raises(ValueError, match="lattice point entries must be integers"):
+        box.contains(np.array([True, False]))
+    arr = np.array([[1, -1]])
+    assert lattice._points(arr, 2) is arr
+    # the point array of linear_indices follows the same rule
     for bad in ([[0.5, 0.0]], np.array([[True, False]]), [[np.nan, 0.0]]):
         with pytest.raises(ValueError, match="lattice point entries must be integers"):
             box.linear_indices(bad)
@@ -134,7 +148,7 @@ def test_invalid_box_parameters():
     with pytest.raises(ValueError, match="radius must be .*, got an integer of 16610 bits"):
         LatticeBox(2, -huge)
     with pytest.raises(ValueError, match="got a list holding an integer too long to print"):
-        as_multi_index([huge, 0])
+        LatticeBox(2, 1).contains([huge, 0])
     with pytest.raises(ValueError, match=r"\(2N\+1\)\^d = an integer of 33222 bits exceeds"):
         _guard_box(2, huge)
 

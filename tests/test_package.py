@@ -70,7 +70,7 @@ def _refusals() -> dict:
             ),
             "sigma-index": (
                 lambda: cocycle.sigma(red2, (1, 0, 0), (0, 1)),
-                "^index m has dimension 3, theta has d=2$",
+                r"^lattice point \(1, 0, 0\) has dimension 3, theta has d=2$",
             ),
             "config-theta-and-d": (
                 lambda: experiments.ExperimentConfig(d=3, theta=experiments.default_theta(2)),
@@ -208,10 +208,10 @@ def _refusals() -> dict:
             ValueError,
             "^box has dimension 3, element has d=2$",
         ),
-        "multi-index-2d": (
-            lambda: lattice.as_multi_index([[1, 2]]),
+        "lattice-point-2d": (
+            lambda: box1.contains([[1, 2]]),
             ValueError,
-            r"^multi-index must be one-dimensional, got shape \(1, 2\)$",
+            r"^expected lattice points of shape \(2,\), got shape \(1, 2\)$",
         ),
         "config-json-not-an-object": (
             lambda: experiments.ExperimentConfig.from_json([[0.0]]),
@@ -260,6 +260,62 @@ def test_malformed_inputs_are_refused(case):
     call, error, message = _refusals()[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def _point_entries() -> dict:
+    """entry -> (what its points meet, call of one point p, what the call gives p)."""
+    red2 = cocycle.reduce_theta(experiments.default_theta(2))
+    box = lattice.LatticeBox(2, 1)
+    x = algebra.TorusElement(red2, box, np.arange(9))
+    origin = [(0, 0)]
+    return {
+        "contains": ("box", box.contains, lambda p: p),
+        "linear-index": ("box", box.linear_index, lambda p: p),
+        "linear-indices": ("box", lambda p: box.linear_indices([p]), lambda p: [p]),
+        "coefficient": ("box", x.coefficient, lambda p: p),
+        "monomial": ("box", lambda p: algebra.monomial(red2, p, box).coeffs, lambda p: p),
+        "sigma-m": ("theta", lambda p: cocycle.sigma(red2, p, (0, 0)), lambda p: p),
+        "sigma-n": ("theta", lambda p: cocycle.sigma(red2, (0, 0), p), lambda p: p),
+        **{
+            f"{name}-{side}": (
+                "theta",
+                lambda p, phases=phases, side=side: phases(
+                    red2.entries, *(([p], origin) if side == "left" else (origin, [p]))
+                ),
+                lambda p: [p],
+            )
+            for name, phases in (("phase-pairs", cocycle.phase_pairs),
+                                 ("phase-table", cocycle.phase_table))
+            for side in ("left", "right")
+        },
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_point_entries()))
+def test_every_point_entry_reads_one_rule(entry):
+    # lattice._points: one ValueError wording for a point of another
+    # dimension or with a non-integer entry, at every entry that takes one
+    meets, call, given = _point_entries()[entry]
+    three = rf"^lattice point \(0, 0, 0\) has dimension 3, {meets} has d=2$"
+    with pytest.raises(ValueError, match=three):
+        call((0, 0, 0))
+    for bad in ((0.5, 0), (True, False), ("0", "1"), (np.nan, 0.0)):
+        shown = re.escape(repr(given(bad)))
+        with pytest.raises(ValueError, match=f"^lattice point entries must be integers, got {shown}$"):
+            call(bad)
+    # an integral float is its integer
+    assert np.array_equal(call((1.0, 0.0)), call((1, 0)))
+    # a point outside the box is an IndexError, a lookup miss, only where
+    # it is looked up; elsewhere it is in no box, or an element reads 0 there
+    outside = r"^lattice point \(2, 0\) outside box of radius 1$"
+    if entry in ("linear-index", "linear-indices"):
+        with pytest.raises(IndexError, match=outside):
+            call((2, 0))
+    elif entry == "monomial":
+        with pytest.raises(ValueError, match=outside):
+            call((2, 0))
+    else:
+        assert call((2, 0)) is not None
 
 
 @pytest.mark.parametrize("module", (algebra, multipliers, kernels, experiments))
