@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import ReducedTheta, _same_theta, diagonal_phases, phase_pairs, phase_table
-from .lattice import LatticeBox, _coefficients, _embedding, _guard_box, _integer, _memo
-from .lattice import _same_dimension, _sum_squares
+from .lattice import _BLOCK_ENTRIES, LatticeBox, _coefficients, _embedding, _guard_box, _integer
+from .lattice import _memo, _row_blocks, _same_dimension, _sum_squares
 
 __all__ = [
     "TorusElement",
@@ -148,12 +148,8 @@ def twisted_convolve(f: TorusElement, g: TorusElement) -> TorusElement:
     return TorusElement(f.theta, box, coeffs)
 
 
-# Largest phase table a product plan is memoised for: 2^14 entries, the
-# 256 KiB block of complex data kernels.py works in.
-_PLAN_MEMO_ENTRIES = 1 << 14
-
-
-@_memo(lambda theta, box_f, box_g: box_f.cardinality * box_g.cardinality, _PLAN_MEMO_ENTRIES)
+# A product plan is memoised when its phase table fits one dense block.
+@_memo(lambda theta, box_f, box_g: box_f.cardinality * box_g.cardinality, _BLOCK_ENTRIES)
 def _product_plan(theta: ReducedTheta, box_f: LatticeBox, box_g: LatticeBox) -> tuple:
     """(sum box, flat scatter index, read-only phase table) of a product box_f x box_g.
 
@@ -204,19 +200,27 @@ def mult_matrix(x: TorusElement, box: LatticeBox) -> np.ndarray:
     Entry (m, n) is sigma(m-n, n) x(m-n), with x read as 0 outside its
     support box.  Applying the matrix to a coefficient vector reproduces
     the twisted convolution restricted to the box.  The box falls under
-    the dense-matrix guard, checked before the n x n x d difference table
-    is built.
+    the dense-matrix guard.  The matrix is written one _row_blocks block
+    of x's points s = m - n at a time, each against every column n whose
+    row n + s lies in the box, so no step holds more than one block of
+    (shift, column) pairs beside the matrix.
     """
     _same_dimension("box", box.d, "element", x.box.d)
     _guard_box(box.d, box.radius)
-    pts = box.enumerate()
-    diff = pts[:, None, :] - pts[None, :, :]
-    rows, cols = np.nonzero(np.all(np.abs(diff) <= x.box.radius, axis=2))
-    shifts = diff[rows, cols]
-    out = np.zeros((box.cardinality, box.cardinality), dtype=complex)
-    out[rows, cols] = phase_pairs(x.theta.entries, shifts, pts[cols]) * x.coeffs[
-        x.box.linear_indices(shifts)
-    ]
+    reach = 2 * box.radius  # no farther shift lands in the box
+    if x.box.radius > reach:
+        x = restricted(x, LatticeBox(box.d, reach))
+    pts, places = box._geometry
+    shifts = x.box.enumerate()
+    n = box.cardinality
+    out = np.zeros((n, n), dtype=complex)
+    for block in _row_blocks(n, range(len(shifts))):
+        s = shifts[block]
+        which, cols = np.nonzero(np.all(np.abs(s[:, None] + pts) <= box.radius, axis=2))
+        # the row of column point p + s is p's linear index plus s . places
+        rows = cols + (s @ places)[which]
+        phases = phase_pairs(x.theta.entries, s[which], pts[cols])
+        out[rows, cols] = phases * x.coeffs[block][which]
     return out
 
 

@@ -13,11 +13,13 @@ unimodular sigma factors make the matrix assembly an index permutation
 plus a diagonal phase, which keeps Frobenius norms equal to kernel L2
 norms exactly.
 
-Every dense step works in row blocks of _BLOCK_ENTRIES entries.  A kernel
-here is anything with theta, box and row_blocks(span), a stream of (rows,
-coefficient block) pairs over the row range span, all rows by default: a
-held NCKernel streams its coeffs[rows], and a KernelRows streams a draw
-as it is made (random_kernel fills its matrix from one).  Every reducer
+Every dense step works in row blocks of lattice._BLOCK_ENTRIES entries,
+cut by lattice._row_blocks, the walker algebra.mult_matrix cuts its
+shift blocks with too.  A kernel here is anything with theta, box and
+row_blocks(span), a stream of (rows, coefficient block) pairs over the
+row range span, all rows by default: a held NCKernel streams its
+coeffs[rows], and a KernelRows streams a draw as it is made
+(random_kernel fills its matrix from one).  Every reducer
 takes either: mixed_sobolev_norm and schwartz_coefficients (through
 _lifted_extremes) and identity_gaps (the adjoint gap and any number of
 factorization gaps, in one pass reading one block of kernel-matrix
@@ -47,7 +49,7 @@ import numpy as np
 from .algebra import TorusElement, embedded, twisted_convolve
 from .cocycle import ReducedTheta, _same_theta, diagonal_phases
 from .lattice import LatticeBox, _finite, _guard_box, _order, _same_dimension, _seed
-from .lattice import _coefficients, _sum_squares
+from .lattice import _coefficients, _row_blocks, _sum_squares
 from .multipliers import _block_extremes, _scaled_extremes, bessel_weights
 from .records import JSON_ONLY
 from .schatten import _in_lanes, _lanes
@@ -67,22 +69,6 @@ __all__ = [
     "schwartz_coefficients",
     "random_kernel",
 ]
-
-# Entries per row block: 256 KiB of complex data, well inside a core's L2.
-_BLOCK_ENTRIES = 1 << 14
-
-
-def _row_blocks(n: int, span: range | None = None):
-    """Slices covering span, all of range(n) by default, of _BLOCK_ENTRIES // n rows of n.
-
-    A block has at least one row; the blocks start at span.start, and the
-    last may be shorter.
-    """
-    span = range(n) if span is None else span
-    height = max(1, _BLOCK_ENTRIES // n)
-    for start in range(span.start, span.stop, height):
-        yield slice(start, min(start + height, span.stop))
-
 
 def _folded(k: NCKernel | KernelRows, step: Callable, *dtypes) -> list:
     """[step(rows, block, *buffers) for each (rows, block) of k's stream], in block order.

@@ -5,7 +5,8 @@ points of such a box, enumerated in a single canonical order, so the
 index bijections here are the ground truth for everything built on top.
 Here too live the one sum of squares every norm and gap reduces with,
 the one rule (_memo) by which every module keeps its per-box tables,
-and the rules every module checks its inputs by.  Among them: a torus
+the one block size (_BLOCK_ENTRIES) every dense step works in, and the
+rules every module checks its inputs by.  Among them: a torus
 dimension (_torus_dimension), one dimension for a box and what it meets
 (_same_dimension), a nonnegative order (_order), lattice points
 (_points: an (n, d) integer array, one point the case n = 1) and
@@ -34,6 +35,11 @@ __all__ = [
 # Largest box cardinality (2N+1)^d a dense n x n construction will accept;
 # beyond this a single complex matrix tops 0.4 GB and the SVD minutes.
 MEMORY_GUARD_CARDINALITY = 5000
+
+# Entries per dense block: 256 KiB of complex data, well inside a core's
+# L2.  Kernel row blocks, mult_matrix's shift blocks and the largest
+# memoised product plan are all this size.
+_BLOCK_ENTRIES = 1 << 14
 
 # Largest box whose diagonal spectrum the decay fit reads.  It counts the
 # box's shells (LatticeBox.shells) and holds no per-point table, only the
@@ -83,7 +89,11 @@ def _integer(name: str, value) -> int:
 
 def _integer_array(name: str, value) -> np.ndarray:
     """value as an int64 array by the rule of _integer; int64 arrays pass uncopied."""
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        shown = _shown(value)
+        raise ValueError(f"{name} entries must form a rectangular array, got {shown}") from None
     if arr.dtype.kind in "iu":
         return arr.astype(np.int64, copy=False)
     if arr.dtype.kind == "f":
@@ -165,7 +175,10 @@ def _points(value, d: int, meets: str = "box", single: bool = False) -> np.ndarr
 
 def _coefficients(value, shape: tuple) -> np.ndarray:
     """value as an array, uncopied, of numbers (dtype kind i, u, f or c) in exactly shape."""
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        raise ValueError(f"coefficients have a ragged shape, expected {shape}") from None
     if arr.dtype.kind not in "iufc":
         raise ValueError(f"coefficients must be numbers, got dtype {arr.dtype}")
     if arr.shape != shape:
@@ -187,6 +200,18 @@ def _guard_box(
             f"box cardinality (2N+1)^d = {_shown(card)} exceeds the {name} guard "
             f"of {limit}; reduce N or d"
         )
+
+
+def _row_blocks(n: int, span: range | None = None):
+    """Slices covering span, all of range(n) by default, of _BLOCK_ENTRIES // n rows of n.
+
+    A block has at least one row; the blocks start at span.start, and the
+    last may be shorter.
+    """
+    span = range(n) if span is None else span
+    height = max(1, _BLOCK_ENTRIES // n)
+    for start in range(span.start, span.stop, height):
+        yield slice(start, min(start + height, span.stop))
 
 
 # Every memo of tables, by qualified name: an LRU whose __wrapped__ is its

@@ -5,11 +5,9 @@ as keeps the property suite affordable: the tensor product contracts
 whole phase tables, and the term-by-term convolution takes u . matrix
 once per point u.  The tensor-product arithmetic spells out the product
 law ``(U^a (x) U^b)(U^c (x) U^e) = sigma(a,c) sigma(e,b)
-U^{a+c} (x) U^{e+b}`` term by term (second leg reversed), the
+U^{a+c} (x) U^{e+b}`` term by term (second leg reversed), and the
 convolution helper accepts an arbitrary reduction matrix so alternative
-presentations of the twist can be compared, and the untwisted degenerate
-case is checked against a zero-padded FFT product computed with
-numpy.fft, a route that shares no code with the direct convolution.
+presentations of the twist can be compared.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .lattice import LatticeBox
 
 __all__ = [
     "convolve_coefficients",
-    "plain_convolution",
     "tensor_multiply",
     "one_tensor",
     "partial_trace_second",
@@ -57,22 +54,6 @@ def convolve_coefficients(
             phase = np.exp(2j * np.pi * float(row @ v))
             out[sums[i, j]] += f[i] * g[j] * phase
     return out_box, out
-
-
-def plain_convolution(f: TorusElement, g: TorusElement) -> TorusElement:
-    """Untwisted convolution as an FFT product (theta = 0 oracle).
-
-    Both grids are zero-padded to the full convolution shape, so the
-    cyclic product equals the linear convolution.
-    """
-    d = f.box.d
-    box = LatticeBox(d, f.box.radius + g.box.radius)
-    shape = (box.side,) * d
-    axes = tuple(range(d))
-    grid_f = np.fft.fftn(f.coeffs.reshape((f.box.side,) * d), shape, axes)
-    grid_g = np.fft.fftn(g.coeffs.reshape((g.box.side,) * d), shape, axes)
-    full = np.fft.ifftn(grid_f * grid_g, shape, axes)
-    return TorusElement(f.theta, box, full.reshape(-1))
 
 
 def tensor_multiply(theta: ReducedTheta, k: tuple, l: tuple) -> tuple:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import algebra, lattice
+from nctorus import lattice
 from nctorus.algebra import (
     TorusElement,
     embedded,
@@ -22,10 +22,10 @@ from nctorus.algebra import (
     twisted_convolve,
     unit,
 )
-from nctorus.cocycle import diagonal_phases, random_theta, reduce_theta, sigma, zero_theta
+from nctorus.cocycle import diagonal_phases, phase_pairs, random_theta, reduce_theta, sigma
+from nctorus.cocycle import zero_theta
 from nctorus.experiments import run_potential_decay, run_property_suite
 from nctorus.lattice import LatticeBox
-from nctorus.reference import plain_convolution
 
 
 def test_monomial_product_law(quarter):
@@ -69,12 +69,29 @@ def test_associativity_random(rng):
         assert np.allclose(a.coeffs, b.coeffs, atol=1e-12)
 
 
+def _plain_convolution(f: TorusElement, g: TorusElement) -> TorusElement:
+    """Untwisted convolution as an FFT product (theta = 0 oracle).
+
+    Both grids are zero-padded to the full convolution shape, so the
+    cyclic product equals the linear convolution: a route through
+    numpy.fft that shares no code with the direct convolution.
+    """
+    d = f.box.d
+    box = LatticeBox(d, f.box.radius + g.box.radius)
+    shape = (box.side,) * d
+    axes = tuple(range(d))
+    grid_f = np.fft.fftn(f.coeffs.reshape((f.box.side,) * d), shape, axes)
+    grid_g = np.fft.fftn(g.coeffs.reshape((g.box.side,) * d), shape, axes)
+    full = np.fft.ifftn(grid_f * grid_g, shape, axes)
+    return TorusElement(f.theta, box, full.reshape(-1))
+
+
 def test_untwisted_convolution_matches_fft(rng):
     red = zero_theta(2)
     f = random_element(red, LatticeBox(2, 2), rng)
     g = random_element(red, LatticeBox(2, 1), rng)
     ours = twisted_convolve(f, g)
-    ref = plain_convolution(f, g)
+    ref = _plain_convolution(f, g)
     assert ours.box == ref.box
     assert np.allclose(ours.coeffs, ref.coeffs, atol=1e-12)
 
@@ -191,6 +208,46 @@ def test_mult_matrix_columns_are_monomial_products(red2, rng):
         assert np.allclose(mat[:, j], col.coeffs, atol=1e-14)
 
 
+def _difference_table_form(x: TorusElement, box: LatticeBox) -> np.ndarray:
+    """mult_matrix as an n x n x d table of differences m - n, masked and looked up in x."""
+    pts = box.enumerate()
+    diff = pts[:, None, :] - pts[None, :, :]
+    rows, cols = np.nonzero(np.all(np.abs(diff) <= x.box.radius, axis=2))
+    shifts = diff[rows, cols]
+    out = np.zeros((box.cardinality, box.cardinality), dtype=complex)
+    out[rows, cols] = phase_pairs(x.theta.entries, shifts, pts[cols]) * x.coeffs[
+        x.box.linear_indices(shifts)
+    ]
+    return out
+
+
+@pytest.mark.parametrize("d, radius", [(2, 6), (3, 2)])
+def test_mult_matrix_is_the_difference_table_form(d, radius):
+    # bit for bit, for x's radius below, at and above the box's, past 2N
+    # too, and over one shift block or several
+    rng = np.random.Generator(np.random.Philox(key=44 + d))
+    red = reduce_theta(random_theta(d, rng, 3.0))
+    box = LatticeBox(d, radius)
+    for r in range(2 * radius + 2):
+        x = random_element(red, LatticeBox(d, r), rng)
+        assert np.array_equal(mult_matrix(x, box), _difference_table_form(x, box)), r
+
+
+@pytest.mark.parametrize("radius", [1, 24])
+def test_mult_matrix_holds_little_beside_its_matrix(red2, radius):
+    # d = 2, N = 24: the matrix is 16 bytes per entry, and the difference
+    # table form peaked at 34.0 (x of radius 1) and 81.5 (radius 24)
+    box = LatticeBox(2, 24)
+    x = random_element(red2, LatticeBox(2, radius), np.random.default_rng(radius))
+    tracemalloc.start()
+    try:
+        mult_matrix(x, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / box.cardinality**2 < 20, peak / box.cardinality**2
+
+
 def test_partial_derivative_scales_monomials(red2):
     box = LatticeBox(2, 2)
     x = monomial(red2, (2, -1), box)
@@ -270,7 +327,7 @@ def test_coefficient_refuses_a_wrong_dimension(red2):
 
 def test_dense_constructions_are_guarded(red2):
     # a radius-36 d=2 box has 73^2 = 5329 points, above the guard; the
-    # refusal comes before the n x n x d difference table is allocated
+    # refusal comes before the n x n matrix is allocated
     x = random_element(red2, LatticeBox(2, 1), np.random.default_rng(0))
     big = random_element(red2, LatticeBox(2, 36), np.random.default_rng(0))
     tracemalloc.start()
@@ -438,8 +495,8 @@ def test_plan_memo_skips_products_over_its_bound(memos):
     rng = np.random.Generator(np.random.Philox(key=4))
     f = random_element(red3, LatticeBox(3, 4), rng)
     g = random_element(red3, LatticeBox(3, 2), rng)
-    assert algebra._PLAN_MEMO_ENTRIES == 1 << 14
-    assert f.box.cardinality * g.box.cardinality > algebra._PLAN_MEMO_ENTRIES
+    assert lattice._BLOCK_ENTRIES == 1 << 14
+    assert f.box.cardinality * g.box.cardinality > lattice._BLOCK_ENTRIES
     memos[PLAN].cache_clear()
     twisted_convolve(f, g)
     assert memos[PLAN].cache_info().currsize == 0

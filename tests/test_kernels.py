@@ -22,7 +22,6 @@ from nctorus.algebra import (
 from nctorus.cocycle import ReducedTheta, phase_pairs, random_theta, reduce_theta, sigma, zero_theta
 from nctorus.experiments import ExperimentConfig, _factor_one
 from nctorus.kernels import (
-    _BLOCK_ENTRIES,
     KernelRows,
     NCKernel,
     _assembling,
@@ -30,7 +29,6 @@ from nctorus.kernels import (
     _lifted_extremes,
     _matrix_rows,
     _random_rows,
-    _row_blocks,
     apply_kernel,
     bessel_kernel,
     flip_adjoint,
@@ -42,7 +40,7 @@ from nctorus.kernels import (
     schwartz_coefficients,
     sobolev_lift,
 )
-from nctorus.lattice import LatticeBox
+from nctorus.lattice import _BLOCK_ENTRIES, LatticeBox, _row_blocks
 from nctorus.multipliers import apply_multiplier, bessel_weights, riesz_weights, sobolev_norm
 from nctorus.reference import apply_kernel_definitional, convolve_coefficients, tensor_multiply
 

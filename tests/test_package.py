@@ -213,6 +213,22 @@ def _refusals() -> dict:
             ValueError,
             r"^expected lattice points of shape \(2,\), got shape \(1, 2\)$",
         ),
+        # a ragged nested list is refused in the words of the rule it meets
+        "lattice-point-ragged": (
+            lambda: box1.contains([1, [0]]),
+            ValueError,
+            r"^lattice point entries must form a rectangular array, got \[1, \[0\]\]$",
+        ),
+        "lattice-points-ragged": (
+            lambda: box1.linear_indices([[1, 0], [1]]),
+            ValueError,
+            r"^lattice point entries must form a rectangular array, got \[\[1, 0\], \[1\]\]$",
+        ),
+        "coefficients-ragged": (
+            lambda: algebra.TorusElement(red2, box1, [1] * 8 + [[1]]),
+            ValueError,
+            r"^coefficients have a ragged shape, expected \(9,\)$",
+        ),
         "config-json-not-an-object": (
             lambda: experiments.ExperimentConfig.from_json([[0.0]]),
             ValueError,
