@@ -162,9 +162,8 @@ def _product_plan(theta: ReducedTheta, box_f: LatticeBox, box_g: LatticeBox) -> 
     pg = box_g.enumerate()
     phases = phase_table(theta.entries, pf, pg)
     # linear index of pf[i] + pg[j] in the sum box splits additively
-    weights = box._geometry[1]
-    left = (pf + box_f.radius) @ weights
-    right = (pg + box_g.radius) @ weights
+    left = (pf + box_f.radius) @ box.places
+    right = (pg + box_g.radius) @ box.places
     return box, (left[:, None] + right[None, :]).ravel(), phases
 
 
@@ -210,7 +209,7 @@ def mult_matrix(x: TorusElement, box: LatticeBox) -> np.ndarray:
     reach = 2 * box.radius  # no farther shift lands in the box
     if x.box.radius > reach:
         x = restricted(x, LatticeBox(box.d, reach))
-    pts, places = box._geometry
+    pts, places = box.enumerate(), box.places
     shifts = x.box.enumerate()
     n = box.cardinality
     out = np.zeros((n, n), dtype=complex)
@@ -235,5 +234,4 @@ def partial_derivative(x: TorusElement, j: int) -> TorusElement:
 
 def laplacian(x: TorusElement) -> TorusElement:
     """Sum of squared derivations: scaling by -4 pi^2 |n|^2."""
-    sq = np.einsum("ij,ij->i", x.box.enumerate(), x.box.enumerate())
-    return TorusElement(x.theta, x.box, x.coeffs * (-4.0 * np.pi**2) * sq)
+    return TorusElement(x.theta, x.box, x.coeffs * (-4.0 * np.pi**2) * x.box.squared_norms())

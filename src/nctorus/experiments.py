@@ -506,11 +506,13 @@ class DecayRecord:
 
 
 def _potential_spectrum(box: LatticeBox, alpha: float) -> SingularSpectrum:
-    """The box's weights (1 + |n|^2)^(-alpha/2), sorted, one per shell with its point count."""
+    """The box's weights (1 + |n|^2)^(-alpha/2), one per shell with its point count.
+
+    The shells come in increasing |n|^2, so the weights already fall;
+    SingularSpectrum refuses any rounding that would make one rise.
+    """
     norms, counts = box.shells()
-    weights = _bessel(norms.astype(float), -alpha)
-    order = np.argsort(weights)[::-1]
-    return SingularSpectrum(weights[order], counts[order])
+    return SingularSpectrum(_bessel(norms.astype(float), -alpha), counts)
 
 
 def _decay_one(d: int, alpha: float, radius: int) -> DecayRecord:

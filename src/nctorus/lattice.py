@@ -44,8 +44,7 @@ _BLOCK_ENTRIES = 1 << 14
 # Largest box whose diagonal spectrum the decay fit reads.  It counts the
 # box's shells (LatticeBox.shells) and holds no per-point table, only the
 # fit window's three arrays over 45% of the points: a traced peak of about
-# 13 bytes per point at d = 2, N = 160 and 11 at d = 3, N = 20 (57 and 65
-# when it sorted one weight per point).
+# 13 bytes per point at d = 2, N = 160 and 11 at d = 3, N = 20.
 DECAY_GUARD_CARDINALITY = 1 << 20
 
 # Largest dimension accepted anywhere, boxes included: the largest in
@@ -250,13 +249,13 @@ def _memo(size=lambda *key: 0, limit: int = MEMORY_GUARD_CARDINALITY):
 
 
 @_memo(lambda d, radius: (2 * radius + 1) ** d)
-def _box_geometry(d: int, radius: int) -> tuple:
-    """Points of LatticeBox(d, radius) and place values behind linear_indices."""
+def _box_geometry(d: int, radius: int) -> np.ndarray:
+    """Points of LatticeBox(d, radius) in canonical order."""
     side = 2 * radius + 1
     grid = np.indices((side,) * d, dtype=np.int64).reshape(d, -1)
     points = np.ascontiguousarray(grid.T)
     points -= radius
-    return points, side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    return points
 
 
 @dataclass(frozen=True)
@@ -268,8 +267,9 @@ class LatticeBox:
     (radius, ..., radius).  Dimensions 1 to MAX_DIMENSION are accepted
     here; torus-level constructions impose d >= 2 themselves.
 
-    A box reads its points and place values once; under the dense-matrix
-    guard, boxes of one (d, radius) share them.
+    A point's position is (point + radius) . places, so no position
+    lookup reads the points.  A box reads its points once; under the
+    dense-matrix guard, boxes of one (d, radius) share them.
     """
 
     d: int
@@ -294,14 +294,29 @@ class LatticeBox:
     def cardinality(self) -> int:
         return self.side**self.d
 
+    @property
+    def places(self) -> np.ndarray:
+        """Place values side^(d-1-i) as int64; a box whose positions overflow int64 is refused."""
+        if self.cardinality > 2**63:  # the last position is cardinality - 1
+            raise ValueError(
+                f"box cardinality (2N+1)^d = {_shown(self.cardinality)} exceeds 2**63, "
+                "so its positions overflow int64"
+            )
+        return self.side ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
+
     @cached_property
-    def _geometry(self) -> tuple:
-        """(points, place values), as _box_geometry makes them."""
+    def _geometry(self) -> np.ndarray:
+        """The points, as _box_geometry makes them."""
         return _box_geometry(self.d, self.radius)
 
     def enumerate(self) -> np.ndarray:
         """All points as a read-only (cardinality, d) array in canonical order."""
-        return self._geometry[0]
+        return self._geometry
+
+    def squared_norms(self) -> np.ndarray:
+        """|n|^2 of every point, in canonical order, as a fresh float array."""
+        pts = self.enumerate()
+        return np.einsum("ij,ij->i", pts, pts).astype(float)
 
     def shells(self) -> tuple:
         """(s, r(s)): each squared norm s = |n|^2 in the box, increasing, and its point count.
@@ -337,11 +352,12 @@ class LatticeBox:
 
     def _positions(self, pts: np.ndarray) -> np.ndarray:
         """Positions of points that passed _points; one outside the box is an IndexError."""
+        places = self.places
         far = np.abs(pts) > self.radius
         if np.any(far):
             point = tuple(pts[far.any(axis=1)][0].tolist())
             raise IndexError(f"lattice point {point} outside box of radius {self.radius}")
-        return (pts + self.radius) @ self._geometry[1]
+        return (pts + self.radius) @ places
 
     def center_index(self) -> int:
         """Linear index of the origin."""

@@ -58,11 +58,6 @@ def _checked(name: str, weights: np.ndarray, box: LatticeBox) -> np.ndarray:
     return weights
 
 
-def _squared_norms(box: LatticeBox) -> np.ndarray:
-    pts = box.enumerate()
-    return np.einsum("ij,ij->i", pts, pts).astype(float)
-
-
 def bessel_weights(alpha: float, box: LatticeBox) -> np.ndarray:
     """The Bessel weights (1 + |n|^2)^(alpha/2) on the box, in canonical order.
 
@@ -71,7 +66,7 @@ def bessel_weights(alpha: float, box: LatticeBox) -> np.ndarray:
     before it.
     """
     alpha = _finite("Bessel order", alpha)
-    return _checked(f"bessel({alpha:g})", _bessel(_squared_norms(box), alpha), box)
+    return _checked(f"bessel({alpha:g})", _bessel(box.squared_norms(), alpha), box)
 
 
 def _bessel(nsq: np.ndarray, alpha: float) -> np.ndarray:
@@ -87,7 +82,7 @@ def _bessel(nsq: np.ndarray, alpha: float) -> np.ndarray:
 def riesz_weights(alpha: float, box: LatticeBox) -> np.ndarray:
     """The homogeneous weights |n|^alpha on the box, 0 at the origin."""
     alpha = _finite("Riesz order", alpha)
-    nsq = _squared_norms(box)
+    nsq = box.squared_norms()
     weights = np.zeros(len(nsq))
     nz = nsq > 0
     weights[nz] = _stable_power(nsq[nz], alpha / 2.0)

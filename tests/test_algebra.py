@@ -190,6 +190,30 @@ def test_embedded_restricted_roundtrip(red2, rng):
         embedded(f, LatticeBox(2, 0))
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_positions_past_the_guard_build_no_point_table(red2, rng):
+    # a d = 2, radius-300 box has 361,201 points: its position lookups read
+    # place values, where they built its 11.6 MB point table afresh; here
+    # 1.7 kB, 1.7 kB and 32 bytes per point, the zero-filled vector and
+    # the element's copy of it, where they read 48
+    small = random_element(red2, LatticeBox(2, 1), rng)
+    x = embedded(small, LatticeBox(2, 300))
+    assert LatticeBox(2, 300).linear_index((1, 2)) == 301 * 601 + 302
+    assert np.array_equal(restricted(x, LatticeBox(2, 1)).coeffs, small.coeffs)
+    assert _traced_peak(lambda: LatticeBox(2, 300).linear_index((1, 2))) < 1 << 16
+    assert _traced_peak(lambda: restricted(x, LatticeBox(2, 1))) < 1 << 16
+    per_point = _traced_peak(lambda: embedded(small, LatticeBox(2, 300))) / x.box.cardinality
+    assert per_point < 40, per_point
+
+
 def test_mult_matrix_matches_convolution(red2, rng):
     box = LatticeBox(2, 2)
     x = random_element(red2, box, rng)
@@ -239,12 +263,7 @@ def test_mult_matrix_holds_little_beside_its_matrix(red2, radius):
     # table form peaked at 34.0 (x of radius 1) and 81.5 (radius 24)
     box = LatticeBox(2, 24)
     x = random_element(red2, LatticeBox(2, radius), np.random.default_rng(radius))
-    tracemalloc.start()
-    try:
-        mult_matrix(x, box)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: mult_matrix(x, box))
     assert peak / box.cardinality**2 < 20, peak / box.cardinality**2
 
 
@@ -455,9 +474,10 @@ def test_boxes_over_the_guard_enter_no_memo(red2, memos):
     index = lattice._embedding(2, 1, 40)
     assert phases is not diagonal_phases(red2, big)
     assert index is not lattice._embedding(2, 1, 40)
-    for arr in (*big._geometry, phases, index):
+    assert big.places is not big.places  # place values are made per call, never held
+    for arr in (big.enumerate(), phases, index):
         assert not arr.flags.writeable
-    # the one-point box behind the embedding is the only table kept
+    # the radius-1 box behind the embedding is the only table kept
     assert _held(memos) == {
         "_box_geometry": 1,
         "_embedding": 0,
@@ -469,8 +489,9 @@ def test_boxes_over_the_guard_enter_no_memo(red2, memos):
 
 def test_memos_hold_little_after_a_warm_suite_seed(theta2, memos):
     # after one d = 2 suite seed the memos hold every table the next seed
-    # reads: 6 product plans, 5 box geometries, 3 phase tables, 2
-    # embeddings and 1 reduced theta, about 134 kB in all
+    # reads: 6 product plans, 4 box point tables, 3 phase tables, 2
+    # embeddings and 1 reduced theta, about 133 kB in all; a product's
+    # sum box is placed by its place values and holds no point table
     run_property_suite(7, theta2)
     for memo in memos.values():
         memo.cache_clear()
@@ -481,7 +502,7 @@ def test_memos_hold_little_after_a_warm_suite_seed(theta2, memos):
     finally:
         tracemalloc.stop()
     assert _held(memos) == {
-        "_box_geometry": 5,
+        "_box_geometry": 4,
         "_embedding": 2,
         "reduce_theta": 1,
         "diagonal_phases": 3,

@@ -43,7 +43,7 @@ from nctorus.lattice import (
     LatticeBox,
     _sum_squares,
 )
-from nctorus.multipliers import bessel_weights
+from nctorus.multipliers import _bessel, bessel_weights
 from nctorus.records import to_csv, to_json
 from nctorus.schatten import (
     SingularSpectrum,
@@ -545,6 +545,35 @@ def test_scan_hilbert_schmidt_row_is_the_envelope_norm():
         assert row.s_r_norm == pytest.approx(want, rel=1e-13, abs=0), seed
 
 
+def _seed_spreads(seeds=range(20)) -> dict:
+    """r -> (relative range, relative standard deviation) of S_r over seeds, at N = 6."""
+    norms = {}
+    for seed in seeds:
+        for rec in run_theorem_scan(ExperimentConfig(N_grid=(6,), seed=seed)):
+            norms.setdefault(rec.r, []).append(rec.s_r_norm)
+    return {r: (np.ptp(v) / np.mean(v), np.std(v) / np.mean(v)) for r, v in norms.items()}
+
+
+def test_scan_sampling_spread_over_seeds(monkeypatch):
+    # seeds 0-19, default config: S_2 spreads by rounding only (relative
+    # range 6.0e-16 measured), and S_r below 2 by the draw (relative
+    # standard deviation 0.44% at r = 1.1 r*, 0.58% at r = 1)
+    spreads = _seed_spreads()
+    assert spreads[2.0][0] < 1e-14, spreads[2.0]
+    for r in ExperimentConfig().r_grid[:2]:
+        assert 1e-3 < spreads[r][1] < 1e-2, (r, spreads[r])
+    # random moduli give S_2 a spread of its own, which the check sees
+    draw = kernels._draw_blocks
+
+    def random_moduli(w1, w2, seed, span=None):
+        for rows, block in draw(w1, w2, seed, span):
+            block *= np.random.default_rng([seed, rows.start]).random(block.shape)
+            yield rows, block
+
+    monkeypatch.setattr(kernels, "_draw_blocks", random_moduli)
+    assert _seed_spreads()[2.0][0] > 1e-3
+
+
 def test_scan_record_at_the_threshold_holds_r_star_exactly():
     # the CLI's note at the critical exponent reads rec.r == rec.r_star
     cfg = ExperimentConfig(N_grid=(3,), r_grid=(1.0, critical_exponent(2, 1.0, 1.0)))
@@ -758,6 +787,36 @@ def test_potential_spectrum_is_the_sorted_bessel_weights():
         assert len(spectrum) == box.cardinality
         expected = np.sort(bessel_weights(-alpha, box))[::-1]
         assert np.array_equal(spectrum.window(0, box.cardinality - 1), expected)
+
+
+def _sorted_potential_spectrum(box: LatticeBox, alpha: float) -> SingularSpectrum:
+    """Decay's shell weights put in order by an argsort, their counts alike."""
+    norms, counts = box.shells()
+    weights = _bessel(norms.astype(float), -alpha)
+    order = np.argsort(weights)[::-1]
+    return SingularSpectrum(weights[order], counts[order])
+
+
+@pytest.mark.parametrize(
+    "d, radius", [(2, 511), (3, 50), (4, 15), (5, 7), (6, 4), (7, 3), (8, 2), (12, 1)]
+)
+def test_shells_come_in_decay_order(d, radius):
+    # the largest box of each d that the guard admits: the shells' own
+    # order is the sorted order, bit for bit, for orders whose weights
+    # are all distinct, all tied to 1 or all but the first flushed to 0
+    assert (2 * radius + 1) ** d <= DECAY_GUARD_CARDINALITY < (2 * radius + 3) ** d
+    box = LatticeBox(d, radius)
+    for alpha in (1e-300, 1e-16, 0.5, 2.0, 40.0, 1e300):
+        spectrum = experiments._potential_spectrum(box, alpha)
+        expected = _sorted_potential_spectrum(box, alpha)
+        assert np.array_equal(spectrum.values, expected.values), alpha
+        # tied weights may swap their counts, but each run of ties ends
+        # at the same rank
+        run_ends = np.append(np.flatnonzero(np.diff(spectrum.values)), len(spectrum.values) - 1)
+        assert np.array_equal(spectrum._ends[run_ends], expected._ends[run_ends]), alpha
+        p = d / alpha
+        assert schatten_norm(spectrum, p) == schatten_norm(expected, p), alpha
+        assert weak_norm(spectrum, p) == weak_norm(expected, p), alpha
 
 
 def test_decay_point_count_guard():

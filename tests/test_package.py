@@ -213,6 +213,13 @@ def _refusals() -> dict:
             ValueError,
             r"^expected lattice points of shape \(2,\), got shape \(1, 2\)$",
         ),
+        # the position 2 * 10**20 + 2 * 10**10 does not fit int64
+        "box-positions-past-int64": (
+            lambda: lattice.LatticeBox(2, 10**10).linear_index((0, 0)),
+            ValueError,
+            r"^box cardinality \(2N\+1\)\^d = 400000000040000000001 exceeds 2\*\*63, "
+            "so its positions overflow int64$",
+        ),
         # a ragged nested list is refused in the words of the rule it meets
         "lattice-point-ragged": (
             lambda: box1.contains([1, [0]]),
