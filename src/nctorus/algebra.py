@@ -20,7 +20,7 @@ import numpy as np
 
 from .cocycle import ReducedTheta, _same_theta, diagonal_phases, phase_pairs, phase_table
 from .lattice import _BLOCK_ENTRIES, LatticeBox, _coefficients, _embedding, _guard_box, _integer
-from .lattice import _memo, _row_blocks, _same_dimension, _sum_squares
+from .lattice import _memo, _per_point, _row_blocks, _same_dimension, _sum_squares
 
 __all__ = [
     "TorusElement",
@@ -228,7 +228,9 @@ def partial_derivative(x: TorusElement, j: int) -> TorusElement:
     j = _integer("derivation index", j)
     if not 1 <= j <= x.box.d:
         raise ValueError(f"derivation index {j} out of range 1..{x.box.d}")
-    factors = 2j * np.pi * x.box.enumerate()[:, j - 1]
+    axes = [np.zeros(x.box.side)] * x.box.d
+    axes[j - 1] = np.arange(-x.box.radius, x.box.radius + 1, dtype=float)
+    factors = 2j * np.pi * _per_point(axes)
     return TorusElement(x.theta, x.box, x.coeffs * factors)
 
 

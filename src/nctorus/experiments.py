@@ -362,7 +362,7 @@ def run_property_suite(seed: int, theta: ThetaMatrix) -> SuiteReport:
     record("kernel-hs-identity", 1e-12, abs(hs - k.l2_norm()) / max(k.l2_norm(), 1e-300))
 
     for p_idx in (0, mbox.cardinality // 3, mbox.cardinality - 1):
-        mono = monomial(red, mbox.enumerate()[p_idx], mbox)
+        mono = monomial(red, mbox._point(p_idx), mbox)
         col = apply_kernel(k, mono).coeffs
         record("kernel-column-consistency", 1e-12, np.max(np.abs(mat[:, p_idx] - col)))
 
@@ -400,7 +400,7 @@ def run_property_suite(seed: int, theta: ThetaMatrix) -> SuiteReport:
     # moduli are (1+|n|^2)^(e/2) on the antidiagonal, e = 2 + 2 s0 - beta
     s0, beta = float(d + 1), 1.7
     rep = schwartz_coefficients(bessel_kernel(beta, mbox, red), 1.0, 1.0, s0)
-    lifted = (1.0 + np.sum(mbox.enumerate() ** 2, axis=1)) ** ((2.0 + 2.0 * s0 - beta) / 2.0)
+    lifted = (1.0 + mbox.squared_norms()) ** ((2.0 + 2.0 * s0 - beta) / 2.0)
     norm = math.sqrt(float(np.sum(lifted**2)))
     ratio = float(np.max(lifted)) / norm
     err = abs(rep.lifted_norm - norm) / norm

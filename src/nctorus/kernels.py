@@ -409,9 +409,8 @@ def schwartz_coefficients(
         raise ValueError(f"decay margin s0 = {s0} must exceed the dimension d = {box.d}")
     lifted = _order("alpha1 + s0", alpha1 + s0), _order("alpha2 + s0", alpha2 + s0)
     worst, flat, lifted_norm = _lifted_extremes(h, *lifted)
-    pts = box.enumerate()
     i, j = divmod(flat, box.cardinality)
-    worst_index = (tuple(int(v) for v in pts[i]), tuple(int(v) for v in pts[j]))
+    worst_index = (box._point(i), box._point(j))
     return SchwartzReport(
         radius=box.radius,
         s0=float(s0),

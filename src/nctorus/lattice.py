@@ -3,15 +3,15 @@
 Every matrix and coefficient vector in this package is indexed by the
 points of such a box, enumerated in a single canonical order, so the
 index bijections here are the ground truth for everything built on top.
+A per-point quantity that needs no phase (|n|^2, a coordinate, a
+position) is built from per-axis values by the one rule _per_point.
 Here too live the one sum of squares every norm and gap reduces with,
 the one rule (_memo) by which every module keeps its per-box tables,
 the one block size (_BLOCK_ENTRIES) every dense step works in, and the
-rules every module checks its inputs by.  Among them: a torus
-dimension (_torus_dimension), one dimension for a box and what it meets
-(_same_dimension), a nonnegative order (_order), lattice points
-(_points: an (n, d) integer array, one point the case n = 1) and
-coefficients (_coefficients: numbers in exactly the box's shape).  One
-theta for both operands is cocycle._same_theta.
+rules every module checks its inputs by: _torus_dimension,
+_same_dimension, _order, _points (an (n, d) integer array, one point
+the case n = 1) and _coefficients (numbers in exactly the box's
+shape).  One theta for both operands is cocycle._same_theta.
 """
 
 from __future__ import annotations
@@ -248,6 +248,11 @@ def _memo(size=lambda *key: 0, limit: int = MEMORY_GUARD_CARDINALITY):
     return decorate
 
 
+def _per_point(per_axis: list) -> np.ndarray:
+    """g_1(n_1) + ... + g_d(n_d) at every point, in canonical order, from each axis's g_i."""
+    return functools.reduce(np.add.outer, per_axis).ravel()
+
+
 @_memo(lambda d, radius: (2 * radius + 1) ** d)
 def _box_geometry(d: int, radius: int) -> np.ndarray:
     """Points of LatticeBox(d, radius) in canonical order."""
@@ -267,9 +272,9 @@ class LatticeBox:
     (radius, ..., radius).  Dimensions 1 to MAX_DIMENSION are accepted
     here; torus-level constructions impose d >= 2 themselves.
 
-    A point's position is (point + radius) . places, so no position
-    lookup reads the points.  A box reads its points once; under the
-    dense-matrix guard, boxes of one (d, radius) share them.
+    A point's position is (point + radius) . places, which _point
+    inverts, so no position lookup reads the points and a box holds
+    none; under the dense-matrix guard _box_geometry's memo keeps them.
     """
 
     d: int
@@ -304,19 +309,13 @@ class LatticeBox:
             )
         return self.side ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
 
-    @cached_property
-    def _geometry(self) -> np.ndarray:
-        """The points, as _box_geometry makes them."""
-        return _box_geometry(self.d, self.radius)
-
     def enumerate(self) -> np.ndarray:
         """All points as a read-only (cardinality, d) array in canonical order."""
-        return self._geometry
+        return _box_geometry(self.d, self.radius)
 
     def squared_norms(self) -> np.ndarray:
         """|n|^2 of every point, in canonical order, as a fresh float array."""
-        pts = self.enumerate()
-        return np.einsum("ij,ij->i", pts, pts).astype(float)
+        return _per_point([np.arange(-self.radius, self.radius + 1, dtype=float) ** 2] * self.d)
 
     def shells(self) -> tuple:
         """(s, r(s)): each squared norm s = |n|^2 in the box, increasing, and its point count.
@@ -359,6 +358,11 @@ class LatticeBox:
             raise IndexError(f"lattice point {point} outside box of radius {self.radius}")
         return (pts + self.radius) @ places
 
+    def _point(self, position: int) -> tuple:
+        """The point at a position in enumerate(), as ints: the inverse of _positions."""
+        coords = np.unravel_index(position, (self.side,) * self.d)
+        return tuple(int(c) - self.radius for c in coords)
+
     def center_index(self) -> int:
         """Linear index of the origin."""
         return (self.cardinality - 1) // 2
@@ -367,4 +371,5 @@ class LatticeBox:
 @_memo(lambda d, small, big: (2 * big + 1) ** d)
 def _embedding(d: int, small: int, big: int) -> np.ndarray:
     """Positions in LatticeBox(d, big) of the points of LatticeBox(d, small)."""
-    return LatticeBox(d, big).linear_indices(LatticeBox(d, small).enumerate())
+    axis = np.arange(big - small, big + small + 1, dtype=np.int64)
+    return _per_point([axis * place for place in LatticeBox(d, big).places])

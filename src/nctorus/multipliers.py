@@ -51,10 +51,8 @@ def _checked(name: str, weights: np.ndarray, box: LatticeBox) -> np.ndarray:
     """weights unchanged; a non-finite weight is an error naming its lattice point."""
     bad = ~np.isfinite(weights)
     if np.any(bad):
-        m = box.enumerate()[int(np.argmax(bad))]
-        raise ValueError(
-            f"symbol {name!r} is not finite at lattice point {tuple(int(v) for v in m)}"
-        )
+        m = box._point(int(np.argmax(bad)))
+        raise ValueError(f"symbol {name!r} is not finite at lattice point {m}")
     return weights
 
 

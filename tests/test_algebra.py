@@ -26,6 +26,7 @@ from nctorus.cocycle import diagonal_phases, phase_pairs, random_theta, reduce_t
 from nctorus.cocycle import zero_theta
 from nctorus.experiments import run_potential_decay, run_property_suite
 from nctorus.lattice import LatticeBox
+from nctorus.multipliers import bessel_weights
 
 
 def test_monomial_product_law(quarter):
@@ -212,6 +213,43 @@ def test_positions_past_the_guard_build_no_point_table(red2, rng):
     assert _traced_peak(lambda: restricted(x, LatticeBox(2, 1))) < 1 << 16
     per_point = _traced_peak(lambda: embedded(small, LatticeBox(2, 300))) / x.box.cardinality
     assert per_point < 40, per_point
+
+
+def test_per_point_values_build_no_point_table(red2):
+    # on fresh d = 2, radius-300 boxes |n|^2 and the coordinates are sums
+    # of per-axis values, where the point table took 16 B per point more:
+    # squared_norms traces 8.4 B per point (32 from the table),
+    # bessel_weights 17 (33), and beside x's coefficients laplacian 32 (48)
+    # and partial_derivative 48 (64)
+    n = LatticeBox(2, 300).cardinality
+    per_point = _traced_peak(lambda: LatticeBox(2, 300).squared_norms()) / n
+    assert per_point < 12, per_point
+    per_point = _traced_peak(lambda: bessel_weights(1.0, LatticeBox(2, 300))) / n
+    assert per_point < 24, per_point
+    x = TorusElement(red2, LatticeBox(2, 300), np.ones(n))
+    per_point = _traced_peak(lambda: laplacian(x)) / n
+    assert per_point < 40, per_point
+    x = TorusElement(red2, LatticeBox(2, 300), np.ones(n))
+    per_point = _traced_peak(lambda: partial_derivative(x, 1)) / n
+    assert per_point < 56, per_point
+
+
+@pytest.mark.parametrize("d, radius", [(2, 0), (2, 300), (3, 40), (4, 12), (6, 5), (12, 1)])
+def test_per_point_values_match_the_point_table(d, radius):
+    # |n|^2, coordinates, embedding positions and position -> point from
+    # the box's axes equal the point table's, bit for bit
+    box = LatticeBox(d, radius)
+    pts = box.enumerate()
+    assert np.array_equal(box.squared_norms(), np.einsum("ij,ij->i", pts, pts).astype(float))
+    x = TorusElement(zero_theta(d), box, np.ones(box.cardinality))
+    for j in range(1, d + 1):
+        want = x.coeffs * (2j * np.pi * pts[:, j - 1])
+        assert np.array_equal(partial_derivative(x, j).coeffs, want), j
+    for small in sorted({0, radius // 2, radius}):
+        want = box.linear_indices(LatticeBox(d, small).enumerate())
+        assert np.array_equal(lattice._embedding(d, small, radius), want), small
+    for position in (0, box.cardinality // 3, box.cardinality - 1):
+        assert box._point(position) == tuple(pts[position].tolist())
 
 
 def test_mult_matrix_matches_convolution(red2, rng):
@@ -468,7 +506,7 @@ def test_boxes_over_the_guard_enter_no_memo(red2, memos):
     # guard: its tables are built for it alone, and no memo keeps them
     run_potential_decay(2, 2.0, (40,))
     big = LatticeBox(2, 40)
-    assert big.enumerate() is big.enumerate()
+    assert big.enumerate() is not big.enumerate()  # a box holds no points
     assert big.enumerate() is not LatticeBox(2, 40).enumerate()
     phases = diagonal_phases(red2, big)
     index = lattice._embedding(2, 1, 40)
@@ -477,9 +515,9 @@ def test_boxes_over_the_guard_enter_no_memo(red2, memos):
     assert big.places is not big.places  # place values are made per call, never held
     for arr in (big.enumerate(), phases, index):
         assert not arr.flags.writeable
-    # the radius-1 box behind the embedding is the only table kept
+    # the embedding is built from place values, so no box's points are kept
     assert _held(memos) == {
-        "_box_geometry": 1,
+        "_box_geometry": 0,
         "_embedding": 0,
         "reduce_theta": 0,
         "diagonal_phases": 0,
